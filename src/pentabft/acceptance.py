@@ -21,7 +21,6 @@ from .messages import CommitClaim
 from .runner import check_prefix_consistency, run, run_record
 from .scenarios import (
     ASYNC_ADVERSARIAL,
-    ASYNC_BENIGN,
     PARTIAL,
     ScenarioConfig,
     adversary_matrix,

@@ -158,12 +158,6 @@ class CommonCoin:
         return CoinOutput(wave, self.output_for(wave))
 
 
-def combine_coin_shares(
-    coin: CommonCoin, shares: Iterable[CoinShare], wave: int, decision_round: int
-) -> CoinOutput:
-    return coin.combine(shares, wave, decision_round)
-
-
 def leader_of(
     slot: LeaderSlot, committee: Committee, coin: Optional[CoinOutput] = None
 ) -> ValidatorId:
@@ -201,47 +195,18 @@ def get_leader_blocks(
     return dag.blocks_by(leader, slot.round)
 
 
-def tally_votes(
-    dag: Dag,
-    decision_round: int,
-    leader_block: Block,
-    committee: Committee,
-    anchor: Optional[BlockRef] = None,
-) -> tuple[int, int]:
-    """(supports, non_supports) for `leader_block` over decision-round blocks.
+def anchored_supports(
+    dag: Dag, decision_round: int, leader_block: Block, anchor: BlockRef
+) -> int:
+    """Distinct authors with a decision-round block inside `anchor`'s causal
+    history that votes for `leader_block`.
 
-    Supports are votes for this specific block. Non-supports count voters
-    whose traversal finds NO block of the leader's slot at all: a voter that
-    reached a different block of an equivocating leader condemns neither
-    candidate, otherwise one honest node could skip a slot that another
-    honest node commits through the surviving candidate.
-
-    Local tally (no anchor): at most one block per author counts, and authors
-    that equivocated in the decision round are counted on neither side,
-    otherwise the double vote would break the quorum-intersection arithmetic.
-
-    Anchored tally: supports count distinct authors with at least one voting
-    block inside the anchor's causal history. This makes the count a pure
-    function of the anchor (whose full history every holder stores), so every
-    node consulting the same anchor reaches the same verdict; local knowledge
-    of decision-round equivocations must not leak in here. Non-supports keep
-    the local semantics (only supports feed weak certificates).
+    The count is a pure function of the anchor (whose full history every
+    holder stores), so every node consulting the same anchor reaches the same
+    verdict; local knowledge of decision-round equivocations must not leak in
+    here, so an author counts if any of its anchor-linked blocks votes.
     """
     leader_digest = leader_block.digest
-    supports = 0
-    non_supports = 0
-    for author, blocks in dag.round_view(decision_round).items():
-        if len(blocks) > 1:
-            continue
-        voted = dag.voted_block(blocks[0], leader_block.author, leader_block.round)
-        if voted == leader_digest:
-            supports += 1
-        elif voted is None:
-            non_supports += 1
-
-    if anchor is None:
-        return supports, non_supports
-
     supporting_authors = set()
     for digest in dag.ancestors_at_round(anchor, decision_round):
         voter = dag.get_by_digest(digest)
@@ -250,21 +215,7 @@ def tally_votes(
         voted = dag.voted_block(voter, leader_block.author, leader_block.round)
         if voted == leader_digest:
             supporting_authors.add(voter.author)
-    return len(supporting_authors), non_supports
-
-
-def slot_blames(
-    dag: Dag, decision_round: int, leader: ValidatorId, slot_round: int
-) -> int:
-    """Distinct decision-round authors whose traversal finds no block of the
-    slot's leader; counting is per slot, so it also condemns empty slots."""
-    blames = 0
-    for author, blocks in dag.round_view(decision_round).items():
-        if len(blocks) > 1:
-            continue
-        if dag.voted_block(blocks[0], leader, slot_round) is None:
-            blames += 1
-    return blames
+    return len(supporting_authors)
 
 
 def validate_stake_split(total_stake: int, core_stake: int) -> bool:
@@ -413,10 +364,7 @@ class Committer:
             return SlotDecision(slot, Verdict.UNDECIDED)
         weak = self.committee.weak_quorum
         for cand in candidates:
-            supports, _ = tally_votes(
-                self.dag, decision_round, cand, self.committee, anchor=anchor_ref
-            )
-            if supports >= weak:
+            if anchored_supports(self.dag, decision_round, cand, anchor_ref) >= weak:
                 return SlotDecision(slot, Verdict.COMMIT, cand.ref())
         return SlotDecision(slot, Verdict.SKIP)
 
@@ -545,29 +493,3 @@ def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[Block
                 scheduled.add(d)
                 push((get(d), False))
     return out
-
-
-def linearize_sub_dags(
-    leaders: Sequence[BlockRef], dag: Dag, emitted: Optional[set[bytes]] = None
-) -> list[BlockRef]:
-    """Delivery sequence for `leaders` in order; each block appears once."""
-    emitted = set() if emitted is None else emitted
-    out: list[BlockRef] = []
-    for leader in leaders:
-        out.extend(linearize_one(dag, leader, emitted))
-    return out
-
-
-def extend_commit_sequence(dag: Dag, decisions: Sequence[SlotDecision]) -> CommitOutput:
-    """Collect committed leaders up to the first undecided slot and linearize.
-
-    Pure counterpart of `Committer.extend` for callers holding an explicit
-    decision list in ascending slot order.
-    """
-    leaders: list[BlockRef] = []
-    for d in decisions:
-        if d.verdict is Verdict.UNDECIDED:
-            break
-        if d.verdict is Verdict.COMMIT:
-            leaders.append(d.block)
-    return CommitOutput(leaders, linearize_sub_dags(leaders, dag))

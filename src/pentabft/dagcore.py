@@ -465,39 +465,6 @@ class Dag:
     def round_view(self, r: int) -> dict[ValidatorId, list[Block]]:
         return self._by_round.get(r, {})
 
-    def equivocation_of(self, author: ValidatorId, r: int) -> Optional[tuple[Block, Block]]:
-        """The two lowest-digest conflicting blocks by (author, r), if any."""
-        lst = self._by_round.get(r, {}).get(author)
-        if lst and len(lst) >= 2:
-            return lst[0], lst[1]
-        return None
-
-    def equivocators_at_round(self, r: int) -> set[ValidatorId]:
-        per_round = self._by_round.get(r, {})
-        return {a for a, lst in per_round.items() if len(lst) > 1}
-
-    def link(self, old: BlockRef, new: BlockRef) -> bool:
-        """True iff a parent-edge path leads from `new` back to `old`."""
-        if old.digest not in self._by_digest:
-            raise UnknownBlockError(old.short())
-        if new.digest not in self._by_digest:
-            raise UnknownBlockError(new.short())
-        if old.round > new.round:
-            return False
-        if old.digest == new.digest:
-            return True
-        stack = [self._by_digest[new.digest]]
-        seen: set[bytes] = set()
-        while stack:
-            blk = stack.pop()
-            for p in blk.parents:
-                if p.digest == old.digest:
-                    return True
-                if p.round > old.round and p.digest not in seen:
-                    seen.add(p.digest)
-                    stack.append(self._by_digest[p.digest])
-        return False
-
     def voted_block(self, support: Block, author: ValidatorId, r: int) -> Optional[bytes]:
         """Digest of the first (author, r) block reached by depth-first search
         from `support`, visiting parents in their listed order; None if none.

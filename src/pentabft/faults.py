@@ -38,7 +38,7 @@ from .messages import (
     Send,
 )
 from .simnet import BudgetExceeded
-from .validator import CoreValidator
+from .validator import LEADER_TIMER, CoreValidator
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,14 @@ class EquivocatingValidator(CoreValidator):
         share = self._next_coin_share(next_round)
         one = make_block(self.me, next_round, parents, txs + (b"variant/a",), share)
         two = make_block(self.me, next_round, parents, txs + (b"variant/b",), share)
-        self._mark_round(next_round, now)
+        self._enter_round(next_round, now)
         self.dag.insert(one)
         self.dag.insert(two)
         actions: list[Action] = [Send(to, BlockMsg(one)) for to in self.camp_a]
         actions.extend(Send(to, BlockMsg(two)) for to in self.camp_b)
         if self.committee.mode is Mode.PARTIAL_SYNC:
-            actions.append(ArmTimer("leader-wait", self.leader_timeout))
+            actions.append(ArmTimer(LEADER_TIMER, self.leader_timeout))
         return actions
-
-    def _mark_round(self, next_round: int, now: int) -> None:
-        self.proposed_rounds.add(next_round)
-        self.current_round = next_round
-        self.round_entry_vtime[next_round] = now
-        self.leader_deadline = now + self.leader_timeout
 
 
 class WithholdVotesValidator(CoreValidator):
@@ -217,7 +211,7 @@ class SplitViewValidator(CoreValidator):
         two = make_block(self.me, next_round, parents, txs + (marker + b"/b",))
         self.script.register("A", one)
         self.script.register("B", two)
-        self._mark_round(next_round, now)
+        self._enter_round(next_round, now)
         self.dag.insert(one)
         self.dag.insert(two)
         return self._split_send(one, two)
@@ -246,7 +240,7 @@ class SplitViewValidator(CoreValidator):
         two = make_block(self.me, next_round, [parents_b[a] for a in sorted(parents_b)], txs + (b"vote/b",))
         self.script.register("A", one)
         self.script.register("B", two)
-        self._mark_round(next_round, now)
+        self._enter_round(next_round, now)
         self.dag.insert(one)
         self.dag.insert(two)
         return self._split_send(one, two)
@@ -266,15 +260,9 @@ class SplitViewValidator(CoreValidator):
         txs = tuple(self.pending_transactions)
         self.pending_transactions.clear()
         block = make_block(self.me, next_round, [parents[a] for a in sorted(parents)], txs)
-        self._mark_round(next_round, now)
+        self._enter_round(next_round, now)
         self.dag.insert(block)
         return [Broadcast(BlockMsg(block))]
-
-    def _mark_round(self, next_round: int, now: int) -> None:
-        self.proposed_rounds.add(next_round)
-        self.current_round = next_round
-        self.round_entry_vtime[next_round] = now
-        self.leader_deadline = now + self.leader_timeout
 
 
 class SilentGuard(Guard):

@@ -24,15 +24,12 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .committer import Committer, LeaderSlot, Verdict, leaders_of_round
+from .committer import LeaderSlot, Verdict, leaders_of_round
 from .dagcore import (
     Block,
     BlockRef,
     Committee,
-    Dag,
-    InsertStatus,
     Mode,
-    PendingPool,
     ValidationError,
     ValidatorId,
     decode_block,
@@ -51,10 +48,8 @@ from .messages import (
     RecoverProposal,
     RecoveryDone,
     RestartDirective,
-    Send,
-    SyncRequest,
-    SyncResponse,
 )
+from .replica import Replica
 
 LIVENESS = "liveness"
 SAFETY = "safety"
@@ -264,7 +259,7 @@ class RecoverySession:
     done: bool = False
 
 
-class Guard:
+class Guard(Replica):
     """One guard node: DAG replica, liveness timers, evidence, recovery."""
 
     D_LEADER_FACTOR = 2
@@ -282,15 +277,11 @@ class Guard:
     ):
         if committee.mode is not Mode.PARTIAL_SYNC:
             raise ValueError("guards assume synchrony; committee must be partial-sync mode")
+        super().__init__(committee, leaders_per_round)
         self.me = me
-        self.committee = committee
         self.guard_count = guard_count
         self.t_g = (guard_count - 1) // 2
         self.delta = delta
-        self.leaders_per_round = leaders_per_round
-        self.dag = Dag(committee)
-        self.committer = Committer(self.dag, committee, leaders_per_round)
-        self.pending = PendingPool()
 
         self.current_round = 0
         self.now_round = 0  # liveness accounting clock ("now" in round units)
@@ -304,7 +295,6 @@ class Guard:
         # evidence: every structurally valid block per (author, round), by digest
         self.evidence: dict[tuple, dict[bytes, Block]] = {}
         self._equivocation_keys: set[tuple] = set()
-        self.invalid_evidence: list[tuple[Block, str]] = []
         self.committed: dict[LeaderSlot, CommitClaim] = {}
         self.remote_claims: dict[LeaderSlot, dict[bytes, CommitClaim]] = {}
         self._claimed = 0  # committer.sequence prefix already claimed
@@ -403,12 +393,6 @@ class Guard:
 
     # -- block handling ------------------------------------------------------
 
-    def on_block_guard(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
-        """Full per-block handling: ingest plus the decision/detection pass."""
-        actions = self.ingest_block(block, sender, now)
-        actions.extend(self.flush(now))
-        return actions
-
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
         """Validate, record evidence, update liveness accounting, and echo.
 
@@ -421,7 +405,6 @@ class Guard:
         except ValidationError as err:
             self.invalid_evidence.append((block, str(err)))
             return []
-        actions: list[Action] = []
         key = (block.author, block.round)
         versions = self.evidence.setdefault(key, {})
         first_version = not versions
@@ -429,15 +412,7 @@ class Guard:
         if len(versions) > 1:
             self._equivocation_keys.add(key)
 
-        outcome = self.dag.insert(block)
-        if outcome.status is InsertStatus.MISSING_ANCESTORS:
-            if not self.pending.has(block.digest):
-                self.pending.add(block, outcome.missing)
-                if sender is not None:
-                    actions.append(Send(sender, SyncRequest(outcome.missing)))
-        elif outcome.status is InsertStatus.INSERTED:
-            self._drain_pending(block.digest)
-
+        actions = self._admit(block, sender)
         if first_version and self.now_round <= block.round:
             self.seen.setdefault(block.round, set()).add(block.author)
             self.responded.add(key)
@@ -446,42 +421,8 @@ class Guard:
         return actions
 
     def flush(self, now: int) -> list[Action]:
-        return self._after_growth(now)
-
-    def _drain_pending(self, digest: bytes) -> None:
-        if self.pending.is_idle():
-            return
-        ready = self.pending.satisfy(digest)
-        while ready:
-            nxt: list[Block] = []
-            for blk in ready:
-                if self.dag.insert(blk).status is InsertStatus.INSERTED:
-                    nxt.extend(self.pending.satisfy(blk.digest))
-            ready = nxt
-
-    def on_sync_response(self, resp: SyncResponse, sender: NodeId, now: int) -> list[Action]:
-        actions: list[Action] = []
-        for blk in resp.blocks:
-            actions.extend(self.ingest_block(blk, sender, now))
-        actions.extend(self.flush(now))
-        return actions
-
-    def on_sync_request(self, req: SyncRequest, sender: NodeId) -> list[Action]:
-        blocks: list[Block] = []
-        seen: set[bytes] = set()
-        stack = [r for r in req.refs if r in self.dag]
-        while stack:
-            ref = stack.pop()
-            if ref.digest in seen:
-                continue
-            seen.add(ref.digest)
-            blk = self.dag.get(ref)
-            blocks.append(blk)
-            stack.extend(p for p in blk.parents if p.digest not in seen)
-        blocks.sort(key=lambda b: (b.round, b.author, b.digest))
-        return [Send(sender, SyncResponse(tuple(blocks)))] if blocks else []
-
-    def _after_growth(self, now: int) -> list[Action]:
+        """Enter newly quorate rounds, extend and gossip the commit view, and
+        scan for a safety fault."""
         actions = self._maybe_enter_rounds(now)
         actions.extend(self._extend_own_view(now))
         if self.recovery_input is None:
@@ -489,6 +430,10 @@ class Guard:
             if bs is not None:
                 actions.extend(self.recover(bs, now))
         return actions
+
+    # bound in this class's own namespace: the benchmark tracer
+    # (perfbench/tracing.py) wraps entry points per class
+    on_sync_request = Replica.on_sync_request
 
     # -- commit-view gossip and safety detection ------------------------------
 

@@ -6,7 +6,7 @@ fires, outputs are returned as action lists that the simulator interprets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .dagcore import Block, BlockRef, ValidatorId

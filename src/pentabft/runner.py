@@ -42,7 +42,6 @@ from .messages import (
     validator_node,
 )
 from .scenarios import (
-    ASYNC_ADVERSARIAL,
     ASYNC_BENIGN,
     PARTIAL,
     SYNC,

@@ -7,8 +7,7 @@ format so experiments can be kept in files and diffed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from .simnet import ConfigError
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .messages import (
@@ -99,17 +99,11 @@ class Asynchronous:
         return send_time + self.cap
 
 
-NetworkModel = object  # Synchronous | PartialSynchrony | Asynchronous
-
-
 # -- events ---------------------------------------------------------------------
 
 DELIVER = 0
 TIMER = 1
-INJECT = 2
-CALL = 3
-
-_KIND_NAMES = {DELIVER: "deliver", TIMER: "timer", INJECT: "inject", CALL: "call"}
+CALL = 2
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class Simulator:
 
     def __init__(
         self,
-        network: NetworkModel,
+        network: Synchronous | PartialSynchrony | Asynchronous,
         seed: int,
         record_events: bool = False,
         horizon: int = 10_000_000,

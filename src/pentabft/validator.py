@@ -1,10 +1,12 @@
 """Core validator state machine: ingest blocks, advance rounds, propose, commit.
 
-A validator is event-driven and single-threaded: `on_block` / `on_timer`
-consume one input and return outbound actions. Round advancement is gated on
-a strong quorum of the previous round plus either all of that round's leader
-blocks or an expired leader timer (partial synchrony only; the asynchronous
-variant drops leader timeouts entirely).
+A validator is event-driven and single-threaded. Blocks arrive through the
+replica path it shares with guards (`ingest_block` per block, then one
+`flush`); `on_timer` handles the leader timer. Each call returns outbound
+actions. Round advancement is gated on a strong quorum of the previous round
+plus either all of that round's leader blocks or an expired leader timer
+(partial synchrony only; the asynchronous variant drops leader timeouts
+entirely).
 """
 
 from __future__ import annotations
@@ -12,22 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .committer import Committer, CommitOutput, CommonCoin, leaders_of_round
+from .committer import CommitOutput, CommonCoin, leaders_of_round
 from .dagcore import (
     Block,
     BlockRef,
     CoinShare,
     Committee,
-    Dag,
-    InsertStatus,
     Mode,
-    PendingPool,
     ValidationError,
     ValidatorId,
     make_block,
     validate_block,
 )
-from .messages import Action, ArmTimer, BlockMsg, Broadcast, NodeId, Send, SyncRequest, SyncResponse
+from .messages import Action, ArmTimer, BlockMsg, Broadcast, NodeId
+from .replica import Replica
 
 LEADER_TIMER = "leader-wait"
 
@@ -44,7 +44,7 @@ class CommitEvent:
     vtime: int
 
 
-class CoreValidator:
+class CoreValidator(Replica):
     """One committee member's full protocol state."""
 
     def __init__(
@@ -56,20 +56,15 @@ class CoreValidator:
         coin: Optional[CommonCoin] = None,
         leader_timeout_factor: int = 2,
     ):
+        super().__init__(committee, leaders_per_round, coin)
         self.me = me
-        self.committee = committee
         self.delta = delta
         self.leader_timeout = leader_timeout_factor * delta
-        self.dag = Dag(committee)
-        self.committer = Committer(self.dag, committee, leaders_per_round, coin)
-        self.leaders_per_round = leaders_per_round
-        self.pending = PendingPool()
         self.pending_transactions: list[bytes] = []
         self.current_round = 0  # highest round this validator proposed in
         self.round_entry_vtime: dict[int, int] = {0: 0}
         self.leader_deadline: Optional[int] = None
         self.proposed_rounds: set[int] = {0}
-        self.invalid_evidence: list[tuple[Block, str]] = []
         self.commit_events: list[CommitEvent] = []
         self.crashed = False
         self.is_silent = False
@@ -80,64 +75,17 @@ class CoreValidator:
 
     # -- block intake ----------------------------------------------------------
 
-    def on_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
-        """Validate and store a block, then refresh decisions and try to advance."""
-        actions = self.ingest_block(block, sender, now)
-        actions.extend(self.flush(now, trigger_round=block.round))
-        return actions
-
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
         try:
             validate_block(block, self.committee)
         except ValidationError as err:
             self.invalid_evidence.append((block, str(err)))
             return []
-        outcome = self.dag.insert(block)
-        if outcome.status is InsertStatus.MISSING_ANCESTORS:
-            if not self.pending.has(block.digest):
-                self.pending.add(block, outcome.missing)
-                if sender is not None:
-                    return [Send(sender, SyncRequest(outcome.missing))]
-            return []
-        if outcome.status is InsertStatus.INSERTED:
-            self._drain_pending(block.digest)
-        return []
+        return self._admit(block, sender)
 
-    def _drain_pending(self, digest: bytes) -> None:
-        if self.pending.is_idle():
-            return
-        ready = self.pending.satisfy(digest)
-        while ready:
-            next_ready: list[Block] = []
-            for blk in ready:
-                if self.dag.insert(blk).status is InsertStatus.INSERTED:
-                    next_ready.extend(self.pending.satisfy(blk.digest))
-            ready = next_ready
-
-    def on_sync_request(self, req: SyncRequest, sender: NodeId) -> list[Action]:
-        """Serve a peer's missing ancestors with their full causal closure."""
-        blocks: list[Block] = []
-        seen: set[bytes] = set()
-        stack = [r for r in req.refs if r in self.dag]
-        while stack:
-            ref = stack.pop()
-            if ref.digest in seen:
-                continue
-            seen.add(ref.digest)
-            blk = self.dag.get(ref)
-            blocks.append(blk)
-            stack.extend(p for p in blk.parents if p.digest not in seen)
-        blocks.sort(key=lambda b: (b.round, b.author, b.digest))
-        if not blocks:
-            return []
-        return [Send(sender, SyncResponse(tuple(blocks)))]
-
-    def on_sync_response(self, resp: SyncResponse, sender: NodeId, now: int) -> list[Action]:
-        actions: list[Action] = []
-        for blk in resp.blocks:
-            actions.extend(self.ingest_block(blk, sender, now))
-        actions.extend(self.flush(now, trigger_round=-1))
-        return actions
+    # bound in this class's own namespace: the benchmark tracer
+    # (perfbench/tracing.py) wraps entry points per class
+    on_sync_request = Replica.on_sync_request
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
         if timer_id == LEADER_TIMER:

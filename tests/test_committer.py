@@ -14,18 +14,21 @@ from pentabft.committer import (
     Verdict,
     WaveCoords,
     decisions_to_trace,
-    extend_commit_sequence,
     get_leader_blocks,
     leader_of,
-    linearize_sub_dags,
     propose_round_of,
-    slot_blames,
-    tally_votes,
     validate_stake_split,
     wave_coords,
 )
 from pentabft.dagcore import CoinShare, Committee, Dag, Mode, genesis_blocks, make_block
 
+from oracles import (
+    direct_decide,
+    extend_commit_sequence,
+    linearize_sub_dags,
+    slot_blames,
+    tally_votes,
+)
 from test_dagcore import build_vote_fixture, full_round
 
 
@@ -93,24 +96,24 @@ class TestLeaderBlocks:
 class TestTally:
     def test_vote_fixture_counts(self):
         committee, dag, proposals, prime, _ = build_vote_fixture()
-        assert tally_votes(dag, 2, proposals[0], committee) == (5, 1)
-        assert tally_votes(dag, 2, proposals[5], committee) == (1, 5)
+        assert tally_votes(dag, 2, proposals[0]) == (5, 1)
+        assert tally_votes(dag, 2, proposals[5]) == (1, 5)
         # voters reaching the other variant condemn neither candidate
-        assert tally_votes(dag, 2, proposals[1], committee) == (5, 0)
-        assert tally_votes(dag, 2, prime, committee) == (1, 0)
+        assert tally_votes(dag, 2, proposals[1]) == (5, 0)
+        assert tally_votes(dag, 2, prime) == (1, 0)
 
     def test_no_decision_blocks(self):
         committee = Committee.of_size(6)
         dag = Dag(committee)
         (p, *_) = full_round(dag, committee, 1)
-        assert tally_votes(dag, 2, p, committee) == (0, 0)
+        assert tally_votes(dag, 2, p) == (0, 0)
 
     def test_decision_round_equivocator_counts_for_neither(self):
         committee, dag, proposals, prime, votes = build_vote_fixture()
         # voter 0 equivocates in the decision round with a non-voting variant
         twin = make_block(0, 2, [proposals[x].ref() for x in range(1, 6)], (b"twin",))
         dag.insert(twin)
-        supports, blames = tally_votes(dag, 2, proposals[0], committee)
+        supports, blames = tally_votes(dag, 2, proposals[0])
         assert (supports, blames) == (4, 1)
 
     def test_slot_blames_counts_missing_slots(self):
@@ -118,6 +121,16 @@ class TestTally:
         assert slot_blames(dag, 2, 0, 1) == 1  # only voter 5 omits proposal 0
         assert slot_blames(dag, 2, 5, 1) == 5
         assert slot_blames(dag, 2, 1, 1) == 0  # every voter reaches some variant
+
+    def test_direct_rule_matches_tally_oracles(self):
+        committee, dag, proposals, prime, votes = build_vote_fixture()
+        committer = Committer(dag, committee, leaders_per_round=6)
+        twin = make_block(0, 2, [proposals[x].ref() for x in range(1, 6)], (b"twin",))
+        for _ in range(2):  # the second pass has a decision-round equivocator
+            for rank in range(6):
+                slot = LeaderSlot(1, rank)
+                assert committer.try_direct_decide(slot) == direct_decide(dag, slot, committee, 2)
+            dag.insert(twin)
 
 
 class TestStakeSplit:

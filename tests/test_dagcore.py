@@ -24,6 +24,8 @@ from pentabft.dagcore import (
     validate_block,
 )
 
+from oracles import equivocation_of, link
+
 
 def full_round(dag, committee, r, txs=b""):
     """One block per member at round r referencing every round r-1 block."""
@@ -136,9 +138,9 @@ class TestInsert:
         one = make_block(2, 2, parents, (b"a",))
         two = make_block(2, 2, parents, (b"b",))
         dag.insert(one)
-        assert dag.equivocation_of(2, 2) is None
+        assert equivocation_of(dag, 2, 2) is None
         dag.insert(two)
-        pair = dag.equivocation_of(2, 2)
+        pair = equivocation_of(dag, 2, 2)
         assert pair is not None
         assert {pair[0].digest, pair[1].digest} == {one.digest, two.digest}
 
@@ -149,42 +151,42 @@ class TestInsert:
         for b in blocks:
             dag.insert(b)
         lowest = sorted(b.digest for b in blocks)[:2]
-        pair = dag.equivocation_of(2, 2)
+        pair = equivocation_of(dag, 2, 2)
         assert [pair[0].digest, pair[1].digest] == lowest
 
     def test_honest_rounds_have_no_equivocation(self, committee, dag):
         for r in (1, 2, 3):
             full_round(dag, committee, r)
             for a in committee.members:
-                assert dag.equivocation_of(a, r) is None
+                assert equivocation_of(dag, a, r) is None
 
 
 class TestLink:
     def test_self_link(self, committee, dag):
         g = dag.first_block_by(0, 0)
-        assert dag.link(g.ref(), g.ref())
+        assert link(dag, g.ref(), g.ref())
 
     def test_direct_parent(self, committee, dag):
         (b, *_) = full_round(dag, committee, 1)
         g = dag.first_block_by(0, 0)
-        assert dag.link(g.ref(), b.ref())
+        assert link(dag, g.ref(), b.ref())
 
     def test_edges_point_downward_only(self, committee, dag):
         (b, *_) = full_round(dag, committee, 1)
         g = dag.first_block_by(0, 0)
-        assert not dag.link(b.ref(), g.ref())
+        assert not link(dag, b.ref(), g.ref())
 
     def test_unknown_block_raises(self, committee, dag):
         phantom = BlockRef(0, 9, b"\x00" * 16)
         with pytest.raises(UnknownBlockError):
-            dag.link(phantom, dag.first_block_by(0, 0).ref())
+            link(dag, phantom, dag.first_block_by(0, 0).ref())
 
     def test_transitive(self, committee, dag):
         full_round(dag, committee, 1)
         full_round(dag, committee, 2)
         (b3, *_) = full_round(dag, committee, 3)
         g = dag.first_block_by(4, 0)
-        assert dag.link(g.ref(), b3.ref())
+        assert link(dag, g.ref(), b3.ref())
 
 
 def build_vote_fixture():
@@ -226,8 +228,8 @@ class TestIsVote:
         _, dag, proposals, prime, votes = build_vote_fixture()
         for vote in votes.values():
             for target in list(proposals.values()) + [prime]:
-                assert dag.is_vote(vote.ref(), target.ref()) == dag.link(
-                    target.ref(), vote.ref()
+                assert dag.is_vote(vote.ref(), target.ref()) == link(
+                    dag, target.ref(), vote.ref()
                 )
 
     def test_traversal_order_resolves_equivocating_pair(self):

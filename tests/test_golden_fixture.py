@@ -19,12 +19,13 @@ from pentabft.committer import (
     Committer,
     LeaderSlot,
     Verdict,
+    anchored_supports,
     decisions_to_trace,
     leader_of,
-    linearize_sub_dags,
-    tally_votes,
 )
 from pentabft.dagcore import Committee, Dag, genesis_blocks, make_block
+
+from oracles import direct_decide, link, linearize_sub_dags, tally_votes
 
 # which single round-(r-1) author each round-r block omits from its parents
 OMIT_AT_ROUND_3 = {0: 2, 1: 2, 2: 4, 3: 2, 4: 3, 5: 3}
@@ -66,8 +67,8 @@ def test_leader_slot_layout(fixture):
 def test_round_two_tallies(fixture):
     committee, dag, blocks = fixture
     l0a, l0b = blocks[(2, 2)], blocks[(3, 2)]
-    assert tally_votes(dag, 3, l0b, committee) == (4, 2)
-    assert tally_votes(dag, 3, l0a, committee) == (3, 3)
+    assert tally_votes(dag, 3, l0b) == (4, 2)
+    assert tally_votes(dag, 3, l0a) == (3, 3)
 
 
 def test_decisions_match_reference(fixture):
@@ -101,6 +102,15 @@ def test_direct_rules_fire_where_expected(fixture):
     assert committer.try_direct_decide(LeaderSlot(2, 0)).verdict is Verdict.UNDECIDED
 
 
+def test_direct_rule_matches_tally_oracles(fixture):
+    committee, dag, blocks = fixture
+    committer = Committer(dag, committee, leaders_per_round=2)
+    for r in range(1, 5):
+        for rank in (0, 1):
+            slot = LeaderSlot(r, rank)
+            assert committer.try_direct_decide(slot) == direct_decide(dag, slot, committee, 2)
+
+
 def test_anchor_passes_over_skipped_slot(fixture):
     committee, dag, blocks = fixture
     committer = Committer(dag, committee, leaders_per_round=2)
@@ -116,10 +126,8 @@ def test_anchor_passes_over_skipped_slot(fixture):
 def test_anchored_weak_certificate_members(fixture):
     committee, dag, blocks = fixture
     anchor = blocks[(5, 4)].ref()  # L2b
-    supports, _ = tally_votes(dag, 3, blocks[(3, 2)], committee, anchor=anchor)
-    assert supports >= committee.weak_quorum
-    supports_l0a, _ = tally_votes(dag, 3, blocks[(2, 2)], committee, anchor=anchor)
-    assert supports_l0a < committee.weak_quorum
+    assert anchored_supports(dag, 3, blocks[(3, 2)], anchor) >= committee.weak_quorum
+    assert anchored_supports(dag, 3, blocks[(2, 2)], anchor) < committee.weak_quorum
     # the cited certificate blocks are all linked from the anchor
     linked = dag.ancestors_at_round(anchor, 3)
     for voter in (0, 1, 2):
@@ -170,6 +178,6 @@ def test_vote_equals_link_for_adjacent_rounds(fixture):
             for (b, rb), newer in blocks.items():
                 if rb != r + 1:
                     continue
-                assert dag.is_vote(newer.ref(), older.ref()) == dag.link(
-                    older.ref(), newer.ref()
+                assert dag.is_vote(newer.ref(), older.ref()) == link(
+                    dag, older.ref(), newer.ref()
                 )

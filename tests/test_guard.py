@@ -28,6 +28,8 @@ from pentabft.messages import (
     RecoveryDone,
 )
 
+from replica_path import deliver
+
 DELTA = 1000
 GUARDS = 5
 
@@ -50,7 +52,7 @@ def feed_round(guard, r, authors=None, now=0):
     actions = []
     for b in blocks:
         if authors is None or b.author in authors:
-            actions.extend(guard.on_block_guard(b, f"v{b.author}", now))
+            actions.extend(deliver(guard, [b], f"v{b.author}", now))
     return blocks, actions
 
 
@@ -73,9 +75,9 @@ class TestLivenessAccounting:
         parents = [g.dag.first_block_by(a, 1).ref() for a in range(5)]
         one = make_block(2, 2, parents, (b"a",))
         two = make_block(2, 2, parents, (b"b",))
-        g.on_block_guard(one, "v2", 200)
+        deliver(g, [one], "v2", 200)
         assert 2 not in g.asleep(2)
-        actions = g.on_block_guard(two, "v2", 300)
+        actions = deliver(g, [two], "v2", 300)
         echoes = [a for a in actions if isinstance(a, Broadcast) and isinstance(a.payload, BlockMsg)]
         assert echoes == []  # second version retained as evidence only
         assert g.evidence[(2, 2)].keys() == {one.digest, two.digest}
@@ -84,7 +86,7 @@ class TestLivenessAccounting:
         g = make_guard()
         g.now_round = 3
         blocks = full_round_blocks(g.dag, g.committee, 1)
-        g.on_block_guard(blocks[0], "v0", 500)
+        deliver(g, [blocks[0]], "v0", 500)
         assert 0 in g.asleep(1)  # stored but not counted live
         assert g.dag.first_block_by(0, 1) is not None
 
@@ -116,16 +118,16 @@ class TestLivenessAccounting:
         # leader of round 1 rank 0 (validator 1) equivocates
         fork_a = make_block(1, 2, parents, (b"fa",))
         fork_b = make_block(1, 2, parents, (b"fb",))
-        g.on_block_guard(fork_a, "v1", 150)
-        g.on_block_guard(fork_b, "v1", 151)
+        deliver(g, [fork_a], "v1", 150)
+        deliver(g, [fork_b], "v1", 151)
         for a in (0, 2, 3, 4, 5):
-            g.on_block_guard(make_block(a, 2, parents, (b"r2",)), f"v{a}", 150)
+            deliver(g, [make_block(a, 2, parents, (b"r2",))], f"v{a}", 150)
         base = {x: g.dag.first_block_by(x, 2).ref() for x in range(6)}
         for a in range(6):
             chosen = dict(base)
             chosen[1] = fork_a.ref() if a in (0, 2) else fork_b.ref()
             vote = make_block(a, 3, [chosen[x] for x in sorted(chosen)], (b"v",))
-            g.on_block_guard(vote, f"v{a}", 200)
+            deliver(g, [vote], f"v{a}", 200)
         actions = g.on_timer("g-live:3", 5000)
         blamed = {
             x.payload.accused
@@ -189,11 +191,11 @@ def build_conflict_guard():
     feed_round(g, 1, now=10)
     parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
     for a in (0, 1, 3, 4, 5):
-        g.on_block_guard(make_block(a, 2, parents, (b"r2",)), f"v{a}", 19)
+        deliver(g, [make_block(a, 2, parents, (b"r2",))], f"v{a}", 19)
     block_b = make_block(2, 2, parents, (b"fork-b",))
     block_p = make_block(2, 2, parents, (b"fork-p",))
-    g.on_block_guard(block_b, "v2", 20)
-    g.on_block_guard(block_p, "v2", 21)
+    deliver(g, [block_b], "v2", 20)
+    deliver(g, [block_p], "v2", 21)
     base = {a: g.dag.first_block_by(a, 2).ref() for a in g.dag.authors_at_round(2)}
 
     def vote(author, target, tag):
@@ -201,7 +203,7 @@ def build_conflict_guard():
         chosen[2] = target.ref()
         parents3 = [chosen[a] for a in sorted(chosen)]
         block = make_block(author, 3, parents3, (tag,))
-        g.on_block_guard(block, f"v{author}", 30)
+        deliver(g, [block], f"v{author}", 30)
         return block
 
     votes_b = {a: vote(a, block_b, b"vb") for a in range(5)}

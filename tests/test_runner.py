@@ -1,5 +1,7 @@
 """End-to-end scenario runs: catalog smoke, faults, recovery, determinism."""
 
+import hashlib
+
 import pytest
 
 from pentabft import scenarios
@@ -170,3 +172,79 @@ class TestPartialSynchrony:
         post = [t for r, t in sorted(ref.round_entries.items()) if t > cfg.gst + 2 * cfg.delta]
         gaps = {b - a for a, b in zip(post, post[1:])}
         assert gaps and max(gaps) <= 2 * cfg.delta
+
+
+# blake2b-128 of RunRecord.to_text() for every catalog scenario at seeds 1-3,
+# with the delivery event log recorded. A change that moves any of these is a
+# protocol or record change and re-pins them on purpose.
+GOLDEN_DIGESTS = {
+    "async-adversarial": (
+        "19557d2df65504250ac828574efe0790",
+        "4777643b4f0bec475412e0708faf4b48",
+        "61ee15f1abbd28c8830a91e0197914b9",
+    ),
+    "async-fault-free": (
+        "19e800a7abb17d2206d74e14a4150f6d",
+        "686f618286911205f67451dff3700e94",
+        "07f8306a95a4d09011d42c6ba43a3d15",
+    ),
+    "byz-guard-recover": (
+        "600171706be5bd96003a00ef07ecf09a",
+        "1b6f943f1d6a298d31e7f85e5edde739",
+        "693e068ee69a55c2877a18ac63cd0bdb",
+    ),
+    "crash-f": (
+        "f4368f3662a4b447343e4c9a51337a1a",
+        "0e945beb6be10b3c749017ca199d6256",
+        "98a07e55ea60217ab5310d1d529fe32e",
+    ),
+    "crash-f-plus-1": (
+        "a5b57cc1a7e16c126bca91bcb960b4fc",
+        "300bc0754f27aeb905afec027a89312a",
+        "85876fd4b3443ff3ac34f748a4e83766",
+    ),
+    "crash-leader": (
+        "9415efb7aa5872bbbc294decaa64e111",
+        "499fecc055a419a86ce0d07e37214c9c",
+        "d1da88fde19364c233006572cdbb0bb4",
+    ),
+    "equivocate-f": (
+        "e90e0552bb4b853ff147f8d923d7b50c",
+        "679007009dd5c2ebd6e7de906ea42273",
+        "0af5dd2348b5e12c2f39fcef338f678d",
+    ),
+    "fault-free-f1": (
+        "7a976a17f28e3977144750773602412a",
+        "63177b288737b0c40eaa9eec4d121387",
+        "44e6e194f3f6aded764d49374dbdb5ef",
+    ),
+    "fault-free-f2": (
+        "13ac2187495b8a25d1596fabadc1aadc",
+        "db640ac5b1aba8524d8184f22aaba02b",
+        "9db57b45f9dbfd232f6e8749d2b13550",
+    ),
+    "fault-free-f6": (
+        "7a06426c191764f5d1e0cd2ff5e4114c",
+        "a217e44e5bd718ef5de8738a9ffc261b",
+        "9e76a128d90ca42545959f90ca3be72e",
+    ),
+    "splitview-3f": (
+        "627da90d2c123629345887fafe6fd31c",
+        "817e3c778f043c0a2bcca1a1f910d409",
+        "01279cd3a1a834a1a917a21844925f20",
+    ),
+}
+
+
+class TestGoldenRecords:
+    def test_every_catalog_scenario_is_pinned(self):
+        assert sorted(GOLDEN_DIGESTS) == sorted(scenarios.CATALOG)
+
+    @pytest.mark.parametrize(
+        "name,seed", [(name, seed) for name in sorted(GOLDEN_DIGESTS) for seed in (1, 2, 3)]
+    )
+    def test_record_digest_unchanged(self, name, seed):
+        cfg = short(scenarios.CATALOG[name](), record_events=True)
+        text = run_record(cfg, seed).to_text()
+        digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name][seed - 1]

@@ -5,8 +5,10 @@ import pytest
 from pentabft.committer import Verdict
 from pentabft.dagcore import Committee, Dag, Mode, genesis_blocks, make_block
 from pentabft.faults import CrashValidator, EquivocatingValidator, WithholdVotesValidator
-from pentabft.messages import ArmTimer, BlockMsg, Broadcast, Send, SyncRequest, SyncResponse
-from pentabft.validator import CoreValidator
+from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest
+from pentabft.validator import LEADER_TIMER, CoreValidator
+
+from replica_path import deliver
 
 DELTA = 1000
 
@@ -33,7 +35,7 @@ def drive_round(v, r, authors=(1, 2, 3, 4, 5), now=0):
     """Feed round-r blocks from peers into validator v."""
     actions = []
     for b in other_round(v.committee, r, v.dag, authors):
-        actions.extend(v.on_block(b, f"v{b.author}", now))
+        actions.extend(deliver(v, [b], f"v{b.author}", now))
     return actions
 
 
@@ -61,7 +63,7 @@ class TestAdvance:
         # leaders of round 1 are validators 1 and 2; withhold 2's block
         drive_round(v, 1, authors=(1, 3, 4, 5), now=DELTA)
         assert v.current_round == 1  # quorum reached, leader 2 missing
-        v.on_timer("leader-wait", DELTA * 3)
+        v.on_timer(LEADER_TIMER, DELTA * 3)
         assert v.current_round == 2  # timeout expired, proposes without it
 
     def test_proposes_immediately_with_all_leaders(self):
@@ -122,7 +124,7 @@ class TestOnBlock:
         for b in blocks1:
             shadow.insert(b)
         blocks2 = other_round(committee, 2, shadow, (1,))
-        actions = v.on_block(blocks2[0], "v1", DELTA)
+        actions = deliver(v, [blocks2[0]], "v1", DELTA)
         reqs = [a for a in actions if isinstance(a, Send) and isinstance(a.payload, SyncRequest)]
         assert len(reqs) == 1
         assert reqs[0].to == "v1"
@@ -139,8 +141,8 @@ class TestOnBlock:
         for b in blocks1:
             shadow.insert(b)
         blocks2 = other_round(committee, 2, shadow, (1,))
-        v.on_block(blocks2[0], "v1", DELTA)
-        v.on_sync_response(SyncResponse(tuple(blocks1)), "v1", 2 * DELTA)
+        deliver(v, [blocks2[0]], "v1", DELTA)
+        deliver(v, blocks1, "v1", 2 * DELTA)
         assert v.dag.first_block_by(1, 2) is not None
 
     def test_invalid_signature_dropped_with_evidence(self):
@@ -150,7 +152,7 @@ class TestOnBlock:
         v.flush(0)
         parents = tuple(g.ref() for g in genesis_blocks(v.committee))
         forged = Block(2, 1, parents[:5], (), None, auth_tag_for(4))
-        actions = v.on_block(forged, "v2", DELTA)
+        actions = deliver(v, [forged], "v2", DELTA)
         assert actions == []
         assert v.dag.first_block_by(2, 1) is None
         assert len(v.invalid_evidence) == 1
