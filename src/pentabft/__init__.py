@@ -12,7 +12,6 @@ from .dagcore import (
 )
 from .committer import (
     Committer,
-    CommitOutput,
     CommonCoin,
     LeaderSlot,
     SlotDecision,
@@ -30,7 +29,6 @@ __all__ = [
     "BlameSet",
     "CoinShare",
     "Committee",
-    "CommitOutput",
     "Committer",
     "CommonCoin",
     "CoreValidator",

@@ -22,7 +22,6 @@ from .runner import check_prefix_consistency, run, run_record
 from .scenarios import (
     ASYNC_ADVERSARIAL,
     PARTIAL,
-    ScenarioConfig,
     adversary_matrix,
     async_fault_free,
     crash_f_plus_1,
@@ -386,7 +385,7 @@ def criterion_guard_safety(seeds: int = 3) -> CriterionResult:
         record = result.record
         state = result.epochs[0]
         committee = state.committee
-        corrupt = set(build_splitview_corrupt(cfg))
+        corrupt = set(cfg.splitview_corrupt())
         delta = cfg.delta
         t_g = (cfg.guards - 1) // 2
         slot_key = f"{cfg.splitview_round}/0"
@@ -459,11 +458,6 @@ def criterion_guard_safety(seeds: int = 3) -> CriterionResult:
         failures[0] if failures else "",
         time.time() - t0,
     )
-
-
-def build_splitview_corrupt(cfg: ScenarioConfig) -> tuple[int, ...]:
-    r = cfg.splitview_round
-    return (r % cfg.n, (r + 1) % cfg.n, (r + 2) % cfg.n)
 
 
 def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optional[CommitClaim]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .dagcore import (
@@ -105,17 +105,6 @@ class SlotDecision:
 def decisions_to_trace(decisions: Iterable[SlotDecision]) -> str:
     """Decision trace: one 'slot verdict [blockref]' line per slot."""
     return "\n".join(d.trace_line() for d in decisions) + "\n"
-
-
-@dataclass
-class CommitOutput:
-    """Committed leaders in slot order plus the linearized delivery sequence."""
-
-    committed_leaders: list[BlockRef] = field(default_factory=list)
-    delivery_sequence: list[BlockRef] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not self.committed_leaders and not self.delivery_sequence
 
 
 @dataclass(frozen=True)
@@ -428,9 +417,10 @@ class Committer:
 
     # -- commit sequence -----------------------------------------------------
 
-    def extend(self, trigger_round: int = -1) -> CommitOutput:
+    def extend(self, trigger_round: int = -1) -> None:
         """Run the decision pass up to the DAG's highest round and extend the
-        monotone commit log; returns only the newly appended portion.
+        monotone commit log (`sequence`, `committed_leaders`,
+        `delivery_sequence`); all three only ever grow by appending.
 
         The decision pass restarts at the last fully decided round, so slots
         already consumed into the sequence (a prefix may end mid-round) are
@@ -439,7 +429,6 @@ class Committer:
         decisions = self.try_decide(
             self._prefix_rounds_done, self.dag.max_round, trigger_round
         )
-        delta = CommitOutput()
         base = self._prefix_rounds_done * self.leaders_per_round
         for i, d in enumerate(decisions):
             if d.verdict is Verdict.UNDECIDED:
@@ -451,18 +440,11 @@ class Committer:
             self._prefix_len += 1
             if d.verdict is Verdict.COMMIT:
                 self.committed_leaders.append(d.block)
-                delta.committed_leaders.append(d.block)
-                batch = linearize_one(self.dag, d.block, self._emitted)
-                self.delivery_sequence.extend(batch)
-                delta.delivery_sequence.extend(batch)
+                self.delivery_sequence.extend(linearize_one(self.dag, d.block, self._emitted))
         self._prefix_rounds_done = self._prefix_len // self.leaders_per_round
-        return delta
 
     def decided_slots(self) -> dict[LeaderSlot, SlotDecision]:
         return dict(self._decided)
-
-    def trace(self) -> str:
-        return decisions_to_trace(self.sequence)
 
 
 def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[BlockRef]:

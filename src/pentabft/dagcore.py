@@ -497,16 +497,6 @@ class Dag:
                     return res
         return None
 
-    def is_vote(self, support: BlockRef, leader: BlockRef) -> bool:
-        """True iff `support` votes for `leader`: the DFS from `support` finds
-        `leader` first among all blocks with the leader's (author, round)."""
-        if support.digest not in self._by_digest:
-            raise UnknownBlockError(support.short())
-        if leader.digest not in self._by_digest:
-            raise UnknownBlockError(leader.short())
-        blk = self._by_digest[support.digest]
-        return self.voted_block(blk, leader.author, leader.round) == leader.digest
-
     def ancestors_at_round(self, ref: BlockRef, r: int) -> frozenset:
         """Digests of all round-r blocks in `ref`'s causal history."""
         key = (ref.digest, r)

@@ -777,21 +777,17 @@ class Guard(Replica):
         return [RecoveryDone(directive)]
 
 
-def apply_reconfiguration(
-    bs: BlameSet, committee: Committee, kind: str
-) -> tuple[Committee, RestartDirective]:
+def apply_reconfiguration(excluded: tuple[ValidatorId, ...], committee: Committee) -> Committee:
     """Shrink the committee by the agreed members and derive the new budget.
 
     Removing k members from n leaves f_new = (n-k-1)//5; the protocol
     restarts over the reduced committee (liveness) or from the canonical
     branch (safety; selection happens during the agreement session).
     """
-    remaining = tuple(m for m in committee.members if m not in bs.members)
-    new_committee = Committee(
+    remaining = tuple(m for m in committee.members if m not in excluded)
+    return Committee(
         remaining,
         (len(remaining) - 1) // 5,
         mode=committee.mode,
         epoch=committee.epoch + 1,
     )
-    directive = RestartDirective(kind, tuple(sorted(bs.members)), None, bs.to_text())
-    return new_committee, directive

@@ -121,11 +121,6 @@ class ArmTimer:
 
 
 @dataclass(frozen=True)
-class CancelTimer:
-    timer_id: str
-
-
-@dataclass(frozen=True)
 class RecoveryDone:
     """Surfaced by a guard when its recovery session returns the agreed set."""
 

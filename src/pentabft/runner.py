@@ -26,16 +26,14 @@ from .faults import (
     SplitViewValidator,
     WithholdVotesValidator,
 )
-from .guard import Guard, apply_reconfiguration, BlameSet
+from .guard import Guard, apply_reconfiguration
 from .messages import (
     AgreementRelay,
     BlockMsg,
-    Broadcast,
     CoreUpdateMsg,
     LBlameMsg,
     NodeId,
     RestartDirective,
-    Send,
     SyncRequest,
     SyncResponse,
     guard_node,
@@ -51,19 +49,10 @@ from .simnet import Asynchronous, Node, PartialSynchrony, Simulator, Synchronous
 from .validator import CoreValidator
 
 
-@dataclass(frozen=True)
-class Epoched:
-    """Envelope tagging every message with its epoch; stale epochs are dropped."""
-
-    epoch: int
-    payload: object
-
-
 class ValidatorAdapter(Node):
-    def __init__(self, runner: "Runner", validator: CoreValidator, epoch: int):
+    def __init__(self, runner: "Runner", validator: CoreValidator):
         self.runner = runner
         self.validator = validator
-        self.epoch = epoch
         self.node_id = validator_node(validator.me)
         self._trigger = -1
         self._tx_round = 0
@@ -78,11 +67,8 @@ class ValidatorAdapter(Node):
         ]
         v.enqueue_transactions(batch)
 
-    def deliver(self, payload, sender, now):
-        if not isinstance(payload, Epoched) or payload.epoch != self.epoch:
-            return []
+    def deliver(self, msg, sender, now):
         was_down = self._down()
-        msg = payload.payload
         v = self.validator
         if isinstance(msg, BlockMsg):
             self._trigger = max(self._trigger, msg.block.round)
@@ -118,23 +104,15 @@ class ValidatorAdapter(Node):
     def _wrap(self, actions, was_down: bool):
         # a node crashing during this step still emits what it produced
         # before the crash point; it is silent from the next step on
-        if was_down:
-            return []
-        v = self.validator
-        return [self.runner.wrap_action(a, self.epoch, v.me) for a in actions]
+        return [] if was_down else actions
 
 
 class GuardAdapter(Node):
-    def __init__(self, runner: "Runner", guard: Guard, epoch: int):
-        self.runner = runner
+    def __init__(self, guard: Guard):
         self.guard = guard
-        self.epoch = epoch
         self.node_id = guard_node(guard.me)
 
-    def deliver(self, payload, sender, now):
-        if not isinstance(payload, Epoched) or payload.epoch != self.epoch:
-            return []
-        msg = payload.payload
+    def deliver(self, msg, sender, now):
         g = self.guard
         if isinstance(msg, BlockMsg):
             return self._wrap(g.ingest_block(msg.block, sender, now))
@@ -160,9 +138,7 @@ class GuardAdapter(Node):
         return self._wrap(self.guard.on_timer(timer_id, now))
 
     def _wrap(self, actions):
-        if self.guard.is_silent:
-            return []
-        return [self.runner.wrap_action(a, self.epoch, None) for a in actions]
+        return [] if self.guard.is_silent else actions
 
 
 # -- run record ------------------------------------------------------------------
@@ -318,7 +294,7 @@ def build_fault_plan(config: ScenarioConfig) -> FaultPlan:
     splitview = None
     if config.splitview_round:
         r = config.splitview_round
-        corrupt = (r % config.n, (r + 1) % config.n, (r + 2) % config.n)
+        corrupt = config.splitview_corrupt()
         honest = tuple(v for v in range(config.n) if v not in corrupt)
         half = (len(honest) + 1) // 2
         g_half = (config.guards + 1) // 2
@@ -356,7 +332,6 @@ class Runner:
             self.sim.outbound_check = self._outbound_check
         self.epochs: list[EpochState] = []
         self.violations: list[str] = []
-        self._created: dict[ValidatorId, set[bytes]] = {}
         self._restart_scheduled = False
         self._recovery_directive: Optional[RestartDirective] = None
         self._start_epoch(Committee.of_size(config.n, self._mode(), epoch=0), 0)
@@ -402,18 +377,11 @@ class Runner:
             set(plan.byz_guards),
         )
         self.epochs.append(state)
-        self.sim.nodes.clear()
-        for v, validator in validators.items():
-            self.sim.add_node(ValidatorAdapter(self, validator, epoch))
-            self._created.setdefault(v, set())
-        for g, guard in guards.items():
-            self.sim.add_node(GuardAdapter(self, guard, epoch))
-        if start_vtime == 0:
-            self.sim.kick()
-        else:
-            for node_id in sorted(self.sim.nodes):
-                node = self.sim.nodes[node_id]
-                self.sim.apply_actions(node_id, node.flush(start_vtime), start_vtime)
+        self.sim.start_epoch(
+            [ValidatorAdapter(self, v) for v in validators.values()]
+            + [GuardAdapter(g) for g in guards.values()],
+            start_vtime,
+        )
 
     def _make_validator(self, v, committee, coin, plan: FaultPlan, script, node_ids):
         kwargs = dict(
@@ -472,27 +440,15 @@ class Runner:
             return BogusProposalGuard(g, committee, **kwargs)
         return Guard(g, committee, **kwargs)
 
-    # -- action plumbing ---------------------------------------------------------------
+    # -- forged-identity containment -----------------------------------------------------
 
-    def wrap_action(self, action, epoch: int, author: Optional[ValidatorId]):
-        if isinstance(action, Broadcast):
-            self._register_created(action.payload, author)
-            return Broadcast(Epoched(epoch, action.payload))
-        if isinstance(action, Send):
-            self._register_created(action.payload, author)
-            return Send(action.to, Epoched(epoch, action.payload))
-        return action
+    def _outbound_check(self, frm: NodeId, msg) -> None:
+        """Byzantine containment: nobody emits a block forged in an honest name.
 
-    def _register_created(self, payload, author: Optional[ValidatorId]) -> None:
-        if author is not None and isinstance(payload, BlockMsg):
-            if payload.block.author == author:
-                self._created.setdefault(author, set()).add(payload.block.digest)
-
-    def _outbound_check(self, frm: NodeId, payload) -> None:
-        """Byzantine containment: nobody emits a block forged in an honest name."""
-        if not isinstance(payload, Epoched):
-            return
-        msg = payload.payload
+        An honest validator stores each block it creates before sending it,
+        so a block in its name that its own DAG lacks is a fabrication;
+        relays of stored honest blocks pass.
+        """
         blocks = ()
         if isinstance(msg, BlockMsg):
             blocks = (msg.block,)
@@ -505,12 +461,10 @@ class Runner:
             author = block.author
             if author in state.faulty or author not in state.validators:
                 continue
-            if block.digest not in self._created.get(author, ()):
-                # relays of honest blocks are fine; fabrications are not
-                if not state.validators[author].dag.contains_digest(block.digest):
-                    self.violations.append(
-                        f"forged block {block.digest.hex()[:8]} in honest name v{author} from {frm}"
-                    )
+            if not state.validators[author].dag.contains_digest(block.digest):
+                self.violations.append(
+                    f"forged block {block.digest.hex()[:8]} in honest name v{author} from {frm}"
+                )
 
     # -- recovery and restart ------------------------------------------------------------
 
@@ -525,8 +479,7 @@ class Runner:
         state = self.epochs[-1]
         state.end_vtime = now
         directive = self._recovery_directive
-        bs = BlameSet.from_text(directive.blameset_text)
-        new_committee, _ = apply_reconfiguration(bs, state.committee, directive.kind)
+        new_committee = apply_reconfiguration(directive.excluded, state.committee)
         self.sim.inject(
             "",
             f"restart epoch={new_committee.epoch} excluded={','.join(str(m) for m in directive.excluded)}",
@@ -705,8 +658,7 @@ def verify_scenario(config: ScenarioConfig, record: RunRecord) -> list[str]:
             kind, members = next(iter(agreed))
             faulty_ids = {v for v, _ in config.crash}
             if config.splitview_round:
-                r = config.splitview_round
-                faulty_ids |= {r % config.n, (r + 1) % config.n, (r + 2) % config.n}
+                faulty_ids |= set(config.splitview_corrupt())
             if not set(members) <= faulty_ids:
                 failures.append(f"recovery blamed honest members {members}")
         if len(record.epochs) < 2:

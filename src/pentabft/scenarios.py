@@ -82,6 +82,12 @@ class ScenarioConfig:
         base = self.gst if self.network == PARTIAL else 0
         return base + (self.rounds + 12) * per_round + guard_slack + self.extra_vtime
 
+    def splitview_corrupt(self) -> tuple[int, ...]:
+        """The view-split attack's corrupt trio: the attacked round's leader
+        and the next two validators."""
+        r = self.splitview_round
+        return (r % self.n, (r + 1) % self.n, (r + 2) % self.n)
+
     def to_text(self) -> str:
         lines = [f"name={self.name}"]
         for key in (

@@ -9,6 +9,10 @@ fire exactly.
 Deliveries at one instant are ingested per event and each touched node is
 then flushed once (decisions, round advancement, outbound actions), which is
 behaviorally identical because nothing sent at time t can arrive at time t.
+
+An epoch ends here too: `start_epoch` swaps in a new node set and drops the
+old set's undelivered messages and armed timers, so nothing from a retired
+epoch reaches its successor.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .messages import (
     Action,
     ArmTimer,
     Broadcast,
-    CancelTimer,
     NodeId,
     RecoveryDone,
     Send,
@@ -106,7 +109,7 @@ TIMER = 1
 CALL = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     """Event-log entry: message delivery, timer expiry, or fault activation."""
 
@@ -180,8 +183,16 @@ class Simulator:
         self.on_recovery_done: Optional[Callable] = None
         self.outbound_check: Optional[Callable] = None
 
-    def add_node(self, node: Node) -> None:
-        self.nodes[node.node_id] = node
+    def start_epoch(self, nodes: list[Node], now: int) -> None:
+        """Replace the node set: drop the old set's in-flight messages and
+        armed timers (scheduled calls stay), then flush each new node once."""
+        self.nodes = {node.node_id: node for node in nodes}
+        self._timer_gen.clear()
+        # in place: run() holds an alias of the heap
+        self._heap[:] = [entry for entry in self._heap if entry[2] == CALL]
+        heapq.heapify(self._heap)
+        for node_id in sorted(self.nodes):
+            self.apply_actions(node_id, self.nodes[node_id].flush(now), now)
 
     # -- scheduling -------------------------------------------------------------
 
@@ -209,9 +220,6 @@ class Simulator:
         self._timer_gen[(node, timer_id)] = gen
         self._push(now + duration, TIMER, node, (timer_id, gen))
 
-    def cancel_timer(self, node: NodeId, timer_id: str) -> None:
-        self._timer_gen[(node, timer_id)] = self._timer_gen.get((node, timer_id), 0) + 1
-
     def inject(self, node: NodeId, detail: str, now: int) -> None:
         """Log a fault activation as a first-class event."""
         self._seq += 1
@@ -233,8 +241,6 @@ class Simulator:
                     self.send(node_id, action.to, action.payload, now)
             elif isinstance(action, ArmTimer):
                 self.set_timer(node_id, action.timer_id, action.duration, now)
-            elif isinstance(action, CancelTimer):
-                self.cancel_timer(node_id, action.timer_id)
             elif isinstance(action, RecoveryDone):
                 if self.on_recovery_done is not None:
                     self.on_recovery_done(node_id, action.directive, now)
@@ -270,7 +276,7 @@ class Simulator:
                 elif kind == TIMER:
                     timer_id, gen = payload
                     if self._timer_gen.get((node_id, timer_id)) != gen:
-                        continue  # superseded or cancelled
+                        continue  # superseded by a re-arm
                     if self.record_events:
                         self.events.append(SimEvent(time, seq, "timer", node_id, timer_id))
                     actions = node.on_timer(timer_id, time)
@@ -284,8 +290,3 @@ class Simulator:
                 node = self.nodes.get(node_id)
                 if node is not None:
                     self.apply_actions(node_id, node.flush(time), time)
-
-    def kick(self) -> None:
-        """Give every node an initial flush at time zero."""
-        for node_id in sorted(self.nodes):
-            self.apply_actions(node_id, self.nodes[node_id].flush(0), 0)

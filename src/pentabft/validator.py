@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .committer import CommitOutput, CommonCoin, leaders_of_round
+from .committer import CommonCoin, leaders_of_round
 from .dagcore import (
     Block,
     BlockRef,
@@ -69,9 +69,6 @@ class CoreValidator(Replica):
         self.crashed = False
         self.is_silent = False
         self.max_round: Optional[int] = None  # harness-imposed proposal ceiling
-        # poll_commits cursor
-        self._polled_leaders = 0
-        self._polled_delivery = 0
 
     # -- block intake ----------------------------------------------------------
 
@@ -185,20 +182,6 @@ class CoreValidator(Replica):
 
     def _leader_timer_expired(self, now: int) -> bool:
         return self.leader_deadline is not None and now >= self.leader_deadline
-
-    # -- commit output -------------------------------------------------------------
-
-    def poll_commits(self) -> CommitOutput:
-        """Commit log delta since the previous poll; never replays."""
-        leaders = self.committer.committed_leaders
-        delivery = self.committer.delivery_sequence
-        out = CommitOutput(
-            list(leaders[self._polled_leaders :]),
-            list(delivery[self._polled_delivery :]),
-        )
-        self._polled_leaders = len(leaders)
-        self._polled_delivery = len(delivery)
-        return out
 
     def enqueue_transactions(self, txs: list[bytes]) -> None:
         self.pending_transactions.extend(txs)

@@ -3,14 +3,15 @@
 These are the plain, one-rule-at-a-time forms of what `Committer` and `Dag`
 compute in fused or incremental form: the unanchored vote tally and the slot
 blame count behind the direct rule, explicit-list linearization and commit
-extension, parent-path reachability between two blocks, and the lowest
-equivocating pair of one author at one round.
+extension, the vote relation between two blocks, parent-path reachability
+between two blocks, and the lowest equivocating pair of one author at one
+round.
 """
 
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from pentabft.committer import (
-    CommitOutput,
     LeaderSlot,
     SlotDecision,
     Verdict,
@@ -81,6 +82,14 @@ def linearize_sub_dags(
     return out
 
 
+@dataclass
+class CommitOutput:
+    """Committed leaders in slot order plus the linearized delivery sequence."""
+
+    committed_leaders: list[BlockRef] = field(default_factory=list)
+    delivery_sequence: list[BlockRef] = field(default_factory=list)
+
+
 def extend_commit_sequence(dag: Dag, decisions: Sequence[SlotDecision]) -> CommitOutput:
     """Collect committed leaders up to the first undecided slot and linearize.
 
@@ -94,6 +103,16 @@ def extend_commit_sequence(dag: Dag, decisions: Sequence[SlotDecision]) -> Commi
         if d.verdict is Verdict.COMMIT:
             leaders.append(d.block)
     return CommitOutput(leaders, linearize_sub_dags(leaders, dag))
+
+
+def is_vote(dag: Dag, support: BlockRef, leader: BlockRef) -> bool:
+    """True iff `support` votes for `leader`: the DFS from `support` finds
+    `leader` first among all blocks with the leader's (author, round)."""
+    for ref in (support, leader):
+        if not dag.contains_digest(ref.digest):
+            raise UnknownBlockError(ref.short())
+    voted = dag.voted_block(dag.get_by_digest(support.digest), leader.author, leader.round)
+    return voted == leader.digest
 
 
 def link(dag: Dag, old: BlockRef, new: BlockRef) -> bool:

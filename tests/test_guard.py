@@ -415,13 +415,11 @@ class TestRecoverySession:
 class TestReconfiguration:
     def test_liveness_exclusion_shrinks_committee(self):
         committee = Committee.of_size(6)
-        bs = BlameSet(LIVENESS, frozenset({4, 5}), LivenessProof(7, {}))
-        new_committee, directive = apply_reconfiguration(bs, committee, LIVENESS)
+        new_committee = apply_reconfiguration((4, 5), committee)
         assert new_committee.members == (0, 1, 2, 3)
         assert new_committee.f == 0
         assert new_committee.epoch == 1
-        assert directive.kind == LIVENESS
-        assert directive.excluded == (4, 5)
+        assert new_committee.mode is committee.mode
 
     def test_safety_branch_is_strongly_certified_side(self):
         g, committee, block_b, block_p, votes_b, votes_p = build_conflict_guard()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pentabft.committer import LeaderSlot, Verdict, validate_stake_split
 from pentabft.dagcore import decode_block, make_block
-from pentabft.runner import run, run_record
+from pentabft.runner import Runner, run, run_record
 from pentabft import scenarios
 
 
@@ -175,13 +175,20 @@ class TestHonestBehavior:
 
     def test_commit_log_is_append_only(self):
         cfg = scenarios.fault_free(1, rounds=10)
-        result = run(cfg, seed=1)
-        node = result.epochs[0].validators[0]
-        first = node.poll_commits()
-        assert first.committed_leaders == node.committer.committed_leaders
-        assert node.poll_commits().is_empty()
+        runner = Runner(cfg, seed=1)
+        committer = runner.epochs[0].validators[0].committer
+        leaders, delivery = [], []
+        # step the run one delta at a time and read the log between steps
+        for horizon in range(0, cfg.horizon_vtime() + 1, cfg.delta):
+            runner.sim.horizon = horizon
+            runner.sim.run()
+            assert committer.committed_leaders[: len(leaders)] == leaders
+            assert committer.delivery_sequence[: len(delivery)] == delivery
+            leaders = list(committer.committed_leaders)
+            delivery = list(committer.delivery_sequence)
+        assert leaders
         # the sequence itself is the log: ascending slots, no repeats
-        slots = [(d.slot.round, d.slot.rank) for d in node.committer.sequence]
+        slots = [(d.slot.round, d.slot.rank) for d in committer.sequence]
         assert slots == sorted(slots)
         assert len(set(slots)) == len(slots)
 

@@ -1,11 +1,15 @@
 """End-to-end scenario runs: catalog smoke, faults, recovery, determinism."""
 
 import hashlib
+import re
 
 import pytest
 
 from pentabft import scenarios
+from pentabft.dagcore import make_block
+from pentabft.messages import BlockMsg, SyncResponse
 from pentabft.runner import (
+    Runner,
     check_delivery_bounds,
     check_prefix_consistency,
     run,
@@ -161,6 +165,55 @@ class TestDeterminism:
         assert a != b
 
 
+class TestEventLog:
+    # every payload kind the simulator describes, after the sender's node id
+    PAYLOAD = re.compile(
+        r"[vg]\d+ (block \d+/\d+/[0-9a-f]{8}|sync-req \d+|sync-resp \d+"
+        r"|lblame g\d+ v\d+ r\d+|core-update g\d+ \d+|relay p\d+ chain=\d+)"
+    )
+
+    @pytest.mark.parametrize("name,kinds", [
+        ("equivocate-f", {"block", "sync-req", "sync-resp"}),
+        ("splitview-3f", {"block", "lblame", "core-update", "relay"}),
+    ])
+    def test_delivery_lines_name_their_payload(self, name, kinds):
+        cfg = short(scenarios.CATALOG[name](), rounds=12, record_events=True)
+        record = run_record(cfg, seed=1)
+        details = [
+            line.split("\t")[4] for line in record.event_lines if line.split("\t")[2] == "deliver"
+        ]
+        assert details
+        assert all(self.PAYLOAD.fullmatch(d) for d in details)
+        assert {d.split(" ")[1] for d in details} == kinds
+
+
+class TestOutboundCheck:
+    """Forged-identity containment: a block in an honest validator's name
+    that the validator's own DAG lacks is a fabrication, whoever sends it."""
+
+    def guarded_run(self):
+        # validator 1 equivocates, so the check is on; guards relay every block
+        runner = Runner(scenarios.equivocate_f(rounds=4, guards=5), seed=1)
+        assert runner.run().record.violations == []
+        return runner
+
+    def test_forged_block_in_honest_name_is_a_violation(self):
+        runner = self.guarded_run()
+        genesis = runner.epochs[-1].validators[0].dag.blocks_at_round(0)
+        forged = make_block(0, 1, [b.ref() for b in genesis], (b"forged",))
+        runner.sim.send("v1", "v2", BlockMsg(forged), runner.sim.now)
+        assert runner.violations == [
+            f"forged block {forged.digest.hex()[:8]} in honest name v0 from v1"
+        ]
+
+    def test_guard_relay_of_a_stored_block_passes(self):
+        runner = self.guarded_run()
+        stored = runner.epochs[-1].validators[0].dag.first_block_by(0, 1)
+        runner.sim.send("g0", "v2", BlockMsg(stored), runner.sim.now)
+        runner.sim.send("g0", "v3", SyncResponse((stored,)), runner.sim.now)
+        assert runner.violations == []
+
+
 class TestPartialSynchrony:
     def test_progress_resumes_after_gst(self):
         cfg = scenarios.adversary_matrix("crash", scenarios.PARTIAL, True, rounds=25)
@@ -174,66 +227,72 @@ class TestPartialSynchrony:
         assert gaps and max(gaps) <= 2 * cfg.delta
 
 
-# blake2b-128 of RunRecord.to_text() for every catalog scenario at seeds 1-3,
-# with the delivery event log recorded. A change that moves any of these is a
-# protocol or record change and re-pins them on purpose.
+# blake2b-128 digests of RunRecord.to_text() for every catalog scenario at
+# seeds 1-3 with the event log recorded, as (head, full) per seed. The head is
+# the text before the record-level `events N` line: epochs, nodes, guards and
+# violations. The full digest adds the event lines. A change that moves any
+# of these is a protocol or record change and re-pins them on purpose.
 GOLDEN_DIGESTS = {
     "async-adversarial": (
-        "19557d2df65504250ac828574efe0790",
-        "4777643b4f0bec475412e0708faf4b48",
-        "61ee15f1abbd28c8830a91e0197914b9",
+        ("1e49d247c82ace43c32143c837e8661a", "4acf3b487a3355f3876b3f4a883f841e"),
+        ("bc6816a03b89b0444cbe729b21769aac", "3f7b4d223d06c64fa5e1af39f85b0995"),
+        ("b196862118002284d4bbdcd5a8b95af1", "3e6ab85a15f1a97b2873cf3566eae6cc"),
     ),
     "async-fault-free": (
-        "19e800a7abb17d2206d74e14a4150f6d",
-        "686f618286911205f67451dff3700e94",
-        "07f8306a95a4d09011d42c6ba43a3d15",
+        ("6fd0623c6338e87eba3b17ad521338fa", "86c012e0e6538b4c9946f0d613cdd3a6"),
+        ("10f7437a169a7fad89fbb2b81cfcf0b4", "22f774294847a752a6c58da69db1facb"),
+        ("7ef82ceaab36f3ddc2f389a6c4dba590", "459d63d72a71addc75259a31b18f07e5"),
     ),
     "byz-guard-recover": (
-        "600171706be5bd96003a00ef07ecf09a",
-        "1b6f943f1d6a298d31e7f85e5edde739",
-        "693e068ee69a55c2877a18ac63cd0bdb",
+        ("68d2f242bbde8b24c5d3f6aad962e310", "bce38457bbb00f396395bd34073659a5"),
+        ("5ad56fca6dabb48a39a96b8485917f78", "e79c275db9b4bbc2e5d7260a885fd7ef"),
+        ("104ef4a05be4f215af63950fb9aec4f1", "d449db44c414b11a8932a4978d51eb05"),
     ),
     "crash-f": (
-        "f4368f3662a4b447343e4c9a51337a1a",
-        "0e945beb6be10b3c749017ca199d6256",
-        "98a07e55ea60217ab5310d1d529fe32e",
+        ("b0dc6ea7fa5741ef2fe5d36792c03a93", "2d2881f9e4a4e3295ca293ae6152242f"),
+        ("57583e311ee379ccb1550db8598f8303", "0a645b31708d72773fce69d571ca8f7d"),
+        ("8b995da546dee58d4d0d1cb70724f653", "879771ee4568714c75991e8840d7e5cf"),
     ),
     "crash-f-plus-1": (
-        "a5b57cc1a7e16c126bca91bcb960b4fc",
-        "300bc0754f27aeb905afec027a89312a",
-        "85876fd4b3443ff3ac34f748a4e83766",
+        ("280be00be28e0321eb5019adf2c3c4a4", "73d172c4781e7433c34d9a8761ee7a0d"),
+        ("248c4e64cc04205bb82999fc0c198c02", "38bd45f469c8ee640ea94b1adeeeb9ca"),
+        ("75b54624a04b1f684e01567dd2aab6b5", "10007b8c66cc316ea20e67357efbcc77"),
     ),
     "crash-leader": (
-        "9415efb7aa5872bbbc294decaa64e111",
-        "499fecc055a419a86ce0d07e37214c9c",
-        "d1da88fde19364c233006572cdbb0bb4",
+        ("16f291f42159456a1fdc8063b5bd79d9", "1658633e14a58c548718de8591e9e01a"),
+        ("3e314b9286ac9b44a431c35efe2b326f", "094a0dcc19b847ef3fe717e3aeee9da3"),
+        ("475eefac43e4aebcd5c84323fc0656b8", "c7e547deb94342eae39af7ed9bc25939"),
     ),
     "equivocate-f": (
-        "e90e0552bb4b853ff147f8d923d7b50c",
-        "679007009dd5c2ebd6e7de906ea42273",
-        "0af5dd2348b5e12c2f39fcef338f678d",
+        ("62230d135c8bc23c20a1a9f0daa00c13", "f181136fed7e2286f152fbc4f688b2e8"),
+        ("06270a4e254bc2e4e54caa39ffcf538f", "8e3c9a02b8a64043b5f10a415cceb628"),
+        ("e08fc02d045f8d460fba89a97379e6f9", "fbcb0a519cf5bd4cc43d64d5757b5bfb"),
     ),
     "fault-free-f1": (
-        "7a976a17f28e3977144750773602412a",
-        "63177b288737b0c40eaa9eec4d121387",
-        "44e6e194f3f6aded764d49374dbdb5ef",
+        ("69e6fc26c5fc459924cfbfd93da3a583", "6a997c039628b5cfc3fe73d427eaa5be"),
+        ("cb255b6dcc94214ee5a857b91de6982d", "7410bf5afb4e41385655328788f77ce2"),
+        ("8cd80f5a81bf51bb09e95719c189cd5d", "197e41b7384da6d1f4c0c6128a4add1c"),
     ),
     "fault-free-f2": (
-        "13ac2187495b8a25d1596fabadc1aadc",
-        "db640ac5b1aba8524d8184f22aaba02b",
-        "9db57b45f9dbfd232f6e8749d2b13550",
+        ("4ac6f05a6ded1ee03db90419ecb7e4cb", "e4322d94c15816d82518de0767559d91"),
+        ("6a96ce406a0d57d8e90db4f913089955", "f2c741a79513f10aabec4cbbc075cf58"),
+        ("778a83259c2046fb81a3c71cd67fd696", "de1434575fa12c0f3412ca08596c1980"),
     ),
     "fault-free-f6": (
-        "7a06426c191764f5d1e0cd2ff5e4114c",
-        "a217e44e5bd718ef5de8738a9ffc261b",
-        "9e76a128d90ca42545959f90ca3be72e",
+        ("502bde9c800499ab8aa2c8a1a3d234aa", "0f46c4972f7625bada08774fc8a1a132"),
+        ("3bf22f9a1cf8ab243088661b89f3e828", "b945daf59106e39400ae5a0a01d64e58"),
+        ("763f597f827fcab16062921d32aa04d6", "0492db66a86bd26f57372cc1e4743f5a"),
     ),
     "splitview-3f": (
-        "627da90d2c123629345887fafe6fd31c",
-        "817e3c778f043c0a2bcca1a1f910d409",
-        "01279cd3a1a834a1a917a21844925f20",
+        ("a3d6ca88156dd350922f73a9b4335ebd", "e8935ec01ba41bdf6253088163c179b1"),
+        ("d57ad73eea356e97523d7513cdfcdf6d", "8beb71eb09de9071a675ef50b0be8c0b"),
+        ("d82d4867dc9fb784cffea4176101509c", "1622f815ae13a4b9a7de96c78babcb53"),
     ),
 }
+
+
+def digest(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 class TestGoldenRecords:
@@ -246,5 +305,7 @@ class TestGoldenRecords:
     def test_record_digest_unchanged(self, name, seed):
         cfg = short(scenarios.CATALOG[name](), record_events=True)
         text = run_record(cfg, seed).to_text()
-        digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-        assert digest == GOLDEN_DIGESTS[name][seed - 1]
+        head = text[: text.rindex("\nevents ") + 1]  # event lines start with a time
+        want_head, want_full = GOLDEN_DIGESTS[name][seed - 1]
+        assert digest(head) == want_head
+        assert digest(text) == want_full

@@ -1,10 +1,10 @@
-"""Simulator engine: determinism, delivery bounds, timers, fault budgets."""
+"""Simulator engine: determinism, delivery bounds, timers, epochs, fault budgets."""
 
 import pytest
 
 from pentabft.faults import FaultPlan
 from pentabft.dagcore import Committee
-from pentabft.messages import ArmTimer, Broadcast, CancelTimer, Send
+from pentabft.messages import ArmTimer, Broadcast, Send
 from pentabft.simnet import (
     Asynchronous,
     BudgetExceeded,
@@ -21,7 +21,12 @@ class Recorder(Node):
     def __init__(self, node_id, script=None):
         self.node_id = node_id
         self.log = []
+        self.flushes = []
         self.script = script or {}
+
+    def flush(self, now):
+        self.flushes.append(now)
+        return []
 
     def deliver(self, payload, sender, now):
         self.log.append(("deliver", now, sender, payload))
@@ -35,8 +40,7 @@ class Recorder(Node):
 def make_sim(network=None, seed=1, record_events=True, **kwargs):
     sim = Simulator(network or Synchronous(1000), seed, record_events=record_events, **kwargs)
     nodes = [Recorder(f"n{i}") for i in range(3)]
-    for n in nodes:
-        sim.add_node(n)
+    sim.start_epoch(nodes, 0)
     return sim, nodes
 
 
@@ -86,13 +90,6 @@ class TestTimers:
         sim.run()
         assert nodes[1].log == [("timer", 2500, "t")]
 
-    def test_cancel_prevents_fire(self):
-        sim, nodes = make_sim()
-        sim.set_timer("n1", "t", 2500, 0)
-        sim.cancel_timer("n1", "t")
-        sim.run()
-        assert nodes[1].log == []
-
     def test_rearming_replaces(self):
         sim, nodes = make_sim()
         sim.set_timer("n1", "t", 2500, 0)
@@ -119,14 +116,12 @@ class TestActions:
         assert ("deliver", 1100, "n0", "b") in nodes[2].log
         assert ("deliver", 1100, "n0", "s") in nodes[2].log
 
-    def test_arm_and_cancel_via_actions(self):
+    def test_arm_via_actions(self):
         sim, nodes = make_sim()
-        nodes[0].script[("timer", "go")] = [ArmTimer("later", 500), CancelTimer("gone")]
-        sim.set_timer("n0", "gone", 5000, 0)
+        nodes[0].script[("timer", "go")] = [ArmTimer("later", 500)]
         sim.set_timer("n0", "go", 100, 0)
         sim.run()
         assert ("timer", 600, "later") in nodes[0].log
-        assert all(entry[2] != "gone" for entry in nodes[0].log)
 
 
 class TestDeterminism:
@@ -170,6 +165,42 @@ class TestEventLog:
         sim.set_timer("n0", "early", 200, 0)
         sim.run()
         assert nodes[0].log == [("timer", 200, "early")]
+
+
+class TestEpochs:
+    def test_start_epoch_retires_the_old_node_set(self):
+        sim, old = make_sim()
+        sim.broadcast("n0", "stale", 0)
+        sim.set_timer("n1", "t", 1500, 0)
+        calls = []
+
+        def restart(now):
+            calls.append(now)
+            sim.start_epoch(new, now)
+
+        new = [Recorder(f"n{i}") for i in range(3)]
+        sim.schedule_call(500, restart)
+        sim.schedule_call(2000, calls.append)
+        sim.run()
+        assert calls == [500, 2000]  # scheduled calls survive the restart
+        assert all(n.log == [] and n.flushes == [0] for n in old)
+        # one first flush each; the old epoch's message and timer never arrive
+        assert all(n.log == [] and n.flushes == [500] for n in new)
+        assert not any(e.kind in ("deliver", "timer") for e in sim.events)
+
+    def test_first_flushes_run_in_node_order(self):
+        order = []
+
+        class Flusher(Recorder):
+            def flush(self, now):
+                order.append(self.node_id)
+                return [Send("n0", self.node_id)] if self.node_id != "n0" else []
+
+        sim = Simulator(Synchronous(1000), 1)
+        sim.start_epoch([Flusher(f"n{i}") for i in (2, 0, 1)], 0)
+        assert order == ["n0", "n1", "n2"]
+        sim.run()
+        assert [entry[3] for entry in sim.nodes["n0"].log if entry[0] == "deliver"] == ["n1", "n2"]
 
 
 class TestFaultBudget:

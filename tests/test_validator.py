@@ -1,4 +1,4 @@
-"""Validator state machine: intake, round advancement, commit polling."""
+"""Validator state machine: intake, round advancement, the commit log."""
 
 import pytest
 
@@ -169,25 +169,41 @@ class TestOnBlock:
         assert rounds == {0, 1, 2}
 
 
+def commit_log(v):
+    return list(v.committer.committed_leaders), list(v.committer.delivery_sequence)
+
+
+def assert_appended(before, after):
+    """Each list of the commit log only grows by appending."""
+    for old, new in zip(before, after):
+        assert new[: len(old)] == old
+
+
 class TestPollCommits:
+    """A reader polls the committer's commit log by position: what it has
+    read never changes, new entries only appear at the end."""
+
     def test_delta_semantics(self):
         v = fresh_validator()
         v.flush(0)
         drive_round(v, 1, now=DELTA)
-        assert v.poll_commits().is_empty()
+        assert commit_log(v) == ([], [])
         drive_round(v, 2, now=2 * DELTA)
-        first = v.poll_commits()
-        assert first.committed_leaders
-        assert v.poll_commits().is_empty()
+        first = commit_log(v)
+        assert first[0]
+        v.flush(2 * DELTA)  # no new blocks, nothing new to read
+        assert commit_log(v) == first
 
     def test_delivery_extends_in_slot_order(self):
         v = fresh_validator()
         v.flush(0)
+        log = commit_log(v)
         for r in (1, 2, 3):
             drive_round(v, r, now=r * DELTA)
-        out = v.poll_commits()
-        rounds = [ref.round for ref in out.committed_leaders]
-        assert rounds == sorted(rounds)
+            assert_appended(log, commit_log(v))
+            log = commit_log(v)
+        rounds = [ref.round for ref in log[0]]
+        assert rounds and rounds == sorted(rounds)
 
 
 class TestByzantineStrategies:
