@@ -11,8 +11,10 @@ commit / skip / undecided by tallying decision-round votes:
   anchor); a committed anchor commits the slot iff it links to a weak
   certificate (2f+1 votes), otherwise skips it.
 
-The delivery order is obtained by linearizing each committed leader's
-not-yet-delivered causal history depth-first, leader last.
+A decision pass re-checks only the open slots whose propose or decision
+round grew since the last pass, or whose anchor may have moved because a
+slot was decided since. The delivery order is obtained by linearizing each
+committed leader's not-yet-delivered causal history depth-first, leader last.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .dagcore import (
     Block,
@@ -95,16 +97,6 @@ class SlotDecision:
     slot: LeaderSlot
     verdict: Verdict
     block: Optional[BlockRef] = None
-
-    def trace_line(self) -> str:
-        if self.verdict is Verdict.COMMIT:
-            return f"{self.slot.short()} commit {self.block.digest.hex()}"
-        return f"{self.slot.short()} {self.verdict.value}"
-
-
-def decisions_to_trace(decisions: Iterable[SlotDecision]) -> str:
-    """Decision trace: one 'slot verdict [blockref]' line per slot."""
-    return "\n".join(d.trace_line() for d in decisions) + "\n"
 
 
 @dataclass(frozen=True)
@@ -220,9 +212,13 @@ def validate_stake_split(total_stake: int, core_stake: int) -> bool:
 class Committer:
     """Per-node decision state: evaluates slots and extends the commit sequence.
 
-    Decisions are pure functions of the DAG snapshot; this class adds a cache
-    of decided slots (a slot never leaves commit/skip once reached) and the
-    monotone commit log with its emitted-set for incremental linearization.
+    Decisions are pure functions of the DAG snapshot; this class adds a store
+    of decided slots (a slot never leaves commit/skip once reached), a memo of
+    the inputs each open slot was last evaluated on, so that a decision pass
+    re-checks only the slots the DAG's growth or a new verdict made dirty,
+    and the monotone commit log with its emitted-set for incremental
+    linearization. Slots are keyed internally by their global index
+    `(round - 1) * leaders_per_round + rank`.
     """
 
     def __init__(
@@ -241,19 +237,20 @@ class Committer:
         self.coin = coin
         if committee.mode is Mode.ASYNC and coin is None:
             raise ValueError("async mode requires a common coin")
-        self._decided: dict[LeaderSlot, SlotDecision] = {}
+        self._decided: dict[int, SlotDecision] = {}  # slot index -> verdict
         self._coin_outputs: dict[int, CoinOutput] = {}
-        # re-evaluate a slot only when its propose/decision rounds grew or a
-        # later slot's verdict changed (the anchor may have moved)
-        self._slot_memo: dict[LeaderSlot, tuple[int, int, int]] = {}
+        # open slot index -> the inputs of its last undecided evaluation; the
+        # version counts verdicts reached, so a new anchor invalidates it
+        self._slot_memo: dict[int, tuple[int, ...]] = {}
         self._decided_version = 0
+        self._seen_blocks = 0  # len(dag) at the end of the last pass
+        self._stale_memos = False  # the last pass decided a slot
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         self.committed_leaders: list[BlockRef] = []
         self.delivery_sequence: list[BlockRef] = []
         self._emitted: set[bytes] = set()
         self._prefix_len = 0  # slots consumed into `sequence`
-        self._prefix_rounds_done = 0  # every slot at rounds <= this is decided
         # (slot, verdict, rule, trigger round) history for latency accounting
         self.decision_events: list[tuple[LeaderSlot, Verdict, str, int]] = []
 
@@ -324,13 +321,13 @@ class Committer:
         return SlotDecision(slot, Verdict.UNDECIDED)
 
     def try_indirect_decide(
-        self, slot: LeaderSlot, later: Sequence[SlotDecision]
+        self, slot: LeaderSlot, later: Iterable[SlotDecision]
     ) -> SlotDecision:
         """Indirect rule via the anchor: the earliest slot after this wave's
         decision round that is not skipped.
 
-        `later` must hold every slot with a higher round, ascending. An
-        undecided anchor leaves the slot undecided; a committed anchor commits
+        `later` must yield the verdicts of the slots with a higher round,
+        ascending, without a gap up to the anchor. An undecided anchor leaves the slot undecided; a committed anchor commits
         the first candidate with an anchor-linked weak certificate and skips
         the slot when no candidate has one.
         """
@@ -357,94 +354,95 @@ class Committer:
                 return SlotDecision(slot, Verdict.COMMIT, cand.ref())
         return SlotDecision(slot, Verdict.SKIP)
 
-    def try_decide(
-        self, r_committed: int, r_highest: int, trigger_round: int = -1
-    ) -> list[SlotDecision]:
-        """Classify every slot in rounds (r_committed, r_highest], ascending.
+    # -- decision pass and commit sequence -----------------------------------
 
-        Rounds are walked highest-first so each indirect decision sees the
-        full list of later verdicts. Slots already decided are reused from the
-        cache; a cached verdict is never downgraded.
-        """
-        if r_committed > r_highest:
-            return []
-        decisions: list[SlotDecision] = []
-        dag = self.dag
-        wl = self.wave_length
-        strong = self.committee.strong_quorum
-        undecided = SlotDecision  # alias for the constructor below
-        for r in range(r_highest, r_committed, -1):
-            for rank in range(self.leaders_per_round - 1, -1, -1):
-                slot = LeaderSlot(r, rank)
-                cached = self._decided.get(slot)
-                if cached is not None:
-                    decisions.insert(0, cached)
-                    continue
-                decision_round = r + wl - 1
-                quorate = dag.author_count(decision_round) >= strong
-                if quorate:
-                    # direct tallies change with every propose/decision block
-                    state = (
-                        1,
-                        dag.block_count(r),
-                        dag.block_count(decision_round),
-                        self._decided_version,
-                    )
-                else:
-                    # the direct rule cannot fire below a strong quorum of
-                    # voters; only a newly decided later slot (a fresh anchor)
-                    # can change the outcome
-                    state = (0, self._decided_version)
-                if self._slot_memo.get(slot) == state:
-                    decisions.insert(0, undecided(slot, Verdict.UNDECIDED))
-                    continue
-                rule = "direct"
-                if quorate:
-                    d = self.try_direct_decide(slot)
-                else:
-                    d = undecided(slot, Verdict.UNDECIDED)
-                if d.verdict is Verdict.UNDECIDED:
-                    d = self.try_indirect_decide(slot, decisions)
-                    rule = "indirect"
-                decisions.insert(0, d)
-                if d.verdict is not Verdict.UNDECIDED:
-                    self._decided[slot] = d
-                    self._decided_version += 1
-                    self.decision_events.append((slot, d.verdict, rule, trigger_round))
-                else:
-                    self._slot_memo[slot] = state
-        return decisions
-
-    # -- commit sequence -----------------------------------------------------
+    def _later(self, decision_round: int) -> Iterator[SlotDecision]:
+        """Verdicts of the slots above `decision_round`, ascending, up to and
+        including the first one that is not a skip (the anchor); an undecided
+        anchor is yielded as a fresh undecided decision."""
+        l = self.leaders_per_round
+        decided = self._decided
+        for idx in range(decision_round * l, self.dag.max_round * l):
+            d = decided.get(idx)
+            if d is None:
+                yield SlotDecision(LeaderSlot(idx // l + 1, idx % l), Verdict.UNDECIDED)
+                return
+            yield d
+            if d.verdict is not Verdict.SKIP:
+                return
 
     def extend(self, trigger_round: int = -1) -> None:
-        """Run the decision pass up to the DAG's highest round and extend the
-        monotone commit log (`sequence`, `committed_leaders`,
+        """Decide what the DAG's growth since the last pass can decide, then
+        extend the monotone commit log (`sequence`, `committed_leaders`,
         `delivery_sequence`); all three only ever grow by appending.
 
-        The decision pass restarts at the last fully decided round, so slots
-        already consumed into the sequence (a prefix may end mid-round) are
-        skipped by their global slot index.
+        Undecided slots above the committed prefix are walked highest-first,
+        so each indirect decision sees every later verdict. A slot is
+        re-checked against its memo only if a block was stored at its propose
+        or decision round since the last pass, or if a slot was decided since
+        its memo was taken (the anchor may have moved): earlier in this pass,
+        or in the last pass, which leaves stale memos above its decisions.
         """
-        decisions = self.try_decide(
-            self._prefix_rounds_done, self.dag.max_round, trigger_round
-        )
-        base = self._prefix_rounds_done * self.leaders_per_round
-        for i, d in enumerate(decisions):
-            if d.verdict is Verdict.UNDECIDED:
-                break
-            if base + i < self._prefix_len:
+        dag = self.dag
+        seen = self._seen_blocks
+        size = len(dag)
+        if size == seen and not self._stale_memos:
+            return
+        self._seen_blocks = size
+        stamps = dag.round_stamps
+        recheck_all = self._stale_memos
+        decided = self._decided
+        memo = self._slot_memo
+        l = self.leaders_per_round
+        wl = self.wave_length
+        strong = self.committee.strong_quorum
+        version = start_version = self._decided_version
+        for r in range(dag.max_round, self._prefix_len // l, -1):
+            dr = r + wl - 1
+            if not (recheck_all or stamps.get(r, 0) > seen or stamps.get(dr, 0) > seen):
                 continue
-            assert base + i == self._prefix_len, "commit prefix must be gap-free"
+            quorate = dag.author_count(dr) >= strong
+            counts = (dag.block_count(r), dag.block_count(dr))
+            base = (r - 1) * l
+            for rank in range(l - 1, -1, -1):
+                idx = base + rank
+                if idx in decided:
+                    continue
+                # the direct rule cannot fire below a strong quorum of voters,
+                # so only a newly decided later slot can change the outcome;
+                # above it the direct tallies change with every block
+                state = (1, *counts, version) if quorate else (0, version)
+                if memo.get(idx) == state:
+                    continue
+                slot = LeaderSlot(r, rank)
+                rule = "direct"
+                d = self.try_direct_decide(slot) if quorate else None
+                if d is None or d.verdict is Verdict.UNDECIDED:
+                    d = self.try_indirect_decide(slot, self._later(dr))
+                    rule = "indirect"
+                if d.verdict is Verdict.UNDECIDED:
+                    memo[idx] = state
+                    continue
+                decided[idx] = d
+                memo.pop(idx, None)
+                version += 1
+                recheck_all = True
+                self.decision_events.append((slot, d.verdict, rule, trigger_round))
+        self._decided_version = version
+        self._stale_memos = version != start_version
+        while self._prefix_len in decided:
+            d = decided[self._prefix_len]
+            assert (d.slot.round - 1) * l + d.slot.rank == self._prefix_len, (
+                "commit prefix must be gap-free"
+            )
             self.sequence.append(d)
             self._prefix_len += 1
             if d.verdict is Verdict.COMMIT:
                 self.committed_leaders.append(d.block)
-                self.delivery_sequence.extend(linearize_one(self.dag, d.block, self._emitted))
-        self._prefix_rounds_done = self._prefix_len // self.leaders_per_round
+                self.delivery_sequence.extend(linearize_one(dag, d.block, self._emitted))
 
     def decided_slots(self) -> dict[LeaderSlot, SlotDecision]:
-        return dict(self._decided)
+        return {d.slot: d for d in self._decided.values()}
 
 
 def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[BlockRef]:

@@ -377,6 +377,8 @@ class Dag:
         self._by_round: dict[int, dict[ValidatorId, list[Block]]] = {}
         self._authors_by_round: dict[int, set[ValidatorId]] = {}
         self._count_by_round: dict[int, int] = {}
+        # round -> len(self) right after the round's latest insert
+        self.round_stamps: dict[int, int] = {}
         self.max_round: int = 0
         self._vote_cache: dict[tuple, Optional[bytes]] = {}
         self._ancestor_cache: dict[tuple, frozenset] = {}
@@ -432,6 +434,7 @@ class Dag:
             lst.sort(key=lambda b: b.digest)
         self._authors_by_round.setdefault(block.round, set()).add(block.author)
         self._count_by_round[block.round] = self._count_by_round.get(block.round, 0) + 1
+        self.round_stamps[block.round] = len(self._by_digest)
         if block.round > self.max_round:
             self.max_round = block.round
 

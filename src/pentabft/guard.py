@@ -295,6 +295,10 @@ class Guard(Replica):
         # evidence: every structurally valid block per (author, round), by digest
         self.evidence: dict[tuple, dict[bytes, Block]] = {}
         self._equivocation_keys: set[tuple] = set()
+        # key -> (evidence versions, stored round-r+1 blocks) at its last
+        # fruitless safety scan; both only grow, so an equal pair means the
+        # scan would find nothing again
+        self._scanned_inputs: dict[tuple, tuple[int, int]] = {}
         self.committed: dict[LeaderSlot, CommitClaim] = {}
         self.remote_claims: dict[LeaderSlot, dict[bytes, CommitClaim]] = {}
         self._claimed = 0  # committer.sequence prefix already claimed
@@ -560,8 +564,12 @@ class Guard(Replica):
     def _detect_safety_fault(self, now: int) -> Optional[BlameSet]:
         """Equivocation-pair scan: any conflicting pair whose decision round
         shows >= f+1 double-voters yields a safety blameset directly."""
-        for (author, r) in sorted(self._equivocation_keys):
-            versions = self.evidence[(author, r)]
+        scanned = self._scanned_inputs
+        for key in sorted(self._equivocation_keys):
+            versions = self.evidence[key]
+            inputs = (len(versions), self.dag.block_count(key[1] + 1))
+            if scanned.get(key) == inputs:
+                continue
             digests = sorted(versions)
             block_a = versions[digests[0]]
             block_b = versions[digests[1]]
@@ -575,6 +583,7 @@ class Guard(Replica):
                     if self.safety_detection_vtime is None:
                         self.safety_detection_vtime = now
                     return bs
+            scanned[key] = inputs
         return None
 
     # -- liveness attestations -------------------------------------------------

@@ -2,16 +2,19 @@
 
 These are the plain, one-rule-at-a-time forms of what `Committer` and `Dag`
 compute in fused or incremental form: the unanchored vote tally and the slot
-blame count behind the direct rule, explicit-list linearization and commit
-extension, the vote relation between two blocks, parent-path reachability
-between two blocks, and the lowest equivocating pair of one author at one
-round.
+blame count behind the direct rule, the memo-free decision walk over every
+slot, explicit-list linearization and commit extension, the vote relation
+between two blocks, parent-path reachability between two blocks, and the
+lowest equivocating pair of one author at one round. The decision trace
+format lives here too.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from pentabft.committer import (
+    Committer,
+    CommonCoin,
     LeaderSlot,
     SlotDecision,
     Verdict,
@@ -69,6 +72,35 @@ def direct_decide(dag: Dag, slot: LeaderSlot, committee: Committee, wave_length:
         if tally_votes(dag, decision_round, cand)[0] >= committee.strong_quorum:
             return SlotDecision(slot, Verdict.COMMIT, cand.ref())
     return SlotDecision(slot, Verdict.UNDECIDED)
+
+
+def decide_all(
+    dag: Dag, committee: Committee, leaders_per_round: int, coin: Optional[CommonCoin] = None
+) -> list[SlotDecision]:
+    """Every slot of rounds 1..dag.max_round, ascending, classified from
+    scratch: rounds are walked highest-first and each slot tries the direct
+    rule, then the indirect rule against the full list of later verdicts."""
+    rules = Committer(dag, committee, leaders_per_round, coin)
+    decisions: list[SlotDecision] = []
+    for r in range(dag.max_round, 0, -1):
+        for rank in range(leaders_per_round - 1, -1, -1):
+            slot = LeaderSlot(r, rank)
+            d = rules.try_direct_decide(slot)
+            if d.verdict is Verdict.UNDECIDED:
+                d = rules.try_indirect_decide(slot, decisions)
+            decisions.insert(0, d)
+    return decisions
+
+
+def trace_line(d: SlotDecision) -> str:
+    if d.verdict is Verdict.COMMIT:
+        return f"{d.slot.short()} commit {d.block.digest.hex()}"
+    return f"{d.slot.short()} {d.verdict.value}"
+
+
+def decisions_to_trace(decisions: Iterable[SlotDecision]) -> str:
+    """Decision trace: one 'slot verdict [blockref]' line per slot."""
+    return "\n".join(trace_line(d) for d in decisions) + "\n"
 
 
 def linearize_sub_dags(

@@ -13,7 +13,6 @@ from pentabft.committer import (
     SlotDecision,
     Verdict,
     WaveCoords,
-    decisions_to_trace,
     get_leader_blocks,
     leader_of,
     propose_round_of,
@@ -23,6 +22,7 @@ from pentabft.committer import (
 from pentabft.dagcore import CoinShare, Committee, Dag, Mode, genesis_blocks, make_block
 
 from oracles import (
+    decisions_to_trace,
     direct_decide,
     extend_commit_sequence,
     linearize_sub_dags,
@@ -264,8 +264,11 @@ class TestTryDecideOnEmptyDag:
         dag = Dag(committee)
         committer = Committer(dag, committee, leaders_per_round=2)
         full_round(dag, committee, 1)
-        decisions = committer.try_decide(0, 1)
-        assert [d.verdict for d in decisions] == [Verdict.UNDECIDED] * 2
+        committer.extend()
+        decided = committer.decided_slots()
+        # an undecided slot has no entry
+        assert [decided.get(LeaderSlot(1, rank)) for rank in (0, 1)] == [None] * 2
+        assert committer.sequence == []
 
     def test_indirect_requires_sorted_later_decisions(self):
         committee = Committee.of_size(6)

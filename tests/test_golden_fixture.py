@@ -20,12 +20,19 @@ from pentabft.committer import (
     LeaderSlot,
     Verdict,
     anchored_supports,
-    decisions_to_trace,
     leader_of,
 )
 from pentabft.dagcore import Committee, Dag, genesis_blocks, make_block
 
-from oracles import direct_decide, is_vote, link, linearize_sub_dags, tally_votes
+from oracles import (
+    decide_all,
+    decisions_to_trace,
+    direct_decide,
+    is_vote,
+    link,
+    linearize_sub_dags,
+    tally_votes,
+)
 
 # which single round-(r-1) author each round-r block omits from its parents
 OMIT_AT_ROUND_3 = {0: 2, 1: 2, 2: 4, 3: 2, 4: 3, 5: 3}
@@ -74,8 +81,8 @@ def test_round_two_tallies(fixture):
 def test_decisions_match_reference(fixture):
     committee, dag, blocks = fixture
     committer = Committer(dag, committee, leaders_per_round=2)
-    decisions = committer.try_decide(0, 5)
-    by_slot = {d.slot: d for d in decisions}
+    committer.extend()
+    by_slot = committer.decided_slots()  # an undecided slot has no entry
 
     assert by_slot[LeaderSlot(2, 0)].verdict is Verdict.SKIP  # L0a
     l0b = by_slot[LeaderSlot(2, 1)]
@@ -84,13 +91,17 @@ def test_decisions_match_reference(fixture):
     l1a = by_slot[LeaderSlot(3, 0)]
     assert l1a.verdict is Verdict.COMMIT
     assert l1a.block == blocks[(3, 3)].ref()
-    assert by_slot[LeaderSlot(3, 1)].verdict is Verdict.UNDECIDED  # L1b
+    assert LeaderSlot(3, 1) not in by_slot  # L1b
     assert by_slot[LeaderSlot(4, 0)].verdict is Verdict.SKIP  # L2a
     l2b = by_slot[LeaderSlot(4, 1)]
     assert l2b.verdict is Verdict.COMMIT
     assert l2b.block == blocks[(5, 4)].ref()
     for slot in (LeaderSlot(5, 0), LeaderSlot(5, 1)):
-        assert by_slot[slot].verdict is Verdict.UNDECIDED
+        assert slot not in by_slot
+    # the memo-free full walk reaches the same verdicts
+    assert by_slot == {
+        d.slot: d for d in decide_all(dag, committee, 2) if d.verdict is not Verdict.UNDECIDED
+    }
 
 
 def test_direct_rules_fire_where_expected(fixture):
@@ -114,8 +125,7 @@ def test_direct_rule_matches_tally_oracles(fixture):
 def test_anchor_passes_over_skipped_slot(fixture):
     committee, dag, blocks = fixture
     committer = Committer(dag, committee, leaders_per_round=2)
-    decisions = committer.try_decide(0, 5)
-    later = [d for d in decisions if d.slot.round > 2]
+    later = [d for d in decide_all(dag, committee, 2) if d.slot.round > 2]
     # the anchored weak certificate commits L0b and rejects L0a
     l0b = committer.try_indirect_decide(LeaderSlot(2, 1), later)
     assert l0b.verdict is Verdict.COMMIT and l0b.block == blocks[(3, 2)].ref()
@@ -164,9 +174,17 @@ def test_commit_sequence_and_linearization(fixture):
 
 def test_trace_is_reproducible(fixture):
     committee, dag, blocks = fixture
+    # both committers read one Dag, so neither may consume the other's growth
     one = Committer(dag, committee, leaders_per_round=2)
     two = Committer(dag, committee, leaders_per_round=2)
-    assert decisions_to_trace(one.try_decide(0, 5)) == decisions_to_trace(two.try_decide(0, 5))
+    one.extend()
+    two.extend()
+
+    def trace(committer):
+        return decisions_to_trace(sorted(committer.decided_slots().values(), key=lambda d: d.slot))
+
+    assert trace(one) == trace(two)
+    assert one.sequence == two.sequence
 
 
 def test_vote_equals_link_for_adjacent_rounds(fixture):

@@ -248,6 +248,62 @@ class TestCheckEquivocation:
         assert len(g.recovery_input.members) >= committee.f + 1
 
 
+def spy_resolve(g):
+    """Record the (author, round) key of each `resolve_equivocation` call."""
+    calls = []
+    original = g.resolve_equivocation
+
+    def spy(block_a, block_b, slot):
+        calls.append((block_a.author, block_a.round))
+        return original(block_a, block_b, slot)
+
+    g.resolve_equivocation = spy
+    return calls
+
+
+class TestSafetyScan:
+    def test_key_rescanned_only_when_its_inputs_grow(self):
+        g = make_guard(0)
+        feed_round(g, 1, now=10)
+        parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
+        round2 = [make_block(a, 2, parents, (b"r2",)) for a in (0, 1, 3, 4, 5)]
+        deliver(g, round2, "v0", 19)
+        fork_a = make_block(2, 2, parents, (b"fork-a",))
+        fork_b = make_block(2, 2, parents, (b"fork-b",))
+        calls = spy_resolve(g)
+        deliver(g, [fork_a], "v2", 20)
+        deliver(g, [fork_b], "v2", 21)
+        assert calls == [(2, 2)]
+        # neither a new version nor a new round-3 block: the key is skipped
+        deliver(g, [fork_b], "v3", 22)
+        g.flush(23)
+        assert calls == [(2, 2)]
+        # a round-3 block may double-vote, so the key is scanned again
+        vote = make_block(0, 3, [b.ref() for b in round2] + [fork_a.ref()], (b"r3",))
+        deliver(g, [vote], "v0", 30)
+        assert calls == [(2, 2), (2, 2)]
+        assert g.recovery_input is None
+
+    def test_key_with_a_parked_version_is_not_memoized(self):
+        g = make_guard(0)
+        feed_round(g, 1, now=10)
+        genesis = [b.ref() for b in g.dag.blocks_at_round(0)]
+        hidden = make_block(5, 1, genesis, (b"hidden",))  # not yet delivered
+        parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
+        fork_a = make_block(2, 2, parents, (b"fork-a",))
+        fork_b = make_block(2, 2, parents[:5] + [hidden.ref()], (b"fork-b",))
+        calls = spy_resolve(g)
+        deliver(g, [fork_a], "v2", 20)
+        deliver(g, [fork_b], "v2", 21)  # parked: its parent `hidden` is missing
+        assert fork_b.ref() not in g.dag
+        assert calls == []
+        # storing the parked version changes neither input of the key's pair,
+        # so only a key left unmemoized is scanned again
+        deliver(g, [hidden], "v5", 22)
+        assert fork_b.ref() in g.dag
+        assert (2, 2) in calls
+
+
 class TestIsValidBlameset:
     def liveness_set(self, members, r, guard_lists):
         atts = {m: tuple(attest(m, r, guard_lists[m])) for m in members}

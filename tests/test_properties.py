@@ -7,10 +7,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentabft.committer import LeaderSlot, Verdict, validate_stake_split
-from pentabft.dagcore import decode_block, make_block
+from pentabft.committer import Committer, LeaderSlot, Verdict, validate_stake_split
+from pentabft.dagcore import Dag, decode_block, make_block
 from pentabft.runner import Runner, run, run_record
 from pentabft import scenarios
+
+from oracles import decide_all
 
 
 # -- independent oracle: naive recursive vote resolution -------------------------
@@ -139,8 +141,6 @@ class TestVerdictStability:
     def test_cached_verdicts_match_fresh_recomputation(self):
         """A decided slot never regresses: replaying the decision rules over
         the final DAG reproduces every verdict reached incrementally."""
-        from pentabft.committer import Committer
-
         for builder, seed in (
             (lambda: scenarios.crash_leader(rounds=15), 4),
             (lambda: scenarios.equivocate_f(rounds=15), 9),
@@ -151,14 +151,91 @@ class TestVerdictStability:
             for vid, node in state.validators.items():
                 if vid in state.faulty:
                     continue
-                fresh = Committer(node.dag, state.committee, cfg.leaders_per_round)
                 fresh_decisions = {
-                    d.slot: d for d in fresh.try_decide(0, node.dag.max_round)
+                    d.slot: d
+                    for d in decide_all(node.dag, state.committee, cfg.leaders_per_round)
                 }
                 for slot, decided in node.committer.decided_slots().items():
                     again = fresh_decisions[slot]
                     assert again.verdict is decided.verdict, (vid, slot)
                     assert again.block == decided.block
+
+
+class TestIncrementalPass:
+    """The decision pass re-checks only dirty slots; it must decide what the
+    memo-free full walk decides, and keep state only for open slots."""
+
+    def test_live_verdicts_match_full_walk_oracle(self):
+        for cfg in (scenarios.async_adversarial(), scenarios.equivocate_f()):
+            for seed in (1, 2):
+                state = run(cfg, seed).epochs[0]
+                for vid, node in state.validators.items():
+                    live = node.committer
+                    oracle = {
+                        d.slot: d
+                        for d in decide_all(
+                            node.dag, state.committee, cfg.leaders_per_round, live.coin
+                        )
+                    }
+                    decided = live.decided_slots()
+                    assert decided, (cfg.name, seed, vid)
+                    for slot, d in decided.items():
+                        assert oracle[slot].verdict is d.verdict, (cfg.name, seed, vid, slot)
+                        assert oracle[slot].block == d.block
+
+    def test_each_pass_decides_what_the_full_walk_decides(self):
+        """Replay a run's DAG block by block with a pass after every insert:
+        each pass must leave exactly the full walk's decided slots."""
+        for cfg in (scenarios.async_adversarial(rounds=12), scenarios.equivocate_f(rounds=12)):
+            state = run(cfg, 1).epochs[0]
+            source = state.validators[0]
+            dag = Dag(state.committee)
+            committer = Committer(dag, state.committee, cfg.leaders_per_round, source.committer.coin)
+            for r in range(1, source.dag.max_round + 1):
+                for block in source.dag.blocks_at_round(r):
+                    dag.insert(block)
+                    committer.extend()
+                    expected = {
+                        d.slot: d
+                        for d in decide_all(dag, state.committee, cfg.leaders_per_round, committer.coin)
+                        if d.verdict is not Verdict.UNDECIDED
+                    }
+                    assert committer.decided_slots() == expected, (cfg.name, block.ref().short())
+            assert committer.sequence, cfg.name
+
+    def test_fresh_committer_extends_the_live_sequence(self):
+        cases = (
+            (scenarios.async_adversarial(), False),
+            (scenarios.equivocate_f(), False),
+            (scenarios.by_name("fault-free-f1"), True),
+            (scenarios.by_name("async-fault-free"), True),
+        )
+        for cfg, equal in cases:
+            state = run(cfg, 1).epochs[0]
+            for vid, node in state.validators.items():
+                live = node.committer
+                fresh = Committer(node.dag, state.committee, cfg.leaders_per_round, live.coin)
+                fresh.extend()
+                assert live.sequence, (cfg.name, vid)
+                assert fresh.sequence[: len(live.sequence)] == live.sequence, (cfg.name, vid)
+                if equal:
+                    assert fresh.sequence == live.sequence, (cfg.name, vid)
+                    assert fresh.delivery_sequence == live.delivery_sequence
+
+    def test_memo_holds_only_open_slots(self):
+        peak = {}
+        for rounds in (20, 40):
+            cfg = scenarios.async_fault_free(1, rounds=rounds)
+            state = run(cfg, 1).epochs[0]
+            l = cfg.leaders_per_round
+            for node in state.validators.values():
+                c = node.committer
+                assert node.dag.max_round >= rounds
+                # decided slots drop their memo entry
+                assert all(k >= c._prefix_len and k not in c._decided for k in c._slot_memo)
+            peak[rounds] = max(len(node.committer._slot_memo) for node in state.validators.values())
+        # doubling the run leaves the memo under the same small bound
+        assert peak[40] <= peak[20] < 4 * l
 
 
 class TestHonestBehavior:
