@@ -105,8 +105,9 @@ class Committee:
             )
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate committee members")
-        # validity results are immutable per (digest, committee); cached here
-        # so each block is structurally checked once per process, not per node
+        # digest -> auth tag of each block found valid; a block's validity is
+        # fixed by its digest and tag, so each valid block is checked once
+        # per process, not per node
         object.__setattr__(self, "_valid_cache", {})
 
     @classmethod
@@ -306,19 +307,13 @@ def validate_block(block: Block, committee: Committee) -> None:
     distinctness, parent count (>= 4f+1 for rounds >= 1), and coin share
     presence in async mode. Genesis blocks (round 0) carry no parents.
     """
+    # the digest leaves out the tag: a verdict holds only for the tag it was
+    # reached with, and a forged copy seen first must not condemn the original
     cache = committee._valid_cache
-    cached = cache.get(block.digest)
-    if cached is not None:
-        if cached is True:
-            return
-        raise cached
-
-    try:
-        _validate_uncached(block, committee)
-    except ValidationError as err:
-        cache[block.digest] = err
-        raise
-    cache[block.digest] = True
+    if cache.get(block.digest) == block.auth_tag:
+        return
+    _validate_uncached(block, committee)
+    cache[block.digest] = block.auth_tag
 
 
 def _validate_uncached(block: Block, committee: Committee) -> None:

@@ -33,7 +33,11 @@ class BlockMsg:
 
 @dataclass(frozen=True)
 class SyncRequest:
+    """Refs the requester lacks, plus its frontier: its highest stored round
+    for each committee member, in `Committee.members` order, -1 for none."""
+
     refs: tuple[BlockRef, ...]
+    frontier: tuple[int, ...]
 
 
 @dataclass(frozen=True)

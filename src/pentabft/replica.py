@@ -4,8 +4,13 @@ Every node that follows the core DAG keeps one: its block store, the pending
 pool of blocks waiting on missing ancestors, and the decision engine over the
 store. A block whose parents are all stored is inserted and releases the
 pending blocks that waited on it; a block with missing parents is parked and
-its parents are requested once from the peer that sent it. Peers' sync
-requests are served with the causal closure of the requested blocks.
+its parents are requested once from the peer that sent it, along with this
+replica's frontier: its highest stored round per committee member. A peer's
+sync request is served with the requested blocks and those of their ancestors
+above the requester's frontier. A stored DAG is closed downward, so the
+requester holds most of what lies below; a block it still lacks there, such
+as an equivocator's other fork, parks the shipped block that needs it, and
+that block's own request names it, so it ships.
 
 Validation stays with the subclasses: a guard records evidence between
 validating a block and admitting it.
@@ -16,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .committer import Committer, CommonCoin
-from .dagcore import Block, Committee, Dag, InsertStatus, PendingPool
+from .dagcore import Block, Committee, Dag, InsertStatus, PendingPool, ValidatorId
 from .messages import Action, NodeId, Send, SyncRequest, SyncResponse
 
 
@@ -41,7 +46,7 @@ class Replica:
             if not self.pending.has(block.digest):
                 self.pending.add(block, outcome.missing)
                 if sender is not None:
-                    return [Send(sender, SyncRequest(outcome.missing))]
+                    return [Send(sender, SyncRequest(outcome.missing, self._frontier()))]
         elif outcome.status is InsertStatus.INSERTED and not self.pending.is_idle():
             ready = self.pending.satisfy(block.digest)
             while ready:
@@ -52,18 +57,37 @@ class Replica:
                 ready = released
         return []
 
+    def _frontier(self) -> tuple[int, ...]:
+        """Highest stored round per committee member, -1 for none stored."""
+        members = self.committee.members
+        top: dict[ValidatorId, int] = {}
+        r = self.dag.max_round
+        while r >= 0 and len(top) < len(members):
+            for author in self.dag.authors_at_round(r):
+                top.setdefault(author, r)
+            r -= 1
+        return tuple(top.get(m, -1) for m in members)
+
     def on_sync_request(self, req: SyncRequest, sender: NodeId) -> list[Action]:
-        """Serve a peer's missing ancestors with their full causal closure."""
-        blocks: list[Block] = []
-        seen: set[bytes] = set()
-        stack = [r for r in req.refs if r in self.dag]
+        """Serve the requested blocks we hold plus their ancestors above the
+        requester's frontier.
+
+        Requested blocks always ship; another reached block ships only if its
+        round is above the frontier entry of its author, and the walk descends
+        only from shipped blocks.
+        """
+        frontier = dict(zip(self.committee.members, req.frontier))
+        dag = self.dag
+        requested = {r.digest: dag.get(r) for r in req.refs if r in dag}
+        seen = set(requested)
+        blocks = list(requested.values())
+        stack = list(blocks)
         while stack:
-            ref = stack.pop()
-            if ref.digest in seen:
-                continue
-            seen.add(ref.digest)
-            blk = self.dag.get(ref)
-            blocks.append(blk)
-            stack.extend(p for p in blk.parents if p.digest not in seen)
+            for p in stack.pop().parents:
+                if p.digest not in seen and p.round > frontier[p.author]:
+                    seen.add(p.digest)
+                    blk = dag.get(p)
+                    blocks.append(blk)
+                    stack.append(blk)
         blocks.sort(key=lambda b: (b.round, b.author, b.digest))
         return [Send(sender, SyncResponse(tuple(blocks)))] if blocks else []

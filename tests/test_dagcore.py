@@ -85,6 +85,19 @@ class TestValidateBlock:
         with pytest.raises(BadSignature):
             validate_block(forged, committee)
 
+    def test_forged_copy_does_not_poison_the_honest_block(self, committee, dag):
+        # the digest leaves out the tag: a forged copy shares the honest digest
+        full_round(dag, committee, 1)
+        parents = tuple(dag.first_block_by(a, 1).ref() for a in range(5))
+        honest = make_block(0, 2, parents)
+        forged = Block(0, 2, parents, (), None, auth_tag_for(3))
+        assert forged.digest == honest.digest
+        with pytest.raises(BadSignature):
+            validate_block(forged, committee)
+        validate_block(honest, committee)
+        with pytest.raises(BadSignature):
+            validate_block(Block(0, 2, parents, (), None, auth_tag_for(4)), committee)
+
     def test_non_member_author_rejected(self, committee):
         with pytest.raises(BadSignature):
             validate_block(make_block(9, 0, ()), committee)

@@ -157,16 +157,68 @@ class TestOnBlock:
         assert v.dag.first_block_by(2, 1) is None
         assert len(v.invalid_evidence) == 1
 
-    def test_serves_causal_closure(self):
+    def test_serves_blocks_above_the_frontier(self):
         v = fresh_validator()
         v.flush(0)
         drive_round(v, 1, now=DELTA)
-        ref = v.dag.first_block_by(0, 2).ref()
-        (resp,) = v.on_sync_request(SyncRequest((ref,)), "v5")
-        blocks = resp.payload.blocks
-        assert ref.digest in {b.digest for b in blocks}
-        rounds = {b.round for b in blocks}
-        assert rounds == {0, 1, 2}
+        drive_round(v, 2, now=2 * DELTA)
+        ref = v.dag.first_block_by(0, 3).ref()
+
+        def served(frontier, refs=(ref,)):
+            (resp,) = v.on_sync_request(SyncRequest(refs, frontier), "v5")
+            return resp.payload.blocks
+
+        parents = v.dag.get(ref).parents
+        # an empty frontier gets the whole causal closure
+        assert {b.round for b in served((-1,) * 6)} == {0, 1, 2, 3}
+        # a peer holding round 1 everywhere gets the request and its parents
+        above = served((1,) * 6)
+        assert {b.ref() for b in above} == {ref, *parents}
+        # frontier entries are per author, in committee order
+        skipped = parents[-1].author
+        frontier = tuple(2 if a == skipped else 1 for a in range(6))
+        assert {b.ref() for b in served(frontier)} == {ref, *parents[:-1]}
+        # a requested ref ships even at or below the frontier
+        low = v.dag.first_block_by(4, 1).ref()
+        assert [b.digest for b in served((3,) * 6, (low, ref))] == [low.digest, ref.digest]
+
+    def test_pruned_fork_is_requested_by_name(self):
+        """The requester holds one fork of equivocator v1 at round 1; the block
+        it needs rests on the other fork, which its frontier prunes from the
+        first response. The parked block asks for that fork, which then ships."""
+        committee = make_committee()
+        server = fresh_validator(5, committee)
+        requester = fresh_validator(0, committee)
+        requester.max_round = 0  # passive: the test drives every block
+        genesis = [b.ref() for b in genesis_blocks(committee)]
+        round1 = [make_block(a, 1, genesis, (b"t",)) for a in range(6)]
+        fork = make_block(1, 1, genesis, (b"fork",))
+        for b in round1 + [fork]:
+            server.dag.insert(b)
+        deliver(requester, round1, "v1", DELTA)
+
+        held = [b.ref() for b in round1]
+        on_fork = [b.ref() for b in round1 if b.author != 1] + [fork.ref()]
+        round2 = [make_block(a, 2, on_fork if a == 2 else held) for a in (0, 2, 3, 4, 5)]
+        top = make_block(3, 3, [b.ref() for b in round2])
+        for b in round2 + [top]:
+            server.dag.insert(b)
+
+        def sync_requests(actions):
+            return [a.payload for a in actions if isinstance(a, Send)
+                    and isinstance(a.payload, SyncRequest)]
+
+        (first,) = sync_requests(deliver(requester, [top], "v5", 2 * DELTA))
+        assert first.frontier == (1,) * 6
+        (resp,) = server.on_sync_request(first, "v0")
+        assert [b.round for b in resp.payload.blocks] == [2] * 5
+        (second,) = sync_requests(deliver(requester, resp.payload.blocks, "v5", 3 * DELTA))
+        assert second.refs == (fork.ref(),)
+        (resp,) = server.on_sync_request(second, "v0")
+        assert resp.payload.blocks == (fork,)
+        assert sync_requests(deliver(requester, resp.payload.blocks, "v5", 4 * DELTA)) == []
+        assert len(requester.pending) == 0
+        assert all(b.ref() in requester.dag for b in round1 + [fork] + round2 + [top])
 
 
 def commit_log(v):
