@@ -456,20 +456,20 @@ def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[Block
         return []
     out: list[BlockRef] = []
     get = dag.get_by_digest
-    # iterative post-order; second stack entry marks "children done"
+    # iterative post-order; second stack entry marks "children done". A block
+    # joins `emitted` when scheduled: every scheduled block is emitted by the
+    # end of this call, so one set guards against scheduling it twice.
     stack: list[tuple[Block, bool]] = [(get(leader.digest), False)]
-    scheduled = {leader.digest}
+    emitted.add(leader.digest)
     push = stack.append
     while stack:
         block, expanded = stack.pop()
         if expanded:
-            emitted.add(block.digest)
             out.append(block.ref())
             continue
         push((block, True))
-        for p in reversed(block.parents):
-            d = p.digest
-            if d not in emitted and d not in scheduled:
-                scheduled.add(d)
+        for d in reversed(block.parent_digests):
+            if d not in emitted:
+                emitted.add(d)
                 push((get(d), False))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, KeysView, Optional
 
 # A validator is identified by its stable index for the epoch.
 ValidatorId = int
@@ -184,7 +184,8 @@ def compute_digest(
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A DAG vertex. Immutable; digest and author index computed at creation."""
+    """A DAG vertex. Immutable; digest, parent-author index and parent digests
+    computed at creation."""
 
     author: ValidatorId
     round: int
@@ -207,6 +208,7 @@ class Block:
         object.__setattr__(
             self, "parent_by_author", {p.author: p for p in self.parents}
         )
+        object.__setattr__(self, "parent_digests", tuple(p.digest for p in self.parents))
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.digest == other.digest
@@ -351,10 +353,14 @@ class InsertStatus(enum.Enum):
     MISSING_ANCESTORS = "missing-ancestors"
 
 
-@dataclass
+@dataclass(frozen=True)
 class InsertOutcome:
     status: InsertStatus
     missing: tuple[BlockRef, ...] = ()
+
+
+_INSERTED = InsertOutcome(InsertStatus.INSERTED)
+_DUPLICATE = InsertOutcome(InsertStatus.DUPLICATE)
 
 
 class Dag:
@@ -367,10 +373,10 @@ class Dag:
 
     def __init__(self, committee: Committee, with_genesis: bool = True):
         self.committee = committee
+        self._strong_quorum = committee.strong_quorum
         self._by_digest: dict[bytes, Block] = {}
         # round -> author -> blocks sorted by digest (>= 2 entries: equivocation)
         self._by_round: dict[int, dict[ValidatorId, list[Block]]] = {}
-        self._authors_by_round: dict[int, set[ValidatorId]] = {}
         self._count_by_round: dict[int, int] = {}
         # round -> len(self) right after the round's latest insert
         self.round_stamps: dict[int, int] = {}
@@ -404,21 +410,21 @@ class Dag:
 
     def insert(self, block: Block) -> InsertOutcome:
         """Store `block` if its parents are present; report missing refs otherwise."""
-        if block.digest in self._by_digest:
-            return InsertOutcome(InsertStatus.DUPLICATE)
+        by_digest = self._by_digest
+        if block.digest in by_digest:
+            return _DUPLICATE
         if block.round >= 1:
             # structural floor re-checked on every insert: a strong quorum of
             # pairwise-distinct parent authors (the author map collapses dupes)
             assert (
                 len(block.parent_by_author) == len(block.parents)
-                and len(block.parents) >= self.committee.strong_quorum
+                and len(block.parents) >= self._strong_quorum
             ), "block below the parent-quorum floor"
-        by_digest = self._by_digest
-        if not all(p.digest in by_digest for p in block.parents):
+        if not all(map(by_digest.__contains__, block.parent_digests)):
             missing = tuple(p for p in block.parents if p.digest not in by_digest)
             return InsertOutcome(InsertStatus.MISSING_ANCESTORS, missing)
         self._store(block)
-        return InsertOutcome(InsertStatus.INSERTED)
+        return _INSERTED
 
     def _store(self, block: Block) -> None:
         self._by_digest[block.digest] = block
@@ -427,7 +433,6 @@ class Dag:
         lst.append(block)
         if len(lst) > 1:
             lst.sort(key=lambda b: b.digest)
-        self._authors_by_round.setdefault(block.round, set()).add(block.author)
         self._count_by_round[block.round] = self._count_by_round.get(block.round, 0) + 1
         self.round_stamps[block.round] = len(self._by_digest)
         if block.round > self.max_round:
@@ -435,11 +440,12 @@ class Dag:
 
     # -- queries -----------------------------------------------------------
 
-    def authors_at_round(self, r: int) -> set[ValidatorId]:
-        return self._authors_by_round.get(r, set())
+    def authors_at_round(self, r: int) -> KeysView[ValidatorId]:
+        """Authors with a stored round-r block, in first-insert order."""
+        return self._by_round.get(r, {}).keys()
 
     def author_count(self, r: int) -> int:
-        return len(self._authors_by_round.get(r, ()))
+        return len(self._by_round.get(r, ()))
 
     def block_count(self, r: int) -> int:
         return self._count_by_round.get(r, 0)

@@ -74,9 +74,13 @@ class Replica:
 
         Requested blocks always ship; another reached block ships only if its
         round is above the frontier entry of its author, and the walk descends
-        only from shipped blocks.
+        only from shipped blocks. A request whose frontier does not name
+        every committee member is malformed and gets no answer.
         """
-        frontier = dict(zip(self.committee.members, req.frontier))
+        members = self.committee.members
+        if len(req.frontier) != len(members):
+            return []
+        frontier = dict(zip(members, req.frontier))
         dag = self.dag
         requested = {r.digest: dag.get(r) for r in req.refs if r in dag}
         seen = set(requested)

@@ -70,7 +70,7 @@ class ValidatorAdapter(Node):
     def deliver(self, msg, sender, now):
         was_down = self._down()
         v = self.validator
-        if isinstance(msg, BlockMsg):
+        if type(msg) is BlockMsg:
             self._trigger = max(self._trigger, msg.block.round)
             return self._wrap(v.ingest_block(msg.block, sender, now), was_down)
         if isinstance(msg, SyncRequest):

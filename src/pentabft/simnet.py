@@ -1,10 +1,13 @@
 """Deterministic discrete-event simulator.
 
-A single heap drives the run: entries are (virtual time, sequence number,
-event) and equal-time entries resolve by sequence number, so identical
-(scenario, seed) inputs replay byte-identically. Virtual time is integer
-microseconds. Message delays come from one of three network models; timers
-fire exactly.
+A calendar queue drives the run (R. Brown, "Calendar queues", CACM 31(10),
+1988): a heap of the distinct pending times plus one FIFO queue of events per
+time. Every event takes the next sequence number, so appending in push order
+keeps each queue in sequence order, and events pop in (virtual time, sequence
+number) order: identical (scenario, seed) inputs replay byte-identically. A
+broadcast costs one append per recipient, not one heap push. Virtual time is
+integer microseconds. Message delays come from one of three network models;
+timers fire exactly.
 
 Deliveries at one instant are ingested per event and each touched node is
 then flushed once (decisions, round advancement, outbound actions), which is
@@ -12,23 +15,31 @@ behaviorally identical because nothing sent at time t can arrive at time t.
 
 An epoch ends here too: `start_epoch` swaps in a new node set and drops the
 old set's undelivered messages and armed timers, so nothing from a retired
-epoch reaches its successor.
+epoch reaches its successor; a restart that fires mid-instant also drops the
+rest of that instant's deliveries and timers.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .messages import (
     Action,
+    AgreementRelay,
     ArmTimer,
+    BlockMsg,
     Broadcast,
+    CoreUpdateMsg,
+    LBlameMsg,
     NodeId,
     RecoveryDone,
     Send,
+    SyncRequest,
+    SyncResponse,
 )
 
 
@@ -124,8 +135,6 @@ class SimEvent:
 
 
 def describe_payload(payload: object) -> str:
-    from .messages import BlockMsg, SyncRequest, SyncResponse, LBlameMsg, CoreUpdateMsg, AgreementRelay
-
     if isinstance(payload, BlockMsg):
         b = payload.block
         return f"block {b.author}/{b.round}/{b.digest.hex()[:8]}"
@@ -176,7 +185,11 @@ class Simulator:
         self.delivery_count = 0
         # (send, frm, to, recv) per delivery; captured with event recording
         self.delivery_log: list[tuple[int, NodeId, NodeId, int]] = []
-        self._heap: list = []
+        # calendar queue: heap of distinct pending times, and per time a FIFO
+        # of (seq, kind, node, a, b) entries; a DELIVER carries (sender,
+        # message), a TIMER (timer id, generation), a CALL ("", function)
+        self._times: list[int] = []
+        self._queues: dict[int, deque] = {}
         self._seq = 0
         self.nodes: dict[NodeId, Node] = {}
         self._timer_gen: dict[tuple[NodeId, str], int] = {}
@@ -188,24 +201,31 @@ class Simulator:
         armed timers (scheduled calls stay), then flush each new node once."""
         self.nodes = {node.node_id: node for node in nodes}
         self._timer_gen.clear()
-        # in place: run() holds an alias of the heap
-        self._heap[:] = [entry for entry in self._heap if entry[2] == CALL]
-        heapq.heapify(self._heap)
+        # in place: run() may be consuming one of these queues right now, and
+        # an emptied queue stays until run() reaches its time and skips it
+        for queue in self._queues.values():
+            calls = [entry for entry in queue if entry[1] == CALL]
+            queue.clear()
+            queue.extend(calls)
         for node_id in sorted(self.nodes):
             self.apply_actions(node_id, self.nodes[node_id].flush(now), now)
 
     # -- scheduling -------------------------------------------------------------
 
-    def _push(self, time: int, kind: int, node: NodeId, payload) -> None:
+    def _push(self, time: int, kind: int, node: NodeId, a, b) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, node, payload))
+        queue = self._queues.get(time)
+        if queue is None:
+            queue = self._queues[time] = deque()
+            heappush(self._times, time)
+        queue.append((self._seq, kind, node, a, b))
 
     def send(self, frm: NodeId, to: NodeId, payload: object, now: int) -> None:
         if self.outbound_check is not None:
             self.outbound_check(frm, payload)
         delay = self.network.delay(self.rng, now)
         at = now + (delay if delay > 0 else 1)
-        self._push(at, DELIVER, to, (frm, payload))
+        self._push(at, DELIVER, to, frm, payload)
         self.delivery_count += 1
         if self.record_events:
             self.delivery_log.append((now, frm, to, at))
@@ -218,7 +238,7 @@ class Simulator:
     def set_timer(self, node: NodeId, timer_id: str, duration: int, now: int) -> None:
         gen = self._timer_gen.get((node, timer_id), 0) + 1
         self._timer_gen[(node, timer_id)] = gen
-        self._push(now + duration, TIMER, node, (timer_id, gen))
+        self._push(now + duration, TIMER, node, timer_id, gen)
 
     def inject(self, node: NodeId, detail: str, now: int) -> None:
         """Log a fault activation as a first-class event."""
@@ -228,7 +248,7 @@ class Simulator:
 
     def schedule_call(self, time: int, fn: Callable) -> None:
         """Run `fn(now)` as an event; used for epoch restarts."""
-        self._push(time, CALL, "", fn)
+        self._push(time, CALL, "", "", fn)
 
     # -- action interpretation ----------------------------------------------------
 
@@ -251,42 +271,46 @@ class Simulator:
 
     def run(self) -> None:
         """Process events until the horizon or quiescence."""
-        heap = self._heap
-        while heap and heap[0][0] <= self.horizon:
-            time = heap[0][0]
+        times = self._times
+        queues = self._queues
+        while times and times[0] <= self.horizon:
+            time = heappop(times)
+            queue = queues[time]
+            if not queue:  # emptied by start_epoch
+                del queues[time]
+                continue
             self.now = time
-            touched: list[NodeId] = []
-            touched_set = set()
-            # ingest every event at this instant, then flush touched nodes once
-            while heap and heap[0][0] == time:
-                _, seq, kind, node_id, payload = heapq.heappop(heap)
+            touched: set[NodeId] = set()
+            # ingest every event at this instant, then flush touched nodes
+            # once; an event pushed for this instant meanwhile joins the queue
+            popleft = queue.popleft
+            while queue:
+                seq, kind, node_id, a, b = popleft()
                 if kind == CALL:
-                    payload(time)
+                    b(time)
                     continue
                 node = self.nodes.get(node_id)
                 if node is None:
                     continue
                 if kind == DELIVER:
-                    frm, msg = payload
                     if self.record_events:
                         self.events.append(
-                            SimEvent(time, seq, "deliver", node_id, f"{frm} {describe_payload(msg)}")
+                            SimEvent(time, seq, "deliver", node_id, f"{a} {describe_payload(b)}")
                         )
-                    actions = node.deliver(msg, frm, time)
-                elif kind == TIMER:
-                    timer_id, gen = payload
-                    if self._timer_gen.get((node_id, timer_id)) != gen:
+                    actions = node.deliver(b, a, time)
+                else:
+                    if self._timer_gen.get((node_id, a)) != b:
                         continue  # superseded by a re-arm
                     if self.record_events:
-                        self.events.append(SimEvent(time, seq, "timer", node_id, timer_id))
-                    actions = node.on_timer(timer_id, time)
-                else:
-                    continue
-                self.apply_actions(node_id, actions, time)
-                if node_id not in touched_set:
-                    touched_set.add(node_id)
-                    touched.append(node_id)
+                        self.events.append(SimEvent(time, seq, "timer", node_id, a))
+                    actions = node.on_timer(a, time)
+                if actions:
+                    self.apply_actions(node_id, actions, time)
+                touched.add(node_id)
+            del queues[time]
             for node_id in sorted(touched):
                 node = self.nodes.get(node_id)
                 if node is not None:
-                    self.apply_actions(node_id, node.flush(time), time)
+                    actions = node.flush(time)
+                    if actions:
+                        self.apply_actions(node_id, actions, time)

@@ -155,11 +155,8 @@ class CoreValidator(Replica):
         return True
 
     def _build_parents(self) -> list[BlockRef]:
-        prev = self.current_round
-        return [
-            self.dag.first_block_by(author, prev).ref()
-            for author in sorted(self.dag.authors_at_round(prev))
-        ]
+        view = self.dag.round_view(self.current_round)
+        return [view[author][0].ref() for author in sorted(view)]
 
     def _next_coin_share(self, next_round: int) -> Optional[CoinShare]:
         if self.committee.mode is Mode.ASYNC:

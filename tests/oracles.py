@@ -3,10 +3,11 @@
 These are the plain, one-rule-at-a-time forms of what `Committer` and `Dag`
 compute in fused or incremental form: the unanchored vote tally and the slot
 blame count behind the direct rule, the memo-free decision walk over every
-slot, explicit-list linearization and commit extension, the vote relation
-between two blocks, parent-path reachability between two blocks, and the
-lowest equivocating pair of one author at one round. The decision trace
-format lives here too.
+slot, the post-order linearization of one leader's history with separate
+scheduled and emitted sets, explicit-list linearization and commit
+extension, the vote relation between two blocks, parent-path reachability
+between two blocks, and the lowest equivocating pair of one author at one
+round. The decision trace format lives here too.
 """
 
 from dataclasses import dataclass, field
@@ -111,6 +112,28 @@ def linearize_sub_dags(
     out: list[BlockRef] = []
     for leader in leaders:
         out.extend(linearize_one(dag, leader, emitted))
+    return out
+
+
+def post_order(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[BlockRef]:
+    """`linearize_one` with a separate set of scheduled blocks: a block joins
+    `emitted` only once its own parents are done."""
+    if leader.digest in emitted:
+        return []
+    out: list[BlockRef] = []
+    stack: list[tuple[Block, bool]] = [(dag.get(leader), False)]
+    scheduled = {leader.digest}
+    while stack:
+        block, expanded = stack.pop()
+        if expanded:
+            emitted.add(block.digest)
+            out.append(block.ref())
+            continue
+        stack.append((block, True))
+        for p in reversed(block.parents):
+            if p.digest not in emitted and p.digest not in scheduled:
+                scheduled.add(p.digest)
+                stack.append((dag.get(p), False))
     return out
 
 

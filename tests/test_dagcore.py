@@ -167,6 +167,31 @@ class TestInsert:
         pair = equivocation_of(dag, 2, 2)
         assert [pair[0].digest, pair[1].digest] == lowest
 
+    def test_author_index_follows_stored_blocks(self, committee, dag):
+        full_round(dag, committee, 1)
+        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        one = make_block(2, 2, parents, (b"a",))
+        two = make_block(2, 2, parents, (b"b",))
+        other = make_block(4, 2, parents)
+
+        def index(r):
+            return set(dag.authors_at_round(r)), dag.author_count(r)
+
+        def from_blocks(r):
+            authors = {b.author for b in dag.blocks_at_round(r)}
+            return authors, len(authors)
+
+        assert index(2) == from_blocks(2) == (set(), 0)
+        for b in (one, two, other):
+            dag.insert(b)
+        assert dag.block_count(2) == 3
+        assert index(2) == from_blocks(2) == ({2, 4}, 2)
+        for b in (two, other):
+            assert dag.insert(b).status is InsertStatus.DUPLICATE
+        assert index(2) == from_blocks(2) == ({2, 4}, 2)
+        assert dag.block_count(2) == 3
+        assert index(1) == from_blocks(1) == (set(committee.members), 6)
+
     def test_honest_rounds_have_no_equivocation(self, committee, dag):
         for r in (1, 2, 3):
             full_round(dag, committee, r)

@@ -21,6 +21,7 @@ from pentabft.committer import (
     Verdict,
     anchored_supports,
     leader_of,
+    linearize_one,
 )
 from pentabft.dagcore import Committee, Dag, genesis_blocks, make_block
 
@@ -31,6 +32,7 @@ from oracles import (
     is_vote,
     link,
     linearize_sub_dags,
+    post_order,
     tally_votes,
 )
 
@@ -170,6 +172,18 @@ def test_commit_sequence_and_linearization(fixture):
         blocks[(3, 3)].ref(),  # L1a closes its own batch
     ]
     assert tail == expected
+
+
+def test_linearization_matches_two_set_post_order(fixture):
+    committee, dag, _ = fixture
+    committer = Committer(dag, committee, leaders_per_round=2)
+    committer.extend()
+    emitted: set[bytes] = set()
+    reference: set[bytes] = set()
+    for leader in committer.committed_leaders:
+        assert linearize_one(dag, leader, emitted) == post_order(dag, leader, reference)
+        assert emitted == reference
+    assert len(committer.committed_leaders) >= 2 and len(emitted) > len(committer.committed_leaders)
 
 
 def test_trace_is_reproducible(fixture):

@@ -26,6 +26,7 @@ from pentabft.messages import (
     LBlameMsg,
     RecoverProposal,
     RecoveryDone,
+    SyncRequest,
 )
 
 from replica_path import deliver
@@ -302,6 +303,17 @@ class TestSafetyScan:
         deliver(g, [hidden], "v5", 22)
         assert fork_b.ref() in g.dag
         assert (2, 2) in calls
+
+
+class TestSyncServing:
+    def test_malformed_frontier_gets_no_answer(self):
+        g = make_guard()
+        feed_round(g, 1, now=100)
+        ref = g.dag.first_block_by(1, 1).ref()
+        for frontier in ((), (-1,) * 3):
+            assert g.on_sync_request(SyncRequest((ref,), frontier), "v5") == []
+        (resp,) = g.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5")
+        assert ref in {b.ref() for b in resp.payload.blocks}
 
 
 class TestIsValidBlameset:

@@ -7,12 +7,18 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentabft.committer import Committer, LeaderSlot, Verdict, validate_stake_split
+from pentabft.committer import (
+    Committer,
+    LeaderSlot,
+    Verdict,
+    linearize_one,
+    validate_stake_split,
+)
 from pentabft.dagcore import Dag, decode_block, make_block
 from pentabft.runner import Runner, run, run_record
 from pentabft import scenarios
 
-from oracles import decide_all
+from oracles import decide_all, post_order
 
 
 # -- independent oracle: naive recursive vote resolution -------------------------
@@ -236,6 +242,23 @@ class TestIncrementalPass:
             peak[rounds] = max(len(node.committer._slot_memo) for node in state.validators.values())
         # doubling the run leaves the memo under the same small bound
         assert peak[40] <= peak[20] < 4 * l
+
+
+class TestLinearization:
+    def test_one_set_post_order_matches_two_set_reference(self):
+        result = run(scenarios.equivocate_f(), seed=1)
+        for node in result.epochs[0].validators.values():
+            leaders = node.committer.committed_leaders
+            emitted: set[bytes] = set()
+            reference: set[bytes] = set()
+            sequence = []
+            for leader in leaders:
+                batch = linearize_one(node.dag, leader, emitted)
+                assert batch == post_order(node.dag, leader, reference)
+                assert emitted == reference
+                sequence.extend(batch)
+            assert sequence == node.committer.delivery_sequence
+            assert len(leaders) > 10
 
 
 class TestHonestBehavior:

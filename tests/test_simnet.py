@@ -203,6 +203,62 @@ class TestEpochs:
         assert [entry[3] for entry in sim.nodes["n0"].log if entry[0] == "deliver"] == ["n1", "n2"]
 
 
+class TestCalendarQueue:
+    def test_same_instant_events_pop_in_push_order(self):
+        sim, nodes = make_sim()
+        sim.send("n0", "n1", "first", 0)
+        sim.set_timer("n1", "t", 1000, 0)
+        sim.send("n2", "n1", "second", 0)
+        sim.set_timer("n2", "u", 1000, 0)
+        sim.run()
+        assert nodes[1].log == [
+            ("deliver", 1000, "n0", "first"),
+            ("timer", 1000, "t"),
+            ("deliver", 1000, "n2", "second"),
+        ]
+        assert [(e.node, e.kind) for e in sim.events] == [
+            ("n1", "deliver"), ("n1", "timer"), ("n1", "deliver"), ("n2", "timer"),
+        ]
+        seqs = [e.seq for e in sim.events]
+        assert seqs == sorted(seqs)
+
+    def test_restart_mid_instant_drops_the_rest_of_the_instant(self):
+        sim, old = make_sim()
+        calls = []
+
+        def restart(now):
+            calls.append(("restart", now))
+            sim.start_epoch(new, now)
+
+        new = [Recorder(f"n{i}") for i in range(3)]
+        sim.send("n0", "n1", "before", 0)  # pops ahead of the restart
+        sim.schedule_call(1000, restart)
+        sim.send("n0", "n1", "after", 0)  # same instant, behind the restart
+        sim.set_timer("n2", "t", 1000, 0)
+        sim.schedule_call(1000, lambda now: calls.append(("same", now)))
+        sim.schedule_call(3000, lambda now: calls.append(("later", now)))
+        sim.run()
+        assert calls == [("restart", 1000), ("same", 1000), ("later", 3000)]
+        assert old[1].log == [("deliver", 1000, "n0", "before")]
+        assert all(n.log == [] for n in new)
+        assert [e.detail for e in sim.events] == ["n0 str"]
+        assert sim.now == 3000
+
+    def test_run_stops_at_the_horizon_and_keeps_later_events(self):
+        sim, nodes = make_sim(horizon=1500)
+        sim.send("n0", "n1", "early", 0)
+        sim.send("n0", "n1", "late", 1000)
+        sim.set_timer("n2", "t", 1800, 0)
+        sim.run()
+        assert nodes[1].log == [("deliver", 1000, "n0", "early")]
+        assert nodes[2].log == [] and sim.now == 1000
+        sim.horizon = 2500
+        sim.run()
+        assert nodes[1].log[1:] == [("deliver", 2000, "n0", "late")]
+        assert nodes[2].log == [("timer", 1800, "t")]
+        assert sim.now == 2000
+
+
 class TestFaultBudget:
     def test_budget_enforced(self):
         committee = Committee.of_size(6)
