@@ -15,6 +15,9 @@ A decision pass re-checks only the open slots whose propose or decision
 round grew since the last pass, or whose anchor may have moved because a
 slot was decided since. The delivery order is obtained by linearizing each
 committed leader's not-yet-delivered causal history depth-first, leader last.
+That batch depends only on the committed-leader prefix, so the committee's
+delivery log records it once and every node that commits the same prefix
+reuses it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .dagcore import (
     Committee,
     Dag,
     Mode,
+    PrefixNode,
     ValidatorId,
 )
 
@@ -216,8 +220,8 @@ class Committer:
     of decided slots (a slot never leaves commit/skip once reached), a memo of
     the inputs each open slot was last evaluated on, so that a decision pass
     re-checks only the slots the DAG's growth or a new verdict made dirty,
-    and the monotone commit log with its emitted-set for incremental
-    linearization. Slots are keyed internally by their global index
+    and the monotone commit log with its place in the committee's delivery
+    log. Slots are keyed internally by their global index
     `(round - 1) * leaders_per_round + rank`.
     """
 
@@ -249,7 +253,7 @@ class Committer:
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         self.committed_leaders: list[BlockRef] = []
         self.delivery_sequence: list[BlockRef] = []
-        self._emitted: set[bytes] = set()
+        self._prefix = committee.memo.delivery  # log node of `committed_leaders`
         self._prefix_len = 0  # slots consumed into `sequence`
         # (slot, verdict, rule, trigger round) history for latency accounting
         self.decision_events: list[tuple[LeaderSlot, Verdict, str, int]] = []
@@ -439,7 +443,31 @@ class Committer:
             self._prefix_len += 1
             if d.verdict is Verdict.COMMIT:
                 self.committed_leaders.append(d.block)
-                self.delivery_sequence.extend(linearize_one(dag, d.block, self._emitted))
+                self._deliver(d.block)
+
+    def _deliver(self, leader: BlockRef) -> None:
+        """Append the batch `leader` delivers after the committed prefix,
+        taken from the committee's delivery log, or linearized and recorded
+        there if no node has committed `leader` after this prefix yet.
+
+        A prefix that was extended before by another leader has handed its
+        emitted set on, so a node forking off it rebuilds the set from the
+        batches along its path.
+        """
+        prefix = self._prefix
+        node = prefix.next.get(leader.digest)
+        if node is None:
+            emitted, prefix.emitted = prefix.emitted, None
+            if emitted is None:
+                emitted = set()
+                n: Optional[PrefixNode] = prefix
+                while n is not None:
+                    emitted.update(ref.digest for ref in n.batch)
+                    n = n.parent
+            node = PrefixNode(prefix, linearize_one(self.dag, leader, emitted), emitted)
+            prefix.next[leader.digest] = node
+        self._prefix = node
+        self.delivery_sequence.extend(node.batch)
 
     def decided_slots(self) -> dict[LeaderSlot, SlotDecision]:
         return {d.slot: d for d in self._decided.values()}

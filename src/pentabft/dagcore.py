@@ -3,6 +3,8 @@
 Every validator and guard keeps one `Dag` instance as its local view. Blocks
 reference each other by content digest; a block is stored only once its whole
 causal history is present, so reachability queries never hit dangling edges.
+Answers that are pure functions of blocks live in the committee's
+`CommitteeMemo`, shared by every node of the epoch.
 """
 
 from __future__ import annotations
@@ -83,6 +85,46 @@ class BlockRef:
         return f"{self.author}/{self.round}/{self.digest.hex()[:8]}"
 
 
+class PrefixNode:
+    """One committed-leader prefix in a committee's delivery log: the batch
+    its last leader delivered, and the prefixes one leader longer.
+
+    A prefix no node has extended yet holds the digests delivered along its
+    path; extending it hands that set on to the longer prefix.
+    """
+
+    __slots__ = ("parent", "batch", "next", "emitted")
+
+    def __init__(self, parent: Optional["PrefixNode"], batch: list["BlockRef"],
+                 emitted: Optional[set[bytes]]):
+        self.parent = parent
+        self.batch = batch
+        self.next: dict[bytes, PrefixNode] = {}  # leader digest -> longer prefix
+        self.emitted = emitted
+
+
+class CommitteeMemo:
+    """Memos of pure functions of content-addressed blocks, one per committee.
+
+    A block's digest covers its parents' digests, and every holder of a block
+    stores its whole causal history, so a block's validity, its vote for an
+    (author, round), its ancestors at a round, and the batch a leader
+    delivers after a given committed-leader prefix are the same at every node
+    that can ask. Each is computed once per committee, i.e. once per epoch,
+    not once per validator and guard.
+    """
+
+    __slots__ = ("valid", "votes", "ancestors", "delivery")
+
+    def __init__(self):
+        # digest -> auth tag of a block found valid; the digest leaves out the
+        # tag, so a verdict holds only for the tag it was reached with
+        self.valid: dict[bytes, str] = {}
+        self.votes: dict[tuple, Optional[bytes]] = {}  # (support, author, round) -> digest
+        self.ancestors: dict[tuple, frozenset] = {}  # (digest, round) -> digests
+        self.delivery = PrefixNode(None, [], set())  # root: nothing committed
+
+
 @dataclass(frozen=True)
 class Committee:
     """Ordered validator set with fault budget f; size must be >= 5f+1.
@@ -105,10 +147,7 @@ class Committee:
             )
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate committee members")
-        # digest -> auth tag of each block found valid; a block's validity is
-        # fixed by its digest and tag, so each valid block is checked once
-        # per process, not per node
-        object.__setattr__(self, "_valid_cache", {})
+        object.__setattr__(self, "memo", CommitteeMemo())
 
     @classmethod
     def of_size(cls, n: int, mode: Mode = Mode.PARTIAL_SYNC, epoch: int = 0) -> "Committee":
@@ -309,9 +348,8 @@ def validate_block(block: Block, committee: Committee) -> None:
     distinctness, parent count (>= 4f+1 for rounds >= 1), and coin share
     presence in async mode. Genesis blocks (round 0) carry no parents.
     """
-    # the digest leaves out the tag: a verdict holds only for the tag it was
-    # reached with, and a forged copy seen first must not condemn the original
-    cache = committee._valid_cache
+    # a forged copy seen first must not condemn the original
+    cache = committee.memo.valid
     if cache.get(block.digest) == block.auth_tag:
         return
     _validate_uncached(block, committee)
@@ -381,8 +419,7 @@ class Dag:
         # round -> len(self) right after the round's latest insert
         self.round_stamps: dict[int, int] = {}
         self.max_round: int = 0
-        self._vote_cache: dict[tuple, Optional[bytes]] = {}
-        self._ancestor_cache: dict[tuple, frozenset] = {}
+        self._memo = committee.memo
         if with_genesis:
             for g in genesis_blocks(committee):
                 self._store(g)
@@ -483,12 +520,13 @@ class Dag:
         if support.round == r + 1:
             hit = support.parent_by_author.get(author)
             return hit.digest if hit is not None else None
+        votes = self._memo.votes
         key = (support.digest, author, r)
-        cached = self._vote_cache.get(key, False)
+        cached = votes.get(key, False)
         if cached is not False:
             return cached
         found = self._voted_block_uncached(support, author, r)
-        self._vote_cache[key] = found
+        votes[key] = found
         return found
 
     def _voted_block_uncached(self, support: Block, author: ValidatorId, r: int) -> Optional[bytes]:
@@ -503,12 +541,13 @@ class Dag:
 
     def ancestors_at_round(self, ref: BlockRef, r: int) -> frozenset:
         """Digests of all round-r blocks in `ref`'s causal history."""
-        key = (ref.digest, r)
-        cached = self._ancestor_cache.get(key)
-        if cached is not None:
-            return cached
         if ref.digest not in self._by_digest:
             raise UnknownBlockError(ref.short())
+        ancestors = self._memo.ancestors
+        key = (ref.digest, r)
+        cached = ancestors.get(key)
+        if cached is not None:
+            return cached
         found: set[bytes] = set()
         if ref.round == r:
             found.add(ref.digest)
@@ -524,7 +563,7 @@ class Dag:
                         seen.add(p.digest)
                         stack.append(self._by_digest[p.digest])
         result = frozenset(found)
-        self._ancestor_cache[key] = result
+        ancestors[key] = result
         return result
 
     def dump(self) -> str:

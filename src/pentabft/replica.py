@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .committer import Committer, CommonCoin
-from .dagcore import Block, Committee, Dag, InsertStatus, PendingPool, ValidatorId
+from .dagcore import Block, BlockRef, Committee, Dag, InsertStatus, PendingPool, ValidatorId
 from .messages import Action, NodeId, Send, SyncRequest, SyncResponse
 
 
@@ -74,11 +74,10 @@ class Replica:
 
         Requested blocks always ship; another reached block ships only if its
         round is above the frontier entry of its author, and the walk descends
-        only from shipped blocks. A request whose frontier does not name
-        every committee member is malformed and gets no answer.
+        only from shipped blocks. A malformed request gets no answer.
         """
         members = self.committee.members
-        if len(req.frontier) != len(members):
+        if not _well_formed(req, len(members)):
             return []
         frontier = dict(zip(members, req.frontier))
         dag = self.dag
@@ -95,3 +94,16 @@ class Replica:
                     stack.append(blk)
         blocks.sort(key=lambda b: (b.round, b.author, b.digest))
         return [Send(sender, SyncResponse(tuple(blocks)))] if blocks else []
+
+
+def _well_formed(req: SyncRequest, size: int) -> bool:
+    """Whether a peer's request holds one integer round per committee member
+    and only block refs with a byte digest."""
+    try:
+        return (
+            len(req.frontier) == size
+            and all(type(x) is int for x in req.frontier)
+            and all(type(r) is BlockRef and type(r.digest) is bytes for r in req.refs)
+        )
+    except TypeError:  # a frontier or refs field that is no sequence
+        return False

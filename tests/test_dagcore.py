@@ -199,6 +199,31 @@ class TestInsert:
                 assert equivocation_of(dag, a, r) is None
 
 
+class TestCommitteeMemo:
+    def test_ancestors_of_an_unknown_ref_raise_after_a_sibling_cached_them(self, committee):
+        holder = Dag(committee)
+        round1 = full_round(holder, committee, 1)
+        top = full_round(holder, committee, 2)[0].ref()
+        assert holder.ancestors_at_round(top, 1) == {b.digest for b in round1}
+        sibling = Dag(committee)
+        full_round(sibling, committee, 1)
+        with pytest.raises(UnknownBlockError):
+            sibling.ancestors_at_round(top, 1)
+
+    def test_siblings_share_one_memo(self, committee):
+        holder, sibling = Dag(committee), Dag(committee)
+        for dag in (holder, sibling):
+            full_round(dag, committee, 1)
+            full_round(dag, committee, 2)
+        support = full_round(holder, committee, 3)[0]
+        voted = holder.voted_block(support, 1, 1)
+        assert voted is not None
+        assert committee.memo.votes[(support.digest, 1, 1)] == voted
+        assert sibling.insert(support).status is InsertStatus.INSERTED
+        assert sibling.voted_block(support, 1, 1) == voted
+        assert Committee.of_size(6).memo is not committee.memo
+
+
 class TestLink:
     def test_self_link(self, committee, dag):
         g = dag.first_block_by(0, 0)

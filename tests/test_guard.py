@@ -4,7 +4,7 @@ recovery agreement, and reconfiguration."""
 import pytest
 
 from pentabft.committer import LeaderSlot, Verdict
-from pentabft.dagcore import Committee, Dag, genesis_blocks, make_block
+from pentabft.dagcore import BlockRef, Committee, Dag, genesis_blocks, make_block
 from pentabft.guard import (
     BlameSet,
     Guard,
@@ -310,8 +310,10 @@ class TestSyncServing:
         g = make_guard()
         feed_round(g, 1, now=100)
         ref = g.dag.first_block_by(1, 1).ref()
-        for frontier in ((), (-1,) * 3):
+        for frontier in ((), (-1,) * 3, (None,) * 6, ("x",) * 6, None):
             assert g.on_sync_request(SyncRequest((ref,), frontier), "v5") == []
+        for refs in (("junk",), (ref, "junk"), (BlockRef(1, 1, []),), None):
+            assert g.on_sync_request(SyncRequest(refs, (-1,) * 6), "v5") == []
         (resp,) = g.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5")
         assert ref in {b.ref() for b in resp.payload.blocks}
 

@@ -244,21 +244,39 @@ class TestIncrementalPass:
         assert peak[40] <= peak[20] < 4 * l
 
 
+def fork_points(root):
+    """Prefixes of a committee's delivery log extended by two or more leaders."""
+    count, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        count += len(node.next) > 1
+        stack.extend(node.next.values())
+    return count
+
+
 class TestLinearization:
     def test_one_set_post_order_matches_two_set_reference(self):
-        result = run(scenarios.equivocate_f(), seed=1)
-        for node in result.epochs[0].validators.values():
-            leaders = node.committer.committed_leaders
-            emitted: set[bytes] = set()
-            reference: set[bytes] = set()
-            sequence = []
-            for leader in leaders:
-                batch = linearize_one(node.dag, leader, emitted)
-                assert batch == post_order(node.dag, leader, reference)
-                assert emitted == reference
-                sequence.extend(batch)
-            assert sequence == node.committer.delivery_sequence
-            assert len(leaders) > 10
+        """Every node's delivery sequence, read from the committee's shared
+        log, equals a replay with its own private emitted set; splitview-3f
+        forks the committed prefix, so its nodes also take the rebuild path."""
+        for cfg, forks in ((scenarios.equivocate_f(), 0), (scenarios.splitview_3f(), 4)):
+            result = run(cfg, seed=1)
+            committed = 0
+            for state in result.epochs:
+                for node in (*state.validators.values(), *state.guards.values()):
+                    leaders = node.committer.committed_leaders
+                    emitted: set[bytes] = set()
+                    reference: set[bytes] = set()
+                    sequence = []
+                    for leader in leaders:
+                        batch = linearize_one(node.dag, leader, emitted)
+                        assert batch == post_order(node.dag, leader, reference)
+                        assert emitted == reference
+                        sequence.extend(batch)
+                    assert sequence == node.committer.delivery_sequence, (cfg.name, state.epoch)
+                    committed += len(leaders)
+            assert committed > 10 * len(result.epochs[0].validators), cfg.name
+            assert sum(fork_points(s.committee.memo.delivery) for s in result.epochs) == forks
 
 
 class TestHonestBehavior:

@@ -111,6 +111,28 @@ class TestCrash:
         assert verify_scenario(cfg, record) == []
 
 
+class TestCommitteeMemo:
+    def test_one_memo_per_epoch(self):
+        """Every validator and guard of an epoch reads and fills its
+        committee's memo; the restart after f+1 crashes starts a fresh one."""
+        result = run(scenarios.crash_f_plus_1(), seed=2)
+        assert len(result.epochs) == 2
+        memos = []
+        for state in result.epochs:
+            memo = state.committee.memo
+            for node in (*state.validators.values(), *state.guards.values()):
+                assert node.committee.memo is memo
+                assert node.dag._memo is memo
+                root = node.committer._prefix
+                while root.parent is not None:
+                    root = root.parent
+                assert root is memo.delivery
+            assert memo.valid and memo.delivery.next
+            memos.append(memo)
+        assert memos[1] is not memos[0]
+        assert not memos[1].valid.keys() & memos[0].valid.keys()
+
+
 class TestSplitView:
     def test_divergence_and_identical_recovery(self):
         cfg = scenarios.splitview_3f()

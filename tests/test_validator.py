@@ -3,7 +3,7 @@
 import pytest
 
 from pentabft.committer import Verdict
-from pentabft.dagcore import Committee, Dag, Mode, genesis_blocks, make_block
+from pentabft.dagcore import BlockRef, Committee, Dag, Mode, genesis_blocks, make_block
 from pentabft.faults import CrashValidator, EquivocatingValidator, WithholdVotesValidator
 from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest
 from pentabft.validator import LEADER_TIMER, CoreValidator
@@ -187,8 +187,10 @@ class TestOnBlock:
         v.flush(0)
         drive_round(v, 1, now=DELTA)
         ref = v.dag.first_block_by(1, 1).ref()
-        for frontier in ((), (-1,) * 3):
+        for frontier in ((), (-1,) * 3, (None,) * 6, ("x",) * 6, None):
             assert v.on_sync_request(SyncRequest((ref,), frontier), "v5") == []
+        for refs in (("junk",), (ref, "junk"), (BlockRef(1, 1, []),), None):
+            assert v.on_sync_request(SyncRequest(refs, (-1,) * 6), "v5") == []
         # the same request with one entry per member is served
         (resp,) = v.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5")
         assert ref in {b.ref() for b in resp.payload.blocks}
