@@ -34,11 +34,24 @@ from .dagcore import (
     Committee,
     Dag,
     Mode,
-    PrefixNode,
     ValidatorId,
 )
 
 WAVE_LENGTH = {Mode.PARTIAL_SYNC: 2, Mode.ASYNC: 3}
+
+
+class PrefixNode:
+    """One committed-leader prefix in a committee's delivery log: the batch
+    its last leader delivered, and the prefixes one leader longer."""
+
+    __slots__ = ("parent", "batch", "next", "emitted")
+
+    def __init__(self, parent: Optional["PrefixNode"], batch: list[BlockRef],
+                 emitted: Optional[set[bytes]]):
+        self.parent = parent
+        self.batch = batch
+        self.next: dict[bytes, PrefixNode] = {}  # leader digest -> longer prefix
+        self.emitted = emitted  # see Committer._deliver
 
 
 class MisalignedRound(ValueError):
@@ -253,6 +266,8 @@ class Committer:
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         self.committed_leaders: list[BlockRef] = []
         self.delivery_sequence: list[BlockRef] = []
+        if committee.memo.delivery is None:
+            committee.memo.delivery = PrefixNode(None, [], set())  # nothing committed
         self._prefix = committee.memo.delivery  # log node of `committed_leaders`
         self._prefix_len = 0  # slots consumed into `sequence`
         # (slot, verdict, rule, trigger round) history for latency accounting
@@ -450,9 +465,10 @@ class Committer:
         taken from the committee's delivery log, or linearized and recorded
         there if no node has committed `leader` after this prefix yet.
 
-        A prefix that was extended before by another leader has handed its
-        emitted set on, so a node forking off it rebuilds the set from the
-        batches along its path.
+        Only a prefix no node has extended yet holds `emitted`, the digests
+        delivered along its path; extending it hands that set on to the
+        longer prefix. A node forking off an already extended prefix finds
+        no set there and rebuilds it from the batches along its path.
         """
         prefix = self._prefix
         node = prefix.next.get(leader.digest)

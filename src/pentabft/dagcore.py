@@ -85,24 +85,6 @@ class BlockRef:
         return f"{self.author}/{self.round}/{self.digest.hex()[:8]}"
 
 
-class PrefixNode:
-    """One committed-leader prefix in a committee's delivery log: the batch
-    its last leader delivered, and the prefixes one leader longer.
-
-    A prefix no node has extended yet holds the digests delivered along its
-    path; extending it hands that set on to the longer prefix.
-    """
-
-    __slots__ = ("parent", "batch", "next", "emitted")
-
-    def __init__(self, parent: Optional["PrefixNode"], batch: list["BlockRef"],
-                 emitted: Optional[set[bytes]]):
-        self.parent = parent
-        self.batch = batch
-        self.next: dict[bytes, PrefixNode] = {}  # leader digest -> longer prefix
-        self.emitted = emitted
-
-
 class CommitteeMemo:
     """Memos of pure functions of content-addressed blocks, one per committee.
 
@@ -122,7 +104,7 @@ class CommitteeMemo:
         self.valid: dict[bytes, str] = {}
         self.votes: dict[tuple, Optional[bytes]] = {}  # (support, author, round) -> digest
         self.ancestors: dict[tuple, frozenset] = {}  # (digest, round) -> digests
-        self.delivery = PrefixNode(None, [], set())  # root: nothing committed
+        self.delivery = None  # root of the committer's delivery log, built by the first committer
 
 
 @dataclass(frozen=True)
