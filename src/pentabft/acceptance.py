@@ -594,10 +594,9 @@ def _async_structure_worker(job: tuple) -> dict:
                 out["ref_violations"] += 1
         # the heavily referenced core of round r
         refs: dict[int, int] = {}
+        forked = dag.equivocators(r + 1)
         for blk in next_blocks:
-            if blk.author not in honest:
-                continue
-            if len(dag.blocks_by(blk.author, r + 1)) > 1:
+            if blk.author not in honest or blk.author in forked:
                 continue
             for p in blk.parents:
                 if p.author in honest:

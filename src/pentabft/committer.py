@@ -265,7 +265,6 @@ class Committer:
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         self.committed_leaders: list[BlockRef] = []
-        self.delivery_sequence: list[BlockRef] = []
         if committee.memo.delivery is None:
             committee.memo.delivery = PrefixNode(None, [], set())  # nothing committed
         self._prefix = committee.memo.delivery  # log node of `committed_leaders`
@@ -324,10 +323,11 @@ class Committer:
         # one pass over the decision round: slot blames plus per-candidate votes
         blames = 0
         supports: dict[bytes, int] = {}
-        for blocks in dag.round_view(decision_round).values():
-            if len(blocks) > 1:
+        forked = dag.equivocators(decision_round)
+        for author, block in dag.round_view(decision_round).items():
+            if author in forked:
                 continue
-            voted = dag.voted_block(blocks[0], leader, slot_round)
+            voted = dag.voted_block(block, leader, slot_round)
             if voted is None:
                 blames += 1
             else:
@@ -418,10 +418,11 @@ class Committer:
         version = start_version = self._decided_version
         for r in range(dag.max_round, self._prefix_len // l, -1):
             dr = r + wl - 1
-            if not (recheck_all or stamps.get(r, 0) > seen or stamps.get(dr, 0) > seen):
+            # a round's stamp moves exactly when a block is stored at it
+            stamp, dstamp = stamps.get(r, 0), stamps.get(dr, 0)
+            if not (recheck_all or stamp > seen or dstamp > seen):
                 continue
             quorate = dag.author_count(dr) >= strong
-            counts = (dag.block_count(r), dag.block_count(dr))
             base = (r - 1) * l
             for rank in range(l - 1, -1, -1):
                 idx = base + rank
@@ -430,7 +431,7 @@ class Committer:
                 # the direct rule cannot fire below a strong quorum of voters,
                 # so only a newly decided later slot can change the outcome;
                 # above it the direct tallies change with every block
-                state = (1, *counts, version) if quorate else (0, version)
+                state = (1, stamp, dstamp, version) if quorate else (0, version)
                 if memo.get(idx) == state:
                     continue
                 slot = LeaderSlot(r, rank)
@@ -461,9 +462,10 @@ class Committer:
                 self._deliver(d.block)
 
     def _deliver(self, leader: BlockRef) -> None:
-        """Append the batch `leader` delivers after the committed prefix,
-        taken from the committee's delivery log, or linearized and recorded
-        there if no node has committed `leader` after this prefix yet.
+        """Move to the prefix one leader longer: take the batch `leader`
+        delivers after the committed prefix from the committee's delivery
+        log, or linearize and record it there if no node has committed
+        `leader` after this prefix yet.
 
         Only a prefix no node has extended yet holds `emitted`, the digests
         delivered along its path; extending it hands that set on to the
@@ -475,15 +477,21 @@ class Committer:
         if node is None:
             emitted, prefix.emitted = prefix.emitted, None
             if emitted is None:
-                emitted = set()
-                n: Optional[PrefixNode] = prefix
-                while n is not None:
-                    emitted.update(ref.digest for ref in n.batch)
-                    n = n.parent
+                emitted = {ref.digest for ref in self.delivery_sequence}
             node = PrefixNode(prefix, linearize_one(self.dag, leader, emitted), emitted)
             prefix.next[leader.digest] = node
         self._prefix = node
-        self.delivery_sequence.extend(node.batch)
+
+    @property
+    def delivery_sequence(self) -> list[BlockRef]:
+        """Blocks delivered so far, in order: the batches along this node's
+        path in the delivery log, read afresh on every access."""
+        batches = []
+        node: Optional[PrefixNode] = self._prefix
+        while node is not None:
+            batches.append(node.batch)
+            node = node.parent
+        return [ref for batch in reversed(batches) for ref in batch]
 
     def decided_slots(self) -> dict[LeaderSlot, SlotDecision]:
         return {d.slot: d for d in self._decided.values()}

@@ -386,6 +386,11 @@ _DUPLICATE = InsertOutcome(InsertStatus.DUPLICATE)
 class Dag:
     """Local block store indexed by digest, round, and (author, round).
 
+    Each (round, author) maps to one block, the lowest-digest version; an
+    author that forked at a round also gets an entry in a side table that
+    holds all its versions there, sorted by digest. Honest authors never
+    fork, so the side table stays as small as the equivocations seen.
+
     Inserts are idempotent; a block is admitted only when all its parents are
     already present, which keeps the causal-completeness invariant by
     induction. Blocks are assumed validated by the caller.
@@ -395,9 +400,10 @@ class Dag:
         self.committee = committee
         self._strong_quorum = committee.strong_quorum
         self._by_digest: dict[bytes, Block] = {}
-        # round -> author -> blocks sorted by digest (>= 2 entries: equivocation)
-        self._by_round: dict[int, dict[ValidatorId, list[Block]]] = {}
-        self._count_by_round: dict[int, int] = {}
+        # round -> author -> the author's lowest-digest block, first-insert order
+        self._by_round: dict[int, dict[ValidatorId, Block]] = {}
+        # round -> author -> all versions sorted by digest, for forked authors only
+        self._forks: dict[int, dict[ValidatorId, list[Block]]] = {}
         # round -> len(self) right after the round's latest insert
         self.round_stamps: dict[int, int] = {}
         self.max_round: int = 0
@@ -447,15 +453,19 @@ class Dag:
 
     def _store(self, block: Block) -> None:
         self._by_digest[block.digest] = block
-        per_round = self._by_round.setdefault(block.round, {})
-        lst = per_round.setdefault(block.author, [])
-        lst.append(block)
-        if len(lst) > 1:
-            lst.sort(key=lambda b: b.digest)
-        self._count_by_round[block.round] = self._count_by_round.get(block.round, 0) + 1
-        self.round_stamps[block.round] = len(self._by_digest)
-        if block.round > self.max_round:
-            self.max_round = block.round
+        r, author = block.round, block.author
+        per_round = self._by_round.get(r)
+        if per_round is None:
+            per_round = self._by_round[r] = {}
+        first = per_round.setdefault(author, block)
+        if first is not block:
+            versions = self._forks.setdefault(r, {}).setdefault(author, [first])
+            versions.append(block)
+            versions.sort(key=lambda b: b.digest)
+            per_round[author] = versions[0]
+        self.round_stamps[r] = len(self._by_digest)
+        if r > self.max_round:
+            self.max_round = r
 
     # -- queries -----------------------------------------------------------
 
@@ -467,25 +477,36 @@ class Dag:
         return len(self._by_round.get(r, ()))
 
     def block_count(self, r: int) -> int:
-        return self._count_by_round.get(r, 0)
+        extra = sum(len(v) - 1 for v in self._forks.get(r, {}).values())
+        return len(self._by_round.get(r, ())) + extra
+
+    def equivocators(self, r: int) -> KeysView[ValidatorId]:
+        """Authors with two or more stored round-r blocks."""
+        return self._forks.get(r, {}).keys()
 
     def blocks_by(self, author: ValidatorId, r: int) -> list[Block]:
         """All stored blocks by `author` at round `r`, lowest digest first."""
-        return list(self._by_round.get(r, {}).get(author, ()))
+        versions = self._forks.get(r, {}).get(author)
+        if versions is not None:
+            return list(versions)
+        block = self._by_round.get(r, {}).get(author)
+        return [] if block is None else [block]
 
     def first_block_by(self, author: ValidatorId, r: int) -> Optional[Block]:
-        lst = self._by_round.get(r, {}).get(author)
-        return lst[0] if lst else None
+        """The lowest-digest stored block by `author` at round `r`."""
+        return self._by_round.get(r, {}).get(author)
 
     def blocks_at_round(self, r: int) -> list[Block]:
         """All round-r blocks ordered by (author, digest) for stable iteration."""
         per_round = self._by_round.get(r, {})
+        forks = self._forks.get(r, {})
         out: list[Block] = []
         for author in sorted(per_round):
-            out.extend(per_round[author])
+            out.extend(forks.get(author) or (per_round[author],))
         return out
 
-    def round_view(self, r: int) -> dict[ValidatorId, list[Block]]:
+    def round_view(self, r: int) -> dict[ValidatorId, Block]:
+        """Author -> lowest-digest round-r block, in first-insert order."""
         return self._by_round.get(r, {})
 
     def voted_block(self, support: Block, author: ValidatorId, r: int) -> Optional[bytes]:

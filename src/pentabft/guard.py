@@ -542,10 +542,11 @@ class Guard(Replica):
         decision_round = block_a.round + 1
         members: set[ValidatorId] = set()
         pairs: dict[ValidatorId, tuple[Block, Block]] = {}
+        forked = self.dag.equivocators(decision_round)
         for author in self.committee.members:
-            versions = self.dag.blocks_by(author, decision_round)
-            if len(versions) < 2:
+            if author not in forked:
                 continue
+            versions = self.dag.blocks_by(author, decision_round)
             x = next((v for v in versions if _votes_for(v, block_a)), None)
             if x is None:
                 continue

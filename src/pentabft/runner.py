@@ -531,15 +531,14 @@ class Runner:
                     if d.verdict is Verdict.COMMIT:
                         val = f"commit:{d.block.digest.hex()}"
                     summary.decided[f"{slot.round}/{slot.rank}"] = val
-                summary.delivery_len = len(node.committer.delivery_sequence)
+                delivery = node.committer.delivery_sequence
+                summary.delivery_len = len(delivery)
                 h = hashlib.blake2b(digest_size=8)
-                for ref in node.committer.delivery_sequence:
+                for ref in delivery:
                     h.update(ref.digest)
                 summary.delivery_hash = h.hexdigest()
                 if self.config.record_delivery:
-                    summary.delivery = [
-                        ref.digest.hex() for ref in node.committer.delivery_sequence
-                    ]
+                    summary.delivery = [ref.digest.hex() for ref in delivery]
                 summary.commit_events = [
                     (e.slot_round, e.slot_rank, e.verdict, e.rule, e.trigger_round, e.vtime)
                     for e in node.commit_events

@@ -39,10 +39,11 @@ def tally_votes(dag: Dag, decision_round: int, leader_block: Block) -> tuple[int
     """
     supports = 0
     non_supports = 0
-    for blocks in dag.round_view(decision_round).values():
-        if len(blocks) > 1:
+    for author in dag.authors_at_round(decision_round):
+        versions = dag.blocks_by(author, decision_round)
+        if len(versions) > 1:
             continue
-        voted = dag.voted_block(blocks[0], leader_block.author, leader_block.round)
+        voted = dag.voted_block(versions[0], leader_block.author, leader_block.round)
         if voted == leader_block.digest:
             supports += 1
         elif voted is None:
@@ -54,10 +55,11 @@ def slot_blames(dag: Dag, decision_round: int, leader: ValidatorId, slot_round: 
     """Distinct decision-round authors whose traversal finds no block of the
     slot's leader; counting is per slot, so it also condemns empty slots."""
     blames = 0
-    for blocks in dag.round_view(decision_round).values():
-        if len(blocks) > 1:
+    for author in dag.authors_at_round(decision_round):
+        versions = dag.blocks_by(author, decision_round)
+        if len(versions) > 1:
             continue
-        if dag.voted_block(blocks[0], leader, slot_round) is None:
+        if dag.voted_block(versions[0], leader, slot_round) is None:
             blames += 1
     return blames
 

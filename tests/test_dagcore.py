@@ -170,8 +170,10 @@ class TestInsert:
     def test_author_index_follows_stored_blocks(self, committee, dag):
         full_round(dag, committee, 1)
         parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
-        one = make_block(2, 2, parents, (b"a",))
-        two = make_block(2, 2, parents, (b"b",))
+        low, high = sorted(
+            (make_block(2, 2, parents, (b"a",)), make_block(2, 2, parents, (b"b",))),
+            key=lambda b: b.digest,
+        )
         other = make_block(4, 2, parents)
 
         def index(r):
@@ -182,15 +184,25 @@ class TestInsert:
             return authors, len(authors)
 
         assert index(2) == from_blocks(2) == (set(), 0)
-        for b in (one, two, other):
+        # the higher-digest version is stored first, the lower one last
+        for b in (high, other, low):
             dag.insert(b)
-        assert dag.block_count(2) == 3
+        assert dag.block_count(2) == len(dag.blocks_at_round(2)) == 3
         assert index(2) == from_blocks(2) == ({2, 4}, 2)
-        for b in (two, other):
+        assert dag.first_block_by(2, 2) is low
+        assert dag.round_view(2) == {2: low, 4: other}
+        assert list(dag.round_view(2)) == [2, 4]  # first-insert order kept
+        assert dag.blocks_by(2, 2) == [low, high]
+        assert dag.blocks_by(4, 2) == [other]
+        assert dag.blocks_at_round(2) == [low, high, other]
+        assert list(dag.equivocators(2)) == [2]
+        assert not dag.equivocators(1)
+        for b in (high, other):
             assert dag.insert(b).status is InsertStatus.DUPLICATE
         assert index(2) == from_blocks(2) == ({2, 4}, 2)
         assert dag.block_count(2) == 3
         assert index(1) == from_blocks(1) == (set(committee.members), 6)
+        assert dag.block_count(1) == 6
 
     def test_honest_rounds_have_no_equivocation(self, committee, dag):
         for r in (1, 2, 3):

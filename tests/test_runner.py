@@ -133,6 +133,37 @@ class TestCommitteeMemo:
         assert not memos[1].valid.keys() & memos[0].valid.keys()
 
 
+class TestForkTable:
+    @staticmethod
+    def fork_tables(state):
+        nodes = {f"v{v}": node for v, node in state.validators.items()}
+        nodes.update((f"g{g}", guard) for g, guard in state.guards.items())
+        return {
+            name: {r: set(forks) for r, forks in node.dag._forks.items()}
+            for name, node in nodes.items()
+        }
+
+    def test_only_the_equivocator_at_its_fork_rounds(self):
+        """The side table of every honest node names v1 alone, and only at
+        rounds where v1 stored two versions itself."""
+        result = run(scenarios.equivocate_f(guards=5), seed=1)
+        state = result.epochs[0]
+        assert state.faulty == {1} and state.guards
+        own = state.validators[1].dag._forks
+        assert own and all(set(forks) == {1} for forks in own.values())
+        tables = self.fork_tables(state)
+        del tables["v1"]
+        assert len(tables) == 10
+        for name, table in tables.items():
+            assert table, name
+            assert all(forks == {1} for forks in table.values()), name
+            assert table.keys() <= own.keys(), name
+
+    def test_empty_without_faults(self):
+        state = run(scenarios.fault_free(1), seed=1).epochs[0]
+        assert all(table == {} for table in self.fork_tables(state).values())
+
+
 class TestSplitView:
     def test_divergence_and_identical_recovery(self):
         cfg = scenarios.splitview_3f()
