@@ -433,6 +433,11 @@ class Dag:
     def contains_digest(self, digest: bytes) -> bool:
         return digest in self._by_digest
 
+    def holds(self, block: Block) -> bool:
+        """Whether this very object is stored; a copy that shares only its
+        digest, such as one with a forged tag, is not held."""
+        return self._by_digest.get(block.digest) is block
+
     def insert(self, block: Block) -> InsertOutcome:
         """Store `block` if its parents are present; report missing refs otherwise."""
         by_digest = self._by_digest

@@ -402,8 +402,11 @@ class Guard(Replica):
 
         Equivocating blocks are stored as evidence (and in the DAG replica, so
         the replayed decision rules see what validators see) but never count
-        toward liveness and are not echoed.
+        toward liveness and are not echoed. A block already held was handled
+        when first stored.
         """
+        if self.dag.holds(block):
+            return []
         try:
             validate_block(block, self.committee)
         except ValidationError as err:

@@ -539,10 +539,7 @@ class Runner:
                 summary.delivery_hash = h.hexdigest()
                 if self.config.record_delivery:
                     summary.delivery = [ref.digest.hex() for ref in delivery]
-                summary.commit_events = [
-                    (e.slot_round, e.slot_rank, e.verdict, e.rule, e.trigger_round, e.vtime)
-                    for e in node.commit_events
-                ]
+                summary.commit_events = node.commit_events
                 summary.round_entries = dict(node.round_entry_vtime)
                 ep.validators.append(summary)
             for g in sorted(state.guards):
@@ -567,7 +564,7 @@ class Runner:
                     )
                 ep.guards.append(grec)
             record.epochs.append(ep)
-        record.event_lines = [e.to_line() for e in self.sim.events]
+        record.event_lines = self.sim.event_lines
         return record
 
 

@@ -13,6 +13,11 @@ Deliveries at one instant are ingested per event and each touched node is
 then flushed once (decisions, round advancement, outbound actions), which is
 behaviorally identical because nothing sent at time t can arrive at time t.
 
+The event log is text, each line written once as its event happens; one
+payload description serves back-to-back copies of a message object, as a
+broadcast's copies pop under the synchronous model. The host's
+`outbound_check` sees each message a node emits once, a broadcast as one.
+
 An epoch ends here too: `start_epoch` swaps in a new node set and drops the
 old set's undelivered messages and armed timers, so nothing from a retired
 epoch reaches its successor; a restart that fires mid-instant also drops the
@@ -120,35 +125,26 @@ TIMER = 1
 CALL = 2
 
 
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    """Event-log entry: message delivery, timer expiry, or fault activation."""
-
-    time: int
-    seq: int
-    kind: str
-    node: NodeId
-    detail: str
-
-    def to_line(self) -> str:
-        return f"{self.time}\t{self.seq}\t{self.kind}\t{self.node}\t{self.detail}"
-
-
 def describe_payload(payload: object) -> str:
-    if isinstance(payload, BlockMsg):
-        b = payload.block
-        return f"block {b.author}/{b.round}/{b.digest.hex()[:8]}"
-    if isinstance(payload, SyncRequest):
-        return f"sync-req {len(payload.refs)}"
-    if isinstance(payload, SyncResponse):
-        return f"sync-resp {len(payload.blocks)}"
-    if isinstance(payload, LBlameMsg):
-        return f"lblame g{payload.guard} v{payload.accused} r{payload.round}"
-    if isinstance(payload, CoreUpdateMsg):
-        return f"core-update g{payload.guard} {len(payload.claims)}"
-    if isinstance(payload, AgreementRelay):
-        return f"relay p{payload.proposer} chain={len(payload.chain)}"
+    """The event-log description of a delivered message. It never raises: a
+    field a Byzantine sender left malformed reads `?`, e.g. `sync-req ?`."""
+    for cls, kind, detail in _DESCRIPTIONS:
+        if isinstance(payload, cls):
+            try:
+                return f"{kind} {detail(payload)}"
+            except (AttributeError, TypeError, ValueError):
+                return f"{kind} ?"
     return type(payload).__name__
+
+
+_DESCRIPTIONS = (
+    (BlockMsg, "block", lambda p: f"{p.block.author}/{p.block.round}/{p.block.digest.hex()[:8]}"),
+    (SyncRequest, "sync-req", lambda p: len(p.refs)),
+    (SyncResponse, "sync-resp", lambda p: len(p.blocks)),
+    (LBlameMsg, "lblame", lambda p: f"g{p.guard} v{p.accused} r{p.round}"),
+    (CoreUpdateMsg, "core-update", lambda p: f"g{p.guard} {len(p.claims)}"),
+    (AgreementRelay, "relay", lambda p: f"p{p.proposer} chain={len(p.chain)}"),
+)
 
 
 class Node:
@@ -181,7 +177,7 @@ class Simulator:
         self.now = 0
         self.horizon = horizon
         self.record_events = record_events
-        self.events: list[SimEvent] = []
+        self.event_lines: list[str] = []
         self.delivery_count = 0
         # (send, frm, to, recv) per delivery; captured with event recording
         self.delivery_log: list[tuple[int, NodeId, NodeId, int]] = []
@@ -221,8 +217,6 @@ class Simulator:
         queue.append((self._seq, kind, node, a, b))
 
     def send(self, frm: NodeId, to: NodeId, payload: object, now: int) -> None:
-        if self.outbound_check is not None:
-            self.outbound_check(frm, payload)
         delay = self.network.delay(self.rng, now)
         at = now + (delay if delay > 0 else 1)
         self._push(at, DELIVER, to, frm, payload)
@@ -244,7 +238,7 @@ class Simulator:
         """Log a fault activation as a first-class event."""
         self._seq += 1
         if self.record_events:
-            self.events.append(SimEvent(now, self._seq, "inject", node, detail))
+            self.event_lines.append(f"{now}\t{self._seq}\tinject\t{node}\t{detail}")
 
     def schedule_call(self, time: int, fn: Callable) -> None:
         """Run `fn(now)` as an event; used for epoch restarts."""
@@ -253,11 +247,16 @@ class Simulator:
     # -- action interpretation ----------------------------------------------------
 
     def apply_actions(self, node_id: NodeId, actions: list[Action], now: int) -> None:
+        check = self.outbound_check
         for action in actions:
             if isinstance(action, Broadcast):
+                if check is not None:
+                    check(node_id, action.payload)
                 self.broadcast(node_id, action.payload, now)
             elif isinstance(action, Send):
                 if action.to in self.nodes:
+                    if check is not None:
+                        check(node_id, action.payload)
                     self.send(node_id, action.to, action.payload, now)
             elif isinstance(action, ArmTimer):
                 self.set_timer(node_id, action.timer_id, action.duration, now)
@@ -273,6 +272,8 @@ class Simulator:
         """Process events until the horizon or quiescence."""
         times = self._times
         queues = self._queues
+        lines = self.event_lines
+        described, description = None, describe_payload(None)
         while times and times[0] <= self.horizon:
             time = heappop(times)
             queue = queues[time]
@@ -294,15 +295,15 @@ class Simulator:
                     continue
                 if kind == DELIVER:
                     if self.record_events:
-                        self.events.append(
-                            SimEvent(time, seq, "deliver", node_id, f"{a} {describe_payload(b)}")
-                        )
+                        if b is not described:
+                            described, description = b, describe_payload(b)
+                        lines.append(f"{time}\t{seq}\tdeliver\t{node_id}\t{a} {description}")
                     actions = node.deliver(b, a, time)
                 else:
                     if self._timer_gen.get((node_id, a)) != b:
                         continue  # superseded by a re-arm
                     if self.record_events:
-                        self.events.append(SimEvent(time, seq, "timer", node_id, a))
+                        lines.append(f"{time}\t{seq}\ttimer\t{node_id}\t{a}")
                     actions = node.on_timer(a, time)
                 if actions:
                     self.apply_actions(node_id, actions, time)

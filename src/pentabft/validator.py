@@ -11,7 +11,6 @@ entirely).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .committer import CommonCoin, leaders_of_round
@@ -30,18 +29,6 @@ from .messages import Action, ArmTimer, BlockMsg, Broadcast, NodeId
 from .replica import Replica
 
 LEADER_TIMER = "leader-wait"
-
-
-@dataclass
-class CommitEvent:
-    """First time a slot verdict formed at this node, for latency accounting."""
-
-    slot_round: int
-    slot_rank: int
-    verdict: str
-    rule: str  # "direct" | "indirect"
-    trigger_round: int
-    vtime: int
 
 
 class CoreValidator(Replica):
@@ -65,7 +52,8 @@ class CoreValidator(Replica):
         self.round_entry_vtime: dict[int, int] = {0: 0}
         self.leader_deadline: Optional[int] = None
         self.proposed_rounds: set[int] = {0}
-        self.commit_events: list[CommitEvent] = []
+        # the virtual time each `committer.decision_events` entry formed at
+        self.decision_vtimes: list[int] = []
         self.crashed = False
         self.is_silent = False
         self.max_round: Optional[int] = None  # harness-imposed proposal ceiling
@@ -73,6 +61,8 @@ class CoreValidator(Replica):
     # -- block intake ----------------------------------------------------------
 
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
+        if self.dag.holds(block):  # stored already: validated on intake or made here
+            return []
         try:
             validate_block(block, self.committee)
         except ValidationError as err:
@@ -94,7 +84,7 @@ class CoreValidator(Replica):
     def flush(self, now: int, trigger_round: int = -1) -> list[Action]:
         """Decision pass plus the round-advance loop."""
         self.committer.extend(trigger_round)
-        self._record_commit_events(now)
+        self._stamp_decisions(now)
         actions: list[Action] = []
         while True:
             step = self._advance_once(now)
@@ -103,16 +93,19 @@ class CoreValidator(Replica):
             actions.extend(step)
             # our own block may complete a quorum for our own decision pass
             self.committer.extend(self.current_round)
-            self._record_commit_events(now)
+            self._stamp_decisions(now)
         return actions
 
-    def _record_commit_events(self, now: int) -> None:
-        events = self.committer.decision_events
-        while len(self.commit_events) < len(events):
-            slot, verdict, rule, trig = events[len(self.commit_events)]
-            self.commit_events.append(
-                CommitEvent(slot.round, slot.rank, verdict.value, rule, trig, now)
-            )
+    def _stamp_decisions(self, now: int) -> None:
+        unstamped = len(self.committer.decision_events) - len(self.decision_vtimes)
+        self.decision_vtimes.extend([now] * unstamped)
+
+    @property
+    def commit_events(self) -> list[tuple[int, int, str, str, int, int]]:
+        """(slot round, rank, verdict, rule, trigger round, vtime) for the first
+        time each slot verdict formed at this node, for latency accounting."""
+        events = zip(self.committer.decision_events, self.decision_vtimes)
+        return [(s.round, s.rank, v.value, rule, t, vtime) for (s, v, rule, t), vtime in events]
 
     def _advance_once(self, now: int) -> list[Action]:
         """One advance attempt; honest nodes broadcast exactly one new block."""

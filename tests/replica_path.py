@@ -18,3 +18,17 @@ def deliver(node, blocks: Sequence[Block], sender: str, now: int) -> list:
     else:
         actions.extend(node.flush(now))
     return actions
+
+
+def count_validations(monkeypatch, module) -> list[Block]:
+    """Record every block `module` passes to `validate_block` from now on;
+    callers bind the function by name at import time."""
+    checked: list[Block] = []
+    real = module.validate_block
+
+    def counting(block, committee):
+        checked.append(block)
+        return real(block, committee)
+
+    monkeypatch.setattr(module, "validate_block", counting)
+    return checked

@@ -3,6 +3,7 @@ recovery agreement, and reconfiguration."""
 
 import pytest
 
+from pentabft import guard as guard_module
 from pentabft.committer import LeaderSlot, Verdict
 from pentabft.dagcore import BlockRef, Committee, Dag, genesis_blocks, make_block
 from pentabft.guard import (
@@ -29,7 +30,7 @@ from pentabft.messages import (
     SyncRequest,
 )
 
-from replica_path import deliver
+from replica_path import count_validations, deliver
 
 DELTA = 1000
 GUARDS = 5
@@ -82,6 +83,33 @@ class TestLivenessAccounting:
         echoes = [a for a in actions if isinstance(a, Broadcast) and isinstance(a.payload, BlockMsg)]
         assert echoes == []  # second version retained as evidence only
         assert g.evidence[(2, 2)].keys() == {one.digest, two.digest}
+
+    def test_held_block_skips_intake(self, monkeypatch):
+        g = make_guard()
+        block = full_round_blocks(g.dag, g.committee, 1)[1]
+        checked = count_validations(monkeypatch, guard_module)
+        first = deliver(g, [block], "v1", 100)
+        echoes = [a for a in first if isinstance(a, Broadcast) and isinstance(a.payload, BlockMsg)]
+        assert [a.payload.block for a in echoes] == [block]
+        evidence = {key: dict(versions) for key, versions in g.evidence.items()}
+        # another guard's echo brings the same object back
+        assert g.ingest_block(block, "g1", 100) == []
+        assert len(checked) == 1 and checked[0] is block
+        assert g.evidence == evidence and g.evidence[(1, 1)][block.digest] is block
+
+    def test_forged_copy_of_a_held_block_is_still_rejected(self, monkeypatch):
+        from pentabft.dagcore import Block, auth_tag_for
+
+        g = make_guard()
+        block = full_round_blocks(g.dag, g.committee, 1)[1]
+        deliver(g, [block], "v1", 100)
+        forged = Block(1, 1, block.parents, block.transactions, None, auth_tag_for(4))
+        assert forged.digest == block.digest
+        checked = count_validations(monkeypatch, guard_module)
+        assert g.ingest_block(forged, "v4", 100) == []
+        assert len(checked) == 1 and checked[0] is forged
+        assert len(g.invalid_evidence) == 1 and g.invalid_evidence[0][0] is forged
+        assert g.evidence[(1, 1)][block.digest] is block
 
     def test_late_block_ignored_for_liveness(self):
         g = make_guard()

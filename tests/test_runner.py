@@ -7,7 +7,7 @@ import pytest
 
 from pentabft import scenarios
 from pentabft.dagcore import make_block
-from pentabft.messages import BlockMsg, SyncResponse
+from pentabft.messages import BlockMsg, Broadcast, Send, SyncResponse
 from pentabft.runner import (
     Runner,
     check_delivery_bounds,
@@ -276,7 +276,16 @@ class TestOutboundCheck:
         runner = self.guarded_run()
         genesis = runner.epochs[-1].validators[0].dag.blocks_at_round(0)
         forged = make_block(0, 1, [b.ref() for b in genesis], (b"forged",))
-        runner.sim.send("v1", "v2", BlockMsg(forged), runner.sim.now)
+        runner.sim.apply_actions("v1", [Send("v2", BlockMsg(forged))], runner.sim.now)
+        assert runner.violations == [
+            f"forged block {forged.digest.hex()[:8]} in honest name v0 from v1"
+        ]
+
+    def test_forged_broadcast_is_one_violation(self):
+        runner = self.guarded_run()
+        genesis = runner.epochs[-1].validators[0].dag.blocks_at_round(0)
+        forged = make_block(0, 1, [b.ref() for b in genesis], (b"forged",))
+        runner.sim.apply_actions("v1", [Broadcast(BlockMsg(forged))], runner.sim.now)
         assert runner.violations == [
             f"forged block {forged.digest.hex()[:8]} in honest name v0 from v1"
         ]
@@ -284,8 +293,9 @@ class TestOutboundCheck:
     def test_guard_relay_of_a_stored_block_passes(self):
         runner = self.guarded_run()
         stored = runner.epochs[-1].validators[0].dag.first_block_by(0, 1)
-        runner.sim.send("g0", "v2", BlockMsg(stored), runner.sim.now)
-        runner.sim.send("g0", "v3", SyncResponse((stored,)), runner.sim.now)
+        now = runner.sim.now
+        runner.sim.apply_actions("g0", [Send("v2", BlockMsg(stored))], now)
+        runner.sim.apply_actions("g0", [Send("v3", SyncResponse((stored,)))], now)
         assert runner.violations == []
 
 

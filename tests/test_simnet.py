@@ -4,7 +4,7 @@ import pytest
 
 from pentabft.faults import FaultPlan
 from pentabft.dagcore import Committee
-from pentabft.messages import ArmTimer, Broadcast, Send
+from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest, SyncResponse
 from pentabft.simnet import (
     Asynchronous,
     BudgetExceeded,
@@ -154,10 +154,21 @@ class TestEventLog:
         sim.broadcast("n0", "x", 0)
         sim.set_timer("n1", "t", 100, 0)
         sim.run()
-        kinds = {e.kind for e in sim.events}
+        kinds = {line.split("\t")[2] for line in sim.event_lines}
         assert kinds == {"deliver", "timer"}
-        lines = [e.to_line() for e in sim.events]
-        assert all("\t" in line for line in lines)
+        assert all("\t" in line for line in sim.event_lines)
+
+    def test_malformed_payloads_are_described_not_raised(self):
+        # a Byzantine peer's malformed sync messages reach the recipient, which
+        # drops them itself; describing them for the log must not abort the run
+        sim, nodes = make_sim(record_events=True)
+        request, response = SyncRequest(None, (0,)), SyncResponse(None)
+        sim.send("n0", "n1", request, 0)
+        sim.send("n0", "n1", response, 0)
+        sim.run()
+        assert [entry[3] for entry in nodes[1].log] == [request, response]
+        details = [line.split("\t")[4] for line in sim.event_lines]
+        assert details == ["n0 sync-req ?", "n0 sync-resp ?"]
 
     def test_horizon_cuts_off(self):
         sim, nodes = make_sim(horizon=500)
@@ -186,7 +197,7 @@ class TestEpochs:
         assert all(n.log == [] and n.flushes == [0] for n in old)
         # one first flush each; the old epoch's message and timer never arrive
         assert all(n.log == [] and n.flushes == [500] for n in new)
-        assert not any(e.kind in ("deliver", "timer") for e in sim.events)
+        assert not any(line.split("\t")[2] in ("deliver", "timer") for line in sim.event_lines)
 
     def test_first_flushes_run_in_node_order(self):
         order = []
@@ -216,10 +227,11 @@ class TestCalendarQueue:
             ("timer", 1000, "t"),
             ("deliver", 1000, "n2", "second"),
         ]
-        assert [(e.node, e.kind) for e in sim.events] == [
+        fields = [line.split("\t") for line in sim.event_lines]
+        assert [(node, kind) for _, _, kind, node, _ in fields] == [
             ("n1", "deliver"), ("n1", "timer"), ("n1", "deliver"), ("n2", "timer"),
         ]
-        seqs = [e.seq for e in sim.events]
+        seqs = [int(seq) for _, seq, _, _, _ in fields]
         assert seqs == sorted(seqs)
 
     def test_restart_mid_instant_drops_the_rest_of_the_instant(self):
@@ -241,7 +253,7 @@ class TestCalendarQueue:
         assert calls == [("restart", 1000), ("same", 1000), ("later", 3000)]
         assert old[1].log == [("deliver", 1000, "n0", "before")]
         assert all(n.log == [] for n in new)
-        assert [e.detail for e in sim.events] == ["n0 str"]
+        assert [line.split("\t")[4] for line in sim.event_lines] == ["n0 str"]
         assert sim.now == 3000
 
     def test_run_stops_at_the_horizon_and_keeps_later_events(self):

@@ -6,9 +6,10 @@ from pentabft.committer import Verdict
 from pentabft.dagcore import BlockRef, Committee, Dag, Mode, genesis_blocks, make_block
 from pentabft.faults import CrashValidator, EquivocatingValidator, WithholdVotesValidator
 from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest
+from pentabft import validator
 from pentabft.validator import LEADER_TIMER, CoreValidator
 
-from replica_path import deliver
+from replica_path import count_validations, deliver
 
 DELTA = 1000
 
@@ -113,7 +114,7 @@ class TestOnBlock:
         from pentabft.committer import LeaderSlot
 
         assert decided[LeaderSlot(1, 0)].verdict is Verdict.COMMIT
-        assert v.commit_events[0].trigger_round == 2
+        assert v.commit_events[0][4] == 2  # trigger round
 
     def test_unknown_parent_requests_sync(self):
         v = fresh_validator()
@@ -156,6 +157,31 @@ class TestOnBlock:
         assert actions == []
         assert v.dag.first_block_by(2, 1) is None
         assert len(v.invalid_evidence) == 1
+
+    def test_held_block_skips_intake(self, monkeypatch):
+        v = fresh_validator()
+        v.flush(0)
+        (block,) = other_round(v.committee, 1, v.dag, (1,))
+        checked = count_validations(monkeypatch, validator)
+        deliver(v, [block], "v1", DELTA)
+        # the guards' echo brings the same object back
+        assert v.ingest_block(block, "g0", DELTA) == []
+        assert len(checked) == 1 and checked[0] is block
+
+    def test_forged_copy_of_a_held_block_is_still_rejected(self, monkeypatch):
+        from pentabft.dagcore import Block, auth_tag_for
+
+        v = fresh_validator()
+        v.flush(0)
+        (block,) = other_round(v.committee, 1, v.dag, (1,))
+        deliver(v, [block], "v1", DELTA)
+        forged = Block(1, 1, block.parents, block.transactions, None, auth_tag_for(4))
+        assert forged.digest == block.digest
+        checked = count_validations(monkeypatch, validator)
+        assert v.ingest_block(forged, "v4", DELTA) == []
+        assert len(checked) == 1 and checked[0] is forged
+        assert len(v.invalid_evidence) == 1 and v.invalid_evidence[0][0] is forged
+        assert v.dag.get(block.ref()) is block
 
     def test_serves_blocks_above_the_frontier(self):
         v = fresh_validator()
