@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .committer import LeaderSlot, Verdict, validate_stake_split
+from .committer import LeaderSlot, SlotDecision, Verdict, validate_stake_split
 from .guard import BlameSet, is_valid_blameset
-from .messages import CommitClaim
 from .runner import check_prefix_consistency, run, run_record
 from .scenarios import (
     ASYNC_ADVERSARIAL,
@@ -416,14 +415,12 @@ def criterion_guard_safety(seeds: int = 3) -> CriterionResult:
                 if claim is None:
                     failures.append(f"seed={seed} g{gid}: no opposing claim constructible")
                 else:
-                    out = guard.check_equivocation([claim], guard.safety_detection_vtime)
-                    if out is None:
+                    bs = guard.check_equivocation(claim)
+                    if bs is None:
                         failures.append(f"seed={seed} g{gid}: check_equivocation empty")
                     else:
-                        members, proof = out
-                        if len(members) < committee.f + 1:
+                        if len(bs.members) < committee.f + 1:
                             failures.append(f"seed={seed} g{gid}: overlap too small")
-                        bs = BlameSet("safety", frozenset(members), proof)
                         if not is_valid_blameset(bs, committee, cfg.guards):
                             failures.append(f"seed={seed} g{gid}: overlap proof invalid")
             if guard.recovery_result is None:
@@ -460,7 +457,7 @@ def criterion_guard_safety(seeds: int = 3) -> CriterionResult:
     )
 
 
-def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optional[CommitClaim]:
+def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optional[SlotDecision]:
     """The divergent camp's claim for the attacked slot, as seen by `guard`."""
     slot = LeaderSlot(slot_round, 0)
     mine = guard.committed.get(slot)
@@ -469,7 +466,7 @@ def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optio
         mine_hex = mine.block.digest.hex()
         others = [h for h in committed_hexes if h != mine_hex]
         if not others:
-            return CommitClaim(slot, Verdict.SKIP, None)
+            return SlotDecision(slot, Verdict.SKIP, None)
         other = others[0]
     else:
         other = committed_hexes[0] if committed_hexes else None
@@ -478,7 +475,7 @@ def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optio
     digest = bytes.fromhex(other)
     for blk in guard.dag.blocks_at_round(slot_round):
         if blk.digest == digest:
-            return CommitClaim(slot, Verdict.COMMIT, blk.ref())
+            return SlotDecision(slot, Verdict.COMMIT, blk.ref())
     return None
 
 

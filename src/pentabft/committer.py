@@ -54,10 +54,6 @@ class PrefixNode:
         self.emitted = emitted  # see Committer._deliver
 
 
-class MisalignedRound(ValueError):
-    """Round does not sit on a propose-round boundary for the given offset."""
-
-
 class CoinUnavailable(RuntimeError):
     """Asynchronous leader cannot be determined before shares are combinable."""
 
@@ -68,30 +64,6 @@ class InsufficientShares(ValueError):
 
 class MissingDecisions(ValueError):
     """Indirect rule invoked without the complete list of later decisions."""
-
-
-@dataclass(frozen=True)
-class WaveCoords:
-    """Wave arithmetic parameters: offset within the wave pattern and length."""
-
-    wave_offset: int
-    wave_length: int
-    leader_offset: int = 0
-
-
-def wave_coords(r: int, wc: WaveCoords) -> tuple[int, int, int]:
-    """(wave number, propose round, decision round) of the wave proposing at r."""
-    if r < wc.wave_offset or (r - wc.wave_offset) % wc.wave_length != 0:
-        raise MisalignedRound(f"round {r} is not a propose round for offset {wc.wave_offset}")
-    wave = (r - wc.wave_offset) // wc.wave_length
-    propose = wave * wc.wave_length + wc.wave_offset
-    decision = propose + wc.wave_length - 1
-    return wave, propose, decision
-
-
-def propose_round_of(r: int, wave_length: int) -> tuple[int, int, int]:
-    """Coordinates of the wave whose propose round is r (offset = r mod length)."""
-    return wave_coords(r, WaveCoords(r % wave_length, wave_length))
 
 
 @dataclass(frozen=True, order=True)
@@ -274,9 +246,6 @@ class Committer:
 
     # -- wave geometry -------------------------------------------------------
 
-    def propose_coords(self, r: int) -> tuple[int, int, int]:
-        return propose_round_of(r, self.wave_length)
-
     def decision_round(self, r: int) -> int:
         return r + self.wave_length - 1
 
@@ -284,7 +253,8 @@ class Committer:
         """Coin output for the slot's wave, combined from decision-round shares."""
         if self.committee.mode is not Mode.ASYNC:
             return None
-        wave, _, decision = self.propose_coords(slot.round)
+        wave = slot.round // self.wave_length
+        decision = self.decision_round(slot.round)
         out = self._coin_outputs.get(wave)
         if out is None:
             if self.dag.author_count(decision) < self.committee.f + 1:

@@ -489,6 +489,10 @@ class Dag:
         """Authors with two or more stored round-r blocks."""
         return self._forks.get(r, {}).keys()
 
+    def forked_keys(self) -> list[tuple[ValidatorId, int]]:
+        """(author, round) of every stored fork, ascending."""
+        return sorted((a, r) for r, authors in self._forks.items() for a in authors)
+
     def blocks_by(self, author: ValidatorId, r: int) -> list[Block]:
         """All stored blocks by `author` at round `r`, lowest digest first."""
         versions = self._forks.get(r, {}).get(author)

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .committer import LeaderSlot, Verdict, leaders_of_round
+from .committer import LeaderSlot, SlotDecision, Verdict, leaders_of_round
 from .dagcore import (
     Block,
     BlockRef,
@@ -41,7 +41,6 @@ from .messages import (
     ArmTimer,
     Broadcast,
     BlockMsg,
-    CommitClaim,
     CoreUpdateMsg,
     LBlameMsg,
     NodeId,
@@ -59,7 +58,7 @@ def lblame_tag(guard: int, accused: ValidatorId, round_: int) -> str:
     return f"lblame:{guard}:{accused}:{round_}"
 
 
-def update_tag(guard: int, claims: tuple[CommitClaim, ...]) -> str:
+def update_tag(guard: int, claims: tuple[SlotDecision, ...]) -> str:
     body = ";".join(
         f"{c.slot.round}/{c.slot.rank}:{c.verdict.value}:{c.block.digest.hex() if c.block else '-'}"
         for c in claims
@@ -292,15 +291,12 @@ class Guard(Replica):
         self.blames: dict[tuple, dict[int, LBlameMsg]] = {}
         self.lblamed: dict[int, set] = {}
         self.lblamed_at: dict[int, int] = {}
-        # evidence: every structurally valid block per (author, round), by digest
-        self.evidence: dict[tuple, dict[bytes, Block]] = {}
-        self._equivocation_keys: set[tuple] = set()
-        # key -> (evidence versions, stored round-r+1 blocks) at its last
-        # fruitless safety scan; both only grow, so an equal pair means the
-        # scan would find nothing again
+        # forked (author, round) -> (stored versions, stored round-r+1 blocks)
+        # at its last fruitless safety scan; both only grow, so an equal pair
+        # means the scan would find nothing again
         self._scanned_inputs: dict[tuple, tuple[int, int]] = {}
-        self.committed: dict[LeaderSlot, CommitClaim] = {}
-        self.remote_claims: dict[LeaderSlot, dict[bytes, CommitClaim]] = {}
+        self.committed: dict[LeaderSlot, SlotDecision] = {}
+        self.remote_claims: dict[LeaderSlot, dict[bytes, SlotDecision]] = {}
         self._claimed = 0  # committer.sequence prefix already claimed
 
         self.recovery_input: Optional[BlameSet] = None
@@ -398,12 +394,13 @@ class Guard(Replica):
     # -- block handling ------------------------------------------------------
 
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
-        """Validate, record evidence, update liveness accounting, and echo.
+        """Validate, admit, update liveness accounting, and echo.
 
-        Equivocating blocks are stored as evidence (and in the DAG replica, so
-        the replayed decision rules see what validators see) but never count
-        toward liveness and are not echoed. A block already held was handled
-        when first stored.
+        Only the first timely version of an (author, round) counts toward
+        liveness and is echoed, even while it waits in the pending pool;
+        later versions enter the DAG replica, whose fork table is the safety
+        scan's evidence, so the replayed decision rules see what validators
+        see. A block already held was handled when first stored.
         """
         if self.dag.holds(block):
             return []
@@ -413,14 +410,10 @@ class Guard(Replica):
             self.invalid_evidence.append((block, str(err)))
             return []
         key = (block.author, block.round)
-        versions = self.evidence.setdefault(key, {})
-        first_version = not versions
-        versions[block.digest] = block
-        if len(versions) > 1:
-            self._equivocation_keys.add(key)
-
         actions = self._admit(block, sender)
-        if first_version and self.now_round <= block.round:
+        # now_round never decreases, so a later version is timely only if the
+        # first one was, and that one responded
+        if key not in self.responded and self.now_round <= block.round:
             self.seen.setdefault(block.round, set()).add(block.author)
             self.responded.add(key)
             self.lblamed.get(block.round, set()).discard(block.author)
@@ -449,31 +442,24 @@ class Guard(Replica):
         seq = self.committer.sequence
         if self._claimed >= len(seq):
             return []
-        claims = tuple(
-            CommitClaim(d.slot, d.verdict, d.block) for d in seq[self._claimed :]
-        )
+        claims = tuple(seq[self._claimed :])
         self._claimed = len(seq)
         for c in claims:
             self.committed[c.slot] = c
         return self.on_core_update(claims, now)
 
-    def on_core_update(self, claims: tuple[CommitClaim, ...], now: int) -> list[Action]:
+    def on_core_update(self, claims: tuple[SlotDecision, ...], now: int) -> list[Action]:
         """Handle this guard's own commit-sequence extension: check it against
         known remote claims, then attest and gossip it."""
+        actions: list[Action] = []
         for claim in claims:
             conflict = self._conflicting_claim(claim)
-            if conflict is not None and self.recovery_input is None:
-                result = self.check_equivocation([conflict], now)
-                if result is not None:
-                    bs = BlameSet(SAFETY, frozenset(result[0]), result[1])
-                    if is_valid_blameset(bs, self.committee, self.guard_count):
-                        return [
-                            *self.recover(bs, now),
-                            Broadcast(CoreUpdateMsg(self.me, claims, update_tag(self.me, claims))),
-                        ]
-        return [Broadcast(CoreUpdateMsg(self.me, claims, update_tag(self.me, claims)))]
+            if conflict is not None:
+                actions.extend(self._recover_on_conflict(conflict, now))
+        actions.append(Broadcast(CoreUpdateMsg(self.me, claims, update_tag(self.me, claims))))
+        return actions
 
-    def _conflicting_claim(self, mine: CommitClaim) -> Optional[CommitClaim]:
+    def _conflicting_claim(self, mine: SlotDecision) -> Optional[SlotDecision]:
         remotes = self.remote_claims.get(mine.slot)
         if not remotes:
             return None
@@ -483,7 +469,7 @@ class Guard(Replica):
         return None
 
     @staticmethod
-    def _claims_conflict(a: CommitClaim, b: CommitClaim) -> bool:
+    def _claims_conflict(a: SlotDecision, b: SlotDecision) -> bool:
         if a.slot != b.slot:
             return False
         va, vb = a.verdict, b.verdict
@@ -498,45 +484,36 @@ class Guard(Replica):
         for claim in msg.claims:
             key = claim.block.digest if claim.block else claim.verdict.value.encode()
             self.remote_claims.setdefault(claim.slot, {})[key] = claim
-            mine = self.committed.get(claim.slot)
-            if mine is not None and self._claims_conflict(mine, claim):
-                if self.recovery_input is None:
-                    result = self.check_equivocation([claim], now)
-                    if result is not None:
-                        bs = BlameSet(SAFETY, frozenset(result[0]), result[1])
-                        if is_valid_blameset(bs, self.committee, self.guard_count):
-                            actions.extend(self.recover(bs, now))
+            actions.extend(self._recover_on_conflict(claim, now))
         return actions
 
-    def check_equivocation(
-        self, claims: list[CommitClaim], now: int
-    ) -> Optional[tuple[set, SafetyProof]]:
-        """Resolve a commit conflict into the overlap of double-voting authors.
+    def _recover_on_conflict(self, claim: SlotDecision, now: int) -> list[Action]:
+        """Start recovery if `claim` contradicts this guard's verdict for its
+        slot and the conflict resolves into a safety blameset."""
+        if self.recovery_input is not None:
+            return []
+        bs = self.check_equivocation(claim)
+        return [] if bs is None else self.recover(bs, now)
 
-        For each claim that contradicts the local verdict for the same slot,
-        collect validators with two decision-round blocks straddling the
-        conflict; quorum intersection guarantees >= f+1 of them whenever both
-        sides carried certificates.
+    def check_equivocation(self, claim: SlotDecision) -> Optional[BlameSet]:
+        """Resolve a claim that contradicts the local verdict for its slot
+        into a safety blameset over the double-voting authors.
+
+        Quorum intersection guarantees >= f+1 of them whenever both sides
+        carried certificates; None without a conflict or with the committed
+        side missing from the replica.
         """
-        for claim in claims:
-            mine = self.committed.get(claim.slot)
-            if mine is None or not self._claims_conflict(mine, claim):
-                continue
-            if mine.verdict is Verdict.COMMIT and claim.verdict is Verdict.COMMIT:
-                a = self.dag.get(mine.block)
-                b = self.dag.get(claim.block) if claim.block in self.dag else None
-                if b is None:
-                    continue
-                result = self.resolve_equivocation(a, b, claim.slot)
-            else:
-                committed = mine if mine.verdict is Verdict.COMMIT else claim
-                if committed.block not in self.dag:
-                    continue
-                a = self.dag.get(committed.block)
-                result = self.resolve_equivocation(a, None, claim.slot)
-            if result is not None:
-                return result
-        return None
+        mine = self.committed.get(claim.slot)
+        if mine is None or not self._claims_conflict(mine, claim):
+            return None
+        if mine.verdict is Verdict.COMMIT and claim.verdict is Verdict.COMMIT:
+            a, b = mine.block, claim.block
+        else:
+            a, b = (mine if mine.verdict is Verdict.COMMIT else claim).block, None
+        if a not in self.dag or (b is not None and b not in self.dag):
+            return None
+        block_b = self.dag.get(b) if b is not None else None
+        return self._safety_blameset(self.dag.get(a), block_b, claim.slot)
 
     def resolve_equivocation(
         self, block_a: Block, block_b: Optional[Block], slot: Optional[LeaderSlot]
@@ -565,28 +542,34 @@ class Guard(Replica):
             return None
         return members, SafetyProof(slot, block_a, block_b, pairs)
 
+    def _safety_blameset(
+        self, block_a: Block, block_b: Optional[Block], slot: Optional[LeaderSlot]
+    ) -> Optional[BlameSet]:
+        """The one path to a safety blameset: resolve the conflict, then
+        re-verify the result from its own evidence."""
+        result = self.resolve_equivocation(block_a, block_b, slot)
+        if result is None:
+            return None
+        bs = BlameSet(SAFETY, frozenset(result[0]), result[1])
+        return bs if is_valid_blameset(bs, self.committee, self.guard_count) else None
+
     def _detect_safety_fault(self, now: int) -> Optional[BlameSet]:
-        """Equivocation-pair scan: any conflicting pair whose decision round
-        shows >= f+1 double-voters yields a safety blameset directly."""
+        """Equivocation-pair scan over the replica's forks, ascending by
+        (author, round): a fork's two lowest-digest versions whose decision
+        round shows >= f+1 double-voters yield a safety blameset directly."""
+        dag = self.dag
         scanned = self._scanned_inputs
-        for key in sorted(self._equivocation_keys):
-            versions = self.evidence[key]
-            inputs = (len(versions), self.dag.block_count(key[1] + 1))
+        for key in dag.forked_keys():
+            author, r = key
+            versions = dag.blocks_by(author, r)
+            inputs = (len(versions), dag.block_count(r + 1))
             if scanned.get(key) == inputs:
                 continue
-            digests = sorted(versions)
-            block_a = versions[digests[0]]
-            block_b = versions[digests[1]]
-            if block_a.ref() not in self.dag or block_b.ref() not in self.dag:
-                continue
-            result = self.resolve_equivocation(block_a, block_b, None)
-            if result is not None:
-                members, proof = result
-                bs = BlameSet(SAFETY, frozenset(members), proof)
-                if is_valid_blameset(bs, self.committee, self.guard_count):
-                    if self.safety_detection_vtime is None:
-                        self.safety_detection_vtime = now
-                    return bs
+            bs = self._safety_blameset(versions[0], versions[1], None)
+            if bs is not None:
+                if self.safety_detection_vtime is None:
+                    self.safety_detection_vtime = now
+                return bs
             scanned[key] = inputs
         return None
 
@@ -671,34 +654,35 @@ class Guard(Replica):
         actions.append(Broadcast(relay))
         return actions
 
-    def valid_recovery_proposal(self, proposal: RecoverProposal) -> bool:
+    def valid_recovery_proposal(self, proposal: RecoverProposal) -> Optional[BlameSet]:
+        """The proposal's blameset, parsed once, if the proposal verifies
+        independently; None otherwise."""
         if proposal.tag != recover_tag(proposal.guard, proposal.blameset_text, proposal.branch):
-            return False
+            return None
         try:
             bs = BlameSet.from_text(proposal.blameset_text)
         except Exception:
-            return False
+            return None
         if not is_valid_blameset(bs, self.committee, self.guard_count):
-            return False
+            return None
         if bs.kind == SAFETY:
             if proposal.branch is None:
-                return False
+                return None
             proof: SafetyProof = bs.proof
             refs = {proof.block_a.ref()}
             if proof.block_b is not None:
                 refs.add(proof.block_b.ref())
             if proposal.branch not in refs:
-                return False
+                return None
             # the branch must be the strongly certified side in our replica
             branch_block = proof.block_a if proposal.branch == proof.block_a.ref() else proof.block_b
             if branch_block.ref() not in self.dag:
-                return False
+                return None
             if self._strong_vote_count(branch_block) < self.committee.strong_quorum:
-                return False
-        else:
-            if proposal.branch is not None:
-                return False
-        return True
+                return None
+        elif proposal.branch is not None:
+            return None
+        return bs
 
     def on_recover_msg(self, relay: AgreementRelay, now: int) -> list[Action]:
         """Adopt a first valid proposal if idle, then echo-forward per the
@@ -707,11 +691,10 @@ class Guard(Replica):
             return []
         actions: list[Action] = []
         if self.recovery_input is None:
-            if self.valid_recovery_proposal(relay.proposal):
-                bs = BlameSet.from_text(relay.proposal.blameset_text)
-                actions.extend(self.recover(bs, now))
-            else:
+            bs = self.valid_recovery_proposal(relay.proposal)
+            if bs is None:
                 return []
+            actions.extend(self.recover(bs, now))
         session = self.session
         if session is None or session.done:
             return actions
@@ -767,18 +750,16 @@ class Guard(Replica):
         if session is None or session.done:
             return []
         session.done = True
-        agreed: Optional[RecoverProposal] = None
         for proposer in range(self.guard_count):
             values = session.accepted.get(proposer, {})
             if len(values) != 1:
                 continue  # no value or provable proposer equivocation
-            proposal = next(iter(values.values()))
-            if self.valid_recovery_proposal(proposal):
-                agreed = proposal
+            agreed = next(iter(values.values()))
+            bs = self.valid_recovery_proposal(agreed)
+            if bs is not None:
                 break
-        if agreed is None:
+        else:
             return []  # cannot happen when some honest guard proposed
-        bs = BlameSet.from_text(agreed.blameset_text)
         directive = RestartDirective(
             bs.kind,
             tuple(sorted(bs.members)),

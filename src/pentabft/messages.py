@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dagcore import Block, BlockRef, ValidatorId
-from .committer import LeaderSlot, Verdict
+from .committer import SlotDecision
 
 NodeId = str  # "v<i>" for core validators, "g<i>" for guards
 
@@ -56,18 +56,12 @@ class LBlameMsg:
 
 
 @dataclass(frozen=True)
-class CommitClaim:
-    slot: LeaderSlot
-    verdict: Verdict
-    block: Optional[BlockRef]
-
-
-@dataclass(frozen=True)
 class CoreUpdateMsg:
-    """A guard's attested view of newly decided leader slots."""
+    """A guard's attested view of newly decided leader slots: its
+    committer's own decisions, shared, not copied."""
 
     guard: int
-    claims: tuple[CommitClaim, ...]
+    claims: tuple[SlotDecision, ...]
     tag: str
 
 

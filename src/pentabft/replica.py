@@ -12,8 +12,7 @@ requester holds most of what lies below; a block it still lacks there, such
 as an equivocator's other fork, parks the shipped block that needs it, and
 that block's own request names it, so it ships.
 
-Validation stays with the subclasses: a guard records evidence between
-validating a block and admitting it.
+Validation stays with the subclasses.
 """
 
 from __future__ import annotations

@@ -179,8 +179,9 @@ class Simulator:
         self.record_events = record_events
         self.event_lines: list[str] = []
         self.delivery_count = 0
-        # (send, frm, to, recv) per delivery; captured with event recording
-        self.delivery_log: list[tuple[int, NodeId, NodeId, int]] = []
+        # (send, frm, to, recv) per delivery later than the network model's
+        # bound; checked with event recording
+        self.late_deliveries: list[tuple[int, NodeId, NodeId, int]] = []
         # calendar queue: heap of distinct pending times, and per time a FIFO
         # of (seq, kind, node, a, b) entries; a DELIVER carries (sender,
         # message), a TIMER (timer id, generation), a CALL ("", function)
@@ -221,8 +222,8 @@ class Simulator:
         at = now + (delay if delay > 0 else 1)
         self._push(at, DELIVER, to, frm, payload)
         self.delivery_count += 1
-        if self.record_events:
-            self.delivery_log.append((now, frm, to, at))
+        if self.record_events and at > self.network.delivery_bound(now):
+            self.late_deliveries.append((now, frm, to, at))
 
     def broadcast(self, frm: NodeId, payload: object, now: int) -> None:
         for node_id in self.nodes:

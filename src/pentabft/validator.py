@@ -51,7 +51,6 @@ class CoreValidator(Replica):
         self.current_round = 0  # highest round this validator proposed in
         self.round_entry_vtime: dict[int, int] = {0: 0}
         self.leader_deadline: Optional[int] = None
-        self.proposed_rounds: set[int] = {0}
         # the virtual time each `committer.decision_events` entry formed at
         self.decision_vtimes: list[int] = []
         self.crashed = False
@@ -157,8 +156,7 @@ class CoreValidator(Replica):
         return None
 
     def _enter_round(self, next_round: int, now: int) -> None:
-        assert next_round not in self.proposed_rounds, "honest nodes propose once per round"
-        self.proposed_rounds.add(next_round)
+        assert next_round not in self.round_entry_vtime, "honest nodes propose once per round"
         self.current_round = next_round
         self.round_entry_vtime[next_round] = now
         self.leader_deadline = now + self.leader_timeout

@@ -8,16 +8,12 @@ from pentabft.committer import (
     Committer,
     InsufficientShares,
     LeaderSlot,
-    MisalignedRound,
     MissingDecisions,
     SlotDecision,
     Verdict,
-    WaveCoords,
     get_leader_blocks,
     leader_of,
-    propose_round_of,
     validate_stake_split,
-    wave_coords,
 )
 from pentabft.dagcore import CoinShare, Committee, Dag, Mode, genesis_blocks, make_block
 
@@ -32,25 +28,37 @@ from oracles import (
 from test_dagcore import build_vote_fixture, full_round
 
 
+def make_committer(mode, rounds=0):
+    """A committer over `rounds` full rounds; async blocks carry coin shares."""
+    committee = Committee.of_size(6, mode)
+    dag = Dag(committee)
+    for r in range(1, rounds + 1):
+        parents = [dag.first_block_by(a, r - 1).ref() for a in sorted(dag.authors_at_round(r - 1))]
+        for m in committee.members:
+            dag.insert(make_block(m, r, parents, coin_share=CoinShare(m, r)))
+    coin = CommonCoin(b"epoch-seed", committee) if mode is Mode.ASYNC else None
+    return Committer(dag, committee, coin=coin)
+
+
 class TestWaveArithmetic:
     def test_two_round_waves(self):
-        assert wave_coords(6, WaveCoords(0, 2)) == (3, 6, 7)
-        assert wave_coords(7, WaveCoords(1, 2)) == (3, 7, 8)
+        c = make_committer(Mode.PARTIAL_SYNC)
+        assert (c.decision_round(6), c.decision_round(7)) == (7, 8)
 
     def test_three_round_waves(self):
-        wave, propose, decision = wave_coords(6, WaveCoords(0, 3))
-        assert (wave, propose, decision) == (2, 6, 8)
-
-    def test_misaligned_round_rejected(self):
-        with pytest.raises(MisalignedRound):
-            wave_coords(5, WaveCoords(0, 2))
+        c = make_committer(Mode.ASYNC, rounds=11)
+        assert c.decision_round(6) == 8
+        # rounds 6, 7 and 8 each propose a slot of wave 2; its coin is
+        # combined from the shares of the slot's own decision round
+        for r in (6, 7, 8):
+            assert c._slot_coin(LeaderSlot(r, 0)) == CoinOutput(2, c.coin.output_for(2))
+        assert c._slot_coin(LeaderSlot(9, 0)).wave == 3
 
     def test_every_round_proposes_some_wave(self):
-        for r in range(1, 30):
-            for wl in (2, 3):
-                wave, propose, decision = propose_round_of(r, wl)
-                assert propose == r
-                assert decision == r + wl - 1
+        for mode, wl in ((Mode.PARTIAL_SYNC, 2), (Mode.ASYNC, 3)):
+            c = make_committer(mode)
+            for r in range(1, 30):
+                assert c.decision_round(r) == r + wl - 1
 
 
 class TestLeaderSchedule:

@@ -4,7 +4,7 @@ recovery agreement, and reconfiguration."""
 import pytest
 
 from pentabft import guard as guard_module
-from pentabft.committer import LeaderSlot, Verdict
+from pentabft.committer import LeaderSlot, SlotDecision, Verdict
 from pentabft.dagcore import BlockRef, Committee, Dag, genesis_blocks, make_block
 from pentabft.guard import (
     BlameSet,
@@ -18,12 +18,13 @@ from pentabft.guard import (
     lblame_tag,
     recover_tag,
     relay_tag,
+    update_tag,
 )
 from pentabft.messages import (
     AgreementRelay,
     Broadcast,
     BlockMsg,
-    CommitClaim,
+    CoreUpdateMsg,
     LBlameMsg,
     RecoverProposal,
     RecoveryDone,
@@ -58,6 +59,15 @@ def feed_round(guard, r, authors=None, now=0):
     return blocks, actions
 
 
+def echoed(actions):
+    """The blocks a guard's actions echo to every node."""
+    return [
+        a.payload.block
+        for a in actions
+        if isinstance(a, Broadcast) and isinstance(a.payload, BlockMsg)
+    ]
+
+
 def attest(accused, r, guards):
     return [LBlameMsg(g, accused, r, lblame_tag(g, accused, r)) for g in guards]
 
@@ -78,24 +88,46 @@ class TestLivenessAccounting:
         one = make_block(2, 2, parents, (b"a",))
         two = make_block(2, 2, parents, (b"b",))
         deliver(g, [one], "v2", 200)
-        assert 2 not in g.asleep(2)
+        assert 2 not in g.asleep(2) and (2, 2) in g.responded
         actions = deliver(g, [two], "v2", 300)
-        echoes = [a for a in actions if isinstance(a, Broadcast) and isinstance(a.payload, BlockMsg)]
-        assert echoes == []  # second version retained as evidence only
-        assert g.evidence[(2, 2)].keys() == {one.digest, two.digest}
+        assert echoed(actions) == []  # second version kept in the fork table only
+        assert {b.digest for b in g.dag.blocks_by(2, 2)} == {one.digest, two.digest}
+        assert 2 in g.dag.equivocators(2)
+
+    def test_only_a_timely_first_version_is_echoed(self):
+        g = make_guard()
+        blocks, _ = feed_round(g, 1, authors=(0, 1, 2, 3, 4), now=100)
+        stored = [b.ref() for b in blocks[:5]]
+        # timely first version, parked on author 5's undelivered block
+        parked = make_block(2, 2, stored[:4] + [blocks[5].ref()], (b"parked",))
+        sibling = make_block(2, 2, stored, (b"sibling",))
+        assert echoed(deliver(g, [parked], "v2", 150)) == [parked]
+        assert parked.ref() not in g.dag
+        assert (2, 2) in g.responded and 2 not in g.asleep(2)
+        assert echoed(deliver(g, [sibling], "v2", 160)) == []
+        assert echoed(deliver(g, [blocks[5]], "v5", 170)) == [blocks[5]]
+        assert parked.ref() in g.dag and 2 in g.dag.equivocators(2)
+        assert echoed(deliver(g, [parked], "g1", 180)) == []
+        # late first version: the accounting clock passed round 2 meanwhile
+        g.now_round = 3
+        late = [make_block(4, 2, stored, (tag,)) for tag in (b"late-a", b"late-b")]
+        for block in late:
+            assert echoed(deliver(g, [block], "v4", 200)) == []
+        assert (4, 2) not in g.responded and 4 in g.asleep(2)
+        assert {b.digest for b in g.dag.blocks_by(4, 2)} == {b.digest for b in late}
 
     def test_held_block_skips_intake(self, monkeypatch):
         g = make_guard()
         block = full_round_blocks(g.dag, g.committee, 1)[1]
         checked = count_validations(monkeypatch, guard_module)
-        first = deliver(g, [block], "v1", 100)
-        echoes = [a for a in first if isinstance(a, Broadcast) and isinstance(a.payload, BlockMsg)]
-        assert [a.payload.block for a in echoes] == [block]
-        evidence = {key: dict(versions) for key, versions in g.evidence.items()}
+        assert echoed(deliver(g, [block], "v1", 100)) == [block]
+        stored, responded = len(g.dag), set(g.responded)
         # another guard's echo brings the same object back
         assert g.ingest_block(block, "g1", 100) == []
         assert len(checked) == 1 and checked[0] is block
-        assert g.evidence == evidence and g.evidence[(1, 1)][block.digest] is block
+        assert (len(g.dag), g.responded) == (stored, responded)
+        (held,) = g.dag.blocks_by(1, 1)
+        assert held is block
 
     def test_forged_copy_of_a_held_block_is_still_rejected(self, monkeypatch):
         from pentabft.dagcore import Block, auth_tag_for
@@ -109,7 +141,8 @@ class TestLivenessAccounting:
         assert g.ingest_block(forged, "v4", 100) == []
         assert len(checked) == 1 and checked[0] is forged
         assert len(g.invalid_evidence) == 1 and g.invalid_evidence[0][0] is forged
-        assert g.evidence[(1, 1)][block.digest] is block
+        (held,) = g.dag.blocks_by(1, 1)
+        assert held is block and 1 not in g.dag.equivocators(1)
 
     def test_late_block_ignored_for_liveness(self):
         g = make_guard()
@@ -244,30 +277,37 @@ class TestCheckEquivocation:
     def test_overlap_of_double_voters(self):
         g, committee, block_b, block_p, *_ = build_conflict_guard()
         slot = LeaderSlot(2, 0)
-        g.committed[slot] = CommitClaim(slot, Verdict.COMMIT, block_b.ref())
-        claim = CommitClaim(slot, Verdict.COMMIT, block_p.ref())
-        members, proof = g.check_equivocation([claim], 40)
-        assert members == {1, 2, 3, 4}
-        bs = BlameSet(SAFETY, frozenset(members), proof)
+        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        bs = g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_p.ref()))
+        assert bs.kind == SAFETY and bs.members == {1, 2, 3, 4}
         assert is_valid_blameset(bs, committee, GUARDS)
 
     def test_no_conflict_returns_none(self):
         g, committee, block_b, *_ = build_conflict_guard()
         slot = LeaderSlot(2, 0)
-        g.committed[slot] = CommitClaim(slot, Verdict.COMMIT, block_b.ref())
-        claim = CommitClaim(slot, Verdict.COMMIT, block_b.ref())
-        assert g.check_equivocation([claim], 40) is None
+        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        assert g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_b.ref())) is None
+        assert g.check_equivocation(SlotDecision(LeaderSlot(2, 1), Verdict.SKIP)) is None
 
     def test_commit_versus_skip_conflict(self):
         g, committee, block_b, block_p, *_ = build_conflict_guard()
         slot = LeaderSlot(2, 0)
-        g.committed[slot] = CommitClaim(slot, Verdict.COMMIT, block_b.ref())
-        claim = CommitClaim(slot, Verdict.SKIP, None)
-        members, proof = g.check_equivocation([claim], 40)
-        assert len(members) >= committee.f + 1
-        assert proof.block_b is None
-        bs = BlameSet(SAFETY, frozenset(members), proof)
+        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        bs = g.check_equivocation(SlotDecision(slot, Verdict.SKIP))
+        assert len(bs.members) >= committee.f + 1
+        assert bs.proof.block_b is None
         assert is_valid_blameset(bs, committee, GUARDS)
+
+    def test_remote_conflict_starts_recovery(self):
+        g, committee, block_b, block_p, *_ = build_conflict_guard()
+        g.recovery_input = g.session = None  # forget the pair scan's recovery
+        slot = LeaderSlot(2, 0)
+        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        claims = (SlotDecision(slot, Verdict.COMMIT, block_p.ref()),)
+        actions = g.on_remote_update(CoreUpdateMsg(1, claims, update_tag(1, claims)), 40)
+        assert g.recovery_input.to_text() == g.check_equivocation(claims[0]).to_text()
+        assert any(isinstance(a, Broadcast) and isinstance(a.payload, AgreementRelay) for a in actions)
+        assert g.remote_claims[slot] == {block_p.digest: claims[0]}
 
     def test_pair_scan_detects_enough_equivocators(self):
         g, committee, *_ = build_conflict_guard()
@@ -326,8 +366,8 @@ class TestSafetyScan:
         deliver(g, [fork_b], "v2", 21)  # parked: its parent `hidden` is missing
         assert fork_b.ref() not in g.dag
         assert calls == []
-        # storing the parked version changes neither input of the key's pair,
-        # so only a key left unmemoized is scanned again
+        # the key is a fork of the replica, and so scanned, once the parked
+        # version is stored
         deliver(g, [hidden], "v5", 22)
         assert fork_b.ref() in g.dag
         assert (2, 2) in calls

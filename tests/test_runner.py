@@ -70,7 +70,9 @@ class TestFaultFree:
     def test_delivery_bounds_hold(self):
         cfg = short(scenarios.fault_free(1, rounds=10), record_events=True)
         result = run(cfg, seed=4)
-        assert result.sim.delivery_log, "bound scan needs the recorded log"
+        assert result.sim.record_events, "the bound check rides on event recording"
+        assert result.sim.delivery_count > 0
+        assert result.sim.late_deliveries == []
         assert check_delivery_bounds(result) == []
 
 

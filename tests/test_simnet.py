@@ -1,10 +1,14 @@
 """Simulator engine: determinism, delivery bounds, timers, epochs, fault budgets."""
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import pytest
 
 from pentabft.faults import FaultPlan
 from pentabft.dagcore import Committee
 from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest, SyncResponse
+from pentabft.runner import check_delivery_bounds
 from pentabft.simnet import (
     Asynchronous,
     BudgetExceeded,
@@ -37,6 +41,25 @@ class Recorder(Node):
         return list(self.script.get(("timer", timer_id), []))
 
 
+def sent_and_received(node):
+    """(send time, receive time) of each message `node` got; every payload
+    is named `m<send time>`."""
+    return [(int(payload[1:]), now) for kind, now, _, payload in node.log if kind == "deliver"]
+
+
+@dataclass(frozen=True)
+class Overshooting:
+    """A faulty network model: every delay is twice the bound it states."""
+
+    delta: int
+
+    def delay(self, rng, now):
+        return 2 * self.delta
+
+    def delivery_bound(self, send_time):
+        return send_time + self.delta
+
+
 def make_sim(network=None, seed=1, record_events=True, **kwargs):
     sim = Simulator(network or Synchronous(1000), seed, record_events=record_events, **kwargs)
     nodes = [Recorder(f"n{i}") for i in range(3)]
@@ -59,11 +82,13 @@ class TestDelivery:
         for t in range(0, 60_000, 1500):
             sim.send("n0", "n1", f"m{t}", t)
         sim.run()
-        assert len(sim.delivery_log) == 40
-        for send_time, frm, to, recv in sim.delivery_log:
+        received = sent_and_received(nodes[1])
+        assert len(received) == 40
+        for send_time, recv in received:
             assert recv <= max(send_time, net.gst) + net.delta
             if send_time >= net.gst:
                 assert recv == send_time + net.delta
+        assert sim.late_deliveries == []
 
     def test_asynchronous_cap(self):
         net = Asynchronous(base=1000, cap=8000, benign=False)
@@ -71,9 +96,28 @@ class TestDelivery:
         for t in range(0, 30_000, 700):
             sim.send("n0", "n2", f"m{t}", t)
         sim.run()
-        delays = [recv - s for s, _, _, recv in sim.delivery_log]
+        delays = [recv - s for s, recv in sent_and_received(nodes[2])]
+        assert len(delays) == 43
         assert all(1 <= d <= 8000 for d in delays)
         assert len(set(delays)) > 3  # genuinely perturbed
+        assert sim.late_deliveries == []
+
+    def test_delivery_past_the_bound_is_reported(self):
+        sim, nodes = make_sim(Overshooting(1000))
+        sim.send("n0", "n1", "m0", 0)
+        sim.send("n0", "n2", "m500", 500)
+        sim.run()
+        assert sim.late_deliveries == [(0, "n0", "n1", 2000), (500, "n0", "n2", 2500)]
+        assert check_delivery_bounds(SimpleNamespace(sim=sim)) == [
+            "delivery n0->n1 at 2000 exceeds bound 1000",
+            "delivery n0->n2 at 2500 exceeds bound 1500",
+        ]
+        # the check rides on event recording
+        sim, nodes = make_sim(Overshooting(1000), record_events=False)
+        sim.send("n0", "n1", "m0", 0)
+        sim.run()
+        assert nodes[1].log == [("deliver", 2000, "n0", "m0")]
+        assert sim.late_deliveries == []
 
     def test_equal_time_ties_resolve_by_sequence(self):
         sim, nodes = make_sim()
