@@ -384,7 +384,7 @@ def criterion_guard_safety(seeds: int = 3) -> CriterionResult:
         record = result.record
         state = result.epochs[0]
         committee = state.committee
-        corrupt = set(cfg.splitview_corrupt())
+        corrupt = cfg.faulty_validators()
         delta = cfg.delta
         t_g = (cfg.guards - 1) // 2
         slot_key = f"{cfg.splitview_round}/0"
@@ -460,7 +460,7 @@ def criterion_guard_safety(seeds: int = 3) -> CriterionResult:
 def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optional[SlotDecision]:
     """The divergent camp's claim for the attacked slot, as seen by `guard`."""
     slot = LeaderSlot(slot_round, 0)
-    mine = guard.committed.get(slot)
+    mine = guard.committer.sequenced(slot)
     other = None
     if mine is not None and mine.verdict is Verdict.COMMIT:
         mine_hex = mine.block.digest.hex()

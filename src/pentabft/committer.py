@@ -463,6 +463,14 @@ class Committer:
             node = node.parent
         return [ref for batch in reversed(batches) for ref in batch]
 
+    def sequenced(self, slot: LeaderSlot) -> Optional[SlotDecision]:
+        """The verdict of `slot` if it is in the gap-free committed prefix."""
+        l = self.leaders_per_round
+        idx = (slot.round - 1) * l + slot.rank
+        if 0 <= slot.rank < l and 0 <= idx < len(self.sequence):
+            return self.sequence[idx]
+        return None
+
     def decided_slots(self) -> dict[LeaderSlot, SlotDecision]:
         return {d.slot: d for d in self._decided.values()}
 

@@ -14,11 +14,8 @@ capability boundary of the simulated adversary is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .committer import leader_of, LeaderSlot
-from .dagcore import Block, BlockRef, Committee, Mode, ValidatorId, make_block
+from .dagcore import Block, BlockRef, ValidatorId, make_block
 from .guard import (
     BlameSet,
     Guard,
@@ -30,74 +27,44 @@ from .guard import (
 from .messages import (
     Action,
     AgreementRelay,
-    ArmTimer,
     BlockMsg,
     Broadcast,
     NodeId,
     RecoverProposal,
     Send,
+    guard_node,
+    validator_node,
 )
-from .simnet import BudgetExceeded
-from .validator import LEADER_TIMER, CoreValidator
-
-
-@dataclass(frozen=True)
-class SplitViewSpec:
-    """Scripted safety attack: 3f corrupt validators fork one leader slot.
-
-    `attack_round` must have a corrupt slot-0 leader and a corrupt slot-0
-    leader two rounds later (the anchor): the leader forks its proposal, the
-    corrupt validators fork their votes so one camp sees a strong certificate
-    and the other camp's anchor links only the non-voting versions.
-    """
-
-    attack_round: int
-    corrupt: tuple[ValidatorId, ...]
-    camp_a_validators: tuple[ValidatorId, ...]
-    camp_b_validators: tuple[ValidatorId, ...]
-    camp_a_guards: tuple[int, ...]
-    camp_b_guards: tuple[int, ...]
+from .scenarios import ScenarioConfig
+from .validator import CoreValidator
 
 
 class SplitViewScript:
-    """Shared registry of the attack's forked blocks, per variant."""
+    """Scripted safety attack: 3f corrupt validators fork one leader slot.
 
-    def __init__(self, spec: SplitViewSpec):
-        self.spec = spec
-        self.blocks: dict[tuple[str, ValidatorId, int], Block] = {}
+    The attacked round has a corrupt slot-0 leader and so has the round two
+    later (the anchor): the leader forks its proposal, the corrupt
+    validators fork their votes so one camp sees a strong certificate, and
+    the other camp's anchor links only the non-voting versions. Each camp
+    is half of the honest validators and half of the guards, as node ids.
+    `forks` holds the two versions of each block the attack forks, by
+    (author, round), for the corrupt validators to read.
+    """
 
-    def register(self, variant: str, block: Block) -> None:
-        self.blocks[(variant, block.author, block.round)] = block
-
-    def get(self, variant: str, author: ValidatorId, round_: int) -> Optional[Block]:
-        return self.blocks.get((variant, author, round_))
-
-
-@dataclass
-class FaultPlan:
-    """Per-validator strategies plus optional guard misbehavior."""
-
-    crash: dict[ValidatorId, int] = field(default_factory=dict)
-    equivocate: tuple[ValidatorId, ...] = ()
-    withhold: dict[ValidatorId, tuple[ValidatorId, ...]] = field(default_factory=dict)
-    splitview: Optional[SplitViewSpec] = None
-    byz_guards: dict[int, str] = field(default_factory=dict)  # gid -> policy
-
-    def faulty_validators(self) -> set[ValidatorId]:
-        out = set(self.crash) | set(self.equivocate) | set(self.withhold)
-        if self.splitview is not None:
-            out |= set(self.splitview.corrupt)
-        return out
-
-    def check_budget(self, committee: Committee, beyond_f_allowed: bool) -> None:
-        faulty = self.faulty_validators()
-        unknown = faulty - set(committee.members)
-        if unknown:
-            raise BudgetExceeded(f"faulty ids {sorted(unknown)} not in committee")
-        if not beyond_f_allowed and len(faulty) > committee.f:
-            raise BudgetExceeded(
-                f"{len(faulty)} corrupt validators exceed the budget f={committee.f}"
-            )
+    def __init__(self, config: ScenarioConfig):
+        self.attack_round = config.splitview_round
+        self.corrupt = config.splitview_corrupt()
+        honest = [v for v in range(config.n) if v not in self.corrupt]
+        half = (len(honest) + 1) // 2
+        g_half = (config.guards + 1) // 2
+        self.camp_a = tuple(
+            [validator_node(v) for v in honest[:half]] + [guard_node(g) for g in range(g_half)]
+        )
+        self.camp_b = tuple(
+            [validator_node(v) for v in honest[half:]]
+            + [guard_node(g) for g in range(g_half, config.guards)]
+        )
+        self.forks: dict[tuple[ValidatorId, int], tuple[Block, Block]] = {}
 
 
 class CrashValidator(CoreValidator):
@@ -122,24 +89,14 @@ class EquivocatingValidator(CoreValidator):
         self.camp_a = camp_a
         self.camp_b = camp_b
 
-    def _advance_once(self, now: int) -> list[Action]:
-        if not self._can_advance(now):
-            return []
-        next_round = self.current_round + 1
+    def _propose(self, next_round: int, txs: tuple[bytes, ...]) -> tuple[list[Block], list[Action]]:
         parents = self._build_parents()
-        txs = tuple(self.pending_transactions)
-        self.pending_transactions.clear()
         share = self._next_coin_share(next_round)
         one = make_block(self.me, next_round, parents, txs + (b"variant/a",), share)
         two = make_block(self.me, next_round, parents, txs + (b"variant/b",), share)
-        self._enter_round(next_round, now)
-        self.dag.insert(one)
-        self.dag.insert(two)
         actions: list[Action] = [Send(to, BlockMsg(one)) for to in self.camp_a]
         actions.extend(Send(to, BlockMsg(two)) for to in self.camp_b)
-        if self.committee.mode is Mode.PARTIAL_SYNC:
-            actions.append(ArmTimer(LEADER_TIMER, self.leader_timeout))
-        return actions
+        return [one, two], self._with_leader_timer(actions)
 
 
 class WithholdVotesValidator(CoreValidator):
@@ -159,110 +116,56 @@ class WithholdVotesValidator(CoreValidator):
 
 
 class SplitViewValidator(CoreValidator):
-    """One corrupt participant of the scripted view-split attack."""
+    """One corrupt participant of the scripted view-split attack. Its three
+    scripted rounds arm no leader timer."""
 
-    def __init__(
-        self,
-        *args,
-        script: SplitViewScript,
-        camp_a_nodes: tuple[NodeId, ...],
-        camp_b_nodes: tuple[NodeId, ...],
-        corrupt_nodes: tuple[NodeId, ...],
-        **kwargs,
-    ):
+    def __init__(self, *args, script: SplitViewScript, **kwargs):
         super().__init__(*args, **kwargs)
         self.script = script
-        self.camp_a_nodes = camp_a_nodes
-        self.camp_b_nodes = camp_b_nodes
-        self.corrupt_nodes = corrupt_nodes
 
-    def _advance_once(self, now: int) -> list[Action]:
-        spec = self.script.spec
-        next_round = self.current_round + 1
-        if next_round == spec.attack_round and self._is_slot_leader(next_round):
-            return self._fork_proposal(next_round, now, b"fork")
-        if next_round == spec.attack_round + 1:
-            return self._fork_votes(next_round, now)
-        if next_round == spec.attack_round + 2 and self._is_slot_leader(next_round):
-            return self._anchor_proposal(next_round, now)
-        return super()._advance_once(now)
+    def _propose(self, next_round: int, txs: tuple[bytes, ...]) -> tuple[list[Block], list[Action]]:
+        script = self.script
+        r = script.attack_round
+        if next_round == r and self._is_slot_leader(r):
+            return self._fork(next_round, txs, b"fork", {}, {})
+        if next_round == r + 1:
+            leader = leader_of(LeaderSlot(r, 0), self.committee)
+            forked = script.forks.get((leader, r))
+            if forked is not None:
+                return self._fork(next_round, txs, b"vote", {leader: forked[0]}, {leader: forked[1]})
+        if next_round == r + 2 and self._is_slot_leader(next_round):
+            # the anchor links the corrupt voters' non-voting versions
+            picks = {
+                a: script.forks[(a, r + 1)][1]
+                for a in self.dag.authors_at_round(r + 1)
+                if (a, r + 1) in script.forks
+            }
+            block = make_block(self.me, next_round, self._parents(picks), txs)
+            return [block], [Broadcast(BlockMsg(block))]
+        return super()._propose(next_round, txs)
 
     def _is_slot_leader(self, r: int) -> bool:
         return leader_of(LeaderSlot(r, 0), self.committee) == self.me
 
-    def _split_send(self, one: Block, two: Block) -> list[Action]:
-        actions: list[Action] = [
-            Send(to, BlockMsg(one)) for to in self.camp_a_nodes
-        ]
-        actions.extend(Send(to, BlockMsg(two)) for to in self.camp_b_nodes)
-        for peer in self.corrupt_nodes:
-            if peer != f"v{self.me}":
-                actions.append(Send(peer, BlockMsg(one)))
-                actions.append(Send(peer, BlockMsg(two)))
-        return actions
+    def _parents(self, picks: dict[ValidatorId, Block]) -> list[BlockRef]:
+        """The honest parent set, with `picks` standing in for its authors."""
+        chosen = {**self.dag.round_view(self.current_round), **picks}
+        return [chosen[a].ref() for a in sorted(chosen)]
 
-    def _fork_proposal(self, next_round: int, now: int, marker: bytes) -> list[Action]:
-        if not self._can_advance(now):
-            return []
-        parents = self._build_parents()
-        txs = tuple(self.pending_transactions)
-        self.pending_transactions.clear()
-        one = make_block(self.me, next_round, parents, txs + (marker + b"/a",))
-        two = make_block(self.me, next_round, parents, txs + (marker + b"/b",))
-        self.script.register("A", one)
-        self.script.register("B", two)
-        self._enter_round(next_round, now)
-        self.dag.insert(one)
-        self.dag.insert(two)
-        return self._split_send(one, two)
-
-    def _fork_votes(self, next_round: int, now: int) -> list[Action]:
-        if not self._can_advance(now):
-            return []
-        spec = self.script.spec
-        leader = leader_of(LeaderSlot(spec.attack_round, 0), self.committee)
-        variant_a = self.script.get("A", leader, spec.attack_round)
-        variant_b = self.script.get("B", leader, spec.attack_round)
-        if variant_a is None or variant_b is None:
-            return super()._advance_once(now)
-        prev = self.current_round
-        base = {
-            a: self.dag.first_block_by(a, prev).ref()
-            for a in sorted(self.dag.authors_at_round(prev))
-        }
-        parents_a = dict(base)
-        parents_a[leader] = variant_a.ref()
-        parents_b = dict(base)
-        parents_b[leader] = variant_b.ref()
-        txs = tuple(self.pending_transactions)
-        self.pending_transactions.clear()
-        one = make_block(self.me, next_round, [parents_a[a] for a in sorted(parents_a)], txs + (b"vote/a",))
-        two = make_block(self.me, next_round, [parents_b[a] for a in sorted(parents_b)], txs + (b"vote/b",))
-        self.script.register("A", one)
-        self.script.register("B", two)
-        self._enter_round(next_round, now)
-        self.dag.insert(one)
-        self.dag.insert(two)
-        return self._split_send(one, two)
-
-    def _anchor_proposal(self, next_round: int, now: int) -> list[Action]:
-        if not self._can_advance(now):
-            return []
-        spec = self.script.spec
-        prev = self.current_round
-        parents: dict[ValidatorId, BlockRef] = {}
-        for a in sorted(self.dag.authors_at_round(prev)):
-            scripted = self.script.get("B", a, prev)
-            if scripted is not None and a in spec.corrupt:
-                parents[a] = scripted.ref()
-            else:
-                parents[a] = self.dag.first_block_by(a, prev).ref()
-        txs = tuple(self.pending_transactions)
-        self.pending_transactions.clear()
-        block = make_block(self.me, next_round, [parents[a] for a in sorted(parents)], txs)
-        self._enter_round(next_round, now)
-        self.dag.insert(block)
-        return [Broadcast(BlockMsg(block))]
+    def _fork(self, next_round, txs, marker: bytes, picks_a, picks_b) -> tuple[list[Block], list[Action]]:
+        """Two versions of this node's block, variant A to camp A and B to
+        camp B; every corrupt peer gets both."""
+        one = make_block(self.me, next_round, self._parents(picks_a), txs + (marker + b"/a",))
+        two = make_block(self.me, next_round, self._parents(picks_b), txs + (marker + b"/b",))
+        script = self.script
+        script.forks[(self.me, next_round)] = (one, two)
+        actions: list[Action] = [Send(to, BlockMsg(one)) for to in script.camp_a]
+        actions.extend(Send(to, BlockMsg(two)) for to in script.camp_b)
+        for peer in script.corrupt:
+            if peer != self.me:
+                actions.append(Send(validator_node(peer), BlockMsg(one)))
+                actions.append(Send(validator_node(peer), BlockMsg(two)))
+        return [one, two], actions
 
 
 class SilentGuard(Guard):

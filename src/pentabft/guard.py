@@ -81,6 +81,44 @@ def relay_tag(guard: int, proposer: int, proposal: RecoverProposal) -> str:
     return f"relay:{guard}:{proposer}:{h}"
 
 
+# -- input shapes ---------------------------------------------------------------
+# A peer's message is checked field by field before its tag is computed, so
+# a malformed field drops the message instead of raising in the handler.
+
+
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def _well_formed_ref(ref) -> bool:
+    return type(ref) is BlockRef and _ints(ref.author, ref.round) and type(ref.digest) is bytes
+
+
+def _well_formed_claim(claim, ranks: int) -> bool:
+    """A decided leader slot of round >= 1 and rank below `ranks`: a commit
+    names a block ref, a skip names none."""
+    if type(claim) is not SlotDecision or type(claim.slot) is not LeaderSlot:
+        return False
+    r, k = claim.slot.round, claim.slot.rank
+    if not (_ints(r, k) and r >= 1 and 0 <= k < ranks):
+        return False
+    if claim.verdict is Verdict.COMMIT:
+        return _well_formed_ref(claim.block)
+    return claim.verdict is Verdict.SKIP and claim.block is None
+
+
+def _well_formed_relay(relay: AgreementRelay) -> bool:
+    p = relay.proposal
+    return (
+        type(relay.chain) is tuple and type(relay.chain_tags) is tuple
+        and _ints(relay.proposer, *relay.chain)
+        and all(type(t) is str for t in relay.chain_tags)
+        and type(p) is RecoverProposal and _ints(p.guard)
+        and type(p.blameset_text) is str and type(p.tag) is str
+        and (p.branch is None or _well_formed_ref(p.branch))
+    )
+
+
 # -- blamesets ----------------------------------------------------------------
 
 
@@ -295,7 +333,7 @@ class Guard(Replica):
         # at its last fruitless safety scan; both only grow, so an equal pair
         # means the scan would find nothing again
         self._scanned_inputs: dict[tuple, tuple[int, int]] = {}
-        self.committed: dict[LeaderSlot, SlotDecision] = {}
+        # remote claims on slots not yet in this guard's own commit sequence
         self.remote_claims: dict[LeaderSlot, dict[bytes, SlotDecision]] = {}
         self._claimed = 0  # committer.sequence prefix already claimed
 
@@ -444,8 +482,6 @@ class Guard(Replica):
             return []
         claims = tuple(seq[self._claimed :])
         self._claimed = len(seq)
-        for c in claims:
-            self.committed[c.slot] = c
         return self.on_core_update(claims, now)
 
     def on_core_update(self, claims: tuple[SlotDecision, ...], now: int) -> list[Action]:
@@ -460,7 +496,9 @@ class Guard(Replica):
         return actions
 
     def _conflicting_claim(self, mine: SlotDecision) -> Optional[SlotDecision]:
-        remotes = self.remote_claims.get(mine.slot)
+        """The first held remote claim that contradicts `mine`; the slot's
+        claims are dropped, since its own verdict is now in the sequence."""
+        remotes = self.remote_claims.pop(mine.slot, None)
         if not remotes:
             return None
         for claim in remotes.values():
@@ -470,21 +508,30 @@ class Guard(Replica):
 
     @staticmethod
     def _claims_conflict(a: SlotDecision, b: SlotDecision) -> bool:
-        if a.slot != b.slot:
-            return False
+        """Whether two verdicts on one slot contradict each other."""
         va, vb = a.verdict, b.verdict
         if va is Verdict.COMMIT and vb is Verdict.COMMIT:
             return a.block.digest != b.block.digest
         return {va, vb} == {Verdict.COMMIT, Verdict.SKIP}
 
     def on_remote_update(self, msg: CoreUpdateMsg, now: int) -> list[Action]:
-        if msg.tag != update_tag(msg.guard, msg.claims):
+        """Check a remote guard's claims against this guard's sequence, and
+        hold those on slots it has not sequenced yet."""
+        ranks = self.leaders_per_round
+        if not (
+            type(msg.guard) is int
+            and type(msg.claims) is tuple
+            and all(_well_formed_claim(c, ranks) for c in msg.claims)
+            and msg.tag == update_tag(msg.guard, msg.claims)
+        ):
             return []
         actions: list[Action] = []
         for claim in msg.claims:
-            key = claim.block.digest if claim.block else claim.verdict.value.encode()
-            self.remote_claims.setdefault(claim.slot, {})[key] = claim
-            actions.extend(self._recover_on_conflict(claim, now))
+            if self.committer.sequenced(claim.slot) is None:
+                key = claim.block.digest if claim.block else claim.verdict.value.encode()
+                self.remote_claims.setdefault(claim.slot, {})[key] = claim
+            else:
+                actions.extend(self._recover_on_conflict(claim, now))
         return actions
 
     def _recover_on_conflict(self, claim: SlotDecision, now: int) -> list[Action]:
@@ -503,7 +550,7 @@ class Guard(Replica):
         carried certificates; None without a conflict or with the committed
         side missing from the replica.
         """
-        mine = self.committed.get(claim.slot)
+        mine = self.committer.sequenced(claim.slot)
         if mine is None or not self._claims_conflict(mine, claim):
             return None
         if mine.verdict is Verdict.COMMIT and claim.verdict is Verdict.COMMIT:
@@ -577,9 +624,12 @@ class Guard(Replica):
 
     def on_lblame(self, msg: LBlameMsg, now: int) -> list[Action]:
         """Record one guard's attestation; majority promotes the accused."""
-        if msg.tag != lblame_tag(msg.guard, msg.accused, msg.round):
-            return []
-        if not (0 <= msg.guard < self.guard_count):
+        if not (
+            _ints(msg.guard, msg.accused, msg.round)
+            and 0 <= msg.guard < self.guard_count
+            and type(msg.tag) is str
+            and msg.tag == lblame_tag(msg.guard, msg.accused, msg.round)
+        ):
             return []
         key = (msg.accused, msg.round)
         per_guard = self.blames.setdefault(key, {})
@@ -687,7 +737,7 @@ class Guard(Replica):
     def on_recover_msg(self, relay: AgreementRelay, now: int) -> list[Action]:
         """Adopt a first valid proposal if idle, then echo-forward per the
         signature-chain schedule."""
-        if not self._verify_chain(relay):
+        if not (_well_formed_relay(relay) and self._verify_chain(relay)):
             return []
         actions: list[Action] = []
         if self.recovery_input is None:

@@ -19,10 +19,8 @@ from .faults import (
     BogusProposalGuard,
     CrashValidator,
     EquivocatingValidator,
-    FaultPlan,
     SilentGuard,
     SplitViewScript,
-    SplitViewSpec,
     SplitViewValidator,
     WithholdVotesValidator,
 )
@@ -265,7 +263,7 @@ class EpochState:
     start_vtime: int
     validators: dict[ValidatorId, CoreValidator]
     guards: dict[int, Guard]
-    faulty: set[ValidatorId]
+    faulty: frozenset[ValidatorId]
     faulty_guards: set[int]
     end_vtime: int = -1
 
@@ -290,31 +288,6 @@ def _network_for(config: ScenarioConfig):
     )
 
 
-def build_fault_plan(config: ScenarioConfig) -> FaultPlan:
-    splitview = None
-    if config.splitview_round:
-        r = config.splitview_round
-        corrupt = config.splitview_corrupt()
-        honest = tuple(v for v in range(config.n) if v not in corrupt)
-        half = (len(honest) + 1) // 2
-        g_half = (config.guards + 1) // 2
-        splitview = SplitViewSpec(
-            attack_round=r,
-            corrupt=corrupt,
-            camp_a_validators=honest[:half],
-            camp_b_validators=honest[half:],
-            camp_a_guards=tuple(range(g_half)),
-            camp_b_guards=tuple(range(g_half, config.guards)),
-        )
-    return FaultPlan(
-        crash=dict(config.crash),
-        equivocate=config.equivocate,
-        withhold={v: ts for v, ts in config.withhold},
-        splitview=splitview,
-        byz_guards=dict(config.byz_guards),
-    )
-
-
 class Runner:
     def __init__(self, config: ScenarioConfig, seed: int):
         config.validate()
@@ -327,7 +300,7 @@ class Runner:
             horizon=config.horizon_vtime(),
         )
         self.sim.on_recovery_done = self._on_recovery_done
-        if build_fault_plan(config).faulty_validators():
+        if config.faulty_validators():
             # forged-identity containment only matters with an adversary around
             self.sim.outbound_check = self._outbound_check
         self.epochs: list[EpochState] = []
@@ -342,10 +315,11 @@ class Runner:
     # -- epoch construction ---------------------------------------------------------
 
     def _start_epoch(self, committee: Committee, start_vtime: int) -> None:
+        """Build an epoch's nodes. The config's adversary acts in the first
+        epoch only: a restart excludes the nodes recovery blamed, and the
+        reduced committee runs honestly."""
         config = self.config
         epoch = committee.epoch
-        plan = build_fault_plan(config) if epoch == 0 else FaultPlan()
-        plan.check_budget(committee, config.beyond_f)
         coin = None
         if committee.mode is Mode.ASYNC:
             key = hashlib.blake2b(
@@ -356,15 +330,15 @@ class Runner:
         node_ids = [validator_node(v) for v in committee.members] + [
             guard_node(g) for g in range(config.guards)
         ]
-        script = SplitViewScript(plan.splitview) if plan.splitview else None
+        script = SplitViewScript(config) if epoch == 0 and config.splitview_round else None
 
         validators: dict[ValidatorId, CoreValidator] = {}
         for v in committee.members:
-            validators[v] = self._make_validator(v, committee, coin, plan, script, node_ids)
+            validators[v] = self._make_validator(v, committee, coin, script, node_ids)
             validators[v].max_round = config.rounds
         guards: dict[int, Guard] = {}
         for g in range(config.guards):
-            guards[g] = self._make_guard(g, committee, plan)
+            guards[g] = self._make_guard(g, committee)
             guards[g].max_round = config.rounds
 
         state = EpochState(
@@ -373,8 +347,8 @@ class Runner:
             start_vtime,
             validators,
             guards,
-            plan.faulty_validators(),
-            set(plan.byz_guards),
+            config.faulty_validators() if epoch == 0 else frozenset(),
+            {g for g, _ in config.byz_guards} if epoch == 0 else set(),
         )
         self.epochs.append(state)
         self.sim.start_epoch(
@@ -383,55 +357,43 @@ class Runner:
             start_vtime,
         )
 
-    def _make_validator(self, v, committee, coin, plan: FaultPlan, script, node_ids):
+    def _make_validator(self, v, committee, coin, script, node_ids):
+        config = self.config
         kwargs = dict(
-            leaders_per_round=self.config.leaders_per_round,
-            delta=self.config.delta,
+            leaders_per_round=config.leaders_per_round,
+            delta=config.delta,
             coin=coin,
         )
-        if v in plan.crash:
-            self.sim.inject(validator_node(v), f"crash at round {plan.crash[v]}", 0)
-            return CrashValidator(v, committee, crash_round=plan.crash[v], **kwargs)
-        if v in plan.equivocate:
-            others = tuple(n for n in node_ids if n != validator_node(v))
+        if committee.epoch:
+            return CoreValidator(v, committee, **kwargs)
+        node = validator_node(v)
+        crash = dict(config.crash)
+        withhold = dict(config.withhold)
+        if v in crash:
+            self.sim.inject(node, f"crash at round {crash[v]}", 0)
+            return CrashValidator(v, committee, crash_round=crash[v], **kwargs)
+        if v in config.equivocate:
+            others = tuple(n for n in node_ids if n != node)
             half = len(others) // 2
-            self.sim.inject(validator_node(v), "equivocate split-send", 0)
+            self.sim.inject(node, "equivocate split-send", 0)
             return EquivocatingValidator(
                 v, committee, camp_a=others[:half], camp_b=others[half:], **kwargs
             )
-        if v in plan.withhold:
-            self.sim.inject(validator_node(v), f"withhold votes {plan.withhold[v]}", 0)
-            return WithholdVotesValidator(v, committee, targets=plan.withhold[v], **kwargs)
-        if plan.splitview and v in plan.splitview.corrupt:
-            spec = plan.splitview
-            camp_a = tuple(
-                [validator_node(x) for x in spec.camp_a_validators]
-                + [guard_node(g) for g in spec.camp_a_guards]
-            )
-            camp_b = tuple(
-                [validator_node(x) for x in spec.camp_b_validators]
-                + [guard_node(g) for g in spec.camp_b_guards]
-            )
-            corrupt_nodes = tuple(validator_node(x) for x in spec.corrupt)
-            self.sim.inject(validator_node(v), f"splitview corrupt r={spec.attack_round}", 0)
-            return SplitViewValidator(
-                v,
-                committee,
-                script=script,
-                camp_a_nodes=camp_a,
-                camp_b_nodes=camp_b,
-                corrupt_nodes=corrupt_nodes,
-                **kwargs,
-            )
+        if v in withhold:
+            self.sim.inject(node, f"withhold votes {withhold[v]}", 0)
+            return WithholdVotesValidator(v, committee, targets=withhold[v], **kwargs)
+        if script is not None and v in script.corrupt:
+            self.sim.inject(node, f"splitview corrupt r={script.attack_round}", 0)
+            return SplitViewValidator(v, committee, script=script, **kwargs)
         return CoreValidator(v, committee, **kwargs)
 
-    def _make_guard(self, g: int, committee: Committee, plan: FaultPlan) -> Guard:
+    def _make_guard(self, g: int, committee: Committee) -> Guard:
         kwargs = dict(
             guard_count=self.config.guards,
             delta=self.config.delta,
             leaders_per_round=self.config.leaders_per_round,
         )
-        policy = plan.byz_guards.get(g)
+        policy = dict(self.config.byz_guards).get(g) if committee.epoch == 0 else None
         if policy == "silent":
             self.sim.inject(guard_node(g), "silent guard", 0)
             return SilentGuard(g, committee, **kwargs)
@@ -650,10 +612,7 @@ def verify_scenario(config: ScenarioConfig, record: RunRecord) -> list[str]:
             failures.append("honest guards did not agree on a recovery outcome")
         else:
             kind, members = next(iter(agreed))
-            faulty_ids = {v for v, _ in config.crash}
-            if config.splitview_round:
-                faulty_ids |= set(config.splitview_corrupt())
-            if not set(members) <= faulty_ids:
+            if not set(members) <= config.faulty_validators():
                 failures.append(f"recovery blamed honest members {members}")
         if len(record.epochs) < 2:
             failures.append("no restart epoch after recovery")

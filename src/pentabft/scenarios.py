@@ -1,15 +1,15 @@
 """Scenario configuration and the named experiment catalog.
 
-Configs are plain data: committee sizing, protocol/network modes, the fault
-plan in descriptive form, and run limits. They serialize to a key=value text
-format so experiments can be kept in files and diffed.
+Configs are plain data: committee sizing, protocol/network modes, the
+adversary (who is faulty and how), and run limits. They serialize to a
+key=value text format so experiments can be kept in files and diffed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .simnet import ConfigError
+from .simnet import BudgetExceeded, ConfigError
 
 SYNC = "sync"
 PARTIAL = "partial"
@@ -70,6 +70,12 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown guard policy {policy!r}")
             if not (0 <= gid < self.guards):
                 raise ConfigError("byzantine guard id out of range")
+        faulty = self.faulty_validators()
+        unknown = faulty - set(range(self.n))
+        if unknown:
+            raise BudgetExceeded(f"faulty ids {sorted(unknown)} not in committee")
+        if not self.beyond_f and len(faulty) > self.f:
+            raise BudgetExceeded(f"{len(faulty)} corrupt validators exceed the budget f={self.f}")
 
     def horizon_vtime(self) -> int:
         per_round = {
@@ -81,6 +87,14 @@ class ScenarioConfig:
         guard_slack = (14 + self.guards) * self.delta if self.guards else 0
         base = self.gst if self.network == PARTIAL else 0
         return base + (self.rounds + 12) * per_round + guard_slack + self.extra_vtime
+
+    def faulty_validators(self) -> frozenset[int]:
+        """Every corrupt validator of the first epoch; a restarted epoch has none."""
+        faulty = {v for v, _ in self.crash} | set(self.equivocate)
+        faulty |= {v for v, _ in self.withhold}
+        if self.splitview_round:
+            faulty |= set(self.splitview_corrupt())
+        return frozenset(faulty)
 
     def splitview_corrupt(self) -> tuple[int, ...]:
         """The view-split attack's corrupt trio: the attacked round's leader

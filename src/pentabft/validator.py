@@ -107,33 +107,33 @@ class CoreValidator(Replica):
         return [(s.round, s.rank, v.value, rule, t, vtime) for (s, v, rule, t), vtime in events]
 
     def _advance_once(self, now: int) -> list[Action]:
-        """One advance attempt; honest nodes broadcast exactly one new block."""
-        block = self.try_advance_round(now)
-        if block is None:
+        """Enter the next round once the previous one is quorate and its
+        leaders are either all present or timed out, draining the whole
+        transaction queue into this round's proposal."""
+        if not self._can_advance(now):
             return []
-        actions: list[Action] = [Broadcast(BlockMsg(block))]
+        next_round = self.current_round + 1
+        txs = tuple(self.pending_transactions)
+        self.pending_transactions.clear()
+        blocks, actions = self._propose(next_round, txs)
+        self._enter_round(next_round, now)
+        for block in blocks:
+            self.dag.insert(block)
+        return actions
+
+    def _propose(self, next_round: int, txs: tuple[bytes, ...]) -> tuple[list[Block], list[Action]]:
+        """This round's blocks and the actions that send them. An honest node
+        broadcasts one block whose parents take one block from every author
+        stored at the previous round (lowest digest when an author
+        equivocated)."""
+        block = make_block(self.me, next_round, self._build_parents(), txs,
+                           self._next_coin_share(next_round))
+        return [block], self._with_leader_timer([Broadcast(BlockMsg(block))])
+
+    def _with_leader_timer(self, actions: list[Action]) -> list[Action]:
         if self.committee.mode is Mode.PARTIAL_SYNC:
             actions.append(ArmTimer(LEADER_TIMER, self.leader_timeout))
         return actions
-
-    def try_advance_round(self, now: int) -> Optional[Block]:
-        """Produce the next round's block when the previous round is quorate
-        and its leaders are either all present or timed out.
-
-        Parents take one block from every author stored at the previous round
-        (lowest digest when an author equivocated); the transaction queue is
-        drained fully into the new block.
-        """
-        if not self._can_advance(now):
-            return None
-        next_round = self.current_round + 1
-        parents = self._build_parents()
-        txs = tuple(self.pending_transactions)
-        self.pending_transactions.clear()
-        block = make_block(self.me, next_round, parents, txs, self._next_coin_share(next_round))
-        self._enter_round(next_round, now)
-        self.dag.insert(block)
-        return block
 
     def _can_advance(self, now: int) -> bool:
         prev = self.current_round

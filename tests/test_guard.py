@@ -1,10 +1,14 @@
 """Guard layer: liveness accounting, blamesets, equivocation resolution,
 recovery agreement, and reconfiguration."""
 
+from dataclasses import fields, is_dataclass, replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentabft import guard as guard_module
-from pentabft.committer import LeaderSlot, SlotDecision, Verdict
+from pentabft.committer import LeaderSlot, SlotDecision, Verdict, leader_of
 from pentabft.dagcore import BlockRef, Committee, Dag, genesis_blocks, make_block
 from pentabft.guard import (
     BlameSet,
@@ -30,6 +34,7 @@ from pentabft.messages import (
     RecoveryDone,
     SyncRequest,
 )
+from pentabft.runner import GuardAdapter
 
 from replica_path import count_validations, deliver
 
@@ -274,25 +279,27 @@ def build_conflict_guard():
 
 
 class TestCheckEquivocation:
+    def own_commit(self, g, block_b):
+        slot = LeaderSlot(2, 0)
+        assert g.committer.sequenced(slot) == SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        return slot
+
     def test_overlap_of_double_voters(self):
         g, committee, block_b, block_p, *_ = build_conflict_guard()
-        slot = LeaderSlot(2, 0)
-        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        slot = self.own_commit(g, block_b)
         bs = g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_p.ref()))
         assert bs.kind == SAFETY and bs.members == {1, 2, 3, 4}
         assert is_valid_blameset(bs, committee, GUARDS)
 
     def test_no_conflict_returns_none(self):
         g, committee, block_b, *_ = build_conflict_guard()
-        slot = LeaderSlot(2, 0)
-        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        slot = self.own_commit(g, block_b)
         assert g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_b.ref())) is None
         assert g.check_equivocation(SlotDecision(LeaderSlot(2, 1), Verdict.SKIP)) is None
 
     def test_commit_versus_skip_conflict(self):
         g, committee, block_b, block_p, *_ = build_conflict_guard()
-        slot = LeaderSlot(2, 0)
-        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        slot = self.own_commit(g, block_b)
         bs = g.check_equivocation(SlotDecision(slot, Verdict.SKIP))
         assert len(bs.members) >= committee.f + 1
         assert bs.proof.block_b is None
@@ -301,13 +308,29 @@ class TestCheckEquivocation:
     def test_remote_conflict_starts_recovery(self):
         g, committee, block_b, block_p, *_ = build_conflict_guard()
         g.recovery_input = g.session = None  # forget the pair scan's recovery
-        slot = LeaderSlot(2, 0)
-        g.committed[slot] = SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        slot = self.own_commit(g, block_b)
         claims = (SlotDecision(slot, Verdict.COMMIT, block_p.ref()),)
         actions = g.on_remote_update(CoreUpdateMsg(1, claims, update_tag(1, claims)), 40)
         assert g.recovery_input.to_text() == g.check_equivocation(claims[0]).to_text()
         assert any(isinstance(a, Broadcast) and isinstance(a.payload, AgreementRelay) for a in actions)
-        assert g.remote_claims[slot] == {block_p.digest: claims[0]}
+        # checked against the guard's own verdict at once, so not held
+        assert slot not in g.remote_claims
+
+    def test_remote_claim_held_until_the_slot_is_sequenced(self):
+        committee = Committee.of_size(6)
+        g = make_guard(0, committee)
+        round1, _ = feed_round(g, 1, now=10)
+        slot = LeaderSlot(1, 0)
+        assert g.committer.sequenced(slot) is None
+        leader = round1[leader_of(slot, committee)]
+        claims = (SlotDecision(slot, Verdict.COMMIT, leader.ref()),)
+        assert g.on_remote_update(CoreUpdateMsg(1, claims, update_tag(1, claims)), 15) == []
+        assert g.remote_claims == {slot: {leader.digest: claims[0]}}
+        feed_round(g, 2, now=20)
+        assert g.committer.sequenced(slot) == claims[0]
+        assert g.remote_claims == {} and g.recovery_input is None
+        # a rank outside the round's leader slots names no sequenced slot
+        assert g.committer.sequenced(LeaderSlot(1, 2)) is None
 
     def test_pair_scan_detects_enough_equivocators(self):
         g, committee, *_ = build_conflict_guard()
@@ -384,6 +407,157 @@ class TestSyncServing:
             assert g.on_sync_request(SyncRequest(refs, (-1,) * 6), "v5") == []
         (resp,) = g.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5")
         assert ref in {b.ref() for b in resp.payload.blocks}
+
+
+def idle_conflict_guard():
+    """The conflict guard with the pair scan's recovery forgotten, so remote
+    claims and relays reach the checks behind the recovery gate."""
+    g, committee, block_b, block_p, *_ = build_conflict_guard()
+    g.recovery_input = g.session = None
+    return g, block_b, block_p
+
+
+def guard_intake(g, msg, now=40):
+    return GuardAdapter(g).deliver(msg, "g1", now)
+
+
+class TestHostileGuardInput:
+    """Each of these messages used to raise inside the guard and abort the
+    run; now a malformed field drops the message."""
+
+    def test_commit_claim_without_a_block_on_a_sequenced_slot(self):
+        g, block_b, _ = idle_conflict_guard()
+        claims = (SlotDecision(LeaderSlot(2, 0), Verdict.COMMIT, None),)
+        assert guard_intake(g, CoreUpdateMsg(1, claims, update_tag(1, claims))) == []
+        assert g.remote_claims == {} and g.recovery_input is None
+
+    def test_commit_claim_without_a_block_on_a_later_slot(self):
+        committee = Committee.of_size(6)
+        g = make_guard(0, committee)
+        feed_round(g, 1, now=10)
+        claims = (SlotDecision(LeaderSlot(1, 0), Verdict.COMMIT, None),)
+        assert guard_intake(g, CoreUpdateMsg(1, claims, update_tag(1, claims)), 15) == []
+        feed_round(g, 2, now=20)  # the guard now commits the slot itself
+        assert g.committer.sequenced(LeaderSlot(1, 0)) is not None
+        assert g.recovery_input is None
+
+    def test_claim_that_is_no_decision(self):
+        g, *_ = idle_conflict_guard()
+        assert guard_intake(g, CoreUpdateMsg(1, (None,), "update:1:0")) == []
+        assert g.remote_claims == {}
+
+    def test_blame_from_a_guard_that_is_no_int(self):
+        g, *_ = idle_conflict_guard()
+        msg = LBlameMsg("x", 2, 5, lblame_tag("x", 2, 5))
+        assert guard_intake(g, msg) == []
+        assert g.blames == {}
+
+    def test_relay_chain_of_strings(self):
+        g, *_ = idle_conflict_guard()
+        text = "blameset kind=liveness members=4,5 round=1\n"
+        proposal = RecoverProposal("a", text, None, recover_tag("a", text, None))
+        relay = AgreementRelay("a", proposal, ("a",), (relay_tag("a", "a", proposal),))
+        assert guard_intake(g, relay) == []
+        assert g.session is None
+
+
+def junk():
+    return st.one_of(
+        st.none(), st.integers(-2, 8), st.booleans(), st.text(max_size=3),
+        st.binary(max_size=3), st.tuples(st.integers(0, 3)),
+    )
+
+
+def field_paths(value, prefix=()):
+    """The path to every field of a message, nested ones included."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield prefix + (f.name,)
+            yield from field_paths(getattr(value, f.name), prefix + (f.name,))
+    elif type(value) is tuple:
+        for i, item in enumerate(value):
+            yield prefix + (i,)
+            yield from field_paths(item, prefix + (i,))
+
+
+def with_field(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if type(value) is tuple:
+        return value[:head] + (with_field(value[head], rest, new),) + value[head + 1 :]
+    return replace(value, **{head: with_field(getattr(value, head), rest, new)})
+
+
+def signed(msg):
+    """`msg` with the tags its content calls for, wherever they compute."""
+    try:
+        if type(msg) is CoreUpdateMsg:
+            return replace(msg, tag=update_tag(msg.guard, msg.claims))
+        if type(msg) is LBlameMsg:
+            return replace(msg, tag=lblame_tag(msg.guard, msg.accused, msg.round))
+        p = msg.proposal
+        p = replace(p, tag=recover_tag(p.guard, p.blameset_text, p.branch))
+        tags = tuple(relay_tag(g, msg.proposer, p) for g in msg.chain)
+        return replace(msg, proposal=p, chain_tags=tags)
+    except (AttributeError, TypeError):
+        return msg
+
+
+@st.composite
+def hostile_message(draw, refs):
+    """A well-formed guard message with at most one field replaced by a value
+    of the wrong shape, then signed again or not."""
+    gid = st.integers(0, GUARDS - 1)
+    verdicts = st.sampled_from([Verdict.COMMIT, Verdict.SKIP])
+    claim = st.builds(
+        lambda r, k, v, ref: SlotDecision(LeaderSlot(r, k), v, ref if v is Verdict.COMMIT else None),
+        st.integers(1, 5), st.integers(0, 1), verdicts, st.sampled_from(refs),
+    )
+    text = "blameset kind=liveness members=4,5 round=1\n"
+    msg = draw(st.one_of(
+        st.builds(CoreUpdateMsg, gid, st.lists(claim, min_size=1, max_size=3).map(tuple), st.just("")),
+        st.builds(LBlameMsg, gid, st.integers(0, 5), st.integers(0, 5), st.just("")),
+        st.builds(
+            lambda g, branch, more: AgreementRelay(
+                g, RecoverProposal(g, text, branch, ""), (g,) + more, ()
+            ),
+            gid, st.none() | st.sampled_from(refs), st.sampled_from([(), (3,), (3, 4)]),
+        ),
+    ))
+    msg = signed(msg)
+    path = draw(st.none() | st.sampled_from(list(field_paths(msg))))
+    if path is not None:
+        msg = with_field(msg, path, draw(junk()))
+    return signed(msg) if draw(st.booleans()) else msg
+
+
+_REFS = [b.ref() for b in build_conflict_guard()[2:4]]  # block_b and block_p
+
+
+def well_formed(claim, ranks):
+    slot = claim.slot
+    if not (type(slot) is LeaderSlot and type(slot.round) is int and type(slot.rank) is int):
+        return False
+    if slot.round < 1 or not 0 <= slot.rank < ranks:
+        return False
+    if claim.verdict is Verdict.SKIP:
+        return claim.block is None
+    return claim.verdict is Verdict.COMMIT and type(claim.block) is BlockRef and type(
+        claim.block.digest
+    ) is bytes
+
+
+class TestGuardIntakeProperty:
+    @given(msgs=st.lists(hostile_message(_REFS), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_hostile_payloads_never_raise_nor_land_malformed(self, msgs):
+        g, *_ = idle_conflict_guard()
+        for i, msg in enumerate(msgs):
+            guard_intake(g, msg, now=40 + i)
+        for slot, claims in g.remote_claims.items():
+            for claim in claims.values():
+                assert claim.slot == slot and well_formed(claim, g.leaders_per_round)
 
 
 class TestIsValidBlameset:

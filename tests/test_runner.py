@@ -7,6 +7,7 @@ import pytest
 
 from pentabft import scenarios
 from pentabft.dagcore import make_block
+from pentabft.guard import Guard
 from pentabft.messages import BlockMsg, Broadcast, Send, SyncResponse
 from pentabft.runner import (
     Runner,
@@ -16,6 +17,7 @@ from pentabft.runner import (
     run_record,
     verify_scenario,
 )
+from pentabft.validator import CoreValidator
 
 
 def short(cfg, **kw):
@@ -111,6 +113,30 @@ class TestCrash:
         assert epoch1.f == 0
         assert all(v.committed for v in epoch1.validators)
         assert verify_scenario(cfg, record) == []
+
+
+class TestAdversary:
+    @pytest.mark.parametrize("name", sorted(scenarios.CATALOG))
+    def test_first_epoch_corrupts_what_the_config_names(self, name):
+        cfg = scenarios.by_name(name)
+        result = run(cfg, seed=1)
+        first = result.epochs[0]
+        assert first.faulty == cfg.faulty_validators()
+        assert first.faulty_guards == {g for g, _ in cfg.byz_guards}
+        for node in result.record.epochs[0].validators:
+            assert node.faulty == (int(node.node[1:]) in cfg.faulty_validators())
+        # a restart excludes whom recovery blamed; the rest run honestly
+        for state in result.epochs[1:]:
+            assert state.faulty == frozenset() and state.faulty_guards == set()
+            assert all(type(v) is CoreValidator for v in state.validators.values())
+            assert all(type(g) is Guard for g in state.guards.values())
+
+    def test_faulty_validators_of_each_adversary(self):
+        assert scenarios.fault_free(1).faulty_validators() == frozenset()
+        assert scenarios.crash_f_plus_1().faulty_validators() == {4, 5}
+        assert scenarios.splitview_3f().faulty_validators() == {3, 4, 5}
+        withhold = scenarios.adversary_matrix("withhold", scenarios.SYNC, False)
+        assert withhold.faulty_validators() == {1}
 
 
 class TestCommitteeMemo:

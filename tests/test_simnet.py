@@ -5,10 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from pentabft.faults import FaultPlan
-from pentabft.dagcore import Committee
 from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest, SyncResponse
 from pentabft.runner import check_delivery_bounds
+from pentabft.scenarios import ScenarioConfig
 from pentabft.simnet import (
     Asynchronous,
     BudgetExceeded,
@@ -317,14 +316,12 @@ class TestCalendarQueue:
 
 class TestFaultBudget:
     def test_budget_enforced(self):
-        committee = Committee.of_size(6)
-        plan = FaultPlan(crash={4: 5, 5: 5})
+        cfg = ScenarioConfig("budget", crash=((4, 5), (5, 5)))
         with pytest.raises(BudgetExceeded):
-            plan.check_budget(committee, beyond_f_allowed=False)
-        plan.check_budget(committee, beyond_f_allowed=True)
+            cfg.validate()
+        ScenarioConfig("budget", crash=((4, 5), (5, 5)), beyond_f=True).validate()
 
     def test_unknown_ids_rejected(self):
-        committee = Committee.of_size(6)
-        plan = FaultPlan(crash={9: 5})
+        cfg = ScenarioConfig("budget", crash=((9, 5),), beyond_f=True)
         with pytest.raises(BudgetExceeded):
-            plan.check_budget(committee, beyond_f_allowed=True)
+            cfg.validate()
