@@ -11,9 +11,12 @@ commit / skip / undecided by tallying decision-round votes:
   anchor); a committed anchor commits the slot iff it links to a weak
   certificate (2f+1 votes), otherwise skips it.
 
-A decision pass re-checks only the open slots whose propose or decision
-round grew since the last pass, or whose anchor may have moved because a
-slot was decided since. The delivery order is obtained by linearizing each
+A slot can get a verdict only once its decision round holds a strong quorum
+of 4f+1 authors: below it no direct tally reaches 4f+1, and no block, so no
+anchor, is stored above the round. A decision pass therefore opens only when
+a quorate round has grown, and evaluates only the open slots whose quorate
+decision round grew since the last pass or that lie below a slot decided
+earlier in the pass. The delivery order is obtained by linearizing each
 committed leader's not-yet-delivered causal history depth-first, leader last.
 That batch depends only on the committed-leader prefix, so the committee's
 delivery log records it once and every node that commits the same prefix
@@ -202,12 +205,11 @@ class Committer:
     """Per-node decision state: evaluates slots and extends the commit sequence.
 
     Decisions are pure functions of the DAG snapshot; this class adds a store
-    of decided slots (a slot never leaves commit/skip once reached), a memo of
-    the inputs each open slot was last evaluated on, so that a decision pass
-    re-checks only the slots the DAG's growth or a new verdict made dirty,
-    and the monotone commit log with its place in the committee's delivery
-    log. Slots are keyed internally by their global index
-    `(round - 1) * leaders_per_round + rank`.
+    of decided slots (a slot never leaves commit/skip once reached), the DAG
+    size at the last decision pass, against which the DAG's quorum stamps
+    tell which decision rounds grew since, and the monotone commit log with
+    its place in the committee's delivery log. Slots are keyed internally by
+    their global index `(round - 1) * leaders_per_round + rank`.
     """
 
     def __init__(
@@ -228,12 +230,7 @@ class Committer:
             raise ValueError("async mode requires a common coin")
         self._decided: dict[int, SlotDecision] = {}  # slot index -> verdict
         self._coin_outputs: dict[int, CoinOutput] = {}
-        # open slot index -> the inputs of its last undecided evaluation; the
-        # version counts verdicts reached, so a new anchor invalidates it
-        self._slot_memo: dict[int, tuple[int, ...]] = {}
-        self._decided_version = 0
-        self._seen_blocks = 0  # len(dag) at the end of the last pass
-        self._stale_memos = False  # the last pass decided a slot
+        self._seen_blocks = 0  # len(dag) at the last pass that walked the slots
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         self.committed_leaders: list[BlockRef] = []
@@ -316,9 +313,10 @@ class Committer:
         decision round that is not skipped.
 
         `later` must yield the verdicts of the slots with a higher round,
-        ascending, without a gap up to the anchor. An undecided anchor leaves the slot undecided; a committed anchor commits
-        the first candidate with an anchor-linked weak certificate and skips
-        the slot when no candidate has one.
+        ascending, without a gap up to the anchor. An undecided anchor leaves
+        the slot undecided; a committed anchor commits the first candidate
+        with an anchor-linked weak certificate and skips the slot when no
+        candidate has one.
         """
         decision_round = self.decision_round(slot.round)
         anchor_decision: Optional[SlotDecision] = None
@@ -365,61 +363,46 @@ class Committer:
         extend the monotone commit log (`sequence`, `committed_leaders`,
         `delivery_sequence`); all three only ever grow by appending.
 
-        Undecided slots above the committed prefix are walked highest-first,
-        so each indirect decision sees every later verdict. A slot is
-        re-checked against its memo only if a block was stored at its propose
-        or decision round since the last pass, or if a slot was decided since
-        its memo was taken (the anchor may have moved): earlier in this pass,
-        or in the last pass, which leaves stale memos above its decisions.
+        The pass returns at once unless a quorate round grew since the last
+        one. Undecided slots above the committed prefix are walked
+        highest-first, so each indirect decision sees every later verdict.
+        A slot is evaluated only if its decision round is quorate and grew
+        since the last pass, or once a slot above it is decided in this
+        pass. Each evaluation left out would leave the slot undecided: a
+        block stored at the propose round after the decision round's blocks
+        has no vote among them, and every verdict of an earlier pass was
+        followed in that pass by an evaluation of each open slot below it.
         """
         dag = self.dag
-        seen = self._seen_blocks
-        size = len(dag)
-        if size == seen and not self._stale_memos:
+        since = self._seen_blocks
+        if dag.quorum_stamp <= since:
             return
-        self._seen_blocks = size
-        stamps = dag.round_stamps
-        recheck_all = self._stale_memos
+        self._seen_blocks = len(dag)
+        stamps = dag.quorum_stamps
         decided = self._decided
-        memo = self._slot_memo
         l = self.leaders_per_round
         wl = self.wave_length
-        strong = self.committee.strong_quorum
-        version = start_version = self._decided_version
         for r in range(dag.max_round, self._prefix_len // l, -1):
             dr = r + wl - 1
-            # a round's stamp moves exactly when a block is stored at it
-            stamp, dstamp = stamps.get(r, 0), stamps.get(dr, 0)
-            if not (recheck_all or stamp > seen or dstamp > seen):
+            # a round has a stamp once quorate, and it moves when the round grows
+            if stamps.get(dr, 0) <= since:
                 continue
-            quorate = dag.author_count(dr) >= strong
             base = (r - 1) * l
             for rank in range(l - 1, -1, -1):
                 idx = base + rank
                 if idx in decided:
                     continue
-                # the direct rule cannot fire below a strong quorum of voters,
-                # so only a newly decided later slot can change the outcome;
-                # above it the direct tallies change with every block
-                state = (1, stamp, dstamp, version) if quorate else (0, version)
-                if memo.get(idx) == state:
-                    continue
                 slot = LeaderSlot(r, rank)
                 rule = "direct"
-                d = self.try_direct_decide(slot) if quorate else None
-                if d is None or d.verdict is Verdict.UNDECIDED:
+                d = self.try_direct_decide(slot)
+                if d.verdict is Verdict.UNDECIDED:
                     d = self.try_indirect_decide(slot, self._later(dr))
                     rule = "indirect"
                 if d.verdict is Verdict.UNDECIDED:
-                    memo[idx] = state
                     continue
                 decided[idx] = d
-                memo.pop(idx, None)
-                version += 1
-                recheck_all = True
+                since = 0  # a new anchor: every quorate slot below is evaluated
                 self.decision_events.append((slot, d.verdict, rule, trigger_round))
-        self._decided_version = version
-        self._stale_memos = version != start_version
         while self._prefix_len in decided:
             d = decided[self._prefix_len]
             assert (d.slot.round - 1) * l + d.slot.rank == self._prefix_len, (

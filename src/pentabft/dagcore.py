@@ -404,8 +404,11 @@ class Dag:
         self._by_round: dict[int, dict[ValidatorId, Block]] = {}
         # round -> author -> all versions sorted by digest, for forked authors only
         self._forks: dict[int, dict[ValidatorId, list[Block]]] = {}
-        # round -> len(self) right after the round's latest insert
-        self.round_stamps: dict[int, int] = {}
+        # round -> len(self) right after the round's latest insert, for the
+        # rounds holding a strong quorum of authors; `quorum_stamp` is the
+        # latest of them, so it moves exactly when a quorate round grows
+        self.quorum_stamps: dict[int, int] = {}
+        self.quorum_stamp = 0
         self.max_round: int = 0
         self._memo = committee.memo
         if with_genesis:
@@ -468,7 +471,8 @@ class Dag:
             versions.append(block)
             versions.sort(key=lambda b: b.digest)
             per_round[author] = versions[0]
-        self.round_stamps[r] = len(self._by_digest)
+        if len(per_round) >= self._strong_quorum:
+            self.quorum_stamps[r] = self.quorum_stamp = len(self._by_digest)
         if r > self.max_round:
             self.max_round = r
 
@@ -477,6 +481,10 @@ class Dag:
     def authors_at_round(self, r: int) -> KeysView[ValidatorId]:
         """Authors with a stored round-r block, in first-insert order."""
         return self._by_round.get(r, {}).keys()
+
+    def quorate(self, r: int) -> bool:
+        """Whether round r holds blocks by a strong quorum of authors."""
+        return r in self.quorum_stamps
 
     def author_count(self, r: int) -> int:
         return len(self._by_round.get(r, ()))

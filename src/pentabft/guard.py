@@ -351,7 +351,7 @@ class Guard(Replica):
         while (
             self.recovery_input is None
             and (self.max_round is None or self.current_round < self.max_round)
-            and self.dag.author_count(self.current_round) >= self.committee.strong_quorum
+            and self.dag.quorate(self.current_round)
         ):
             self.current_round += 1
             actions.extend(self.on_round(self.current_round, now))

@@ -139,7 +139,7 @@ class CoreValidator(Replica):
         prev = self.current_round
         if self.max_round is not None and prev + 1 > self.max_round:
             return False
-        if self.dag.author_count(prev) < self.committee.strong_quorum:
+        if not self.dag.quorate(prev):
             return False
         if self.committee.mode is Mode.PARTIAL_SYNC:
             if not self._leaders_present(prev) and not self._leader_timer_expired(now):

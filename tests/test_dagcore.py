@@ -211,6 +211,46 @@ class TestInsert:
                 assert equivocation_of(dag, a, r) is None
 
 
+class TestQuorumStamp:
+    """A round gets a stamp, the DAG size, once it holds blocks by 4f+1
+    authors; every later block stored at it moves the stamp."""
+
+    def test_genesis_round_is_quorate(self, committee, dag):
+        assert dag.quorate(0)
+        assert dag.quorum_stamp == dag.quorum_stamps[0] == len(dag) == committee.size
+
+    def test_stamp_appears_at_the_strong_quorum(self, committee, dag):
+        parents = [dag.first_block_by(a, 0).ref() for a in range(5)]
+        for author in range(4):  # 4f authors
+            dag.insert(make_block(author, 1, parents))
+        assert dag.author_count(1) == 4 * committee.f
+        assert not dag.quorate(1) and 1 not in dag.quorum_stamps
+        assert dag.quorum_stamp == committee.size  # still genesis's
+        dag.insert(make_block(4, 1, parents))
+        assert dag.quorate(1)
+        assert dag.quorum_stamp == dag.quorum_stamps[1] == len(dag)
+        dag.insert(make_block(5, 1, parents))
+        assert dag.quorum_stamp == dag.quorum_stamps[1] == len(dag)
+
+    def test_forked_version_at_a_quorate_round_moves_the_stamp(self, committee, dag):
+        full_round(dag, committee, 1)
+        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        for author in range(5):
+            dag.insert(make_block(author, 2, parents, (b"a",)))
+        stamp = dag.quorum_stamps[2]
+        dag.insert(make_block(2, 2, parents, (b"b",)))
+        assert list(dag.equivocators(2)) == [2]
+        assert dag.author_count(2) == 5
+        assert dag.quorum_stamp == dag.quorum_stamps[2] == len(dag) == stamp + 1
+        # a fork below the quorum stamps nothing
+        above = [dag.first_block_by(a, 2).ref() for a in range(5)]
+        for txs in (b"a", b"b"):
+            dag.insert(make_block(0, 3, above, (txs,)))
+        assert list(dag.equivocators(3)) == [0]
+        assert not dag.quorate(3)
+        assert dag.quorum_stamp == stamp + 1
+
+
 class TestCommitteeMemo:
     def test_ancestors_of_an_unknown_ref_raise_after_a_sibling_cached_them(self, committee):
         holder = Dag(committee)

@@ -2,8 +2,10 @@
 vote-count oracles against recorded runs, certificate propagation, and
 boundary properties checked with hypothesis."""
 
+import functools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,11 +16,12 @@ from pentabft.committer import (
     linearize_one,
     validate_stake_split,
 )
-from pentabft.dagcore import Dag, decode_block, make_block
+from pentabft.dagcore import Committee, Dag, decode_block, make_block
 from pentabft.runner import Runner, run, run_record
 from pentabft import scenarios
 
 from oracles import decide_all, post_order
+from test_dagcore import full_round
 
 
 # -- independent oracle: naive recursive vote resolution -------------------------
@@ -168,8 +171,9 @@ class TestVerdictStability:
 
 
 class TestIncrementalPass:
-    """The decision pass re-checks only dirty slots; it must decide what the
-    memo-free full walk decides, and keep state only for open slots."""
+    """The decision pass evaluates only the slots whose quorate decision
+    round grew or that lie below a new verdict; it must decide what the full
+    walk over every slot decides."""
 
     def test_live_verdicts_match_full_walk_oracle(self):
         for cfg in (scenarios.async_adversarial(), scenarios.equivocate_f()):
@@ -228,20 +232,136 @@ class TestIncrementalPass:
                     assert fresh.sequence == live.sequence, (cfg.name, vid)
                     assert fresh.delivery_sequence == live.delivery_sequence
 
-    def test_memo_holds_only_open_slots(self):
-        peak = {}
+    def test_pass_waits_for_a_quorate_decision_round(self, monkeypatch):
+        """Blocks that leave their round below 4f+1 authors open no slot
+        evaluation, also right after a pass that decided slots."""
+        committee = Committee.of_size(6)
+        dag = Dag(committee)
+        committer = Committer(dag, committee)
+        for r in (1, 2, 3):
+            full_round(dag, committee, r)
+        committer.extend()
+        assert committer.sequence
+        calls = spy_on_rules(monkeypatch)
+        parents = [dag.first_block_by(a, 3).ref() for a in committee.members]
+        for author in range(4 * committee.f):
+            dag.insert(make_block(author, 4, parents))
+            committer.extend()
+        assert calls == []
+        # the strong quorum at round 4 opens round 3's slots
+        dag.insert(make_block(4 * committee.f, 4, parents))
+        committer.extend()
+        assert calls == ["try_direct_decide"] * committer.leaders_per_round
+
+    def test_each_decided_slot_is_evaluated_about_once(self, monkeypatch):
+        calls = spy_on_rules(monkeypatch)
+        per_slot = {}
         for rounds in (20, 40):
-            cfg = scenarios.async_fault_free(1, rounds=rounds)
-            state = run(cfg, 1).epochs[0]
-            l = cfg.leaders_per_round
-            for node in state.validators.values():
-                c = node.committer
-                assert node.dag.max_round >= rounds
-                # decided slots drop their memo entry
-                assert all(k >= c._prefix_len and k not in c._decided for k in c._slot_memo)
-            peak[rounds] = max(len(node.committer._slot_memo) for node in state.validators.values())
-        # doubling the run leaves the memo under the same small bound
-        assert peak[40] <= peak[20] < 4 * l
+            calls.clear()
+            state = run(scenarios.async_fault_free(1, rounds=rounds), 1).epochs[0]
+            decided = sum(len(node.committer.decided_slots()) for node in state.validators.values())
+            assert decided >= len(state.validators) * rounds
+            per_slot[rounds] = len(calls) / decided
+        # doubling the run keeps the evaluations per decision under one bound
+        assert max(per_slot.values()) < 1.5, per_slot
+
+
+def spy_on_rules(monkeypatch) -> list[str]:
+    """Record the name of each decision rule a committer calls from now on."""
+    calls: list[str] = []
+    for name in ("try_direct_decide", "try_indirect_decide"):
+        def spy(self, *args, _real=getattr(Committer, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(Committer, name, spy)
+    return calls
+
+
+REPLAYED = {
+    "async-adversarial": lambda: scenarios.async_adversarial(rounds=12),
+    "equivocate-f": lambda: scenarios.equivocate_f(rounds=12),
+    "splitview-3f": scenarios.splitview_3f,
+}
+
+
+@functools.cache
+def replay_source(name):
+    """Seed 1's epoch-0 state of a scenario and, for its first three honest
+    validators, the stored blocks above genesis in ascending rounds."""
+    cfg = REPLAYED[name]()
+    state = run(cfg, 1).epochs[0]
+    honest = sorted(set(state.validators) - state.faulty)[:3]
+    blocks = {}
+    for vid in honest:
+        dag = state.validators[vid].dag
+        blocks[vid] = [b for r in range(1, dag.max_round + 1) for b in dag.blocks_at_round(r)]
+    return cfg, state, blocks
+
+
+def parent_respecting_shuffle(blocks, rng):
+    """`blocks` in a random order in which every parent comes first."""
+    placed = {p.digest for b in blocks for p in b.parents if p.round == 0}
+    left, order = list(blocks), []
+    while left:
+        ready = [b for b in left if placed.issuperset(b.parent_digests)]
+        block = rng.choice(ready)
+        left.remove(block)
+        placed.add(block.digest)
+        order.append(block)
+    return order
+
+
+def contradictions(committer, dag, cfg, committee):
+    """Slots the committer decided one way and the full walk another way."""
+    decided = committer.decided_slots()
+    return [
+        d.slot
+        for d in decide_all(dag, committee, cfg.leaders_per_round, committer.coin)
+        if d.verdict is not Verdict.UNDECIDED and d.slot in decided and decided[d.slot] != d
+    ]
+
+
+class TestOrderIndependence:
+    """The commit sequence is a function of the DAG, not of the order in
+    which its blocks were stored or of where the decision passes fell."""
+
+    @pytest.mark.parametrize("name", sorted(REPLAYED))
+    @given(pick=st.integers(0, 2), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_replayed_orders_agree(self, name, pick, rng):
+        cfg, state, blocks = replay_source(name)
+        committee = state.committee
+        vid = sorted(blocks)[pick]
+        coin = state.validators[vid].committer.coin
+
+        def replay(order, skip):
+            dag = Dag(committee)
+            committer = Committer(dag, committee, cfg.leaders_per_round, coin)
+            sequences = []
+            for block in order:
+                dag.insert(block)
+                if skip():
+                    continue
+                committer.extend()
+                sequences.append(list(committer.sequence))
+                assert not contradictions(committer, dag, cfg, committee), (cfg.name, vid)
+            committer.extend()
+            return dag, committer, sequences
+
+        _, reference, _ = replay(blocks[vid], lambda: False)
+        dag, committer, sequences = replay(
+            parent_respecting_shuffle(blocks[vid], rng), lambda: rng.random() < 0.5
+        )
+        final = committer.sequence
+        assert final, (cfg.name, vid)
+        for seq in sequences:
+            assert final[: len(seq)] == seq, (cfg.name, vid)
+        decided = committer.decided_slots()
+        for d in decide_all(dag, committee, cfg.leaders_per_round, coin):
+            if d.verdict is not Verdict.UNDECIDED:
+                assert decided.get(d.slot) == d, (cfg.name, vid, d.slot)
+        assert final == reference.sequence, (cfg.name, vid)
+        assert committer.delivery_sequence == reference.delivery_sequence
 
 
 def fork_points(root):
