@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .committer import LeaderSlot, SlotDecision, Verdict, validate_stake_split
+from .dagcore import stored_history, unpruned
 from .guard import BlameSet, is_valid_blameset
 from .runner import check_prefix_consistency, run, run_record
 from .scenarios import (
@@ -555,12 +556,13 @@ def _async_structure_worker(job: tuple) -> dict:
     if with_crash:
         cfg = replace(cfg, crash=((5, rounds // 2),), name="async-crash")
     cfg.validate()
-    result = run(cfg, seed)
+    with stored_history() as log:  # the validator's own DAG drops old rounds
+        result = run(cfg, seed)
     state = result.epochs[0]
     committee = state.committee
     f = committee.f
     honest = [v for v in committee.members if v not in state.faulty]
-    dag = state.validators[honest[0]].dag
+    dag = unpruned(committee, log[state.validators[honest[0]].dag])
     ref_summary = next(
         v for v in result.record.epochs[0].validators if v.node == f"v{honest[0]}"
     )

@@ -17,10 +17,15 @@ anchor, is stored above the round. A decision pass therefore opens only when
 a quorate round has grown, and evaluates only the open slots whose quorate
 decision round grew since the last pass or that lie below a slot decided
 earlier in the pass. The delivery order is obtained by linearizing each
-committed leader's not-yet-delivered causal history depth-first, leader last.
-That batch depends only on the committed-leader prefix, so the committee's
-delivery log records it once and every node that commits the same prefix
-reuses it.
+committed leader's not-yet-delivered causal history depth-first, leader last,
+down to PRUNE_DEPTH rounds below the leader. That batch depends only on the
+committed-leader prefix, so the committee's delivery log records it once and
+every node that commits the same prefix reuses it.
+
+No later decision or linearization reads a round more than PRUNE_DEPTH
+below the committed prefix, so a pass that extends the prefix raises the
+DAG's floor to there (Bullshark, arXiv 2201.05677, collects the DAG a fixed
+depth below the last committed leader the same way).
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ from .dagcore import (
 )
 
 WAVE_LENGTH = {Mode.PARTIAL_SYNC: 2, Mode.ASYNC: 3}
+# rounds of history kept below the committed prefix, and linearized below a
+# leader; every golden record holds from 4 up, and 8 leaves a margin
+PRUNE_DEPTH = 8
 
 
 class PrefixNode:
@@ -205,11 +213,12 @@ class Committer:
     """Per-node decision state: evaluates slots and extends the commit sequence.
 
     Decisions are pure functions of the DAG snapshot; this class adds a store
-    of decided slots (a slot never leaves commit/skip once reached), the DAG
-    size at the last decision pass, against which the DAG's quorum stamps
-    tell which decision rounds grew since, and the monotone commit log with
-    its place in the committee's delivery log. Slots are keyed internally by
-    their global index `(round - 1) * leaders_per_round + rank`.
+    of decided slots (a slot never leaves commit/skip once reached), the
+    DAG's count of stored blocks at the last decision pass, against which
+    the DAG's quorum stamps tell which decision rounds grew since, and the
+    monotone commit log with its place in the committee's delivery log.
+    Slots are keyed internally by their global index
+    `(round - 1) * leaders_per_round + rank`.
     """
 
     def __init__(
@@ -230,7 +239,7 @@ class Committer:
             raise ValueError("async mode requires a common coin")
         self._decided: dict[int, SlotDecision] = {}  # slot index -> verdict
         self._coin_outputs: dict[int, CoinOutput] = {}
-        self._seen_blocks = 0  # len(dag) at the last pass that walked the slots
+        self._seen_blocks = 0  # dag.stored at the last pass that walked the slots
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         self.committed_leaders: list[BlockRef] = []
@@ -358,10 +367,12 @@ class Committer:
             if d.verdict is not Verdict.SKIP:
                 return
 
-    def extend(self, trigger_round: int = -1) -> None:
+    def extend(self, trigger_round: int = -1, keep: Optional[int] = None) -> None:
         """Decide what the DAG's growth since the last pass can decide, then
         extend the monotone commit log (`sequence`, `committed_leaders`,
-        `delivery_sequence`); all three only ever grow by appending.
+        `delivery_sequence`); all three only ever grow by appending. Last,
+        raise the DAG's floor to PRUNE_DEPTH rounds below the committed
+        prefix, but not above `keep`, where the caller's own reads need it.
 
         The pass returns at once unless a quorate round grew since the last
         one. Undecided slots above the committed prefix are walked
@@ -377,7 +388,7 @@ class Committer:
         since = self._seen_blocks
         if dag.quorum_stamp <= since:
             return
-        self._seen_blocks = len(dag)
+        self._seen_blocks = dag.stored
         stamps = dag.quorum_stamps
         decided = self._decided
         l = self.leaders_per_round
@@ -413,6 +424,9 @@ class Committer:
             if d.verdict is Verdict.COMMIT:
                 self.committed_leaders.append(d.block)
                 self._deliver(d.block)
+        if self.sequence:
+            floor = self.sequence[-1].slot.round - PRUNE_DEPTH
+            dag.prune(floor if keep is None else min(floor, keep))
 
     def _deliver(self, leader: BlockRef) -> None:
         """Move to the prefix one leader longer: take the batch `leader`
@@ -459,14 +473,17 @@ class Committer:
 
 
 def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[BlockRef]:
-    """Depth-first post-order of `leader`'s not-yet-emitted causal history.
+    """Depth-first post-order of `leader`'s not-yet-emitted causal history
+    down to PRUNE_DEPTH rounds below the leader.
 
     Parents are visited in their stored order and the leader closes its own
     batch, so repeated calls with a shared `emitted` set give the delivery
-    order across successive leaders without duplicates.
+    order across successive leaders without duplicates. The depth bound
+    makes the batch independent of how far a node has pruned.
     """
     if leader.digest in emitted:
         return []
+    lowest = leader.round - PRUNE_DEPTH
     out: list[BlockRef] = []
     get = dag.get_by_digest
     # iterative post-order; second stack entry marks "children done". A block
@@ -481,6 +498,8 @@ def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[Block
             out.append(block.ref())
             continue
         push((block, True))
+        if block.round <= lowest:
+            continue
         for d in reversed(block.parent_digests):
             if d not in emitted:
                 emitted.add(d)

@@ -1,18 +1,22 @@
 """Block DAG primitives: blocks, committees, validity checks, local storage.
 
 Every validator and guard keeps one `Dag` instance as its local view. Blocks
-reference each other by content digest; a block is stored only once its whole
-causal history is present, so reachability queries never hit dangling edges.
-Answers that are pure functions of blocks live in the committee's
-`CommitteeMemo`, shared by every node of the epoch.
+reference each other by content digest; a block is stored only once its
+causal history down to the DAG's floor is present, so reachability queries
+above the floor never hit dangling edges. The floor rises as the owner's
+committed prefix advances (`Dag.prune`), which keeps a long run's state
+bounded. Answers that are pure functions of blocks live in the committee's
+`CommitteeMemo`, shared by every node of the epoch and trimmed below the
+lowest floor among them.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, KeysView, Optional
+from typing import Iterable, Iterator, KeysView, Optional
 
 # A validator is identified by its stable index for the epoch.
 ValidatorId = int
@@ -89,14 +93,18 @@ class CommitteeMemo:
     """Memos of pure functions of content-addressed blocks, one per committee.
 
     A block's digest covers its parents' digests, and every holder of a block
-    stores its whole causal history, so a block's validity, its vote for an
-    (author, round), its ancestors at a round, and the batch a leader
+    stores its history down to its floor, so a block's validity, its vote for
+    an (author, round), its ancestors at a round, and the batch a leader
     delivers after a given committed-leader prefix are the same at every node
     that can ask. Each is computed once per committee, i.e. once per epoch,
     not once per validator and guard.
+
+    No node reads below its DAG's floor, so the validity, vote and ancestor
+    entries of the rounds below the lowest floor among the DAGs built for
+    the committee are dropped; each entry is filed under its round for that.
     """
 
-    __slots__ = ("valid", "votes", "ancestors", "delivery")
+    __slots__ = ("valid", "votes", "ancestors", "delivery", "floor", "_filed", "_floors")
 
     def __init__(self):
         # digest -> auth tag of a block found valid; the digest leaves out the
@@ -105,6 +113,39 @@ class CommitteeMemo:
         self.votes: dict[tuple, Optional[bytes]] = {}  # (support, author, round) -> digest
         self.ancestors: dict[tuple, frozenset] = {}  # (digest, round) -> digests
         self.delivery = None  # root of the committer's delivery log, built by the first committer
+        self.floor = 0  # the lowest floor among the committee's DAGs
+        # table name -> round -> the keys filed there, for the three tables above
+        self._filed: dict[str, dict[int, list]] = {"valid": {}, "votes": {}, "ancestors": {}}
+        self._floors: dict[int, int] = {}  # floor -> DAGs of the committee at it
+
+    def file(self, table: str, r: int, key) -> None:
+        """File `key` of `table` under round `r`, to drop once every floor passes it."""
+        filed = self._filed[table]
+        keys = filed.get(r)
+        if keys is None:
+            filed[r] = [key]
+        else:
+            keys.append(key)
+
+    def floor_moved(self, before: Optional[int], after: int) -> None:
+        """A DAG of the committee moved its floor from `before` (None for a
+        new DAG) to `after`; trim up to the new lowest floor, if it rose."""
+        floors = self._floors
+        if before is not None:
+            floors[before] -= 1
+            if not floors[before]:
+                del floors[before]
+        floors[after] = floors.get(after, 0) + 1
+        floor = min(floors)
+        rose = floor > self.floor
+        self.floor = floor
+        if not rose:
+            return
+        for name, filed in self._filed.items():
+            table = getattr(self, name)
+            for r in [r for r in filed if r < floor]:
+                for key in filed.pop(r):
+                    table.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -331,11 +372,13 @@ def validate_block(block: Block, committee: Committee) -> None:
     presence in async mode. Genesis blocks (round 0) carry no parents.
     """
     # a forged copy seen first must not condemn the original
-    cache = committee.memo.valid
+    memo = committee.memo
+    cache = memo.valid
     if cache.get(block.digest) == block.auth_tag:
         return
     _validate_uncached(block, committee)
     cache[block.digest] = block.auth_tag
+    memo.file("valid", block.round, block.digest)
 
 
 def _validate_uncached(block: Block, committee: Committee) -> None:
@@ -371,6 +414,7 @@ class InsertStatus(enum.Enum):
     INSERTED = "inserted"
     DUPLICATE = "duplicate"
     MISSING_ANCESTORS = "missing-ancestors"
+    BELOW_FLOOR = "below-floor"
 
 
 @dataclass(frozen=True)
@@ -381,6 +425,7 @@ class InsertOutcome:
 
 _INSERTED = InsertOutcome(InsertStatus.INSERTED)
 _DUPLICATE = InsertOutcome(InsertStatus.DUPLICATE)
+_BELOW_FLOOR = InsertOutcome(InsertStatus.BELOW_FLOOR)
 
 
 class Dag:
@@ -394,9 +439,15 @@ class Dag:
     Inserts are idempotent; a block is admitted only when all its parents are
     already present, which keeps the causal-completeness invariant by
     induction. Blocks are assumed validated by the caller.
+
+    The floor is the lowest round held: `prune` drops every round below it.
+    A block below the floor is refused, and a block at the floor is stored
+    without its parents, which lie below it (Narwhal's garbage collection,
+    arXiv 2105.11827), so the invariant holds down to the floor and no
+    block waits on a parent that can no longer be admitted.
     """
 
-    def __init__(self, committee: Committee, with_genesis: bool = True):
+    def __init__(self, committee: Committee):
         self.committee = committee
         self._strong_quorum = committee.strong_quorum
         self._by_digest: dict[bytes, Block] = {}
@@ -404,16 +455,21 @@ class Dag:
         self._by_round: dict[int, dict[ValidatorId, Block]] = {}
         # round -> author -> all versions sorted by digest, for forked authors only
         self._forks: dict[int, dict[ValidatorId, list[Block]]] = {}
-        # round -> len(self) right after the round's latest insert, for the
+        # blocks ever stored; unlike len(self) it never falls, so it stamps
+        self.stored = 0
+        # round -> `stored` right after the round's latest insert, for the
         # rounds holding a strong quorum of authors; `quorum_stamp` is the
         # latest of them, so it moves exactly when a quorate round grows
         self.quorum_stamps: dict[int, int] = {}
         self.quorum_stamp = 0
         self.max_round: int = 0
+        self.floor = 0
+        # author -> highest round of a block stored by it, pruned or not
+        self.highest: dict[ValidatorId, int] = {}
         self._memo = committee.memo
-        if with_genesis:
-            for g in genesis_blocks(committee):
-                self._store(g)
+        self._memo.floor_moved(None, 0)
+        for g in genesis_blocks(committee):
+            self._store(g)
 
     def __contains__(self, ref: BlockRef) -> bool:
         return ref.digest in self._by_digest
@@ -436,16 +492,22 @@ class Dag:
     def contains_digest(self, digest: bytes) -> bool:
         return digest in self._by_digest
 
-    def holds(self, block: Block) -> bool:
-        """Whether this very object is stored; a copy that shares only its
-        digest, such as one with a forged tag, is not held."""
-        return self._by_digest.get(block.digest) is block
+    def skips(self, block: Block) -> bool:
+        """Whether intake passes `block` over: it lies below the floor, or
+        this very object is stored. A copy that shares only its digest, such
+        as one with a forged tag, is not skipped."""
+        return block.round < self.floor or self._by_digest.get(block.digest) is block
 
     def insert(self, block: Block) -> InsertOutcome:
         """Store `block` if its parents are present; report missing refs otherwise."""
         by_digest = self._by_digest
         if block.digest in by_digest:
             return _DUPLICATE
+        if block.round <= self.floor:
+            if block.round < self.floor:
+                return _BELOW_FLOOR
+            self._store(block)  # its parents lie below the floor
+            return _INSERTED
         if block.round >= 1:
             # structural floor re-checked on every insert: a strong quorum of
             # pairwise-distinct parent authors (the author map collapses dupes)
@@ -461,7 +523,10 @@ class Dag:
 
     def _store(self, block: Block) -> None:
         self._by_digest[block.digest] = block
+        self.stored += 1
         r, author = block.round, block.author
+        if r > self.highest.get(author, -1):
+            self.highest[author] = r
         per_round = self._by_round.get(r)
         if per_round is None:
             per_round = self._by_round[r] = {}
@@ -472,9 +537,25 @@ class Dag:
             versions.sort(key=lambda b: b.digest)
             per_round[author] = versions[0]
         if len(per_round) >= self._strong_quorum:
-            self.quorum_stamps[r] = self.quorum_stamp = len(self._by_digest)
+            self.quorum_stamps[r] = self.quorum_stamp = self.stored
         if r > self.max_round:
             self.max_round = r
+
+    def prune(self, below: int) -> None:
+        """Raise the floor to `below`, dropping every round under it."""
+        before = self.floor
+        if below <= before:
+            return
+        by_digest = self._by_digest
+        for r in range(before, below):
+            for block in self._by_round.pop(r, {}).values():
+                del by_digest[block.digest]
+            for versions in self._forks.pop(r, {}).values():
+                for block in versions:
+                    by_digest.pop(block.digest, None)
+            self.quorum_stamps.pop(r, None)
+        self.floor = below
+        self._memo.floor_moved(before, below)
 
     # -- queries -----------------------------------------------------------
 
@@ -547,6 +628,7 @@ class Dag:
             return cached
         found = self._voted_block_uncached(support, author, r)
         votes[key] = found
+        self._memo.file("votes", r, key)
         return found
 
     def _voted_block_uncached(self, support: Block, author: ValidatorId, r: int) -> Optional[bytes]:
@@ -584,6 +666,7 @@ class Dag:
                         stack.append(self._by_digest[p.digest])
         result = frozenset(found)
         ancestors[key] = result
+        self._memo.file("ancestors", r, key)
         return result
 
     def dump(self) -> str:
@@ -596,6 +679,37 @@ class Dag:
         return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def stored_history() -> Iterator[dict[Dag, list[Block]]]:
+    """Log, per DAG, every block it stores while the context is open, in order.
+
+    Pruning drops a DAG's old rounds; a reader of a whole run's history, such
+    as the async-structure criterion, runs inside this context and rebuilds
+    the DAG it reads with `unpruned`.
+    """
+    log: dict[Dag, list[Block]] = {}
+    store = Dag._store
+
+    def logged(dag: Dag, block: Block) -> None:
+        store(dag, block)
+        log.setdefault(dag, []).append(block)
+
+    Dag._store = logged
+    try:
+        yield log
+    finally:
+        Dag._store = store
+
+
+def unpruned(committee: Committee, blocks: Iterable[Block]) -> Dag:
+    """A DAG that holds `blocks`, a DAG's stores in order, and never prunes."""
+    dag = Dag(committee)
+    for block in blocks:
+        if not dag.contains_digest(block.digest):
+            dag._store(block)
+    return dag
+
+
 class PendingPool:
     """Blocks waiting on missing ancestors, keyed by the refs they await."""
 
@@ -603,6 +717,7 @@ class PendingPool:
         self._waiting: dict[bytes, Block] = {}
         self._needs: dict[bytes, set[bytes]] = {}
         self._dependents: dict[bytes, set[bytes]] = {}
+        self._floor = 0
 
     def __len__(self) -> int:
         return len(self._waiting)
@@ -634,3 +749,24 @@ class PendingPool:
                 del self._needs[dep]
                 ready.append(self._waiting.pop(dep))
         return ready
+
+    def prune(self, floor: int) -> list[Block]:
+        """Follow the DAG's floor up to `floor`: drop the blocks below it,
+        which can never be inserted, and hand back, lowest digest first, the
+        blocks at it, whose missing parents now lie below the floor."""
+        if floor <= self._floor:
+            return []
+        self._floor = floor
+        at_floor = []
+        for digest, block in list(self._waiting.items()):
+            if block.round > floor:
+                continue
+            del self._waiting[digest]
+            for need in self._needs.pop(digest):
+                waiters = self._dependents[need]
+                waiters.discard(digest)
+                if not waiters:
+                    del self._dependents[need]
+            if block.round == floor:
+                at_floor.append(block)
+        return sorted(at_floor, key=lambda b: b.digest)

@@ -16,6 +16,11 @@ the first proposal, in proposer order, that verifies independently.
 
 Guards assume a synchronous network; the committee must run in
 partial-synchrony mode.
+
+A guard's DAG replica is pruned like a validator's, but keeps EVIDENCE_DEPTH
+rounds below its current round for conflict evidence, and the rounds its
+pending timers read. Its per-round liveness state is dropped below the DAG's
+floor, and blocks and blames below the floor are ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .committer import LeaderSlot, SlotDecision, Verdict, leaders_of_round
+from .committer import PRUNE_DEPTH, LeaderSlot, SlotDecision, Verdict, leaders_of_round
 from .dagcore import (
     Block,
     BlockRef,
@@ -52,6 +57,13 @@ from .replica import Replica
 
 LIVENESS = "liveness"
 SAFETY = "safety"
+
+# rounds of conflict evidence a guard keeps below its current round
+EVIDENCE_DEPTH = 4 * PRUNE_DEPTH
+# a remote claim is held only up to this many rounds above the guard's DAG:
+# an honest guard claims a slot once its own DAG decided it, and in every
+# catalog run such a claim lay below the receiver's highest round
+CLAIM_WINDOW = PRUNE_DEPTH
 
 
 def lblame_tag(guard: int, accused: ValidatorId, round_: int) -> str:
@@ -329,6 +341,8 @@ class Guard(Replica):
         self.blames: dict[tuple, dict[int, LBlameMsg]] = {}
         self.lblamed: dict[int, set] = {}
         self.lblamed_at: dict[int, int] = {}
+        self._timed_out = 0  # every timer of the rounds up to this one has fired
+        self._forgotten = 0  # per-round state below this round is dropped
         # forked (author, round) -> (stored versions, stored round-r+1 blocks)
         # at its last fruitless safety scan; both only grow, so an equal pair
         # means the scan would find nothing again
@@ -438,9 +452,10 @@ class Guard(Replica):
         liveness and is echoed, even while it waits in the pending pool;
         later versions enter the DAG replica, whose fork table is the safety
         scan's evidence, so the replayed decision rules see what validators
-        see. A block already held was handled when first stored.
+        see. A block already held was handled when first stored, and one
+        below the floor is ignored.
         """
-        if self.dag.holds(block):
+        if self.dag.skips(block):
             return []
         try:
             validate_block(block, self.committee)
@@ -476,13 +491,37 @@ class Guard(Replica):
     # -- commit-view gossip and safety detection ------------------------------
 
     def _extend_own_view(self, now: int) -> list[Action]:
-        self.committer.extend()
+        self._decide(keep=self._keep(now))
+        self._forget_below(self.dag.floor)
         seq = self.committer.sequence
         if self._claimed >= len(seq):
             return []
         claims = tuple(seq[self._claimed :])
         self._claimed = len(seq)
         return self.on_core_update(claims, now)
+
+    def _keep(self, now: int) -> int:
+        """The highest floor this guard's own reads allow. A round's timers
+        fire within (D_LIVE + D_GRACE) delta of entering it and read it and
+        the round before, whose blocks must still be admitted with their
+        parents; conflict evidence is kept EVIDENCE_DEPTH rounds deep."""
+        horizon = now - (self.D_LIVE_FACTOR + self.D_GRACE_FACTOR) * self.delta
+        r = self._timed_out
+        while r < self.current_round and self.entry_vtime.get(r + 1, horizon) < horizon:
+            r += 1
+        self._timed_out = r
+        return min(r - 1, self.current_round - EVIDENCE_DEPTH)
+
+    def _forget_below(self, floor: int) -> None:
+        """Drop the per-round liveness and scan state below the floor."""
+        if floor <= self._forgotten:
+            return
+        for r in range(self._forgotten, floor):
+            self.seen.pop(r, None)
+        self._forgotten = floor
+        self.responded = {k for k in self.responded if k[1] >= floor}
+        self.blames = {k: v for k, v in self.blames.items() if k[1] >= floor}
+        self._scanned_inputs = {k: v for k, v in self._scanned_inputs.items() if k[1] >= floor}
 
     def on_core_update(self, claims: tuple[SlotDecision, ...], now: int) -> list[Action]:
         """Handle this guard's own commit-sequence extension: check it against
@@ -516,7 +555,8 @@ class Guard(Replica):
 
     def on_remote_update(self, msg: CoreUpdateMsg, now: int) -> list[Action]:
         """Check a remote guard's claims against this guard's sequence, and
-        hold those on slots it has not sequenced yet."""
+        hold those on slots it has not sequenced yet, up to CLAIM_WINDOW
+        rounds above its DAG."""
         ranks = self.leaders_per_round
         if not (
             type(msg.guard) is int
@@ -526,8 +566,11 @@ class Guard(Replica):
         ):
             return []
         actions: list[Action] = []
+        horizon = self.dag.max_round + CLAIM_WINDOW
         for claim in msg.claims:
             if self.committer.sequenced(claim.slot) is None:
+                if claim.slot.round > horizon:
+                    continue
                 key = claim.block.digest if claim.block else claim.verdict.value.encode()
                 self.remote_claims.setdefault(claim.slot, {})[key] = claim
             else:
@@ -623,9 +666,11 @@ class Guard(Replica):
     # -- liveness attestations -------------------------------------------------
 
     def on_lblame(self, msg: LBlameMsg, now: int) -> list[Action]:
-        """Record one guard's attestation; majority promotes the accused."""
+        """Record one guard's attestation; majority promotes the accused
+        unless it responded. Attestations below the floor are ignored."""
         if not (
             _ints(msg.guard, msg.accused, msg.round)
+            and msg.round >= self.dag.floor
             and 0 <= msg.guard < self.guard_count
             and type(msg.tag) is str
             and msg.tag == lblame_tag(msg.guard, msg.accused, msg.round)

@@ -12,6 +12,9 @@ requester holds most of what lies below; a block it still lacks there, such
 as an equivocator's other fork, parks the shipped block that needs it, and
 that block's own request names it, so it ships.
 
+Each decision pass may raise the DAG's floor. Intake then passes over blocks
+below it, the pending pool drops them, and sync serving stops there.
+
 Validation stays with the subclasses.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .committer import Committer, CommonCoin
-from .dagcore import Block, BlockRef, Committee, Dag, InsertStatus, PendingPool, ValidatorId
+from .dagcore import Block, BlockRef, Committee, Dag, InsertStatus, PendingPool
 from .messages import Action, NodeId, Send, SyncRequest, SyncResponse
 
 
@@ -56,37 +59,40 @@ class Replica:
                 ready = released
         return []
 
+    def _decide(self, trigger_round: int = -1, keep: Optional[int] = None) -> None:
+        """Decision pass. If it raised the DAG's floor, the pending pool drops
+        the blocks below the floor and inserts those at it."""
+        self.committer.extend(trigger_round, keep)
+        for block in self.pending.prune(self.dag.floor):
+            self._admit(block, None)
+
     def _frontier(self) -> tuple[int, ...]:
         """Highest stored round per committee member, -1 for none stored."""
-        members = self.committee.members
-        top: dict[ValidatorId, int] = {}
-        r = self.dag.max_round
-        while r >= 0 and len(top) < len(members):
-            for author in self.dag.authors_at_round(r):
-                top.setdefault(author, r)
-            r -= 1
-        return tuple(top.get(m, -1) for m in members)
+        highest = self.dag.highest
+        return tuple(highest.get(m, -1) for m in self.committee.members)
 
     def on_sync_request(self, req: SyncRequest, sender: NodeId) -> list[Action]:
         """Serve the requested blocks we hold plus their ancestors above the
         requester's frontier.
 
         Requested blocks always ship; another reached block ships only if its
-        round is above the frontier entry of its author, and the walk descends
-        only from shipped blocks. A malformed request gets no answer.
+        round is above the frontier entry of its author and not below this
+        DAG's floor, and the walk descends only from shipped blocks. A
+        malformed request gets no answer.
         """
         members = self.committee.members
         if not _well_formed(req, len(members)):
             return []
         frontier = dict(zip(members, req.frontier))
         dag = self.dag
+        floor = dag.floor
         requested = {r.digest: dag.get(r) for r in req.refs if r in dag}
         seen = set(requested)
         blocks = list(requested.values())
         stack = list(blocks)
         while stack:
             for p in stack.pop().parents:
-                if p.digest not in seen and p.round > frontier[p.author]:
+                if p.digest not in seen and p.round > frontier[p.author] and p.round >= floor:
                     seen.add(p.digest)
                     blk = dag.get(p)
                     blocks.append(blk)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .committer import CommonCoin, Verdict
-from .dagcore import Committee, Mode, ValidatorId
+from .dagcore import Block, Committee, Mode, ValidatorId
 from .faults import (
     BogusProposalGuard,
     CrashValidator,
@@ -69,13 +69,16 @@ class ValidatorAdapter(Node):
         was_down = self._down()
         v = self.validator
         if type(msg) is BlockMsg:
-            self._trigger = max(self._trigger, msg.block.round)
-            return self._wrap(v.ingest_block(msg.block, sender, now), was_down)
+            block = msg.block
+            if type(block) is not Block:
+                return []
+            self._trigger = max(self._trigger, block.round)
+            return self._wrap(v.ingest_block(block, sender, now), was_down)
         if isinstance(msg, SyncRequest):
             return self._wrap(v.on_sync_request(msg, sender), was_down)
         if isinstance(msg, SyncResponse):
             acts = []
-            for blk in msg.blocks:
+            for blk in _shipped(msg):
                 self._trigger = max(self._trigger, blk.round)
                 acts.extend(v.ingest_block(blk, sender, now))
             return self._wrap(acts, was_down)
@@ -113,12 +116,14 @@ class GuardAdapter(Node):
     def deliver(self, msg, sender, now):
         g = self.guard
         if isinstance(msg, BlockMsg):
+            if type(msg.block) is not Block:
+                return []
             return self._wrap(g.ingest_block(msg.block, sender, now))
         if isinstance(msg, SyncRequest):
             return self._wrap(g.on_sync_request(msg, sender))
         if isinstance(msg, SyncResponse):
             acts = []
-            for blk in msg.blocks:
+            for blk in _shipped(msg):
                 acts.extend(g.ingest_block(blk, sender, now))
             return self._wrap(acts)
         if isinstance(msg, LBlameMsg):
@@ -137,6 +142,14 @@ class GuardAdapter(Node):
 
     def _wrap(self, actions):
         return [] if self.guard.is_silent else actions
+
+
+def _shipped(msg: SyncResponse) -> tuple:
+    """A response's blocks, or none if its block field is malformed."""
+    blocks = msg.blocks
+    if type(blocks) is tuple and all(type(b) is Block for b in blocks):
+        return blocks
+    return ()
 
 
 # -- run record ------------------------------------------------------------------
@@ -305,6 +318,7 @@ class Runner:
             self.sim.outbound_check = self._outbound_check
         self.epochs: list[EpochState] = []
         self.violations: list[str] = []
+        self._sent_by_author: set[bytes] = set()  # see _outbound_check
         self._restart_scheduled = False
         self._recovery_directive: Optional[RestartDirective] = None
         self._start_epoch(Committee.of_size(config.n, self._mode(), epoch=0), 0)
@@ -407,9 +421,10 @@ class Runner:
     def _outbound_check(self, frm: NodeId, msg) -> None:
         """Byzantine containment: nobody emits a block forged in an honest name.
 
-        An honest validator stores each block it creates before sending it,
-        so a block in its name that its own DAG lacks is a fabrication;
-        relays of stored honest blocks pass.
+        An honest validator sends each block it creates itself before any
+        other node can hold it, so a block in its name that it has not sent
+        is a fabrication; relays of the blocks it sent pass. The digests it
+        sent are kept here, since its DAG drops old rounds.
         """
         blocks = ()
         if isinstance(msg, BlockMsg):
@@ -423,7 +438,9 @@ class Runner:
             author = block.author
             if author in state.faulty or author not in state.validators:
                 continue
-            if not state.validators[author].dag.contains_digest(block.digest):
+            if frm == validator_node(author):
+                self._sent_by_author.add(block.digest)
+            elif block.digest not in self._sent_by_author:
                 self.violations.append(
                     f"forged block {block.digest.hex()[:8]} in honest name v{author} from {frm}"
                 )

@@ -60,7 +60,7 @@ class CoreValidator(Replica):
     # -- block intake ----------------------------------------------------------
 
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
-        if self.dag.holds(block):  # stored already: validated on intake or made here
+        if self.dag.skips(block):  # below the floor, or validated on intake or made here
             return []
         try:
             validate_block(block, self.committee)
@@ -82,7 +82,7 @@ class CoreValidator(Replica):
 
     def flush(self, now: int, trigger_round: int = -1) -> list[Action]:
         """Decision pass plus the round-advance loop."""
-        self.committer.extend(trigger_round)
+        self._decide(trigger_round, self._keep())
         self._stamp_decisions(now)
         actions: list[Action] = []
         while True:
@@ -91,9 +91,15 @@ class CoreValidator(Replica):
                 break
             actions.extend(step)
             # our own block may complete a quorum for our own decision pass
-            self.committer.extend(self.current_round)
+            self._decide(self.current_round, self._keep())
             self._stamp_decisions(now)
         return actions
+
+    def _keep(self) -> Optional[int]:
+        """The highest floor this validator's next proposal allows: the
+        proposal reads the current round, whose blocks must still be admitted
+        with their parents. A crashed validator proposes no more."""
+        return None if self.crashed else self.current_round - 1
 
     def _stamp_decisions(self, now: int) -> None:
         unstamped = len(self.committer.decision_events) - len(self.decision_vtimes)

@@ -7,11 +7,12 @@ slot, the post-order linearization of one leader's history with separate
 scheduled and emitted sets, explicit-list linearization and commit
 extension, the vote relation between two blocks, parent-path reachability
 between two blocks, and the lowest equivocating pair of one author at one
-round. The decision trace format lives here too.
+round. The decision trace format lives here too, and so does a run that
+keeps every node's whole DAG history for the tests that read it.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from pentabft.committer import (
     Committer,
@@ -22,7 +23,30 @@ from pentabft.committer import (
     leader_of,
     linearize_one,
 )
-from pentabft.dagcore import Block, BlockRef, Committee, Dag, UnknownBlockError, ValidatorId
+from pentabft.dagcore import (
+    Block,
+    BlockRef,
+    Committee,
+    Dag,
+    UnknownBlockError,
+    ValidatorId,
+    stored_history,
+    unpruned,
+)
+from pentabft.runner import RunResult, run
+
+
+def run_with_history(config, seed: int) -> tuple[RunResult, Callable[[object], Dag]]:
+    """`run(config, seed)` plus `history(node)`: a DAG holding every block
+    the node stored during the run. The node's own DAG has dropped the
+    rounds below its floor."""
+    with stored_history() as log:
+        result = run(config, seed)
+
+    def history(node) -> Dag:
+        return unpruned(node.committee, log[node.dag])
+
+    return result, history
 
 
 def tally_votes(dag: Dag, decision_round: int, leader_block: Block) -> tuple[int, int]:

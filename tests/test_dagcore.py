@@ -276,6 +276,70 @@ class TestCommitteeMemo:
         assert Committee.of_size(6).memo is not committee.memo
 
 
+class TestPrune:
+    """The floor is the lowest round held: rounds below it are dropped, a
+    block below it is refused and a block at it is stored without parents."""
+
+    def test_rounds_below_the_floor_are_dropped(self, committee, dag):
+        full_round(dag, committee, 1)
+        parents = [b.ref() for b in genesis_blocks(committee)]
+        dag.insert(make_block(2, 1, parents, (b"fork",)))
+        for r in (2, 3, 4):
+            full_round(dag, committee, r)
+        stored, stamp, highest = dag.stored, dag.quorum_stamp, dict(dag.highest)
+        dag.prune(2)
+        assert dag.floor == 2 and len(dag) == 3 * committee.size
+        assert dag.author_count(1) == 0 and dag.forked_keys() == []
+        assert sorted(dag.quorum_stamps) == [2, 3, 4]
+        assert (dag.stored, dag.quorum_stamp, dag.highest) == (stored, stamp, highest)
+        dag.prune(1)  # the floor never falls
+        assert dag.floor == 2
+
+    def test_intake_around_the_floor(self, committee, dag):
+        for r in (1, 2, 3):
+            full_round(dag, committee, r)
+        round1 = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        round2 = [dag.first_block_by(a, 2).ref() for a in range(5)]
+        dag.prune(2)
+        below = make_block(0, 2 - 1, [b.ref() for b in genesis_blocks(committee)][:5], (b"x",))
+        assert dag.insert(below).status is InsertStatus.BELOW_FLOOR
+        at = make_block(1, 2, round1, (b"late",))  # its parents are gone
+        assert dag.insert(at).status is InsertStatus.INSERTED
+        assert list(dag.equivocators(2)) == [1]
+        missing = BlockRef(5, 3, bytes(16))
+        above = make_block(0, 4, round2[:4] + [missing])
+        outcome = dag.insert(above)
+        assert outcome.status is InsertStatus.MISSING_ANCESTORS
+        assert outcome.missing == (missing,)
+
+    def test_stamps_move_after_a_prune(self, committee, dag):
+        for r in (1, 2):
+            full_round(dag, committee, r)
+        dag.prune(2)
+        stamp = dag.quorum_stamp
+        full_round(dag, committee, 3)
+        assert dag.quorum_stamp == dag.quorum_stamps[3] == stamp + committee.size
+
+    def test_memo_is_trimmed_below_the_lowest_floor(self, committee):
+        holder, sibling = Dag(committee), Dag(committee)
+        for dag in (holder, sibling):
+            for r in (1, 2, 3):
+                for b in full_round(dag, committee, r):
+                    validate_block(b, committee)
+        memo = committee.memo
+        support = holder.first_block_by(0, 3)
+        voted = holder.voted_block(support, 1, 1)
+        key = (support.digest, 1, 1)
+        assert memo.votes[key] == voted
+        round1 = {holder.first_block_by(a, 1).digest for a in range(6)}
+        holder.prune(3)
+        assert memo.floor == 0 and key in memo.votes  # the sibling still reads round 1
+        sibling.prune(2)
+        assert memo.floor == 2 and key not in memo.votes
+        assert not round1 & memo.valid.keys()
+        assert {sibling.first_block_by(a, 2).digest for a in range(6)} <= memo.valid.keys()
+
+
 class TestLink:
     def test_self_link(self, committee, dag):
         g = dag.first_block_by(0, 0)
@@ -415,3 +479,16 @@ class TestPendingPool:
         ready = pool.satisfy(r1[4].digest)
         assert ready == [r2]
         assert len(pool) == 0
+
+    def test_floor_drops_blocks_below_and_hands_back_those_at_it(self, committee):
+        pool = PendingPool()
+        missing = [BlockRef(a, r, bytes([a, r]) * 8) for a in range(5) for r in (1, 2, 3)]
+        parked = {
+            r: make_block(5, r + 1, [m for m in missing if m.round == r]) for r in (1, 2, 3)
+        }
+        for r, block in parked.items():
+            pool.add(block, [m for m in missing if m.round == r])
+        assert pool.prune(3) == [parked[2]]  # round 2 is below, round 3 at the floor
+        assert len(pool) == 1 and pool.has(parked[3].digest)
+        assert pool.prune(3) == [] and pool.prune(2) == []
+        assert pool.prune(5) == [] and len(pool) == 0 and pool.is_idle()

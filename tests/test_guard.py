@@ -9,8 +9,20 @@ from hypothesis import strategies as st
 
 from pentabft import guard as guard_module
 from pentabft.committer import LeaderSlot, SlotDecision, Verdict, leader_of
-from pentabft.dagcore import BlockRef, Committee, Dag, genesis_blocks, make_block
+from pentabft import scenarios
+from pentabft.dagcore import (
+    Block,
+    BlockRef,
+    CoinShare,
+    Committee,
+    Dag,
+    genesis_blocks,
+    make_block,
+    stored_history,
+    unpruned,
+)
 from pentabft.guard import (
+    CLAIM_WINDOW,
     BlameSet,
     Guard,
     LIVENESS,
@@ -33,8 +45,9 @@ from pentabft.messages import (
     RecoverProposal,
     RecoveryDone,
     SyncRequest,
+    SyncResponse,
 )
-from pentabft.runner import GuardAdapter
+from pentabft.runner import GuardAdapter, Runner, ValidatorAdapter
 
 from replica_path import count_validations, deliver
 
@@ -452,6 +465,17 @@ class TestHostileGuardInput:
         assert guard_intake(g, msg) == []
         assert g.blames == {}
 
+    def test_claims_far_above_the_dag_are_not_held(self):
+        g, *_ = idle_conflict_guard()
+        assert g.dag.max_round == 3
+        far = tuple(SlotDecision(LeaderSlot(10**6 + i, 0), Verdict.SKIP) for i in range(1000))
+        assert guard_intake(g, CoreUpdateMsg(1, far, update_tag(1, far))) == []
+        assert g.remote_claims == {}
+        # a claim within the window above the DAG is still held
+        near = (SlotDecision(LeaderSlot(g.dag.max_round + CLAIM_WINDOW, 0), Verdict.SKIP),)
+        assert guard_intake(g, CoreUpdateMsg(1, near, update_tag(1, near))) == []
+        assert list(g.remote_claims) == [near[0].slot]
+
     def test_relay_chain_of_strings(self):
         g, *_ = idle_conflict_guard()
         text = "blameset kind=liveness members=4,5 round=1\n"
@@ -558,6 +582,84 @@ class TestGuardIntakeProperty:
         for slot, claims in g.remote_claims.items():
             for claim in claims.values():
                 assert claim.slot == slot and well_formed(claim, g.leaders_per_round)
+
+
+def validator_after_a_run():
+    """Validator 0 at the end of a 20-round fault-free run, behind the
+    simulator's adapter, and every block it stored in the run."""
+    with stored_history() as log:
+        runner = Runner(scenarios.fault_free(1, rounds=20), seed=1)
+        runner.run()
+    v = runner.epochs[0].validators[0]
+    return ValidatorAdapter(runner, v), unpruned(v.committee, log[v.dag])
+
+
+_V_ADAPTER, _V_HISTORY = validator_after_a_run()
+_V_FLOOR = _V_ADAPTER.validator.dag.floor
+_V_ROUNDS = (0, 1, _V_FLOOR - 1, _V_FLOOR, _V_FLOOR + 1, _V_HISTORY.max_round, _V_HISTORY.max_round + 1, 10**6)
+_V_BLOCKS = [b for r in range(_V_HISTORY.max_round + 1) for b in _V_HISTORY.blocks_at_round(r)]
+_V_REFS = [b.ref() for b in _V_BLOCKS] + [BlockRef(1, r, bytes([r % 256]) * 16) for r in _V_ROUNDS]
+
+
+@st.composite
+def hostile_block(draw):
+    """A stored or pruned block of the run as it was, or a new one with any
+    author, round, parents from the run or made up, and a forged tag or not."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_V_BLOCKS))
+    r = draw(st.sampled_from(_V_ROUNDS))
+    author = draw(st.integers(0, 7))
+    parents = draw(st.lists(st.sampled_from(_V_REFS), max_size=7))
+    share = draw(st.none() | st.just(CoinShare(author, r)))
+    tag = draw(st.sampled_from([f"sig:{author}", "sig:0", ""]))
+    return Block(author, r, tuple(parents), (b"hostile",), share, tag)
+
+
+def message_paths(value, prefix=()):
+    """The path to every field of a message down to, not into, its blocks."""
+    for path in field_paths(value, prefix):
+        inside = value
+        for step in path[:-1]:
+            inside = inside[step] if type(inside) is tuple else getattr(inside, step)
+            if type(inside) is Block:
+                break
+        else:
+            yield path
+
+
+@st.composite
+def hostile_sync_message(draw):
+    """A block, a sync request or a sync response from a Byzantine peer, with
+    at most one field replaced by a value of the wrong shape."""
+    msg = draw(st.one_of(
+        st.builds(BlockMsg, hostile_block()),
+        st.builds(SyncResponse, st.lists(hostile_block(), max_size=4).map(tuple)),
+        st.builds(
+            SyncRequest,
+            st.lists(st.sampled_from(_V_REFS), max_size=4).map(tuple),
+            st.lists(st.sampled_from(_V_ROUNDS + (-1,)), min_size=6, max_size=6).map(tuple),
+        ),
+    ))
+    path = draw(st.none() | st.sampled_from(list(message_paths(msg))))
+    return msg if path is None else with_field(msg, path, draw(junk()))
+
+
+class TestValidatorIntakeProperty:
+    @given(msgs=st.lists(hostile_sync_message(), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_hostile_payloads_never_raise_nor_land_below_the_floor(self, msgs):
+        adapter, _ = validator_after_a_run()
+        v = adapter.validator
+        now = adapter.runner.sim.now
+        for i, msg in enumerate(msgs):
+            adapter.deliver(msg, "v5", now + i)
+            adapter.flush(now + i)
+        floor = v.dag.floor
+        assert floor >= _V_FLOOR
+        assert all(r >= floor for r in range(v.dag.max_round + 1) if v.dag.author_count(r))
+        assert len(v.pending) == 0 or min(
+            b.round for b in v.pending._waiting.values()
+        ) > floor
 
 
 class TestIsValidBlameset:

@@ -20,7 +20,7 @@ from pentabft.dagcore import Committee, Dag, decode_block, make_block
 from pentabft.runner import Runner, run, run_record
 from pentabft import scenarios
 
-from oracles import decide_all, post_order
+from oracles import decide_all, post_order, run_with_history
 from test_dagcore import full_round
 
 
@@ -58,11 +58,11 @@ def naive_tally(dag, committee, decision_round, candidate):
 class TestVoteOracle:
     def test_fault_free_verdicts_match_brute_force(self):
         cfg = scenarios.fault_free(1, rounds=12)
-        result = run(cfg, seed=13)
+        result, history = run_with_history(cfg, seed=13)
         state = result.epochs[0]
         committee = state.committee
         node = state.validators[0]
-        dag = node.dag
+        dag = history(node)
         decided = node.committer.decided_slots()
         for r in range(1, 11):
             for rank in range(cfg.leaders_per_round):
@@ -79,9 +79,9 @@ class TestVoteOracle:
 
     def test_dfs_matches_naive_on_equivocating_run(self):
         cfg = scenarios.equivocate_f(rounds=10)
-        result = run(cfg, seed=7)
+        result, history = run_with_history(cfg, seed=7)
         state = result.epochs[0]
-        dag = state.validators[0].dag
+        dag = history(state.validators[0])
         for r in range(1, 9):
             for support in dag.blocks_at_round(r + 1):
                 for author in state.committee.members:
@@ -93,10 +93,10 @@ class TestVoteOracle:
 class TestCertificates:
     def test_strong_certificate_exclusive_per_slot(self):
         cfg = scenarios.equivocate_f(rounds=15)
-        result = run(cfg, seed=21)
+        result, history = run_with_history(cfg, seed=21)
         state = result.epochs[0]
         committee = state.committee
-        dag = state.validators[0].dag
+        dag = history(state.validators[0])
         for r in range(1, 14):
             for author in committee.members:
                 versions = dag.blocks_by(author, r)
@@ -109,10 +109,10 @@ class TestCertificates:
 
     def test_strong_support_propagates_linked_weak_certificates(self):
         cfg = scenarios.fault_free(1, rounds=12)
-        result = run(cfg, seed=5)
+        result, history = run_with_history(cfg, seed=5)
         state = result.epochs[0]
         committee = state.committee
-        dag = state.validators[0].dag
+        dag = history(state.validators[0])
         for r in range(1, 8):
             leader = dag.blocks_by(r % committee.size, r)[0]
             supporters = {
@@ -155,14 +155,14 @@ class TestVerdictStability:
             (lambda: scenarios.equivocate_f(rounds=15), 9),
         ):
             cfg = builder()
-            result = run(cfg, seed)
+            result, history = run_with_history(cfg, seed)
             state = result.epochs[0]
             for vid, node in state.validators.items():
                 if vid in state.faulty:
                     continue
                 fresh_decisions = {
                     d.slot: d
-                    for d in decide_all(node.dag, state.committee, cfg.leaders_per_round)
+                    for d in decide_all(history(node), state.committee, cfg.leaders_per_round)
                 }
                 for slot, decided in node.committer.decided_slots().items():
                     again = fresh_decisions[slot]
@@ -178,13 +178,14 @@ class TestIncrementalPass:
     def test_live_verdicts_match_full_walk_oracle(self):
         for cfg in (scenarios.async_adversarial(), scenarios.equivocate_f()):
             for seed in (1, 2):
-                state = run(cfg, seed).epochs[0]
+                result, history = run_with_history(cfg, seed)
+                state = result.epochs[0]
                 for vid, node in state.validators.items():
                     live = node.committer
                     oracle = {
                         d.slot: d
                         for d in decide_all(
-                            node.dag, state.committee, cfg.leaders_per_round, live.coin
+                            history(node), state.committee, cfg.leaders_per_round, live.coin
                         )
                     }
                     decided = live.decided_slots()
@@ -195,19 +196,23 @@ class TestIncrementalPass:
 
     def test_each_pass_decides_what_the_full_walk_decides(self):
         """Replay a run's DAG block by block with a pass after every insert:
-        each pass must leave exactly the full walk's decided slots."""
+        each pass must leave exactly the full walk's decided slots. The pass
+        prunes its own DAG, so the full walk reads an unpruned copy."""
         for cfg in (scenarios.async_adversarial(rounds=12), scenarios.equivocate_f(rounds=12)):
-            state = run(cfg, 1).epochs[0]
+            result, history = run_with_history(cfg, 1)
+            state = result.epochs[0]
             source = state.validators[0]
-            dag = Dag(state.committee)
+            stored = history(source)
+            dag, full = Dag(state.committee), Dag(state.committee)
             committer = Committer(dag, state.committee, cfg.leaders_per_round, source.committer.coin)
-            for r in range(1, source.dag.max_round + 1):
-                for block in source.dag.blocks_at_round(r):
+            for r in range(1, stored.max_round + 1):
+                for block in stored.blocks_at_round(r):
                     dag.insert(block)
+                    full.insert(block)
                     committer.extend()
                     expected = {
                         d.slot: d
-                        for d in decide_all(dag, state.committee, cfg.leaders_per_round, committer.coin)
+                        for d in decide_all(full, state.committee, cfg.leaders_per_round, committer.coin)
                         if d.verdict is not Verdict.UNDECIDED
                     }
                     assert committer.decided_slots() == expected, (cfg.name, block.ref().short())
@@ -221,10 +226,11 @@ class TestIncrementalPass:
             (scenarios.by_name("async-fault-free"), True),
         )
         for cfg, equal in cases:
-            state = run(cfg, 1).epochs[0]
+            result, history = run_with_history(cfg, 1)
+            state = result.epochs[0]
             for vid, node in state.validators.items():
                 live = node.committer
-                fresh = Committer(node.dag, state.committee, cfg.leaders_per_round, live.coin)
+                fresh = Committer(history(node), state.committee, cfg.leaders_per_round, live.coin)
                 fresh.extend()
                 assert live.sequence, (cfg.name, vid)
                 assert fresh.sequence[: len(live.sequence)] == live.sequence, (cfg.name, vid)
@@ -287,13 +293,14 @@ REPLAYED = {
 @functools.cache
 def replay_source(name):
     """Seed 1's epoch-0 state of a scenario and, for its first three honest
-    validators, the stored blocks above genesis in ascending rounds."""
+    validators, every block above genesis they stored, in ascending rounds."""
     cfg = REPLAYED[name]()
-    state = run(cfg, 1).epochs[0]
+    result, history = run_with_history(cfg, 1)
+    state = result.epochs[0]
     honest = sorted(set(state.validators) - state.faulty)[:3]
     blocks = {}
     for vid in honest:
-        dag = state.validators[vid].dag
+        dag = history(state.validators[vid])
         blocks[vid] = [b for r in range(1, dag.max_round + 1) for b in dag.blocks_at_round(r)]
     return cfg, state, blocks
 
@@ -323,7 +330,8 @@ def contradictions(committer, dag, cfg, committee):
 
 class TestOrderIndependence:
     """The commit sequence is a function of the DAG, not of the order in
-    which its blocks were stored or of where the decision passes fell."""
+    which its blocks were stored or of where the decision passes fell. The
+    passes prune the replayed DAG, so the full walk reads an unpruned copy."""
 
     @pytest.mark.parametrize("name", sorted(REPLAYED))
     @given(pick=st.integers(0, 2), rng=st.randoms(use_true_random=False))
@@ -335,18 +343,19 @@ class TestOrderIndependence:
         coin = state.validators[vid].committer.coin
 
         def replay(order, skip):
-            dag = Dag(committee)
+            dag, full = Dag(committee), Dag(committee)
             committer = Committer(dag, committee, cfg.leaders_per_round, coin)
             sequences = []
             for block in order:
                 dag.insert(block)
+                full.insert(block)
                 if skip():
                     continue
                 committer.extend()
                 sequences.append(list(committer.sequence))
-                assert not contradictions(committer, dag, cfg, committee), (cfg.name, vid)
+                assert not contradictions(committer, full, cfg, committee), (cfg.name, vid)
             committer.extend()
-            return dag, committer, sequences
+            return full, committer, sequences
 
         _, reference, _ = replay(blocks[vid], lambda: False)
         dag, committer, sequences = replay(
@@ -385,16 +394,17 @@ class TestLinearization:
             (scenarios.equivocate_f(), 10, 0),
             (scenarios.splitview_3f(), 9, 4),
         ):
-            result = run(cfg, seed=1)
+            result, history = run_with_history(cfg, seed=1)
             for state in result.epochs:
                 for name, node in (*state.validators.items(), *state.guards.items()):
                     leaders = node.committer.committed_leaders
+                    dag = history(node)
                     emitted: set[bytes] = set()
                     reference: set[bytes] = set()
                     sequence = []
                     for leader in leaders:
-                        batch = linearize_one(node.dag, leader, emitted)
-                        assert batch == post_order(node.dag, leader, reference)
+                        batch = linearize_one(dag, leader, emitted)
+                        assert batch == post_order(dag, leader, reference)
                         assert emitted == reference
                         sequence.extend(batch)
                     assert sequence == node.committer.delivery_sequence, (cfg.name, state.epoch)
@@ -405,9 +415,9 @@ class TestLinearization:
 class TestHonestBehavior:
     def test_honest_nodes_never_equivocate(self):
         cfg = scenarios.crash_leader(rounds=15)
-        result = run(cfg, seed=3)
+        result, history = run_with_history(cfg, seed=3)
         state = result.epochs[0]
-        union = state.validators[0].dag
+        union = history(state.validators[0])
         for v, node in state.validators.items():
             if v in state.faulty:
                 continue

@@ -6,7 +6,8 @@ import re
 import pytest
 
 from pentabft import scenarios
-from pentabft.dagcore import make_block
+from pentabft.committer import PRUNE_DEPTH
+from pentabft.dagcore import make_block, stored_history, unpruned
 from pentabft.guard import Guard
 from pentabft.messages import BlockMsg, Broadcast, Send, SyncResponse
 from pentabft.runner import (
@@ -18,6 +19,8 @@ from pentabft.runner import (
     verify_scenario,
 )
 from pentabft.validator import CoreValidator
+
+from oracles import run_with_history
 
 
 def short(cfg, **kw):
@@ -161,25 +164,44 @@ class TestCommitteeMemo:
         assert not memos[1].valid.keys() & memos[0].valid.keys()
 
 
+class TestBoundedState:
+    def test_replica_state_is_the_same_at_n_and_2n_rounds(self):
+        """Each replica holds the rounds from its floor up, and the memos
+        keep only the rounds from the lowest floor up, however long the run."""
+        sizes = {}
+        for rounds in (30, 60):
+            state = run(scenarios.async_fault_free(1, rounds=rounds), seed=1).epochs[0]
+            memo = state.committee.memo
+            nodes = state.validators.values()
+            assert all(node.dag.floor > rounds - 2 * PRUNE_DEPTH for node in nodes)
+            sizes[rounds] = (
+                [len(node.dag) for node in nodes],
+                [len(node.pending) for node in nodes],
+                len(memo.votes), len(memo.ancestors), len(memo.valid),
+            )
+        assert sizes[30] == sizes[60]
+
+
 class TestForkTable:
     @staticmethod
-    def fork_tables(state):
+    def fork_tables(state, history):
+        """Each node's fork table over every block it stored in the run."""
         nodes = {f"v{v}": node for v, node in state.validators.items()}
         nodes.update((f"g{g}", guard) for g, guard in state.guards.items())
         return {
-            name: {r: set(forks) for r, forks in node.dag._forks.items()}
+            name: {r: set(forks) for r, forks in history(node)._forks.items()}
             for name, node in nodes.items()
         }
 
     def test_only_the_equivocator_at_its_fork_rounds(self):
         """The side table of every honest node names v1 alone, and only at
         rounds where v1 stored two versions itself."""
-        result = run(scenarios.equivocate_f(guards=5), seed=1)
+        result, history = run_with_history(scenarios.equivocate_f(guards=5), seed=1)
         state = result.epochs[0]
         assert state.faulty == {1} and state.guards
-        own = state.validators[1].dag._forks
+        own = history(state.validators[1])._forks
         assert own and all(set(forks) == {1} for forks in own.values())
-        tables = self.fork_tables(state)
+        tables = self.fork_tables(state, history)
         del tables["v1"]
         assert len(tables) == 10
         for name, table in tables.items():
@@ -188,8 +210,8 @@ class TestForkTable:
             assert table.keys() <= own.keys(), name
 
     def test_empty_without_faults(self):
-        state = run(scenarios.fault_free(1), seed=1).epochs[0]
-        assert all(table == {} for table in self.fork_tables(state).values())
+        result, history = run_with_history(scenarios.fault_free(1), seed=1)
+        assert all(table == {} for table in self.fork_tables(result.epochs[0], history).values())
 
 
 class TestSplitView:
@@ -292,7 +314,7 @@ class TestSyncTraffic:
 
 class TestOutboundCheck:
     """Forged-identity containment: a block in an honest validator's name
-    that the validator's own DAG lacks is a fabrication, whoever sends it."""
+    that the validator has not sent itself is a fabrication, whoever sends it."""
 
     def guarded_run(self):
         # validator 1 equivocates, so the check is on; guards relay every block
@@ -324,6 +346,16 @@ class TestOutboundCheck:
         now = runner.sim.now
         runner.sim.apply_actions("g0", [Send("v2", BlockMsg(stored))], now)
         runner.sim.apply_actions("g0", [Send("v3", SyncResponse((stored,)))], now)
+        assert runner.violations == []
+
+    def test_relay_of_a_block_its_author_pruned_passes(self):
+        with stored_history() as log:
+            runner = Runner(scenarios.equivocate_f(rounds=30, guards=5), seed=1)
+            assert runner.run().record.violations == []
+        author = runner.epochs[-1].validators[0]
+        old = unpruned(author.committee, log[author.dag]).first_block_by(0, 1)
+        assert author.dag.floor > 1 and not author.dag.contains_digest(old.digest)
+        runner.sim.apply_actions("g0", [Send("v2", BlockMsg(old))], runner.sim.now)
         assert runner.violations == []
 
 

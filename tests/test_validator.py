@@ -2,8 +2,17 @@
 
 import pytest
 
-from pentabft.committer import Verdict
-from pentabft.dagcore import BlockRef, Committee, Dag, Mode, genesis_blocks, make_block
+from pentabft.committer import PRUNE_DEPTH, Verdict
+from pentabft.dagcore import (
+    BlockRef,
+    Committee,
+    Dag,
+    Mode,
+    genesis_blocks,
+    make_block,
+    stored_history,
+    unpruned,
+)
 from pentabft.faults import CrashValidator, EquivocatingValidator, WithholdVotesValidator
 from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest
 from pentabft import validator
@@ -258,6 +267,61 @@ class TestOnBlock:
         assert sync_requests(deliver(requester, resp.payload.blocks, "v5", 4 * DELTA)) == []
         assert len(requester.pending) == 0
         assert all(b.ref() in requester.dag for b in round1 + [fork] + round2 + [top])
+
+
+def sync_requests(actions):
+    return [a.payload for a in actions if isinstance(a, Send) and isinstance(a.payload, SyncRequest)]
+
+
+class TestFloor:
+    """A validator keeps its DAG PRUNE_DEPTH rounds below its committed
+    prefix; what lies below is ignored and never served."""
+
+    def driven(self, first, last, v=None):
+        v = v or fresh_validator()
+        v.flush(0)
+        for r in range(first, last + 1):
+            drive_round(v, r, now=r * DELTA)
+        return v
+
+    def test_floor_follows_the_committed_prefix(self):
+        v = self.driven(1, 20)
+        prefix = v.committer.sequence[-1].slot.round
+        assert v.dag.floor == prefix - PRUNE_DEPTH > 1
+        assert min(r for r in range(v.dag.max_round + 1) if v.dag.author_count(r)) == v.dag.floor
+        assert v.current_round - 1 >= v.dag.floor
+
+    def test_block_below_the_floor_is_ignored_never_delivered_nor_served(self, monkeypatch):
+        with stored_history() as log:
+            v = self.driven(1, 20)
+        history = unpruned(v.committee, log[v.dag])
+        r = v.dag.floor - 1  # more than PRUNE_DEPTH below the committed prefix
+        assert v.committer.sequence[-1].slot.round - r > PRUNE_DEPTH
+        parents = [b.ref() for b in history.blocks_at_round(r - 1)]
+        late = make_block(1, r, parents, (b"late",))
+        checked = count_validations(monkeypatch, validator)
+        assert sync_requests(deliver(v, [late], "v1", 21 * DELTA)) == []
+        assert checked == [] and len(v.pending) == 0
+        assert not v.dag.contains_digest(late.digest)
+        self.driven(21, 30, v)
+        assert late.ref() not in v.committer.delivery_sequence
+        # neither the late block nor a stored one that was pruned is served
+        pruned = history.first_block_by(1, r).ref()
+        for ref in (late.ref(), pruned):
+            assert v.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5") == []
+
+    def test_parked_block_leaves_the_pool_once_the_floor_passes_it(self):
+        v = self.driven(1, 2)
+        missing = BlockRef(1, 2, bytes(16))  # a parent that never arrives
+        parents = [v.dag.first_block_by(a, 2).ref() for a in (0, 2, 3, 4, 5)] + [missing]
+        parked = make_block(1, 3, sorted(parents), (b"parked",))
+        (request,) = sync_requests(deliver(v, [parked], "v1", 3 * DELTA))
+        assert request.refs == (missing,) and len(v.pending) == 1
+        self.driven(3, 20, v)
+        assert v.dag.floor > parked.round
+        assert len(v.pending) == 0 and v.pending.is_idle()
+        assert sync_requests(deliver(v, [parked], "v1", 21 * DELTA)) == []
+        assert len(v.pending) == 0
 
 
 def commit_log(v):
