@@ -370,9 +370,9 @@ class Committer:
     def extend(self, trigger_round: int = -1, keep: Optional[int] = None) -> None:
         """Decide what the DAG's growth since the last pass can decide, then
         extend the monotone commit log (`sequence`, `committed_leaders`,
-        `delivery_sequence`); all three only ever grow by appending. Last,
-        raise the DAG's floor to PRUNE_DEPTH rounds below the committed
-        prefix, but not above `keep`, where the caller's own reads need it.
+        `delivery_sequence`); all three only ever grow by appending. A pass
+        that extends the prefix raises the DAG's floor to PRUNE_DEPTH rounds
+        below it, but not above `keep`, where the caller's own reads need it.
 
         The pass returns at once unless a quorate round grew since the last
         one. Undecided slots above the committed prefix are walked
@@ -414,6 +414,7 @@ class Committer:
                 decided[idx] = d
                 since = 0  # a new anchor: every quorate slot below is evaluated
                 self.decision_events.append((slot, d.verdict, rule, trigger_round))
+        prefix_len = self._prefix_len
         while self._prefix_len in decided:
             d = decided[self._prefix_len]
             assert (d.slot.round - 1) * l + d.slot.rank == self._prefix_len, (
@@ -424,7 +425,7 @@ class Committer:
             if d.verdict is Verdict.COMMIT:
                 self.committed_leaders.append(d.block)
                 self._deliver(d.block)
-        if self.sequence:
+        if self._prefix_len != prefix_len:
             floor = self.sequence[-1].slot.round - PRUNE_DEPTH
             dag.prune(floor if keep is None else min(floor, keep))
 

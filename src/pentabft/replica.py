@@ -62,9 +62,11 @@ class Replica:
     def _decide(self, trigger_round: int = -1, keep: Optional[int] = None) -> None:
         """Decision pass. If it raised the DAG's floor, the pending pool drops
         the blocks below the floor and inserts those at it."""
+        floor = self.dag.floor
         self.committer.extend(trigger_round, keep)
-        for block in self.pending.prune(self.dag.floor):
-            self._admit(block, None)
+        if self.dag.floor != floor:
+            for block in self.pending.prune(self.dag.floor):
+                self._admit(block, None)
 
     def _frontier(self) -> tuple[int, ...]:
         """Highest stored round per committee member, -1 for none stored."""
