@@ -119,8 +119,11 @@ class CommitteeMemo:
         self._floors: dict[int, int] = {}  # floor -> DAGs of the committee at it
 
     def file(self, table: str, r: int, key) -> None:
-        """File `key` of `table` under round `r`, to drop once every floor passes it."""
+        """File `key` of `table` under round `r`, to drop once every floor
+        passes it; a key below the lowest floor goes at that floor."""
         filed = self._filed[table]
+        if r < self.floor:
+            r = self.floor
         keys = filed.get(r)
         if keys is None:
             filed[r] = [key]
@@ -136,15 +139,12 @@ class CommitteeMemo:
             if not floors[before]:
                 del floors[before]
         floors[after] = floors.get(after, 0) + 1
-        floor = min(floors)
-        rose = floor > self.floor
+        lowest, floor = self.floor, min(floors)
         self.floor = floor
-        if not rose:
-            return
         for name, filed in self._filed.items():
             table = getattr(self, name)
-            for r in [r for r in filed if r < floor]:
-                for key in filed.pop(r):
+            for r in range(lowest, floor):
+                for key in filed.pop(r, ()):
                     table.pop(key, None)
 
 
@@ -426,6 +426,7 @@ class InsertOutcome:
 _INSERTED = InsertOutcome(InsertStatus.INSERTED)
 _DUPLICATE = InsertOutcome(InsertStatus.DUPLICATE)
 _BELOW_FLOOR = InsertOutcome(InsertStatus.BELOW_FLOOR)
+_EMPTY: dict = {}
 
 
 class Dag:
@@ -548,9 +549,9 @@ class Dag:
             return
         by_digest = self._by_digest
         for r in range(before, below):
-            for block in self._by_round.pop(r, {}).values():
+            for block in self._by_round.pop(r, _EMPTY).values():
                 del by_digest[block.digest]
-            for versions in self._forks.pop(r, {}).values():
+            for versions in self._forks.pop(r, _EMPTY).values():
                 for block in versions:
                     by_digest.pop(block.digest, None)
             self.quorum_stamps.pop(r, None)

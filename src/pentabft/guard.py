@@ -513,15 +513,19 @@ class Guard(Replica):
         return min(r - 1, self.current_round - EVIDENCE_DEPTH)
 
     def _forget_below(self, floor: int) -> None:
-        """Drop the per-round liveness and scan state below the floor."""
+        """Drop the per-round liveness and scan state below the floor. Above
+        round 0, `responded` holds (author, r) exactly for the authors in
+        `seen[r]`."""
         if floor <= self._forgotten:
             return
         for r in range(self._forgotten, floor):
-            self.seen.pop(r, None)
+            for author in self.seen.pop(r, ()):
+                self.responded.discard((author, r))
         self._forgotten = floor
-        self.responded = {k for k in self.responded if k[1] >= floor}
-        self.blames = {k: v for k, v in self.blames.items() if k[1] >= floor}
-        self._scanned_inputs = {k: v for k, v in self._scanned_inputs.items() if k[1] >= floor}
+        if self.blames:
+            self.blames = {k: v for k, v in self.blames.items() if k[1] >= floor}
+        if self._scanned_inputs:
+            self._scanned_inputs = {k: v for k, v in self._scanned_inputs.items() if k[1] >= floor}
 
     def on_core_update(self, claims: tuple[SlotDecision, ...], now: int) -> list[Action]:
         """Handle this guard's own commit-sequence extension: check it against

@@ -64,7 +64,7 @@ class Replica:
         the blocks below the floor and inserts those at it."""
         floor = self.dag.floor
         self.committer.extend(trigger_round, keep)
-        if self.dag.floor != floor:
+        if self.dag.floor != floor and len(self.pending):
             for block in self.pending.prune(self.dag.floor):
                 self._admit(block, None)
 

@@ -81,25 +81,20 @@ class CoreValidator(Replica):
     # -- decisions and round advancement -----------------------------------------
 
     def flush(self, now: int, trigger_round: int = -1) -> list[Action]:
-        """Decision pass plus the round-advance loop."""
-        self._decide(trigger_round, self._keep())
-        self._stamp_decisions(now)
+        """Decision pass plus the round-advance loop; our own block may
+        complete a quorum for our own next decision pass. The floor stays
+        below the current round, whose blocks the next proposal reads and
+        must still be admitted with their parents; a crashed validator
+        proposes no more."""
         actions: list[Action] = []
         while True:
+            self._decide(trigger_round, None if self.crashed else self.current_round - 1)
+            self._stamp_decisions(now)
             step = self._advance_once(now)
             if not step:
-                break
+                return actions
             actions.extend(step)
-            # our own block may complete a quorum for our own decision pass
-            self._decide(self.current_round, self._keep())
-            self._stamp_decisions(now)
-        return actions
-
-    def _keep(self) -> Optional[int]:
-        """The highest floor this validator's next proposal allows: the
-        proposal reads the current round, whose blocks must still be admitted
-        with their parents. A crashed validator proposes no more."""
-        return None if self.crashed else self.current_round - 1
+            trigger_round = self.current_round
 
     def _stamp_decisions(self, now: int) -> None:
         unstamped = len(self.committer.decision_events) - len(self.decision_vtimes)
