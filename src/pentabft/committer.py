@@ -47,7 +47,8 @@ from .dagcore import (
 
 WAVE_LENGTH = {Mode.PARTIAL_SYNC: 2, Mode.ASYNC: 3}
 # rounds of history kept below the committed prefix, and linearized below a
-# leader; every golden record holds from 4 up, and 8 leaves a margin
+# leader; every golden record holds at each depth tried from 4 to 30, and
+# 8 leaves a margin
 PRUNE_DEPTH = 8
 
 

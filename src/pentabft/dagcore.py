@@ -500,15 +500,13 @@ class Dag:
         return block.round < self.floor or self._by_digest.get(block.digest) is block
 
     def insert(self, block: Block) -> InsertOutcome:
-        """Store `block` if its parents are present; report missing refs otherwise."""
+        """Store `block` if its parents are present or lie below the floor;
+        report missing refs otherwise."""
         by_digest = self._by_digest
         if block.digest in by_digest:
             return _DUPLICATE
-        if block.round <= self.floor:
-            if block.round < self.floor:
-                return _BELOW_FLOOR
-            self._store(block)  # its parents lie below the floor
-            return _INSERTED
+        if block.round < self.floor:
+            return _BELOW_FLOOR
         if block.round >= 1:
             # structural floor re-checked on every insert: a strong quorum of
             # pairwise-distinct parent authors (the author map collapses dupes)
@@ -516,7 +514,7 @@ class Dag:
                 len(block.parent_by_author) == len(block.parents)
                 and len(block.parents) >= self._strong_quorum
             ), "block below the parent-quorum floor"
-        if not all(map(by_digest.__contains__, block.parent_digests)):
+        if block.round > self.floor and not all(map(by_digest.__contains__, block.parent_digests)):
             missing = tuple(p for p in block.parents if p.digest not in by_digest)
             return InsertOutcome(InsertStatus.MISSING_ANCESTORS, missing)
         self._store(block)
