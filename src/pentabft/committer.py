@@ -243,10 +243,9 @@ class Committer:
         self._seen_blocks = 0  # dag.stored at the last pass that walked the slots
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
-        self.committed_leaders: list[BlockRef] = []
         if committee.memo.delivery is None:
             committee.memo.delivery = PrefixNode(None, [], set())  # nothing committed
-        self._prefix = committee.memo.delivery  # log node of `committed_leaders`
+        self._prefix = committee.memo.delivery  # log node of the committed leaders
         self._prefix_len = 0  # slots consumed into `sequence`
         # (slot, verdict, rule, trigger round) history for latency accounting
         self.decision_events: list[tuple[LeaderSlot, Verdict, str, int]] = []
@@ -370,10 +369,10 @@ class Committer:
 
     def extend(self, trigger_round: int = -1, keep: Optional[int] = None) -> None:
         """Decide what the DAG's growth since the last pass can decide, then
-        extend the monotone commit log (`sequence`, `committed_leaders`,
-        `delivery_sequence`); all three only ever grow by appending. A pass
-        that extends the prefix raises the DAG's floor to PRUNE_DEPTH rounds
-        below it, but not above `keep`, where the caller's own reads need it.
+        extend the monotone commit log (`sequence`, `delivery_sequence`);
+        both only ever grow by appending. A pass that extends the prefix
+        raises the DAG's floor to PRUNE_DEPTH rounds below it, but not above
+        `keep`, where the caller's own reads need it.
 
         The pass returns at once unless a quorate round grew since the last
         one. Undecided slots above the committed prefix are walked
@@ -424,7 +423,6 @@ class Committer:
             self.sequence.append(d)
             self._prefix_len += 1
             if d.verdict is Verdict.COMMIT:
-                self.committed_leaders.append(d.block)
                 self._deliver(d.block)
         if self._prefix_len != prefix_len:
             floor = self.sequence[-1].slot.round - PRUNE_DEPTH

@@ -315,6 +315,11 @@ class Guard(Replica):
     D_LIVE_FACTOR = 4
     D_GRACE_FACTOR = 2
     is_silent = False
+    handlers = {
+        LBlameMsg: "on_lblame",
+        CoreUpdateMsg: "on_remote_update",
+        AgreementRelay: "on_recover_msg",
+    }
 
     def __init__(
         self,

@@ -23,7 +23,6 @@ class Metrics:
     slots_direct_committed: int = 0
     slots_indirect: int = 0
     slots_skipped: int = 0
-    slots_undecided: int = 0
     commit_latency_rounds: dict[int, int] = field(default_factory=dict)
     commit_latency_vtime: dict[int, int] = field(default_factory=dict)
     guard_detection_vtime: Optional[int] = None
@@ -52,7 +51,6 @@ class Metrics:
             f"slots_direct_committed={self.slots_direct_committed}",
             f"slots_indirect={self.slots_indirect}",
             f"slots_skipped={self.slots_skipped}",
-            f"slots_undecided={self.slots_undecided}",
             "latency_rounds="
             + ";".join(f"{k}:{v}" for k, v in sorted(self.commit_latency_rounds.items())),
             "latency_vtime="
@@ -86,7 +84,6 @@ class Metrics:
             slots_direct_committed=int(kv.get("slots_direct_committed", 0)),
             slots_indirect=int(kv.get("slots_indirect", 0)),
             slots_skipped=int(kv.get("slots_skipped", 0)),
-            slots_undecided=int(kv.get("slots_undecided", 0)),
             commit_latency_rounds=histogram(kv.get("latency_rounds", "")),
             commit_latency_vtime=histogram(kv.get("latency_vtime", "")),
         )
@@ -105,9 +102,7 @@ def from_record(record: RunRecord, config_mode: str, load_bytes: int) -> Metrics
     if not honest:
         return m
     ref = honest[0]
-    decided_slots = 0
-    for _, _, verdict, rule, trigger, vtime in ref.commit_events:
-        decided_slots += 1
+    for _, _, verdict, rule, _, _ in ref.commit_events:
         if verdict == "commit":
             if rule == "direct":
                 m.slots_direct_committed += 1
@@ -115,8 +110,6 @@ def from_record(record: RunRecord, config_mode: str, load_bytes: int) -> Metrics
                 m.slots_indirect += 1
         elif verdict == "skip":
             m.slots_skipped += 1
-    total_slots = len(ref.decided)
-    m.slots_undecided = max(0, total_slots - decided_slots)
     for slot_round, _, verdict, rule, trigger, vtime in ref.commit_events:
         if verdict != "commit" or trigger < 0:
             continue
@@ -153,7 +146,6 @@ def aggregate(per_seed: Iterable[Metrics]) -> Metrics:
         agg.slots_direct_committed += m.slots_direct_committed
         agg.slots_indirect += m.slots_indirect
         agg.slots_skipped += m.slots_skipped
-        agg.slots_undecided += m.slots_undecided
         for k, v in m.commit_latency_rounds.items():
             agg.commit_latency_rounds[k] = agg.commit_latency_rounds.get(k, 0) + v
         for k, v in m.commit_latency_vtime.items():

@@ -15,7 +15,10 @@ that block's own request names it, so it ships.
 Each decision pass may raise the DAG's floor. Intake then passes over blocks
 below it, the pending pool drops them, and sync serving stops there.
 
-Validation stays with the subclasses.
+Every message enters a replica through `deliver`: a block, alone or shipped
+in a sync response, goes to the subclass's `ingest_block`, which validates
+it; a sync request is served here; any other kind goes to the handler the
+subclass names for it in `handlers`, and a kind with none is dropped.
 """
 
 from __future__ import annotations
@@ -24,10 +27,14 @@ from typing import Optional
 
 from .committer import Committer, CommonCoin
 from .dagcore import Block, BlockRef, Committee, Dag, InsertStatus, PendingPool
-from .messages import Action, NodeId, Send, SyncRequest, SyncResponse
+from .messages import Action, BlockMsg, NodeId, Send, SyncRequest, SyncResponse
 
 
 class Replica:
+    # message kind -> name of the method that takes (msg, now); looked up on
+    # the instance at each call, so a method wrapped on the class is seen
+    handlers: dict[type, str] = {}
+
     def __init__(
         self,
         committee: Committee,
@@ -40,6 +47,26 @@ class Replica:
         self.committer = Committer(self.dag, committee, leaders_per_round, coin)
         self.pending = PendingPool()
         self.invalid_evidence: list[tuple[Block, str]] = []
+
+    def deliver(self, msg, sender: NodeId, now: int) -> list[Action]:
+        """The one intake of a message. A malformed block field drops the
+        whole message."""
+        kind = type(msg)
+        if kind is BlockMsg:
+            block = msg.block
+            return self.ingest_block(block, sender, now) if type(block) is Block else []
+        if kind is SyncResponse:
+            blocks = msg.blocks
+            if type(blocks) is not tuple or not all(type(b) is Block for b in blocks):
+                return []
+            actions: list[Action] = []
+            for block in blocks:
+                actions.extend(self.ingest_block(block, sender, now))
+            return actions
+        if kind is SyncRequest:
+            return self.on_sync_request(msg, sender)
+        name = self.handlers.get(kind)
+        return [] if name is None else getattr(self, name)(msg, now)
 
     def _admit(self, block: Block, sender: Optional[NodeId]) -> list[Action]:
         """Insert a validated block, or park it and ask `sender` for its parents."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .committer import CommonCoin, Verdict
-from .dagcore import Block, Committee, Mode, ValidatorId
+from .dagcore import Committee, Mode, ValidatorId
 from .faults import (
     BogusProposalGuard,
     CrashValidator,
@@ -26,13 +26,9 @@ from .faults import (
 )
 from .guard import Guard, apply_reconfiguration
 from .messages import (
-    AgreementRelay,
     BlockMsg,
-    CoreUpdateMsg,
-    LBlameMsg,
     NodeId,
     RestartDirective,
-    SyncRequest,
     SyncResponse,
     guard_node,
     validator_node,
@@ -48,11 +44,13 @@ from .validator import CoreValidator
 
 
 class ValidatorAdapter(Node):
+    """Hosts a validator in the simulator: forwards each step, gates its
+    output on a crash, and refills the transaction queue."""
+
     def __init__(self, runner: "Runner", validator: CoreValidator):
         self.runner = runner
         self.validator = validator
         self.node_id = validator_node(validator.me)
-        self._trigger = -1
         self._tx_round = 0
         self._refill()
 
@@ -66,73 +64,44 @@ class ValidatorAdapter(Node):
         v.enqueue_transactions(batch)
 
     def deliver(self, msg, sender, now):
-        was_down = self._down()
         v = self.validator
-        if type(msg) is BlockMsg:
-            block = msg.block
-            if type(block) is not Block:
-                return []
-            self._trigger = max(self._trigger, block.round)
-            return self._wrap(v.ingest_block(block, sender, now), was_down)
-        if isinstance(msg, SyncRequest):
-            return self._wrap(v.on_sync_request(msg, sender), was_down)
-        if isinstance(msg, SyncResponse):
-            acts = []
-            for blk in _shipped(msg):
-                self._trigger = max(self._trigger, blk.round)
-                acts.extend(v.ingest_block(blk, sender, now))
-            return self._wrap(acts, was_down)
-        return []
+        was_crashed = v.crashed
+        return self._gate(v.deliver(msg, sender, now), was_crashed, now)
 
     def flush(self, now):
-        was_down = self._down()
-        trigger, self._trigger = self._trigger, -1
-        actions = self.validator.flush(now, trigger_round=trigger)
-        if not was_down and self.validator.crashed:
-            self.runner.sim.inject(self.node_id, "crash activated", now)
-        while self._tx_round < self.validator.current_round:
+        v = self.validator
+        was_crashed = v.crashed
+        actions = v.flush(now)
+        while self._tx_round < v.current_round:
             self._tx_round += 1
             self._refill()
-        return self._wrap(actions, was_down)
+        return self._gate(actions, was_crashed, now)
 
     def on_timer(self, timer_id, now):
-        was_down = self._down()
-        return self._wrap(self.validator.on_timer(timer_id, now), was_down)
+        v = self.validator
+        was_crashed = v.crashed
+        return self._gate(v.on_timer(timer_id, now), was_crashed, now)
 
-    def _down(self) -> bool:
-        return self.validator.crashed or self.validator.is_silent
-
-    def _wrap(self, actions, was_down: bool):
+    def _gate(self, actions, was_crashed: bool, now: int):
         # a node crashing during this step still emits what it produced
         # before the crash point; it is silent from the next step on
-        return [] if was_down else actions
+        if was_crashed:
+            return []
+        if self.validator.crashed:
+            self.runner.sim.inject(self.node_id, "crash activated", now)
+        return actions
 
 
 class GuardAdapter(Node):
+    """Hosts a guard in the simulator: forwards each step and drops the
+    output of a silent guard."""
+
     def __init__(self, guard: Guard):
         self.guard = guard
         self.node_id = guard_node(guard.me)
 
     def deliver(self, msg, sender, now):
-        g = self.guard
-        if isinstance(msg, BlockMsg):
-            if type(msg.block) is not Block:
-                return []
-            return self._wrap(g.ingest_block(msg.block, sender, now))
-        if isinstance(msg, SyncRequest):
-            return self._wrap(g.on_sync_request(msg, sender))
-        if isinstance(msg, SyncResponse):
-            acts = []
-            for blk in _shipped(msg):
-                acts.extend(g.ingest_block(blk, sender, now))
-            return self._wrap(acts)
-        if isinstance(msg, LBlameMsg):
-            return self._wrap(g.on_lblame(msg, now))
-        if isinstance(msg, CoreUpdateMsg):
-            return self._wrap(g.on_remote_update(msg, now))
-        if isinstance(msg, AgreementRelay):
-            return self._wrap(g.on_recover_msg(msg, now))
-        return []
+        return self._wrap(self.guard.deliver(msg, sender, now))
 
     def flush(self, now):
         return self._wrap(self.guard.flush(now))
@@ -142,14 +111,6 @@ class GuardAdapter(Node):
 
     def _wrap(self, actions):
         return [] if self.guard.is_silent else actions
-
-
-def _shipped(msg: SyncResponse) -> tuple:
-    """A response's blocks, or none if its block field is malformed."""
-    blocks = msg.blocks
-    if type(blocks) is tuple and all(type(b) is Block for b in blocks):
-        return blocks
-    return ()
 
 
 # -- run record ------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Core validator state machine: ingest blocks, advance rounds, propose, commit.
 
-A validator is event-driven and single-threaded. Blocks arrive through the
-replica path it shares with guards (`ingest_block` per block, then one
-`flush`); `on_timer` handles the leader timer. Each call returns outbound
-actions. Round advancement is gated on a strong quorum of the previous round
-plus either all of that round's leader blocks or an expired leader timer
-(partial synchrony only; the asynchronous variant drops leader timeouts
-entirely).
+A validator is event-driven and single-threaded. Messages arrive through the
+replica path it shares with guards (`deliver` per message, then one `flush`);
+`on_timer` handles the leader timer. Each call returns outbound actions. The
+highest round delivered since the last flush is that flush's trigger round.
+Round advancement is gated on a strong quorum of the previous round plus
+either all of that round's leader blocks or an expired leader timer (partial
+synchrony only; the asynchronous variant drops leader timeouts entirely).
 """
 
 from __future__ import annotations
@@ -54,12 +54,14 @@ class CoreValidator(Replica):
         # the virtual time each `committer.decision_events` entry formed at
         self.decision_vtimes: list[int] = []
         self.crashed = False
-        self.is_silent = False
+        self._trigger = -1  # highest round delivered since the last flush
         self.max_round: Optional[int] = None  # harness-imposed proposal ceiling
 
     # -- block intake ----------------------------------------------------------
 
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
+        if block.round > self._trigger:  # skipped and invalid blocks count too
+            self._trigger = block.round
         if self.dag.skips(block):  # below the floor, or validated on intake or made here
             return []
         try:
@@ -80,12 +82,15 @@ class CoreValidator(Replica):
 
     # -- decisions and round advancement -----------------------------------------
 
-    def flush(self, now: int, trigger_round: int = -1) -> list[Action]:
+    def flush(self, now: int, trigger_round: Optional[int] = None) -> list[Action]:
         """Decision pass plus the round-advance loop; our own block may
-        complete a quorum for our own next decision pass. The floor stays
-        below the current round, whose blocks the next proposal reads and
-        must still be admitted with their parents; a crashed validator
-        proposes no more."""
+        complete a quorum for our own next decision pass. Without a given
+        trigger round, the pass takes the highest round delivered since the
+        last such flush. The floor stays below the current round, whose
+        blocks the next proposal reads and must still be admitted with their
+        parents; a crashed validator proposes no more."""
+        if trigger_round is None:
+            trigger_round, self._trigger = self._trigger, -1
         actions: list[Action] = []
         while True:
             self._decide(trigger_round, None if self.crashed else self.current_round - 1)

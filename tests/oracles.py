@@ -163,6 +163,12 @@ def post_order(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[BlockRef
     return out
 
 
+def committed_leaders(committer: Committer) -> list[BlockRef]:
+    """The leaders `committer` committed, in slot order: the commits of its
+    decided prefix."""
+    return [d.block for d in committer.sequence if d.verdict is Verdict.COMMIT]
+
+
 @dataclass
 class CommitOutput:
     """Committed leaders in slot order plus the linearized delivery sequence."""

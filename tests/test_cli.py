@@ -126,6 +126,13 @@ class TestPlotData:
     def test_missing_file_errors(self, capsys):
         assert cli.main(["plot-data", "does-not-exist.metrics"]) == 2
 
+    def test_metrics_text_with_a_dropped_key_still_parses(self):
+        m = Metrics(scenario="s", seed=2, mode="sync", slots_direct_committed=3, slots_skipped=1)
+        text = m.to_text()
+        assert "slots_undecided" not in text
+        old = text.replace("slots_skipped=1\n", "slots_skipped=1\nslots_undecided=0\n")
+        assert old != text and Metrics.from_text(old) == m
+
 
 class TestListCommand:
     def test_lists_catalog(self, capsys):

@@ -26,6 +26,7 @@ from pentabft.committer import (
 from pentabft.dagcore import Committee, Dag, genesis_blocks, make_block
 
 from oracles import (
+    committed_leaders,
     decide_all,
     decisions_to_trace,
     direct_decide,
@@ -157,7 +158,7 @@ def test_commit_sequence_and_linearization(fixture):
         (2, 1, "commit"),
         (3, 0, "commit"),
     ]
-    assert committer.committed_leaders[-2:] == [blocks[(3, 2)].ref(), blocks[(3, 3)].ref()]
+    assert committed_leaders(committer)[-2:] == [blocks[(3, 2)].ref(), blocks[(3, 3)].ref()]
 
     emitted = {b.digest for (a, r), b in blocks.items() if r < 2}
     tail = linearize_sub_dags(
@@ -180,10 +181,11 @@ def test_linearization_matches_two_set_post_order(fixture):
     committer.extend()
     emitted: set[bytes] = set()
     reference: set[bytes] = set()
-    for leader in committer.committed_leaders:
+    leaders = committed_leaders(committer)
+    for leader in leaders:
         assert linearize_one(dag, leader, emitted) == post_order(dag, leader, reference)
         assert emitted == reference
-    assert len(committer.committed_leaders) >= 2 and len(emitted) > len(committer.committed_leaders)
+    assert len(leaders) >= 2 and len(emitted) > len(leaders)
 
 
 def test_trace_is_reproducible(fixture):

@@ -47,7 +47,8 @@ from pentabft.messages import (
     SyncRequest,
     SyncResponse,
 )
-from pentabft.runner import GuardAdapter, Runner, ValidatorAdapter
+from pentabft.runner import Runner
+from pentabft.validator import CoreValidator
 
 from replica_path import count_validations, deliver
 
@@ -431,7 +432,7 @@ def idle_conflict_guard():
 
 
 def guard_intake(g, msg, now=40):
-    return GuardAdapter(g).deliver(msg, "g1", now)
+    return g.deliver(msg, "g1", now)
 
 
 class TestHostileGuardInput:
@@ -483,6 +484,51 @@ class TestHostileGuardInput:
         relay = AgreementRelay("a", proposal, ("a",), (relay_tag("a", "a", proposal),))
         assert guard_intake(g, relay) == []
         assert g.session is None
+
+
+class TestIntakeDispatch:
+    """`Replica.deliver` hands each kind to its handler and drops a kind the
+    replica has none for."""
+
+    def guard_kinds(self):
+        text = "blameset kind=liveness members=4,5 round=1\n"
+        proposal = RecoverProposal(1, text, None, recover_tag(1, text, None))
+        claims = (SlotDecision(LeaderSlot(1, 0), Verdict.SKIP),)
+        return [
+            LBlameMsg(1, 2, 1, lblame_tag(1, 2, 1)),
+            CoreUpdateMsg(1, claims, update_tag(1, claims)),
+            AgreementRelay(1, proposal, (1,), (relay_tag(1, 1, proposal),)),
+        ]
+
+    def test_validator_drops_guard_kinds_and_unknown_kinds(self):
+        v = CoreValidator(0, Committee.of_size(6), delta=DELTA)
+        v.flush(0)
+        stored = v.dag.stored
+        for msg in self.guard_kinds() + [object(), "block"]:
+            assert v.deliver(msg, "g1", 40) == []
+        assert v.dag.stored == stored and len(v.pending) == 0
+
+    def test_guard_drops_unknown_kinds(self):
+        g = make_guard()
+        for msg in (object(), "block", 7):
+            assert g.deliver(msg, "g1", 40) == []
+        assert g.blames == {} and g.remote_claims == {} and g.session is None
+
+    def test_guard_kinds_reach_handlers_wrapped_on_the_class(self, monkeypatch):
+        g = make_guard()
+        calls = []
+        for name in Guard.handlers.values():
+            real = getattr(Guard, name)
+
+            def wrapped(self, msg, now, real=real, name=name):
+                calls.append(name)
+                return real(self, msg, now)
+
+            monkeypatch.setattr(Guard, name, wrapped)
+        for msg in self.guard_kinds():
+            g.deliver(msg, "g1", 40)
+        assert calls == ["on_lblame", "on_remote_update", "on_recover_msg"]
+        assert g.blames
 
 
 def junk():
@@ -585,17 +631,17 @@ class TestGuardIntakeProperty:
 
 
 def validator_after_a_run():
-    """Validator 0 at the end of a 20-round fault-free run, behind the
-    simulator's adapter, and every block it stored in the run."""
+    """Validator 0 at the end of a 20-round fault-free run, the run's end
+    time, and every block the validator stored in the run."""
     with stored_history() as log:
         runner = Runner(scenarios.fault_free(1, rounds=20), seed=1)
         runner.run()
     v = runner.epochs[0].validators[0]
-    return ValidatorAdapter(runner, v), unpruned(v.committee, log[v.dag])
+    return v, runner.sim.now, unpruned(v.committee, log[v.dag])
 
 
-_V_ADAPTER, _V_HISTORY = validator_after_a_run()
-_V_FLOOR = _V_ADAPTER.validator.dag.floor
+_V_VALIDATOR, _, _V_HISTORY = validator_after_a_run()
+_V_FLOOR = _V_VALIDATOR.dag.floor
 _V_ROUNDS = (0, 1, _V_FLOOR - 1, _V_FLOOR, _V_FLOOR + 1, _V_HISTORY.max_round, _V_HISTORY.max_round + 1, 10**6)
 _V_BLOCKS = [b for r in range(_V_HISTORY.max_round + 1) for b in _V_HISTORY.blocks_at_round(r)]
 _V_REFS = [b.ref() for b in _V_BLOCKS] + [BlockRef(1, r, bytes([r % 256]) * 16) for r in _V_ROUNDS]
@@ -648,12 +694,10 @@ class TestValidatorIntakeProperty:
     @given(msgs=st.lists(hostile_sync_message(), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_hostile_payloads_never_raise_nor_land_below_the_floor(self, msgs):
-        adapter, _ = validator_after_a_run()
-        v = adapter.validator
-        now = adapter.runner.sim.now
+        v, now, _ = validator_after_a_run()
         for i, msg in enumerate(msgs):
-            adapter.deliver(msg, "v5", now + i)
-            adapter.flush(now + i)
+            v.deliver(msg, "v5", now + i)
+            v.flush(now + i)
         floor = v.dag.floor
         assert floor >= _V_FLOOR
         assert all(r >= floor for r in range(v.dag.max_round + 1) if v.dag.author_count(r))

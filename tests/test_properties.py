@@ -20,7 +20,7 @@ from pentabft.dagcore import Committee, Dag, decode_block, make_block
 from pentabft.runner import Runner, run, run_record
 from pentabft import scenarios
 
-from oracles import decide_all, post_order, run_with_history
+from oracles import committed_leaders, decide_all, post_order, run_with_history
 from test_dagcore import full_round
 
 
@@ -397,7 +397,7 @@ class TestLinearization:
             result, history = run_with_history(cfg, seed=1)
             for state in result.epochs:
                 for name, node in (*state.validators.items(), *state.guards.items()):
-                    leaders = node.committer.committed_leaders
+                    leaders = committed_leaders(node.committer)
                     dag = history(node)
                     emitted: set[bytes] = set()
                     reference: set[bytes] = set()
@@ -433,9 +433,9 @@ class TestHonestBehavior:
         for horizon in range(0, cfg.horizon_vtime() + 1, cfg.delta):
             runner.sim.horizon = horizon
             runner.sim.run()
-            assert committer.committed_leaders[: len(leaders)] == leaders
+            assert committed_leaders(committer)[: len(leaders)] == leaders
             assert committer.delivery_sequence[: len(delivery)] == delivery
-            leaders = list(committer.committed_leaders)
+            leaders = committed_leaders(committer)
             delivery = list(committer.delivery_sequence)
         assert leaders
         # the sequence itself is the log: ascending slots, no repeats

@@ -2,23 +2,28 @@
 
 import hashlib
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from pentabft import scenarios
 from pentabft.committer import PRUNE_DEPTH
-from pentabft.dagcore import make_block, stored_history, unpruned
+from pentabft.dagcore import Committee, genesis_blocks, make_block, stored_history, unpruned
+from pentabft.faults import CrashValidator, SilentGuard
 from pentabft.guard import Guard
 from pentabft.messages import BlockMsg, Broadcast, Send, SyncResponse
 from pentabft.runner import (
+    GuardAdapter,
     Runner,
+    ValidatorAdapter,
     check_delivery_bounds,
     check_prefix_consistency,
     run,
     run_record,
     verify_scenario,
 )
-from pentabft.validator import CoreValidator
+from pentabft.simnet import Simulator, Synchronous
+from pentabft.validator import LEADER_TIMER, CoreValidator
 
 from oracles import run_with_history
 
@@ -359,6 +364,46 @@ class TestOutboundCheck:
         assert runner.violations == []
 
 
+class TestHostGate:
+    """The adapters host replicas in the simulator and gate their output."""
+
+    def host(self):
+        cfg = scenarios.fault_free(1)
+        return SimpleNamespace(config=cfg, sim=Simulator(Synchronous(cfg.delta), 1, record_events=True))
+
+    def test_crash_in_a_leader_timer_step_is_logged_once(self):
+        host = self.host()
+        delta = host.config.delta
+        committee = Committee.of_size(6)
+        v = CrashValidator(0, committee, delta=delta, crash_round=3)
+        adapter = ValidatorAdapter(host, v)
+        adapter.flush(0)
+        genesis = [b.ref() for b in genesis_blocks(committee)]
+        # round 1's leaders are 1 and 2; leader 2 stays away
+        for a in (1, 3, 4, 5):
+            adapter.deliver(BlockMsg(make_block(a, 1, genesis, (b"t",))), f"v{a}", delta)
+        adapter.flush(delta)
+        assert v.current_round == 1 and not v.crashed
+        # the timeout enters round 2, the round before the crash round,
+        # and the same step crashes the validator
+        actions = adapter.on_timer(LEADER_TIMER, 3 * delta)
+        assert v.current_round == 2 and v.crashed
+        assert [a.payload.block.round for a in actions if isinstance(a, Broadcast)] == [2]
+        assert adapter.flush(3 * delta) == []
+        assert adapter.deliver(BlockMsg(make_block(1, 2, genesis, ())), "v1", 4 * delta) == []
+        (line,) = [line for line in host.sim.event_lines if line.endswith("\tcrash activated")]
+        assert line.startswith(f"{3 * delta}\t") and "\tinject\tv0\t" in line
+
+    def test_silent_guard_receives_but_emits_nothing(self):
+        committee = Committee.of_size(6)
+        g = SilentGuard(0, committee, guard_count=5, delta=1000)
+        genesis = [b.ref() for b in genesis_blocks(committee)]
+        block = make_block(1, 1, genesis, (b"t",))
+        assert g.deliver(BlockMsg(block), "v1", 10)  # the guard itself echoes
+        assert GuardAdapter(g).deliver(BlockMsg(make_block(2, 1, genesis, ())), "v2", 10) == []
+        assert g.dag.first_block_by(2, 1) is not None
+
+
 class TestPartialSynchrony:
     def test_progress_resumes_after_gst(self):
         cfg = scenarios.adversary_matrix("crash", scenarios.PARTIAL, True, rounds=25)
@@ -454,3 +499,29 @@ class TestGoldenRecords:
         want_head, want_full = GOLDEN_DIGESTS[name][seed - 1]
         assert digest(head) == want_head
         assert digest(text) == want_full
+
+
+# blake2b-128 digests of RunRecord.to_text() for the benchmark's four workload
+# configurations (perfbench/workloads.py builds the same), at seeds 1 and 3.
+# The benchmark compares runs only while these hold.
+BENCHMARK_CONFIGS = {
+    "sync-f6": lambda: scenarios.fault_free(6, rounds=50),
+    "async-f6": lambda: scenarios.async_fault_free(6, rounds=50),
+    "equivocate-guarded": lambda: scenarios.equivocate_f(rounds=64, guards=5),
+    "crash-recover": lambda: scenarios.crash_f_plus_1(rounds=300),
+}
+BENCHMARK_DIGESTS = {
+    "sync-f6": ("141fffc6f233d57c62a9e637bdb7975f", "3522c3f1ee61e35f893b3be82e96fbde"),
+    "async-f6": ("d73ad94d55e6c89732425c9721738101", "c2d6b2aa282649a8a27e7fe92afdf380"),
+    "equivocate-guarded": ("ed7f94be56d4778bfb6ddf4988830309", "ff4e293ba94f3a89cfd5c9c1174d9167"),
+    "crash-recover": ("fb3bb388571b75c0803ab9494ae818a5", "1ce4641b1765d2f30c440568303b6394"),
+}
+
+
+class TestBenchmarkRecords:
+    @pytest.mark.parametrize(
+        "name,seed", [(name, seed) for name in sorted(BENCHMARK_DIGESTS) for seed in (1, 3)]
+    )
+    def test_record_digest_unchanged(self, name, seed):
+        record = run_record(BENCHMARK_CONFIGS[name](), seed)
+        assert digest(record.to_text()) == BENCHMARK_DIGESTS[name][(1, 3).index(seed)]

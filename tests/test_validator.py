@@ -14,10 +14,11 @@ from pentabft.dagcore import (
     unpruned,
 )
 from pentabft.faults import CrashValidator, EquivocatingValidator, WithholdVotesValidator
-from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest
+from pentabft.messages import ArmTimer, BlockMsg, Broadcast, Send, SyncRequest, SyncResponse
 from pentabft import validator
 from pentabft.validator import LEADER_TIMER, CoreValidator
 
+from oracles import committed_leaders
 from replica_path import count_validations, deliver
 
 DELTA = 1000
@@ -324,8 +325,67 @@ class TestFloor:
         assert len(v.pending) == 0
 
 
+class TestTriggerRound:
+    """A flush without a trigger round of its own triggers its decision pass
+    at the highest round delivered since the last such flush."""
+
+    def passes(self, monkeypatch, v):
+        """The trigger round of each decision pass `v` runs from now on."""
+        seen = []
+        real = v.committer.extend
+
+        def extend(trigger_round=-1, keep=None):
+            seen.append(trigger_round)
+            return real(trigger_round, keep)
+
+        monkeypatch.setattr(v.committer, "extend", extend)
+        return seen
+
+    def idle_validator(self):
+        """A validator in round 1 that advances no further, so each flush
+        runs one decision pass."""
+        v = fresh_validator()
+        v.max_round = 1
+        v.flush(0)
+        return v
+
+    def test_counts_skipped_invalid_and_shipped_blocks(self, monkeypatch):
+        from pentabft.dagcore import Block, auth_tag_for
+
+        v = self.idle_validator()
+        shadow = Dag(v.committee)
+        round1 = other_round(v.committee, 1, shadow, (0, 1, 2, 3, 4, 5))
+        for b in round1:
+            shadow.insert(b)
+        round2 = other_round(v.committee, 2, shadow, (1, 2))
+        held = round1[1]
+        v.deliver(BlockMsg(held), "v1", DELTA)
+        v.flush(DELTA)
+        seen = self.passes(monkeypatch, v)
+        v.deliver(BlockMsg(held), "g0", DELTA)  # held: skips intake
+        v.flush(DELTA)
+        forged = Block(2, 5, held.parents, (), None, auth_tag_for(4))
+        v.deliver(BlockMsg(held), "g0", 2 * DELTA)
+        v.deliver(BlockMsg(forged), "v4", 2 * DELTA)
+        v.flush(2 * DELTA)
+        v.deliver(SyncResponse((round1[2], *round2)), "v1", 3 * DELTA)
+        v.flush(3 * DELTA)
+        v.flush(4 * DELTA)
+        assert seen == [1, 5, 2, -1]
+        assert len(v.invalid_evidence) == 1 and len(v.pending) == 2
+
+    def test_leader_timer_pass_leaves_the_trigger_round(self, monkeypatch):
+        v = self.idle_validator()
+        (block,) = other_round(v.committee, 1, v.dag, (1,))
+        v.deliver(BlockMsg(block), "v1", DELTA)
+        seen = self.passes(monkeypatch, v)
+        v.on_timer(LEADER_TIMER, 3 * DELTA)
+        v.flush(3 * DELTA)
+        assert seen == [-1, 1]
+
+
 def commit_log(v):
-    return list(v.committer.committed_leaders), list(v.committer.delivery_sequence)
+    return committed_leaders(v.committer), list(v.committer.delivery_sequence)
 
 
 def assert_appended(before, after):
