@@ -65,6 +65,15 @@ class PrefixNode:
         self.next: dict[bytes, PrefixNode] = {}  # leader digest -> longer prefix
         self.emitted = emitted  # see Committer._deliver
 
+    def batches(self) -> Iterator[list[BlockRef]]:
+        """The non-empty batches along this prefix's path, newest first; each
+        ends with its leader, and leader rounds never rise going back."""
+        node: Optional[PrefixNode] = self
+        while node is not None:
+            if node.batch:
+                yield node.batch
+            node = node.parent
+
 
 class CoinUnavailable(RuntimeError):
     """Asynchronous leader cannot be determined before shares are combinable."""
@@ -214,7 +223,8 @@ class Committer:
     """Per-node decision state: evaluates slots and extends the commit sequence.
 
     Decisions are pure functions of the DAG snapshot; this class adds a store
-    of decided slots (a slot never leaves commit/skip once reached), the
+    of decided slots (a slot never leaves commit/skip once reached), which
+    holds the committee memo's one object per verdict, the
     DAG's count of stored blocks at the last decision pass, against which
     the DAG's quorum stamps tell which decision rounds grew since, and the
     monotone commit log with its place in the committee's delivery log.
@@ -391,6 +401,8 @@ class Committer:
         self._seen_blocks = dag.stored
         stamps = dag.quorum_stamps
         decided = self._decided
+        memo = self.committee.memo
+        verdicts = memo.verdicts
         l = self.leaders_per_round
         wl = self.wave_length
         for r in range(dag.max_round, self._prefix_len // l, -1):
@@ -411,9 +423,15 @@ class Committer:
                     rule = "indirect"
                 if d.verdict is Verdict.UNDECIDED:
                     continue
+                shared = verdicts.get(d)
+                if shared is None:
+                    verdicts[d] = d
+                    memo.file("verdicts", r, d)
+                else:
+                    d = shared
                 decided[idx] = d
                 since = 0  # a new anchor: every quorate slot below is evaluated
-                self.decision_events.append((slot, d.verdict, rule, trigger_round))
+                self.decision_events.append((d.slot, d.verdict, rule, trigger_round))
         prefix_len = self._prefix_len
         while self._prefix_len in decided:
             d = decided[self._prefix_len]
@@ -435,16 +453,34 @@ class Committer:
         `leader` after this prefix yet.
 
         Only a prefix no node has extended yet holds `emitted`, the digests
-        delivered along its path; extending it hands that set on to the
-        longer prefix. A node forking off an already extended prefix finds
-        no set there and rebuilds it from the batches along its path.
+        delivered along its path by the batches whose leader is at most
+        PRUNE_DEPTH rounds below the prefix's last leader. Linearizing
+        `leader` reads no digest more than PRUNE_DEPTH rounds below it, and
+        leader rounds never fall along a path, so extending the prefix drops
+        the batches that fall below that bound and hands the set on to the
+        longer prefix. Dropped batches form the oldest part of the path, and
+        a dropped batch's leader is no longer in the set. A node forking off
+        an already extended prefix finds no set there and rebuilds it from
+        the batches along its path that are not below the bound.
         """
         prefix = self._prefix
         node = prefix.next.get(leader.digest)
         if node is None:
+            lowest = leader.round - PRUNE_DEPTH
             emitted, prefix.emitted = prefix.emitted, None
             if emitted is None:
-                emitted = {ref.digest for ref in self.delivery_sequence}
+                emitted = set()
+                for batch in prefix.batches():
+                    if batch[-1].round < lowest:
+                        break
+                    emitted.update(ref.digest for ref in batch)
+            else:
+                for batch in prefix.batches():
+                    if batch[-1].round >= lowest:
+                        continue
+                    if batch[-1].digest not in emitted:
+                        break  # dropped at an earlier extension
+                    emitted.difference_update(ref.digest for ref in batch)
             node = PrefixNode(prefix, linearize_one(self.dag, leader, emitted), emitted)
             prefix.next[leader.digest] = node
         self._prefix = node
@@ -453,11 +489,7 @@ class Committer:
     def delivery_sequence(self) -> list[BlockRef]:
         """Blocks delivered so far, in order: the batches along this node's
         path in the delivery log, read afresh on every access."""
-        batches = []
-        node: Optional[PrefixNode] = self._prefix
-        while node is not None:
-            batches.append(node.batch)
-            node = node.parent
+        batches = list(self._prefix.batches())
         return [ref for batch in reversed(batches) for ref in batch]
 
     def sequenced(self, slot: LeaderSlot) -> Optional[SlotDecision]:

@@ -97,14 +97,18 @@ class CommitteeMemo:
     an (author, round), its ancestors at a round, and the batch a leader
     delivers after a given committed-leader prefix are the same at every node
     that can ask. Each is computed once per committee, i.e. once per epoch,
-    not once per validator and guard.
+    not once per validator and guard. Slot verdicts are held once per
+    committee too: each node's committer keeps the committee's one object
+    for a verdict it reached.
 
-    No node reads below its DAG's floor, so the validity, vote and ancestor
-    entries of the rounds below the lowest floor among the DAGs built for
-    the committee are dropped; each entry is filed under its round for that.
+    No node reads below its DAG's floor, so the validity, vote, ancestor and
+    verdict entries of the rounds below the lowest floor among the DAGs built
+    for the committee are dropped; each entry is filed under its round for
+    that.
     """
 
-    __slots__ = ("valid", "votes", "ancestors", "delivery", "floor", "_filed", "_floors")
+    __slots__ = ("valid", "votes", "ancestors", "verdicts", "delivery", "floor", "_filed",
+                 "_floors")
 
     def __init__(self):
         # digest -> auth tag of a block found valid; the digest leaves out the
@@ -112,10 +116,15 @@ class CommitteeMemo:
         self.valid: dict[bytes, str] = {}
         self.votes: dict[tuple, Optional[bytes]] = {}  # (support, author, round) -> digest
         self.ancestors: dict[tuple, frozenset] = {}  # (digest, round) -> digests
+        # a committer's SlotDecision -> the committee's one equal object; a
+        # decision compares by (slot, verdict, block ref)
+        self.verdicts: dict = {}
         self.delivery = None  # root of the committer's delivery log, built by the first committer
         self.floor = 0  # the lowest floor among the committee's DAGs
-        # table name -> round -> the keys filed there, for the three tables above
-        self._filed: dict[str, dict[int, list]] = {"valid": {}, "votes": {}, "ancestors": {}}
+        # table name -> round -> the keys filed there, for the four tables above
+        self._filed: dict[str, dict[int, list]] = {
+            "valid": {}, "votes": {}, "ancestors": {}, "verdicts": {},
+        }
         self._floors: dict[int, int] = {}  # floor -> DAGs of the committee at it
 
     def file(self, table: str, r: int, key) -> None:

@@ -203,7 +203,10 @@ class RunRecord:
     seed: int
     config_text: str
     epochs: list[EpochRecord] = field(default_factory=list)
-    event_lines: list[str] = field(default_factory=list)
+    # the simulator's event log: `event_count` lines, held as blocks of
+    # lines joined by "\n" (see simnet)
+    event_blocks: list[str] = field(default_factory=list)
+    event_count: int = 0
     violations: list[str] = field(default_factory=list)
     total_deliveries: int = 0
     end_vtime: int = 0
@@ -225,9 +228,10 @@ class RunRecord:
                 lines.extend(g.to_lines())
         for v in self.violations:
             lines.append(f"violation {v}")
-        lines.append(f"events {len(self.event_lines)}")
-        lines.extend(self.event_lines)
-        return "\n".join(lines) + "\n"
+        lines.append(f"events {self.event_count}")
+        lines.extend(self.event_blocks)
+        lines.append("")  # the final newline, without copying the text again
+        return "\n".join(lines)
 
 
 @dataclass
@@ -504,7 +508,8 @@ class Runner:
                     )
                 ep.guards.append(grec)
             record.epochs.append(ep)
-        record.event_lines = self.sim.event_lines
+        record.event_blocks = self.sim.event_blocks
+        record.event_count = self.sim.event_count
         return record
 
 

@@ -15,7 +15,10 @@ behaviorally identical because nothing sent at time t can arrive at time t.
 
 The event log is text, each line written once as its event happens; one
 payload description serves back-to-back copies of a message object, as a
-broadcast's copies pop under the synchronous model. The host's
+broadcast's copies pop under the synchronous model. Lines collect in a tail
+that is joined into one newline-separated block at the end of an instant
+once it holds EVENT_BLOCK_LINES lines, and when `run` returns, so the log
+is held as a few large strings, not one string per line. The host's
 `outbound_check` sees each message a node emits once, a broadcast as one.
 
 An epoch ends here too: `start_epoch` swaps in a new node set and drops the
@@ -124,6 +127,9 @@ DELIVER = 0
 TIMER = 1
 CALL = 2
 
+# event-log lines joined into one block of text
+EVENT_BLOCK_LINES = 4096
+
 
 def describe_payload(payload: object) -> str:
     """The event-log description of a delivered message. It never raises: a
@@ -177,19 +183,25 @@ class Simulator:
         self.now = 0
         self.horizon = horizon
         self.record_events = record_events
-        self.event_lines: list[str] = []
+        # the event log: blocks of EVENT_BLOCK_LINES or more lines joined by
+        # "\n", then the tail of lines not yet joined; event_count counts both
+        self.event_blocks: list[str] = []
+        self.event_tail: list[str] = []
+        self._joined_lines = 0
         self.delivery_count = 0
         # (send, frm, to, recv) per delivery later than the network model's
         # bound; checked with event recording
         self.late_deliveries: list[tuple[int, NodeId, NodeId, int]] = []
         # calendar queue: heap of distinct pending times, and per time a FIFO
         # of (seq, kind, node, a, b) entries; a DELIVER carries (sender,
-        # message), a TIMER (timer id, generation), a CALL ("", function)
+        # message), a TIMER (timer id, None), a CALL ("", function)
         self._times: list[int] = []
         self._queues: dict[int, deque] = {}
         self._seq = 0
         self.nodes: dict[NodeId, Node] = {}
-        self._timer_gen: dict[tuple[NodeId, str], int] = {}
+        # (node, timer id) -> seq of its one live arm; a key leaves when its
+        # timer fires, and an entry whose seq is not here was re-armed since
+        self._timer_seq: dict[tuple[NodeId, str], int] = {}
         self.on_recovery_done: Optional[Callable] = None
         self.outbound_check: Optional[Callable] = None
 
@@ -197,7 +209,7 @@ class Simulator:
         """Replace the node set: drop the old set's in-flight messages and
         armed timers (scheduled calls stay), then flush each new node once."""
         self.nodes = {node.node_id: node for node in nodes}
-        self._timer_gen.clear()
+        self._timer_seq.clear()
         # in place: run() may be consuming one of these queues right now, and
         # an emptied queue stays until run() reaches its time and skips it
         for queue in self._queues.values():
@@ -231,15 +243,28 @@ class Simulator:
                 self.send(frm, node_id, payload, now)
 
     def set_timer(self, node: NodeId, timer_id: str, duration: int, now: int) -> None:
-        gen = self._timer_gen.get((node, timer_id), 0) + 1
-        self._timer_gen[(node, timer_id)] = gen
-        self._push(now + duration, TIMER, node, timer_id, gen)
+        self._push(now + duration, TIMER, node, timer_id, None)
+        self._timer_seq[(node, timer_id)] = self._seq
 
     def inject(self, node: NodeId, detail: str, now: int) -> None:
         """Log a fault activation as a first-class event."""
         self._seq += 1
         if self.record_events:
-            self.event_lines.append(f"{now}\t{self._seq}\tinject\t{node}\t{detail}")
+            self.event_tail.append(f"{now}\t{self._seq}\tinject\t{node}\t{detail}")
+
+    @property
+    def event_count(self) -> int:
+        """Lines in the event log; a line may itself hold a newline, since a
+        Byzantine sender's malformed field is described as it stands."""
+        return self._joined_lines + len(self.event_tail)
+
+    def _join_tail(self) -> None:
+        """Move the tail's lines into one block."""
+        tail = self.event_tail
+        if tail:
+            self.event_blocks.append("\n".join(tail))
+            self._joined_lines += len(tail)
+            tail.clear()
 
     def schedule_call(self, time: int, fn: Callable) -> None:
         """Run `fn(now)` as an event; used for epoch restarts."""
@@ -270,10 +295,12 @@ class Simulator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> None:
-        """Process events until the horizon or quiescence."""
+        """Process events until the horizon or quiescence; on return every
+        event-log line is in a block."""
         times = self._times
         queues = self._queues
-        lines = self.event_lines
+        timer_seq = self._timer_seq
+        lines = self.event_tail
         described, description = None, describe_payload(None)
         while times and times[0] <= self.horizon:
             time = heappop(times)
@@ -301,8 +328,10 @@ class Simulator:
                         lines.append(f"{time}\t{seq}\tdeliver\t{node_id}\t{a} {description}")
                     actions = node.deliver(b, a, time)
                 else:
-                    if self._timer_gen.get((node_id, a)) != b:
+                    key = (node_id, a)
+                    if timer_seq.get(key) != seq:
                         continue  # superseded by a re-arm
+                    del timer_seq[key]
                     if self.record_events:
                         lines.append(f"{time}\t{seq}\ttimer\t{node_id}\t{a}")
                     actions = node.on_timer(a, time)
@@ -316,3 +345,6 @@ class Simulator:
                     actions = node.flush(time)
                     if actions:
                         self.apply_actions(node_id, actions, time)
+            if len(lines) >= EVENT_BLOCK_LINES:
+                self._join_tail()
+        self._join_tail()

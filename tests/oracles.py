@@ -8,7 +8,8 @@ scheduled and emitted sets, explicit-list linearization and commit
 extension, the vote relation between two blocks, parent-path reachability
 between two blocks, and the lowest equivocating pair of one author at one
 round. The decision trace format lives here too, and so does a run that
-keeps every node's whole DAG history for the tests that read it.
+keeps every node's whole DAG history for the tests that read it, and the
+event log of a simulator or a run record split back into its lines.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +48,15 @@ def run_with_history(config, seed: int) -> tuple[RunResult, Callable[[object], D
         return unpruned(node.committee, log[node.dag])
 
     return result, history
+
+
+def event_lines(log) -> list[str]:
+    """The event-log lines of a `Simulator` or a `RunRecord`, in the order
+    they were written: the blocks split at each newline, then a simulator's
+    tail of lines not yet joined."""
+    lines = [line for block in log.event_blocks for line in block.split("\n")]
+    lines.extend(getattr(log, "event_tail", ()))
+    return lines
 
 
 def tally_votes(dag: Dag, decision_round: int, leader_block: Block) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from pentabft.runner import (
 from pentabft.simnet import Simulator, Synchronous
 from pentabft.validator import LEADER_TIMER, CoreValidator
 
-from oracles import run_with_history
+from oracles import event_lines, run_with_history
 
 
 def short(cfg, **kw):
@@ -182,9 +182,40 @@ class TestBoundedState:
             sizes[rounds] = (
                 [len(node.dag) for node in nodes],
                 [len(node.pending) for node in nodes],
-                len(memo.votes), len(memo.ancestors), len(memo.valid),
+                len(memo.votes), len(memo.ancestors), len(memo.valid), len(memo.verdicts),
+            )
+            # which coin leaders commit last moves the kept batches' sizes a
+            # little; no kept batch's leader is over PRUNE_DEPTH rounds below
+            # the prefix, nor its blocks over PRUNE_DEPTH below their leader
+            assert all(
+                size <= (2 * PRUNE_DEPTH + 1) * state.committee.size
+                for size in self.emitted_sizes(nodes)
             )
         assert sizes[30] == sizes[60]
+
+    @staticmethod
+    def emitted_sizes(nodes):
+        """Sizes of the delivery log's `emitted` sets at the nodes' prefixes."""
+        sets = {id(s): s for s in (node.committer._prefix.emitted for node in nodes) if s is not None}
+        return sorted(len(s) for s in sets.values())
+
+    def test_record_data_of_a_guarded_run_is_the_same_at_n_and_2n_rounds(self):
+        """The simulator's timer table, the committee's verdict table and the
+        delivery log's `emitted` set do not grow with the run. Guards keep
+        EVIDENCE_DEPTH (32) rounds, so no floor rises before round 33 and
+        both runs go past it."""
+        sizes = {}
+        for rounds in (40, 80):
+            result = run(scenarios.fault_free(1, rounds=rounds, guards=5), seed=1)
+            state = result.epochs[0]
+            nodes = [*state.validators.values(), *state.guards.values()]
+            sizes[rounds] = (
+                len(result.sim._timer_seq),
+                len(state.committee.memo.verdicts),
+                self.emitted_sizes(nodes),
+            )
+            assert state.committee.memo.floor > 0 and sizes[rounds][2]
+        assert sizes[40] == sizes[80]
 
 
 class TestForkTable:
@@ -288,7 +319,7 @@ class TestEventLog:
         cfg = short(scenarios.CATALOG[name](), rounds=12, record_events=True)
         record = run_record(cfg, seed=1)
         details = [
-            line.split("\t")[4] for line in record.event_lines if line.split("\t")[2] == "deliver"
+            line.split("\t")[4] for line in event_lines(record) if line.split("\t")[2] == "deliver"
         ]
         assert details
         assert all(self.PAYLOAD.fullmatch(d) for d in details)
@@ -301,7 +332,7 @@ class TestSyncTraffic:
         cfg = scenarios.equivocate_f(rounds=rounds, guards=5, record_events=True)
         details = [
             line.split("\t")[4].split(" ")
-            for line in run_record(cfg, seed=1).event_lines
+            for line in event_lines(run_record(cfg, seed=1))
             if line.split("\t")[2] == "deliver"
         ]
         shipped = sum(int(d[2]) for d in details if d[1] == "sync-resp")
@@ -391,7 +422,7 @@ class TestHostGate:
         assert [a.payload.block.round for a in actions if isinstance(a, Broadcast)] == [2]
         assert adapter.flush(3 * delta) == []
         assert adapter.deliver(BlockMsg(make_block(1, 2, genesis, ())), "v1", 4 * delta) == []
-        (line,) = [line for line in host.sim.event_lines if line.endswith("\tcrash activated")]
+        (line,) = [line for line in event_lines(host.sim) if line.endswith("\tcrash activated")]
         assert line.startswith(f"{3 * delta}\t") and "\tinject\tv0\t" in line
 
     def test_silent_guard_receives_but_emits_nothing(self):

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest, SyncResponse
-from pentabft.runner import check_delivery_bounds
+from pentabft.runner import RunRecord, check_delivery_bounds
 from pentabft.scenarios import ScenarioConfig
 from pentabft.simnet import (
+    EVENT_BLOCK_LINES,
     Asynchronous,
     BudgetExceeded,
     Node,
@@ -16,6 +17,8 @@ from pentabft.simnet import (
     Simulator,
     Synchronous,
 )
+
+from oracles import event_lines
 
 
 class Recorder(Node):
@@ -140,6 +143,23 @@ class TestTimers:
         sim.run()
         assert nodes[1].log == [("timer", 4000, "t")]
 
+    def test_a_fired_timer_leaves_the_table_and_a_stale_arm_stays_dead(self):
+        class Rearming(Recorder):
+            def on_timer(self, timer_id, now):
+                super().on_timer(timer_id, now)
+                return [ArmTimer("t", 5000)] if now == 1000 else []
+
+        sim = Simulator(Synchronous(1000), 1)
+        node = Rearming("n0")
+        sim.start_epoch([node], 0)
+        sim.set_timer("n0", "t", 4000, 0)
+        sim.set_timer("n0", "t", 1000, 0)  # re-armed earlier: the 4000 arm is stale
+        sim.run()
+        # the stale arm stays dead at 4000, though the key it was armed under
+        # left the table at 1000 and was armed again there
+        assert node.log == [("timer", 1000, "t"), ("timer", 6000, "t")]
+        assert sim._timer_seq == {}
+
     def test_chained_guard_timers_land_at_six_delta(self):
         sim, nodes = make_sim()
         delta = 1000
@@ -197,9 +217,9 @@ class TestEventLog:
         sim.broadcast("n0", "x", 0)
         sim.set_timer("n1", "t", 100, 0)
         sim.run()
-        kinds = {line.split("\t")[2] for line in sim.event_lines}
+        kinds = {line.split("\t")[2] for line in event_lines(sim)}
         assert kinds == {"deliver", "timer"}
-        assert all("\t" in line for line in sim.event_lines)
+        assert all("\t" in line for line in event_lines(sim))
 
     def test_malformed_payloads_are_described_not_raised(self):
         # a Byzantine peer's malformed sync messages reach the recipient, which
@@ -210,7 +230,7 @@ class TestEventLog:
         sim.send("n0", "n1", response, 0)
         sim.run()
         assert [entry[3] for entry in nodes[1].log] == [request, response]
-        details = [line.split("\t")[4] for line in sim.event_lines]
+        details = [line.split("\t")[4] for line in event_lines(sim)]
         assert details == ["n0 sync-req ?", "n0 sync-resp ?"]
 
     def test_horizon_cuts_off(self):
@@ -219,6 +239,29 @@ class TestEventLog:
         sim.set_timer("n0", "early", 200, 0)
         sim.run()
         assert nodes[0].log == [("timer", 200, "early")]
+
+
+    def test_lines_join_into_blocks_in_written_order(self):
+        sim, nodes = make_sim()
+        written = []
+        count = 2 * EVENT_BLOCK_LINES + 1
+        for t in range(count):
+            # the calls take seqs 1..count, so the inject at t takes count + 1 + t
+            detail = f"event {t}"
+            written.append(f"{t}\t{count + 1 + t}\tinject\tn0\t{detail}")
+            sim.schedule_call(t, lambda now, detail=detail: sim.inject("n0", detail, now))
+        sim.run()
+        # one block at each instant that filled the tail, the rest when run() returned
+        assert [block.count("\n") + 1 for block in sim.event_blocks] == [
+            EVENT_BLOCK_LINES, EVENT_BLOCK_LINES, 1,
+        ]
+        assert sim.event_tail == []
+        assert sim.event_count == count
+        assert event_lines(sim) == written
+        record = RunRecord("s", 1, "", event_blocks=sim.event_blocks, event_count=count)
+        assert record.to_text().endswith(
+            f"\nevents {count}\n" + "".join(line + "\n" for line in written)
+        )
 
 
 class TestEpochs:
@@ -240,7 +283,7 @@ class TestEpochs:
         assert all(n.log == [] and n.flushes == [0] for n in old)
         # one first flush each; the old epoch's message and timer never arrive
         assert all(n.log == [] and n.flushes == [500] for n in new)
-        assert not any(line.split("\t")[2] in ("deliver", "timer") for line in sim.event_lines)
+        assert not any(line.split("\t")[2] in ("deliver", "timer") for line in event_lines(sim))
 
     def test_first_flushes_run_in_node_order(self):
         order = []
@@ -270,7 +313,7 @@ class TestCalendarQueue:
             ("timer", 1000, "t"),
             ("deliver", 1000, "n2", "second"),
         ]
-        fields = [line.split("\t") for line in sim.event_lines]
+        fields = [line.split("\t") for line in event_lines(sim)]
         assert [(node, kind) for _, _, kind, node, _ in fields] == [
             ("n1", "deliver"), ("n1", "timer"), ("n1", "deliver"), ("n2", "timer"),
         ]
@@ -296,7 +339,7 @@ class TestCalendarQueue:
         assert calls == [("restart", 1000), ("same", 1000), ("later", 3000)]
         assert old[1].log == [("deliver", 1000, "n0", "before")]
         assert all(n.log == [] for n in new)
-        assert [line.split("\t")[4] for line in sim.event_lines] == ["n0 str"]
+        assert [line.split("\t")[4] for line in event_lines(sim)] == ["n0 str"]
         assert sim.now == 3000
 
     def test_run_stops_at_the_horizon_and_keeps_later_events(self):
