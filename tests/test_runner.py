@@ -168,6 +168,22 @@ class TestCommitteeMemo:
         assert memos[1] is not memos[0]
         assert not memos[1].valid.keys() & memos[0].valid.keys()
 
+    def test_one_verdict_object_per_slot_verdict(self):
+        """Every validator and guard that reaches a slot's verdict keeps the
+        committee's one object for it, in its decided slots, its sequence
+        and, by its slot, its decision events."""
+        state = run(scenarios.fault_free(1, guards=5), seed=1).epochs[0]
+        nodes = [*state.validators.values(), *state.guards.values()]
+        first = {}
+        for node in nodes:
+            committer = node.committer
+            for d in committer._decided.values():
+                assert first.setdefault(d, d) is d
+            assert all(first[d] is d for d in committer.sequence)
+            slots = {id(d.slot) for d in committer._decided.values()}
+            assert all(id(slot) in slots for slot, _, _, _ in committer.decision_events)
+        assert len(first) == len({d.slot for d in first}) > 20
+
 
 class TestBoundedState:
     def test_replica_state_is_the_same_at_n_and_2n_rounds(self):
