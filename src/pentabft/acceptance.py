@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional
 from .committer import LeaderSlot, SlotDecision, Verdict, validate_stake_split
 from .dagcore import stored_history, unpruned
 from .guard import BlameSet, is_valid_blameset
+from .metrics import verdicts
 from .runner import check_prefix_consistency, run, run_record
 from .scenarios import (
     ASYNC_ADVERSARIAL,
@@ -79,15 +80,15 @@ def _latency_worker(job: tuple) -> dict:
     direct = 0
     off_round = 0
     hist: dict[int, int] = {}
-    for slot_round, _, verdict, rule, trigger, _ in ref.commit_events:
+    for slot_round, _, verdict, rule, delay, _ in verdicts(ref):
         if slot_round > rounds - expected_gap:
             continue
         if verdict == "commit" and rule == "direct":
             direct += 1
-            if trigger != slot_round + expected_gap:
+            if delay != wl:
                 off_round += 1
-            delays = trigger - slot_round + 1
-            hist[delays] = hist.get(delays, 0) + 1
+            if delay is not None:
+                hist[delay] = hist.get(delay, 0) + 1
     return {
         "complete": complete,
         "direct": direct,
@@ -221,19 +222,16 @@ def _liveness_worker(job: tuple) -> list[str]:
             failures.append(f"seed={seed} {ref.node}: no post-GST rounds")
             continue
         first_post = min(post_rounds)
-        decided_rounds = {}
-        for slot_round, rank, verdict, rule, trigger, _ in ref.commit_events:
-            decided_rounds[(slot_round, rank)] = trigger
+        delays = {(r, k): delay for r, k, _, _, delay, _ in verdicts(ref)}
         horizon_round = ref.highest_round - window - 1
         for r in range(first_post + 1, horizon_round):
             for k in range(cfg.leaders_per_round):
-                trig = decided_rounds.get((r, k))
-                if trig is None:
+                if (r, k) not in delays:
                     failures.append(f"seed={seed} {ref.node}: slot {r}/{k} never decided")
-                elif trig < 0 or trig - (r + 1) > window:
+                elif delays[r, k] is None or delays[r, k] - 2 > window:
                     failures.append(
-                        f"seed={seed} {ref.node}: slot {r}/{k} decided at trigger {trig}, "
-                        f"past its decision round window"
+                        f"seed={seed} {ref.node}: slot {r}/{k} decided at delay "
+                        f"{delays[r, k]}, past its decision round window"
                     )
         committed_rounds = sorted(
             {r for r, k, _ in ref.committed if first_post < r < horizon_round}
@@ -567,7 +565,7 @@ def _async_structure_worker(job: tuple) -> dict:
         v for v in result.record.epochs[0].validators if v.node == f"v{honest[0]}"
     )
     direct_rounds = {
-        r for r, _, verdict, rule, _, _ in ref_summary.commit_events
+        r for r, _, verdict, rule, _, _ in verdicts(ref_summary)
         if verdict == "commit" and rule == "direct"
     }
     out = {

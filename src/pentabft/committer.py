@@ -257,8 +257,8 @@ class Committer:
             committee.memo.delivery = PrefixNode(None, [], set())  # nothing committed
         self._prefix = committee.memo.delivery  # log node of the committed leaders
         self._prefix_len = 0  # slots consumed into `sequence`
-        # (slot, verdict, rule, trigger round) history for latency accounting
-        self.decision_events: list[tuple[LeaderSlot, Verdict, str, int]] = []
+        # (slot, verdict, rule, trigger round, vtime) history for latency accounting
+        self.decision_events: list[tuple[LeaderSlot, Verdict, str, int, int]] = []
 
     # -- wave geometry -------------------------------------------------------
 
@@ -377,12 +377,14 @@ class Committer:
             if d.verdict is not Verdict.SKIP:
                 return
 
-    def extend(self, trigger_round: int = -1, keep: Optional[int] = None) -> None:
+    def extend(self, trigger_round: int = -1, keep: Optional[int] = None, now: int = 0) -> None:
         """Decide what the DAG's growth since the last pass can decide, then
         extend the monotone commit log (`sequence`, `delivery_sequence`);
         both only ever grow by appending. A pass that extends the prefix
         raises the DAG's floor to PRUNE_DEPTH rounds below it, but not above
-        `keep`, where the caller's own reads need it.
+        `keep`, where the caller's own reads need it. Each verdict's
+        `decision_events` entry carries `trigger_round` and `now`, the
+        virtual time it formed at.
 
         The pass returns at once unless a quorate round grew since the last
         one. Undecided slots above the committed prefix are walked
@@ -431,7 +433,7 @@ class Committer:
                     d = shared
                 decided[idx] = d
                 since = 0  # a new anchor: every quorate slot below is evaluated
-                self.decision_events.append((d.slot, d.verdict, rule, trigger_round))
+                self.decision_events.append((d.slot, d.verdict, rule, trigger_round, now))
         prefix_len = self._prefix_len
         while self._prefix_len in decided:
             d = decided[self._prefix_len]

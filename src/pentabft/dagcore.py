@@ -677,15 +677,6 @@ class Dag:
         self._memo.file("ancestors", r, key)
         return result
 
-    def dump(self) -> str:
-        """One block per line: digest, author, round, parent digests."""
-        lines = []
-        for r in sorted(self._by_round):
-            for blk in self.blocks_at_round(r):
-                parents = " ".join(p.digest.hex() for p in blk.parents)
-                lines.append(f"{blk.digest.hex()} {blk.author} {blk.round} {parents}".rstrip())
-        return "\n".join(lines) + "\n"
-
 
 @contextmanager
 def stored_history() -> Iterator[dict[Dag, list[Block]]]:

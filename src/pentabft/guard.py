@@ -496,7 +496,7 @@ class Guard(Replica):
     # -- commit-view gossip and safety detection ------------------------------
 
     def _extend_own_view(self, now: int) -> list[Action]:
-        self._decide(keep=self._keep(now))
+        self._decide(now, keep=self._keep(now))
         self._forget_below(self.dag.floor)
         seq = self.committer.sequence
         if self._claimed >= len(seq):

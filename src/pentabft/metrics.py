@@ -9,9 +9,9 @@ measures commit detection against the node's entry into the propose round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .runner import RunRecord
+from .runner import NodeSummary, RunRecord
 
 
 @dataclass
@@ -95,30 +95,45 @@ class Metrics:
         return m
 
 
+def verdicts(
+    node: NodeSummary,
+) -> Iterator[tuple[int, int, str, str, Optional[int], Optional[int]]]:
+    """(slot round, rank, verdict, rule, delay, latency) for each slot verdict
+    of `node`, in the order they formed. The delay is in message delays, None
+    for a verdict formed without a trigger round; the latency is in virtual
+    time from the node's entry into the slot round, None without that entry."""
+    entries = node.round_entries
+    for slot_round, rank, verdict, rule, trigger, vtime in node.commit_events:
+        entry = entries.get(slot_round)
+        yield (
+            slot_round,
+            rank,
+            verdict,
+            rule,
+            None if trigger < 0 else trigger - slot_round + 1,
+            None if entry is None else vtime - entry,
+        )
+
+
 def from_record(record: RunRecord, config_mode: str, load_bytes: int) -> Metrics:
     """Extract metrics from the first honest validator's decision history."""
     m = Metrics(scenario=record.scenario, seed=record.seed, mode=config_mode, load_bytes=load_bytes)
     honest = record.honest_validators(0)
     if not honest:
         return m
-    ref = honest[0]
-    for _, _, verdict, rule, _, _ in ref.commit_events:
-        if verdict == "commit":
-            if rule == "direct":
-                m.slots_direct_committed += 1
-            else:
-                m.slots_indirect += 1
-        elif verdict == "skip":
+    for _, _, verdict, rule, delay, latency in verdicts(honest[0]):
+        if verdict == "skip":
             m.slots_skipped += 1
-    for slot_round, _, verdict, rule, trigger, vtime in ref.commit_events:
-        if verdict != "commit" or trigger < 0:
             continue
-        delays = trigger - slot_round + 1
-        m.commit_latency_rounds[delays] = m.commit_latency_rounds.get(delays, 0) + 1
-        entry = ref.round_entries.get(slot_round)
-        if entry is not None:
-            lat = vtime - entry
-            m.commit_latency_vtime[lat] = m.commit_latency_vtime.get(lat, 0) + 1
+        if rule == "direct":
+            m.slots_direct_committed += 1
+        else:
+            m.slots_indirect += 1
+        if delay is None:
+            continue
+        m.commit_latency_rounds[delay] = m.commit_latency_rounds.get(delay, 0) + 1
+        if latency is not None:
+            m.commit_latency_vtime[latency] = m.commit_latency_vtime.get(latency, 0) + 1
     for ep in record.epochs[:1]:
         for g in ep.guards:
             if g.faulty:

@@ -86,11 +86,12 @@ class Replica:
                 ready = released
         return []
 
-    def _decide(self, trigger_round: int = -1, keep: Optional[int] = None) -> None:
-        """Decision pass. If it raised the DAG's floor, the pending pool drops
-        the blocks below the floor and inserts those at it."""
+    def _decide(self, now: int, trigger_round: int = -1, keep: Optional[int] = None) -> None:
+        """Decision pass at virtual time `now`. If it raised the DAG's floor,
+        the pending pool drops the blocks below the floor and inserts those
+        at it."""
         floor = self.dag.floor
-        self.committer.extend(trigger_round, keep)
+        self.committer.extend(trigger_round, keep, now)
         if self.dag.floor != floor and len(self.pending):
             for block in self.pending.prune(self.dag.floor):
                 self._admit(block, None)

@@ -128,7 +128,6 @@ class NodeSummary:
     commit_events: list[tuple[int, int, str, str, int, int]] = field(default_factory=list)
     round_entries: dict[int, int] = field(default_factory=dict)
     highest_round: int = 0
-    invalid_blocks: int = 0
 
     def to_lines(self) -> list[str]:
         lines = [f"node {self.node} faulty={int(self.faulty)} highest={self.highest_round}"]
@@ -201,7 +200,6 @@ class EpochRecord:
 class RunRecord:
     scenario: str
     seed: int
-    config_text: str
     epochs: list[EpochRecord] = field(default_factory=list)
     # the simulator's event log: `event_count` lines, held as blocks of
     # lines joined by "\n" (see simnet)
@@ -444,7 +442,6 @@ class Runner:
         record = RunRecord(
             scenario=self.config.name,
             seed=self.seed,
-            config_text=self.config.to_text(),
             total_deliveries=self.sim.delivery_count,
             end_vtime=self.sim.now,
             violations=list(self.violations),
@@ -463,7 +460,6 @@ class Runner:
                     node=validator_node(v),
                     faulty=v in state.faulty,
                     highest_round=node.current_round,
-                    invalid_blocks=len(node.invalid_evidence),
                 )
                 for d in node.committer.sequence:
                     if d.verdict is Verdict.COMMIT:
@@ -483,7 +479,10 @@ class Runner:
                 summary.delivery_hash = h.hexdigest()
                 if self.config.record_delivery:
                     summary.delivery = [ref.digest.hex() for ref in delivery]
-                summary.commit_events = node.commit_events
+                summary.commit_events = [
+                    (s.round, s.rank, v.value, rule, t, vtime)
+                    for s, v, rule, t, vtime in node.committer.decision_events
+                ]
                 summary.round_entries = dict(node.round_entry_vtime)
                 ep.validators.append(summary)
             for g in sorted(state.guards):

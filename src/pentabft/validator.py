@@ -51,8 +51,6 @@ class CoreValidator(Replica):
         self.current_round = 0  # highest round this validator proposed in
         self.round_entry_vtime: dict[int, int] = {0: 0}
         self.leader_deadline: Optional[int] = None
-        # the virtual time each `committer.decision_events` entry formed at
-        self.decision_vtimes: list[int] = []
         self.crashed = False
         self._trigger = -1  # highest round delivered since the last flush
         self.max_round: Optional[int] = None  # harness-imposed proposal ceiling
@@ -93,24 +91,12 @@ class CoreValidator(Replica):
             trigger_round, self._trigger = self._trigger, -1
         actions: list[Action] = []
         while True:
-            self._decide(trigger_round, None if self.crashed else self.current_round - 1)
-            self._stamp_decisions(now)
+            self._decide(now, trigger_round, None if self.crashed else self.current_round - 1)
             step = self._advance_once(now)
             if not step:
                 return actions
             actions.extend(step)
             trigger_round = self.current_round
-
-    def _stamp_decisions(self, now: int) -> None:
-        unstamped = len(self.committer.decision_events) - len(self.decision_vtimes)
-        self.decision_vtimes.extend([now] * unstamped)
-
-    @property
-    def commit_events(self) -> list[tuple[int, int, str, str, int, int]]:
-        """(slot round, rank, verdict, rule, trigger round, vtime) for the first
-        time each slot verdict formed at this node, for latency accounting."""
-        events = zip(self.committer.decision_events, self.decision_vtimes)
-        return [(s.round, s.rank, v.value, rule, t, vtime) for (s, v, rule, t), vtime in events]
 
     def _advance_once(self, now: int) -> list[Action]:
         """Enter the next round once the previous one is quorate and its

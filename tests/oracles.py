@@ -7,9 +7,9 @@ slot, the post-order linearization of one leader's history with separate
 scheduled and emitted sets, explicit-list linearization and commit
 extension, the vote relation between two blocks, parent-path reachability
 between two blocks, and the lowest equivocating pair of one author at one
-round. The decision trace format lives here too, and so does a run that
-keeps every node's whole DAG history for the tests that read it, and the
-event log of a simulator or a run record split back into its lines.
+round. The decision trace and DAG dump formats live here too, and so does
+a run that keeps every node's whole DAG history for the tests that read it,
+and the event log of a simulator or a run record split back into its lines.
 """
 
 from dataclasses import dataclass, field
@@ -138,6 +138,16 @@ def trace_line(d: SlotDecision) -> str:
 def decisions_to_trace(decisions: Iterable[SlotDecision]) -> str:
     """Decision trace: one 'slot verdict [blockref]' line per slot."""
     return "\n".join(trace_line(d) for d in decisions) + "\n"
+
+
+def dump_dag(dag: Dag) -> str:
+    """DAG dump: one 'digest author round parent-digests...' line per block."""
+    lines = []
+    for r in range(dag.floor, dag.max_round + 1):
+        for blk in dag.blocks_at_round(r):
+            parents = " ".join(p.digest.hex() for p in blk.parents)
+            lines.append(f"{blk.digest.hex()} {blk.author} {blk.round} {parents}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def linearize_sub_dags(

@@ -24,7 +24,7 @@ from pentabft.dagcore import (
     validate_block,
 )
 
-from oracles import equivocation_of, is_vote, link
+from oracles import dump_dag, equivocation_of, is_vote, link
 
 
 def full_round(dag, committee, r, txs=b""):
@@ -450,7 +450,7 @@ class TestSerialization:
 
     def test_dump_lists_every_block_once(self, committee, dag):
         full_round(dag, committee, 1)
-        dump = dag.dump()
+        dump = dump_dag(dag)
         lines = dump.strip().splitlines()
         assert len(lines) == 12
         g = dag.first_block_by(0, 0)

@@ -1,7 +1,11 @@
 """End-to-end scenario runs: catalog smoke, faults, recovery, determinism."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +16,7 @@ from pentabft.dagcore import Committee, genesis_blocks, make_block, stored_histo
 from pentabft.faults import CrashValidator, SilentGuard
 from pentabft.guard import Guard
 from pentabft.messages import BlockMsg, Broadcast, Send, SyncResponse
+from pentabft.metrics import from_record
 from pentabft.runner import (
     GuardAdapter,
     Runner,
@@ -181,7 +186,7 @@ class TestCommitteeMemo:
                 assert first.setdefault(d, d) is d
             assert all(first[d] is d for d in committer.sequence)
             slots = {id(d.slot) for d in committer._decided.values()}
-            assert all(id(slot) in slots for slot, _, _, _ in committer.decision_events)
+            assert all(id(slot) in slots for slot, _, _, _, _ in committer.decision_events)
         assert len(first) == len({d.slot for d in first}) > 20
 
 
@@ -528,24 +533,122 @@ GOLDEN_DIGESTS = {
 }
 
 
+# blake2b-128 digests of the `.metrics` text (`metrics.from_record(...)
+# .to_text()`) of the same runs, per seed.
+METRICS_DIGESTS = {
+    "async-adversarial": (
+        "84c2ec9752ba05f26f21a82c63d84efc",
+        "c6b5c8ad556ad8ce37d36a809b092e8f",
+        "2c785c17f9ed5d30b748a40035092139",
+    ),
+    "async-fault-free": (
+        "357612ca2615172e3de0a0e10246b444",
+        "7106d70e505e051fb9a845846d340276",
+        "1ca14885fbd323b64ef9fdbf955d6f0f",
+    ),
+    "byz-guard-recover": (
+        "11415ba65e1bb796f72a9972681c17d1",
+        "396d9453dac1cfab3c1f19bd56db9d77",
+        "1fb43e6e82b2c78c7dd0a3a66aa36a79",
+    ),
+    "crash-f": (
+        "84f9ff4139ee9c1b90b281e7ad79bd27",
+        "5568b56ab258fb08d4336e359a6d9613",
+        "4a8394816edd555ebca1909a7fb34ff9",
+    ),
+    "crash-f-plus-1": (
+        "05477318eafdd5bfa36b8de900601042",
+        "8852cd7a57c0a107ce970740a0468220",
+        "0024b385bf3fef81cf714061dd9e9795",
+    ),
+    "crash-leader": (
+        "1cd9c82647b601341f7df5292ebe8bbc",
+        "12c197e55cf010bc40f1959504a34cea",
+        "bcfd1a37e87fd00dd251225756b7783e",
+    ),
+    "equivocate-f": (
+        "f7d46488507eee997ab0c8673cd36cd9",
+        "cd81212876faa61b46715377cf02999f",
+        "5862122286f70eddb9d5781458036f77",
+    ),
+    "fault-free-f1": (
+        "3f42e85adf48d6ca217426484f66267f",
+        "c1c0efef6370e97e0bc2899422398cb0",
+        "6d6973f14a4dba1f2d166921a8a6bbf4",
+    ),
+    "fault-free-f2": (
+        "8714d18c86d9823977d2290e6c90861d",
+        "910141d1e9471279af7f3df9b768b9f1",
+        "be3d658dce196d36c41eb774d4fd3ae2",
+    ),
+    "fault-free-f6": (
+        "c0ef5ac0330dad70986676fb6e325cfb",
+        "f180a56bcdee8aa31d1f026bee3da20d",
+        "b93c3e39f97b64708472fdf4628fd08b",
+    ),
+    "splitview-3f": (
+        "50aa0a5f0a0d1039d179e2be426e5f54",
+        "b3e42b7161110fda5522558dad40dab6",
+        "54478a1307862661714a06ec53d2d616",
+    ),
+}
+
+
 def digest(text: str) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
+# prints "name digest" for seed 1 of every catalog scenario, as the golden
+# test runs it
+SEED_1_DIGESTS = """
+import hashlib
+from dataclasses import replace
+from pentabft import scenarios
+from pentabft.runner import run_record
+for name in sorted(scenarios.CATALOG):
+    text = run_record(replace(scenarios.CATALOG[name](), record_events=True), 1).to_text()
+    print(name, hashlib.blake2b(text.encode(), digest_size=16).hexdigest())
+"""
+
+
 class TestGoldenRecords:
     def test_every_catalog_scenario_is_pinned(self):
-        assert sorted(GOLDEN_DIGESTS) == sorted(scenarios.CATALOG)
+        assert sorted(GOLDEN_DIGESTS) == sorted(METRICS_DIGESTS) == sorted(scenarios.CATALOG)
 
     @pytest.mark.parametrize(
         "name,seed", [(name, seed) for name in sorted(GOLDEN_DIGESTS) for seed in (1, 2, 3)]
     )
     def test_record_digest_unchanged(self, name, seed):
         cfg = short(scenarios.CATALOG[name](), record_events=True)
-        text = run_record(cfg, seed).to_text()
+        record = run_record(cfg, seed)
+        text = record.to_text()
         head = text[: text.rindex("\nevents ") + 1]  # event lines start with a time
         want_head, want_full = GOLDEN_DIGESTS[name][seed - 1]
         assert digest(head) == want_head
         assert digest(text) == want_full
+        load_bytes = cfg.tx_per_block * cfg.tx_size
+        metrics_text = from_record(record, cfg.protocol_mode, load_bytes).to_text()
+        assert digest(metrics_text) == METRICS_DIGESTS[name][seed - 1]
+
+    def test_records_do_not_depend_on_the_string_hash_seed(self):
+        """A set or dict of strings iterated into a record would order it by
+        the process's hash seed: processes with two fixed seeds must both
+        give the pinned records."""
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", SEED_1_DIGESTS],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for hash_seed in ("0", "12345")
+        ]
+        want = {name: digests[0][1] for name, digests in GOLDEN_DIGESTS.items()}
+        for proc in procs:
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert dict(line.split() for line in out.splitlines()) == want
 
 
 # blake2b-128 digests of RunRecord.to_text() for the benchmark's four workload

@@ -258,7 +258,7 @@ class TestEventLog:
         assert sim.event_tail == []
         assert sim.event_count == count
         assert event_lines(sim) == written
-        record = RunRecord("s", 1, "", event_blocks=sim.event_blocks, event_count=count)
+        record = RunRecord("s", 1, event_blocks=sim.event_blocks, event_count=count)
         assert record.to_text().endswith(
             f"\nevents {count}\n" + "".join(line + "\n" for line in written)
         )

@@ -124,7 +124,7 @@ class TestOnBlock:
         from pentabft.committer import LeaderSlot
 
         assert decided[LeaderSlot(1, 0)].verdict is Verdict.COMMIT
-        assert v.commit_events[0][4] == 2  # trigger round
+        assert v.committer.decision_events[0][3] == 2  # trigger round
 
     def test_unknown_parent_requests_sync(self):
         v = fresh_validator()
@@ -334,9 +334,9 @@ class TestTriggerRound:
         seen = []
         real = v.committer.extend
 
-        def extend(trigger_round=-1, keep=None):
+        def extend(trigger_round=-1, keep=None, now=0):
             seen.append(trigger_round)
-            return real(trigger_round, keep)
+            return real(trigger_round, keep, now)
 
         monkeypatch.setattr(v.committer, "extend", extend)
         return seen
