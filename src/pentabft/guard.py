@@ -464,8 +464,8 @@ class Guard(Replica):
             return []
         try:
             validate_block(block, self.committee)
-        except ValidationError as err:
-            self.invalid_evidence.append((block, str(err)))
+        except ValidationError:
+            self.invalid_blocks += 1
             return []
         key = (block.author, block.round)
         actions = self._admit(block, sender)

@@ -46,7 +46,7 @@ class Replica:
         self.dag = Dag(committee)
         self.committer = Committer(self.dag, committee, leaders_per_round, coin)
         self.pending = PendingPool()
-        self.invalid_evidence: list[tuple[Block, str]] = []
+        self.invalid_blocks = 0  # blocks that failed validation on intake
 
     def deliver(self, msg, sender: NodeId, now: int) -> list[Action]:
         """The one intake of a message. A malformed block field drops the

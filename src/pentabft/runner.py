@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .committer import CommonCoin, Verdict
+from .committer import CommonCoin, SlotDecision, Verdict
 from .dagcore import Committee, Mode, ValidatorId
 from .faults import (
     BogusProposalGuard,
@@ -446,6 +446,9 @@ class Runner:
             end_vtime=self.sim.now,
             violations=list(self.violations),
         )
+        # a committee keeps one object per verdict, alive in its committers
+        # while the record is built: key each verdict's record data by its id
+        shared: dict[int, tuple] = {}
         for state in self.epochs:
             ep = EpochRecord(
                 state.epoch,
@@ -461,16 +464,13 @@ class Runner:
                     faulty=v in state.faulty,
                     highest_round=node.current_round,
                 )
-                for d in node.committer.sequence:
-                    if d.verdict is Verdict.COMMIT:
-                        summary.committed.append(
-                            (d.slot.round, d.slot.rank, d.block.digest.hex())
-                        )
-                for slot, d in sorted(node.committer.decided_slots().items()):
-                    val = d.verdict.value
-                    if d.verdict is Verdict.COMMIT:
-                        val = f"commit:{d.block.digest.hex()}"
-                    summary.decided[f"{slot.round}/{slot.rank}"] = val
+                for _, d in sorted(node.committer.decided_slots().items()):
+                    data = shared.get(id(d))
+                    if data is None:
+                        data = shared[id(d)] = _verdict_data(d)
+                    summary.decided[data[1]] = data[2]
+                committed = (shared[id(d)][0] for d in node.committer.sequence)
+                summary.committed = [c for c in committed if c is not None]
                 delivery = node.committer.delivery_sequence
                 summary.delivery_len = len(delivery)
                 h = hashlib.blake2b(digest_size=8)
@@ -510,6 +510,15 @@ class Runner:
         record.event_blocks = self.sim.event_blocks
         record.event_count = self.sim.event_count
         return record
+
+
+def _verdict_data(d: SlotDecision) -> tuple:
+    """A verdict's `committed` tuple (None for a skip), `decided` key and value."""
+    key = f"{d.slot.round}/{d.slot.rank}"
+    if d.verdict is not Verdict.COMMIT:
+        return None, key, d.verdict.value
+    digest = d.block.digest.hex()
+    return (d.slot.round, d.slot.rank, digest), key, f"commit:{digest}"
 
 
 def run(config: ScenarioConfig, seed: int) -> RunResult:

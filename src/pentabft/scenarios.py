@@ -102,24 +102,6 @@ class ScenarioConfig:
         r = self.splitview_round
         return (r % self.n, (r + 1) % self.n, (r + 2) % self.n)
 
-    def to_text(self) -> str:
-        lines = [f"name={self.name}"]
-        for key in (
-            "n", "f", "protocol_mode", "network", "delta", "gst", "async_base",
-            "async_cap", "leaders_per_round", "rounds", "tx_per_block", "tx_size",
-            "guards", "splitview_round", "beyond_f", "record_events",
-            "record_delivery", "extra_vtime",
-        ):
-            lines.append(f"{key}={getattr(self, key)}")
-        lines.append("crash=" + ";".join(f"{v}@{r}" for v, r in self.crash))
-        lines.append("equivocate=" + ";".join(str(v) for v in self.equivocate))
-        lines.append(
-            "withhold="
-            + ";".join(f"{v}>{','.join(str(t) for t in ts)}" for v, ts in self.withhold)
-        )
-        lines.append("byz_guards=" + ";".join(f"{g}:{p}" for g, p in self.byz_guards))
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def from_text(text: str) -> "ScenarioConfig":
         kv: dict[str, str] = {}

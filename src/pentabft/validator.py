@@ -54,6 +54,10 @@ class CoreValidator(Replica):
         self.crashed = False
         self._trigger = -1  # highest round delivered since the last flush
         self.max_round: Optional[int] = None  # harness-imposed proposal ceiling
+        # quorum stamp at the end of the last flush, None with the idle gate off;
+        # exact only asynchronously (no leader deadlines) with the base advance test
+        base = type(self)._can_advance is CoreValidator._can_advance
+        self._idle_stamp = -1 if committee.mode is Mode.ASYNC and base else None
 
     # -- block intake ----------------------------------------------------------
 
@@ -64,8 +68,8 @@ class CoreValidator(Replica):
             return []
         try:
             validate_block(block, self.committee)
-        except ValidationError as err:
-            self.invalid_evidence.append((block, str(err)))
+        except ValidationError:
+            self.invalid_blocks += 1
             return []
         return self._admit(block, sender)
 
@@ -84,16 +88,21 @@ class CoreValidator(Replica):
         """Decision pass plus the round-advance loop; our own block may
         complete a quorum for our own next decision pass. Without a given
         trigger round, the pass takes the highest round delivered since the
-        last such flush. The floor stays below the current round, whose
-        blocks the next proposal reads and must still be admitted with their
-        parents; a crashed validator proposes no more."""
+        last such flush; an idle asynchronous flush stops there. The floor
+        stays below the current round, whose blocks the next proposal reads
+        and must still be admitted with their parents; a crashed validator
+        proposes no more."""
         if trigger_round is None:
             trigger_round, self._trigger = self._trigger, -1
+        if self.dag.quorum_stamp == self._idle_stamp:
+            return []
         actions: list[Action] = []
         while True:
             self._decide(now, trigger_round, None if self.crashed else self.current_round - 1)
             step = self._advance_once(now)
             if not step:
+                if self._idle_stamp is not None:
+                    self._idle_stamp = self.dag.quorum_stamp
                 return actions
             actions.extend(step)
             trigger_round = self.current_round

@@ -7,9 +7,10 @@ slot, the post-order linearization of one leader's history with separate
 scheduled and emitted sets, explicit-list linearization and commit
 extension, the vote relation between two blocks, parent-path reachability
 between two blocks, and the lowest equivocating pair of one author at one
-round. The decision trace and DAG dump formats live here too, and so does
-a run that keeps every node's whole DAG history for the tests that read it,
-and the event log of a simulator or a run record split back into its lines.
+round. The decision trace, DAG dump and scenario file formats live here
+too, and so does a run that keeps every node's whole DAG history for the
+tests that read it, and the event log of a simulator or a run record split
+back into its lines.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from pentabft.dagcore import (
     unpruned,
 )
 from pentabft.runner import RunResult, run
+from pentabft.scenarios import ScenarioConfig
 
 
 def run_with_history(config, seed: int) -> tuple[RunResult, Callable[[object], Dag]]:
@@ -138,6 +140,26 @@ def trace_line(d: SlotDecision) -> str:
 def decisions_to_trace(decisions: Iterable[SlotDecision]) -> str:
     """Decision trace: one 'slot verdict [blockref]' line per slot."""
     return "\n".join(trace_line(d) for d in decisions) + "\n"
+
+
+def config_text(cfg: ScenarioConfig) -> str:
+    """A scenario file: the `key=value` text `ScenarioConfig.from_text` reads."""
+    lines = [f"name={cfg.name}"]
+    for key in (
+        "n", "f", "protocol_mode", "network", "delta", "gst", "async_base",
+        "async_cap", "leaders_per_round", "rounds", "tx_per_block", "tx_size",
+        "guards", "splitview_round", "beyond_f", "record_events",
+        "record_delivery", "extra_vtime",
+    ):
+        lines.append(f"{key}={getattr(cfg, key)}")
+    lines.append("crash=" + ";".join(f"{v}@{r}" for v, r in cfg.crash))
+    lines.append("equivocate=" + ";".join(str(v) for v in cfg.equivocate))
+    lines.append(
+        "withhold="
+        + ";".join(f"{v}>{','.join(str(t) for t in ts)}" for v, ts in cfg.withhold)
+    )
+    lines.append("byz_guards=" + ";".join(f"{g}:{p}" for g, p in cfg.byz_guards))
+    return "\n".join(lines) + "\n"
 
 
 def dump_dag(dag: Dag) -> str:

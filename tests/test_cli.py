@@ -6,6 +6,8 @@ from pentabft import cli
 from pentabft.metrics import Metrics
 from pentabft.scenarios import ScenarioConfig, fault_free
 
+from oracles import config_text
+
 
 class TestSeedParsing:
     def test_forms(self):
@@ -18,7 +20,7 @@ class TestConfigFiles:
     def test_roundtrip(self, tmp_path):
         cfg = fault_free(1, rounds=9)
         path = tmp_path / "scenario.cfg"
-        path.write_text(cfg.to_text())
+        path.write_text(config_text(cfg))
         again = ScenarioConfig.from_text(path.read_text())
         assert again == cfg
 
@@ -26,7 +28,7 @@ class TestConfigFiles:
         from pentabft.scenarios import crash_f_plus_1, byz_guard_recover
 
         for cfg in (crash_f_plus_1(), byz_guard_recover()):
-            assert ScenarioConfig.from_text(cfg.to_text()) == cfg
+            assert ScenarioConfig.from_text(config_text(cfg)) == cfg
 
 
 class TestRunCommand:
@@ -67,7 +69,7 @@ class TestRunCommand:
     def test_config_file_selector(self, tmp_path):
         cfg = fault_free(1, rounds=6)
         path = tmp_path / "mine.cfg"
-        path.write_text(cfg.to_text())
+        path.write_text(config_text(cfg))
         out = tmp_path / "res"
         assert cli.main(["run", str(path), "--seeds", "1", "--out", str(out)]) == 0
 

@@ -159,7 +159,7 @@ class TestLivenessAccounting:
         checked = count_validations(monkeypatch, guard_module)
         assert g.ingest_block(forged, "v4", 100) == []
         assert len(checked) == 1 and checked[0] is forged
-        assert len(g.invalid_evidence) == 1 and g.invalid_evidence[0][0] is forged
+        assert g.invalid_blocks == 1
         (held,) = g.dag.blocks_by(1, 1)
         assert held is block and 1 not in g.dag.equivocators(1)
 

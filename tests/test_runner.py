@@ -11,8 +11,16 @@ from types import SimpleNamespace
 import pytest
 
 from pentabft import scenarios
-from pentabft.committer import PRUNE_DEPTH
-from pentabft.dagcore import Committee, genesis_blocks, make_block, stored_history, unpruned
+from pentabft.committer import PRUNE_DEPTH, CommonCoin
+from pentabft.dagcore import (
+    CoinShare,
+    Committee,
+    Mode,
+    genesis_blocks,
+    make_block,
+    stored_history,
+    unpruned,
+)
 from pentabft.faults import CrashValidator, SilentGuard
 from pentabft.guard import Guard
 from pentabft.messages import BlockMsg, Broadcast, Send, SyncResponse
@@ -188,6 +196,27 @@ class TestCommitteeMemo:
             slots = {id(d.slot) for d in committer._decided.values()}
             assert all(id(slot) in slots for slot, _, _, _, _ in committer.decision_events)
         assert len(first) == len({d.slot for d in first}) > 20
+
+    @pytest.mark.parametrize(
+        "config, epochs",
+        [(scenarios.fault_free(6, rounds=20), 1), (scenarios.crash_f_plus_1(), 2)],
+        ids=["fault-free-f6", "crash-f-plus-1"],
+    )
+    def test_record_shares_each_verdicts_data_across_validators(self, config, epochs):
+        """The record builds a verdict's `committed` tuple and `decided` key
+        and value once: every honest validator of an epoch holds the same
+        objects for a slot."""
+        record = run_record(config, seed=1)
+        assert len(record.epochs) == epochs
+        for epoch in range(epochs):
+            committed, decided = {}, {}
+            for node in record.honest_validators(epoch):
+                for entry in node.committed:
+                    assert committed.setdefault(entry[:2], entry) is entry
+                for key, val in node.decided.items():
+                    first_key, first_val = decided.setdefault(key, (key, val))
+                    assert first_key is key and first_val is val
+            assert committed and decided
 
 
 class TestBoundedState:
@@ -445,6 +474,30 @@ class TestHostGate:
         assert adapter.deliver(BlockMsg(make_block(1, 2, genesis, ())), "v1", 4 * delta) == []
         (line,) = [line for line in event_lines(host.sim) if line.endswith("\tcrash activated")]
         assert line.startswith(f"{3 * delta}\t") and "\tinject\tv0\t" in line
+
+    def test_asynchronous_crash_is_logged_in_the_step_that_enters_the_round_before_it(self):
+        """Under asynchrony a validator crashes in the flush that enters the
+        round before its crash round; the idle flushes after it stay silent."""
+        host = self.host()
+        delta = host.config.delta
+        committee = Committee.of_size(6, Mode.ASYNC)
+        coin = CommonCoin(b"seed", committee)
+        v = CrashValidator(0, committee, delta=delta, coin=coin, crash_round=3)
+        adapter = ValidatorAdapter(host, v)
+        adapter.flush(0)
+        genesis = [b.ref() for b in genesis_blocks(committee)]
+        for a in (1, 2, 3):
+            block = make_block(a, 1, genesis, (b"t",), CoinShare(a, 1))
+            adapter.deliver(BlockMsg(block), f"v{a}", delta)
+            assert adapter.flush(delta) == [] and not v.crashed
+        block = make_block(4, 1, genesis, (b"t",), CoinShare(4, 1))
+        adapter.deliver(BlockMsg(block), "v4", 2 * delta)
+        actions = adapter.flush(2 * delta)
+        assert v.current_round == 2 and v.crashed
+        assert [a.payload.block.round for a in actions if isinstance(a, Broadcast)] == [2]
+        assert adapter.flush(3 * delta) == []
+        (line,) = [line for line in event_lines(host.sim) if line.endswith("\tcrash activated")]
+        assert line.startswith(f"{2 * delta}\t") and "\tinject\tv0\t" in line
 
     def test_silent_guard_receives_but_emits_nothing(self):
         committee = Committee.of_size(6)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from pentabft.committer import PRUNE_DEPTH, Verdict
+from pentabft.committer import PRUNE_DEPTH, CommonCoin, Verdict
 from pentabft.dagcore import (
     BlockRef,
+    CoinShare,
     Committee,
     Dag,
     Mode,
@@ -166,7 +167,7 @@ class TestOnBlock:
         actions = deliver(v, [forged], "v2", DELTA)
         assert actions == []
         assert v.dag.first_block_by(2, 1) is None
-        assert len(v.invalid_evidence) == 1
+        assert v.invalid_blocks == 1
 
     def test_held_block_skips_intake(self, monkeypatch):
         v = fresh_validator()
@@ -190,7 +191,7 @@ class TestOnBlock:
         checked = count_validations(monkeypatch, validator)
         assert v.ingest_block(forged, "v4", DELTA) == []
         assert len(checked) == 1 and checked[0] is forged
-        assert len(v.invalid_evidence) == 1 and v.invalid_evidence[0][0] is forged
+        assert v.invalid_blocks == 1
         assert v.dag.get(block.ref()) is block
 
     def test_serves_blocks_above_the_frontier(self):
@@ -372,7 +373,7 @@ class TestTriggerRound:
         v.flush(3 * DELTA)
         v.flush(4 * DELTA)
         assert seen == [1, 5, 2, -1]
-        assert len(v.invalid_evidence) == 1 and len(v.pending) == 2
+        assert v.invalid_blocks == 1 and len(v.pending) == 2
 
     def test_leader_timer_pass_leaves_the_trigger_round(self, monkeypatch):
         v = self.idle_validator()
@@ -382,6 +383,34 @@ class TestTriggerRound:
         v.on_timer(LEADER_TIMER, 3 * DELTA)
         v.flush(3 * DELTA)
         assert seen == [-1, 1]
+
+
+class TestIdleFlush:
+    """An asynchronous flush whose quorum stamp has not moved since the
+    validator's last flush can neither decide nor advance, so it returns
+    before the decision pass."""
+
+    def test_idle_flush_returns_before_the_decision_pass(self, monkeypatch):
+        committee = Committee.of_size(6, Mode.ASYNC)
+        v = CoreValidator(0, committee, delta=DELTA, coin=CommonCoin(b"seed", committee))
+        v.flush(0)
+        genesis = [b.ref() for b in genesis_blocks(committee)]
+        round1 = [make_block(a, 1, genesis, (b"t",), CoinShare(a, 1)) for a in (1, 2, 3, 4)]
+        seen = []
+        real = v.committer.extend
+        monkeypatch.setattr(
+            v.committer, "extend", lambda trigger, *rest: seen.append(trigger) or real(trigger, *rest)
+        )
+        assert v.flush(DELTA) == []
+        # round 1 short of a quorum: its stamp does not move
+        v.deliver(BlockMsg(round1[0]), "v1", DELTA)
+        assert v.flush(DELTA) == [] and seen == []
+        assert v._trigger == -1  # the idle flush consumed its trigger round
+        for block in round1[1:]:
+            v.deliver(BlockMsg(block), f"v{block.author}", 2 * DELTA)
+        actions = v.flush(2 * DELTA)
+        assert seen == [1, 2] and v.current_round == 2
+        assert [a.payload.block.round for a in actions if isinstance(a, Broadcast)] == [2]
 
 
 def commit_log(v):
