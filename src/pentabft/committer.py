@@ -20,7 +20,9 @@ earlier in the pass. The delivery order is obtained by linearizing each
 committed leader's not-yet-delivered causal history depth-first, leader last,
 down to PRUNE_DEPTH rounds below the leader. That batch depends only on the
 committed-leader prefix, so the committee's delivery log records it once and
-every node that commits the same prefix reuses it.
+every node that commits the same prefix reuses it; the first one builds the
+digests it must not deliver again from the prefix's batches whose leader is
+at most PRUNE_DEPTH rounds below the new one.
 
 No later decision or linearization reads a round more than PRUNE_DEPTH
 below the committed prefix, so a pass that extends the prefix raises the
@@ -56,14 +58,12 @@ class PrefixNode:
     """One committed-leader prefix in a committee's delivery log: the batch
     its last leader delivered, and the prefixes one leader longer."""
 
-    __slots__ = ("parent", "batch", "next", "emitted")
+    __slots__ = ("parent", "batch", "next")
 
-    def __init__(self, parent: Optional["PrefixNode"], batch: list[BlockRef],
-                 emitted: Optional[set[bytes]]):
+    def __init__(self, parent: Optional["PrefixNode"], batch: list[BlockRef]):
         self.parent = parent
         self.batch = batch
         self.next: dict[bytes, PrefixNode] = {}  # leader digest -> longer prefix
-        self.emitted = emitted  # see Committer._deliver
 
     def batches(self) -> Iterator[list[BlockRef]]:
         """The non-empty batches along this prefix's path, newest first; each
@@ -228,7 +228,7 @@ class Committer:
     DAG's count of stored blocks at the last decision pass, against which
     the DAG's quorum stamps tell which decision rounds grew since, and the
     monotone commit log with its place in the committee's delivery log.
-    Slots are keyed internally by their global index
+    `decided` keys slots by their global index
     `(round - 1) * leaders_per_round + rank`.
     """
 
@@ -248,13 +248,13 @@ class Committer:
         self.coin = coin
         if committee.mode is Mode.ASYNC and coin is None:
             raise ValueError("async mode requires a common coin")
-        self._decided: dict[int, SlotDecision] = {}  # slot index -> verdict
+        self.decided: dict[int, SlotDecision] = {}  # slot index -> verdict
         self._coin_outputs: dict[int, CoinOutput] = {}
         self._seen_blocks = 0  # dag.stored at the last pass that walked the slots
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         if committee.memo.delivery is None:
-            committee.memo.delivery = PrefixNode(None, [], set())  # nothing committed
+            committee.memo.delivery = PrefixNode(None, [])  # nothing committed
         self._prefix = committee.memo.delivery  # log node of the committed leaders
         self._prefix_len = 0  # slots consumed into `sequence`
         # (slot, verdict, rule, trigger round, vtime) history for latency accounting
@@ -367,7 +367,7 @@ class Committer:
         including the first one that is not a skip (the anchor); an undecided
         anchor is yielded as a fresh undecided decision."""
         l = self.leaders_per_round
-        decided = self._decided
+        decided = self.decided
         for idx in range(decision_round * l, self.dag.max_round * l):
             d = decided.get(idx)
             if d is None:
@@ -402,9 +402,8 @@ class Committer:
             return
         self._seen_blocks = dag.stored
         stamps = dag.quorum_stamps
-        decided = self._decided
-        memo = self.committee.memo
-        verdicts = memo.verdicts
+        decided = self.decided
+        verdicts = self.committee.memo.verdicts
         l = self.leaders_per_round
         wl = self.wave_length
         for r in range(dag.max_round, self._prefix_len // l, -1):
@@ -425,12 +424,8 @@ class Committer:
                     rule = "indirect"
                 if d.verdict is Verdict.UNDECIDED:
                     continue
-                shared = verdicts.get(d)
-                if shared is None:
-                    verdicts[d] = d
-                    memo.file("verdicts", r, d)
-                else:
-                    d = shared
+                key = (rank, d.block.digest if d.block is not None else None)
+                d = verdicts.setdefault(r, {}).setdefault(key, d)
                 decided[idx] = d
                 since = 0  # a new anchor: every quorate slot below is evaluated
                 self.decision_events.append((d.slot, d.verdict, rule, trigger_round, now))
@@ -454,36 +449,21 @@ class Committer:
         log, or linearize and record it there if no node has committed
         `leader` after this prefix yet.
 
-        Only a prefix no node has extended yet holds `emitted`, the digests
-        delivered along its path by the batches whose leader is at most
-        PRUNE_DEPTH rounds below the prefix's last leader. Linearizing
-        `leader` reads no digest more than PRUNE_DEPTH rounds below it, and
-        leader rounds never fall along a path, so extending the prefix drops
-        the batches that fall below that bound and hands the set on to the
-        longer prefix. Dropped batches form the oldest part of the path, and
-        a dropped batch's leader is no longer in the set. A node forking off
-        an already extended prefix finds no set there and rebuilds it from
-        the batches along its path that are not below the bound.
+        Linearizing `leader` reads no digest more than PRUNE_DEPTH rounds
+        below it, and leader rounds never rise going back along a path, so
+        its window of delivered digests is the batches along the prefix's
+        path back to the first one whose leader is below that bound.
         """
         prefix = self._prefix
         node = prefix.next.get(leader.digest)
         if node is None:
             lowest = leader.round - PRUNE_DEPTH
-            emitted, prefix.emitted = prefix.emitted, None
-            if emitted is None:
-                emitted = set()
-                for batch in prefix.batches():
-                    if batch[-1].round < lowest:
-                        break
-                    emitted.update(ref.digest for ref in batch)
-            else:
-                for batch in prefix.batches():
-                    if batch[-1].round >= lowest:
-                        continue
-                    if batch[-1].digest not in emitted:
-                        break  # dropped at an earlier extension
-                    emitted.difference_update(ref.digest for ref in batch)
-            node = PrefixNode(prefix, linearize_one(self.dag, leader, emitted), emitted)
+            emitted: set[bytes] = set()
+            for batch in prefix.batches():
+                if batch[-1].round < lowest:
+                    break
+                emitted.update(ref.digest for ref in batch)
+            node = PrefixNode(prefix, linearize_one(self.dag, leader, emitted))
             prefix.next[leader.digest] = node
         self._prefix = node
 
@@ -503,7 +483,7 @@ class Committer:
         return None
 
     def decided_slots(self) -> dict[LeaderSlot, SlotDecision]:
-        return {d.slot: d for d in self._decided.values()}
+        return {d.slot: d for d in self.decided.values()}
 
 
 def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[BlockRef]:

@@ -102,46 +102,32 @@ class CommitteeMemo:
     for a verdict it reached.
 
     No node reads below its DAG's floor, so the validity, vote, ancestor and
-    verdict entries of the rounds below the lowest floor among the DAGs built
-    for the committee are dropped; each entry is filed under its round for
-    that.
+    verdict tables map a round to that round's entries, and the rounds
+    below the lowest floor among the DAGs built for the committee are
+    dropped.
     """
 
-    __slots__ = ("valid", "votes", "ancestors", "verdicts", "delivery", "floor", "_filed",
-                 "_floors")
+    __slots__ = ("valid", "votes", "ancestors", "verdicts", "delivery", "floor", "_floors")
 
     def __init__(self):
-        # digest -> auth tag of a block found valid; the digest leaves out the
-        # tag, so a verdict holds only for the tag it was reached with
-        self.valid: dict[bytes, str] = {}
-        self.votes: dict[tuple, Optional[bytes]] = {}  # (support, author, round) -> digest
-        self.ancestors: dict[tuple, frozenset] = {}  # (digest, round) -> digests
-        # a committer's SlotDecision -> the committee's one equal object; a
-        # decision compares by (slot, verdict, block ref)
-        self.verdicts: dict = {}
+        # block round -> digest -> auth tag of a block found valid; the digest
+        # leaves out the tag, so a verdict holds only for the tag it was
+        # reached with
+        self.valid: dict[int, dict[bytes, str]] = {}
+        # voted round -> (support digest, author) -> digest
+        self.votes: dict[int, dict[tuple, Optional[bytes]]] = {}
+        self.ancestors: dict[int, dict[bytes, frozenset]] = {}  # round -> digest -> digests
+        # slot round -> (rank, committed digest or None for a skip) -> the
+        # committee's one SlotDecision object for that verdict
+        self.verdicts: dict[int, dict[tuple, object]] = {}
         self.delivery = None  # root of the committer's delivery log, built by the first committer
         self.floor = 0  # the lowest floor among the committee's DAGs
-        # table name -> round -> the keys filed there, for the four tables above
-        self._filed: dict[str, dict[int, list]] = {
-            "valid": {}, "votes": {}, "ancestors": {}, "verdicts": {},
-        }
         self._floors: dict[int, int] = {}  # floor -> DAGs of the committee at it
-
-    def file(self, table: str, r: int, key) -> None:
-        """File `key` of `table` under round `r`, to drop once every floor
-        passes it; a key below the lowest floor goes at that floor."""
-        filed = self._filed[table]
-        if r < self.floor:
-            r = self.floor
-        keys = filed.get(r)
-        if keys is None:
-            filed[r] = [key]
-        else:
-            keys.append(key)
 
     def floor_moved(self, before: Optional[int], after: int) -> None:
         """A DAG of the committee moved its floor from `before` (None for a
-        new DAG) to `after`; trim up to the new lowest floor, if it rose."""
+        new DAG) to `after`; drop every round below the new lowest floor, if
+        it rose."""
         floors = self._floors
         if before is not None:
             floors[before] -= 1
@@ -150,11 +136,10 @@ class CommitteeMemo:
         floors[after] = floors.get(after, 0) + 1
         lowest, floor = self.floor, min(floors)
         self.floor = floor
-        for name, filed in self._filed.items():
-            table = getattr(self, name)
-            for r in range(lowest, floor):
-                for key in filed.pop(r, ()):
-                    table.pop(key, None)
+        if floor > lowest:
+            for table in (self.valid, self.votes, self.ancestors, self.verdicts):
+                for r in [r for r in table if r < floor]:
+                    del table[r]
 
 
 @dataclass(frozen=True)
@@ -381,13 +366,13 @@ def validate_block(block: Block, committee: Committee) -> None:
     presence in async mode. Genesis blocks (round 0) carry no parents.
     """
     # a forged copy seen first must not condemn the original
-    memo = committee.memo
-    cache = memo.valid
-    if cache.get(block.digest) == block.auth_tag:
+    cache = committee.memo.valid.get(block.round)
+    if cache is not None and cache.get(block.digest) == block.auth_tag:
         return
     _validate_uncached(block, committee)
+    if cache is None:
+        cache = committee.memo.valid[block.round] = {}
     cache[block.digest] = block.auth_tag
-    memo.file("valid", block.round, block.digest)
 
 
 def _validate_uncached(block: Block, committee: Committee) -> None:
@@ -629,14 +614,14 @@ class Dag:
         if support.round == r + 1:
             hit = support.parent_by_author.get(author)
             return hit.digest if hit is not None else None
-        votes = self._memo.votes
-        key = (support.digest, author, r)
+        votes = self._memo.votes.get(r)
+        if votes is None:
+            votes = self._memo.votes[r] = {}
+        key = (support.digest, author)
         cached = votes.get(key, False)
         if cached is not False:
             return cached
-        found = self._voted_block_uncached(support, author, r)
-        votes[key] = found
-        self._memo.file("votes", r, key)
+        found = votes[key] = self._voted_block_uncached(support, author, r)
         return found
 
     def _voted_block_uncached(self, support: Block, author: ValidatorId, r: int) -> Optional[bytes]:
@@ -653,9 +638,10 @@ class Dag:
         """Digests of all round-r blocks in `ref`'s causal history."""
         if ref.digest not in self._by_digest:
             raise UnknownBlockError(ref.short())
-        ancestors = self._memo.ancestors
-        key = (ref.digest, r)
-        cached = ancestors.get(key)
+        ancestors = self._memo.ancestors.get(r)
+        if ancestors is None:
+            ancestors = self._memo.ancestors[r] = {}
+        cached = ancestors.get(ref.digest)
         if cached is not None:
             return cached
         found: set[bytes] = set()
@@ -672,9 +658,7 @@ class Dag:
                     elif p.round > r and p.digest not in seen:
                         seen.add(p.digest)
                         stack.append(self._by_digest[p.digest])
-        result = frozenset(found)
-        ancestors[key] = result
-        self._memo.file("ancestors", r, key)
+        result = ancestors[ref.digest] = frozenset(found)
         return result
 
 

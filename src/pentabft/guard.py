@@ -341,8 +341,7 @@ class Guard(Replica):
         self.now_round = 0  # liveness accounting clock ("now" in round units)
         self.max_round: Optional[int] = None  # harness run cap; not protocol state
         self.entry_vtime: dict[int, int] = {0: 0}
-        self.seen: dict[int, set] = {0: set(committee.members)}
-        self.responded: set = set()
+        self.seen: dict[int, set] = {0: set(committee.members)}  # round -> timely authors
         self.blames: dict[tuple, dict[int, LBlameMsg]] = {}
         self.lblamed: dict[int, set] = {}
         self.lblamed_at: dict[int, int] = {}
@@ -467,13 +466,11 @@ class Guard(Replica):
         except ValidationError:
             self.invalid_blocks += 1
             return []
-        key = (block.author, block.round)
         actions = self._admit(block, sender)
         # now_round never decreases, so a later version is timely only if the
-        # first one was, and that one responded
-        if key not in self.responded and self.now_round <= block.round:
+        # first one was, and that one is in `seen`
+        if self.now_round <= block.round and block.author not in self.seen.get(block.round, ()):
             self.seen.setdefault(block.round, set()).add(block.author)
-            self.responded.add(key)
             self.lblamed.get(block.round, set()).discard(block.author)
             actions.append(Broadcast(BlockMsg(block)))
         return actions
@@ -518,14 +515,11 @@ class Guard(Replica):
         return min(r - 1, self.current_round - EVIDENCE_DEPTH)
 
     def _forget_below(self, floor: int) -> None:
-        """Drop the per-round liveness and scan state below the floor. Above
-        round 0, `responded` holds (author, r) exactly for the authors in
-        `seen[r]`."""
+        """Drop the per-round liveness and scan state below the floor."""
         if floor <= self._forgotten:
             return
         for r in range(self._forgotten, floor):
-            for author in self.seen.pop(r, ()):
-                self.responded.discard((author, r))
+            self.seen.pop(r, None)
         self._forgotten = floor
         if self.blames:
             self.blames = {k: v for k, v in self.blames.items() if k[1] >= floor}
@@ -676,7 +670,8 @@ class Guard(Replica):
 
     def on_lblame(self, msg: LBlameMsg, now: int) -> list[Action]:
         """Record one guard's attestation; majority promotes the accused
-        unless it responded. Attestations below the floor are ignored."""
+        unless this guard saw its timely block. Attestations below the floor
+        are ignored."""
         if not (
             _ints(msg.guard, msg.accused, msg.round)
             and msg.round >= self.dag.floor
@@ -691,7 +686,7 @@ class Guard(Replica):
             return []
         per_guard[msg.guard] = msg
         majority = self.guard_count // 2 + 1
-        if len(per_guard) >= majority and key not in self.responded:
+        if len(per_guard) >= majority and msg.accused not in self.seen.get(msg.round, ()):
             blamed = self.lblamed.setdefault(msg.round, set())
             if msg.accused not in blamed:
                 blamed.add(msg.accused)

@@ -464,7 +464,7 @@ class Runner:
                     faulty=v in state.faulty,
                     highest_round=node.current_round,
                 )
-                for _, d in sorted(node.committer.decided_slots().items()):
+                for d in node.committer.decided.values():
                     data = shared.get(id(d))
                     if data is None:
                         data = shared[id(d)] = _verdict_data(d)

@@ -1,13 +1,13 @@
 """Scenario configuration and the named experiment catalog.
 
 Configs are plain data: committee sizing, protocol/network modes, the
-adversary (who is faulty and how), and run limits. They serialize to a
+adversary (who is faulty and how), and run limits. They are read from a
 key=value text format so experiments can be kept in files and diffed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .simnet import BudgetExceeded, ConfigError
 
@@ -104,60 +104,47 @@ class ScenarioConfig:
 
     @staticmethod
     def from_text(text: str) -> "ScenarioConfig":
-        kv: dict[str, str] = {}
+        """Read a scenario file: `key=value` lines naming config fields, with
+        `#` comments; a field left out keeps its default (`name`: custom)."""
+        defaults = {f.name: f.default for f in fields(ScenarioConfig)}
+        kv = {"name": "custom"}
         for line in text.strip().splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-
-        def boolean(s: str) -> bool:
-            return s.lower() in ("1", "true", "yes")
-
-        crash = tuple(
-            (int(p.split("@")[0]), int(p.split("@")[1]))
-            for p in kv.get("crash", "").split(";")
-            if p
-        )
-        equivocate = tuple(int(p) for p in kv.get("equivocate", "").split(";") if p)
-        withhold = tuple(
-            (int(p.split(">")[0]), tuple(int(t) for t in p.split(">")[1].split(",") if t))
-            for p in kv.get("withhold", "").split(";")
-            if p
-        )
-        byz_guards = tuple(
-            (int(p.split(":")[0]), p.split(":")[1])
-            for p in kv.get("byz_guards", "").split(";")
-            if p
-        )
-        cfg = ScenarioConfig(
-            name=kv.get("name", "custom"),
-            n=int(kv.get("n", 6)),
-            f=int(kv.get("f", 1)),
-            protocol_mode=kv.get("protocol_mode", "partial-sync"),
-            network=kv.get("network", SYNC),
-            delta=int(kv.get("delta", 1000)),
-            gst=int(kv.get("gst", 0)),
-            async_base=int(kv.get("async_base", 1000)),
-            async_cap=int(kv.get("async_cap", 8000)),
-            leaders_per_round=int(kv.get("leaders_per_round", 2)),
-            rounds=int(kv.get("rounds", 50)),
-            tx_per_block=int(kv.get("tx_per_block", 1)),
-            tx_size=int(kv.get("tx_size", 512)),
-            guards=int(kv.get("guards", 0)),
-            crash=crash,
-            equivocate=equivocate,
-            withhold=withhold,
-            splitview_round=int(kv.get("splitview_round", 0)),
-            byz_guards=byz_guards,
-            beyond_f=boolean(kv.get("beyond_f", "0")),
-            record_events=boolean(kv.get("record_events", "0")),
-            record_delivery=boolean(kv.get("record_delivery", "1")),
-            extra_vtime=int(kv.get("extra_vtime", 0)),
-        )
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in defaults:
+                raise ConfigError(f"unknown scenario key {key!r}")
+            try:
+                kv[key] = _parse_value(key, defaults[key], value)
+            except (KeyError, ValueError):
+                raise ConfigError(f"malformed value {value!r} for {key}") from None
+        cfg = ScenarioConfig(**kv)
         cfg.validate()
         return cfg
+
+
+# separator and tail parser of each `;`-separated tuple field of pairs
+_PAIRS = {
+    "crash": ("@", int),  # validator@round
+    "withhold": (">", lambda ts: tuple(int(t) for t in ts.split(",") if t)),  # v>t,t
+    "byz_guards": (":", str),  # guard:policy
+}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_value(key: str, default, value: str):
+    if key == "equivocate":
+        return tuple(int(item) for item in value.split(";") if item)
+    if key in _PAIRS:
+        sep, tail = _PAIRS[key]
+        items = [item.partition(sep) for item in value.split(";") if item]
+        if not all(found for _, found, _ in items):
+            raise ValueError(value)
+        return tuple((int(head), tail(rest)) for head, _, rest in items)
+    if isinstance(default, bool):
+        return _BOOLEANS[value.lower()]
+    return int(value) if isinstance(default, int) else value
 
 
 def fault_free(f: int = 1, rounds: int = 50, **overrides) -> ScenarioConfig:

@@ -73,6 +73,19 @@ class TestRunCommand:
         out = tmp_path / "res"
         assert cli.main(["run", str(path), "--seeds", "1", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("round=7", "unknown scenario key 'round'"), ("crash=4", "malformed value '4' for crash")],
+        ids=["unknown-key", "crash-without-round"],
+    )
+    def test_malformed_config_file_exit_code(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config_text(fault_free(1, rounds=6)) + line + "\n")
+        out = tmp_path / "res"
+        assert cli.main(["run", str(path), "--seeds", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_scenario_exit_code(self, capsys):
         assert cli.main(["run", "no-such-thing", "--seeds", "1"]) == 2
         assert "unknown scenario" in capsys.readouterr().err

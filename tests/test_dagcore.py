@@ -270,7 +270,7 @@ class TestCommitteeMemo:
         support = full_round(holder, committee, 3)[0]
         voted = holder.voted_block(support, 1, 1)
         assert voted is not None
-        assert committee.memo.votes[(support.digest, 1, 1)] == voted
+        assert committee.memo.votes[1][(support.digest, 1)] == voted
         assert sibling.insert(support).status is InsertStatus.INSERTED
         assert sibling.voted_block(support, 1, 1) == voted
         assert Committee.of_size(6).memo is not committee.memo
@@ -329,15 +329,34 @@ class TestPrune:
         memo = committee.memo
         support = holder.first_block_by(0, 3)
         voted = holder.voted_block(support, 1, 1)
-        key = (support.digest, 1, 1)
-        assert memo.votes[key] == voted
+        key = (support.digest, 1)
+        assert memo.votes[1][key] == voted
         round1 = {holder.first_block_by(a, 1).digest for a in range(6)}
+        assert round1 <= memo.valid[1].keys()
         holder.prune(3)
-        assert memo.floor == 0 and key in memo.votes  # the sibling still reads round 1
+        assert memo.floor == 0 and key in memo.votes[1]  # the sibling still reads round 1
         sibling.prune(2)
-        assert memo.floor == 2 and key not in memo.votes
-        assert not round1 & memo.valid.keys()
-        assert {sibling.first_block_by(a, 2).digest for a in range(6)} <= memo.valid.keys()
+        assert memo.floor == 2 and 1 not in memo.votes
+        assert 0 not in memo.valid and 1 not in memo.valid
+        assert {sibling.first_block_by(a, 2).digest for a in range(6)} <= memo.valid[2].keys()
+
+    def test_memo_entry_made_below_the_lowest_floor_goes_at_the_next_rise(self, committee):
+        holder, sibling = Dag(committee), Dag(committee)
+        for dag in (holder, sibling):
+            for r in (1, 2, 3):
+                full_round(dag, committee, r)
+        memo = committee.memo
+        holder.prune(2)
+        sibling.prune(2)
+        assert memo.floor == 2 and 1 not in memo.votes
+        # a sibling's own reads reach no lower, but a direct caller may ask
+        support = sibling.first_block_by(0, 3)
+        voted = sibling.voted_block(support, 1, 1)
+        assert memo.votes[1][(support.digest, 1)] == voted
+        holder.prune(3)
+        assert memo.floor == 2 and 1 in memo.votes  # the lowest floor did not rise
+        sibling.prune(3)
+        assert memo.floor == 3 and 1 not in memo.votes
 
 
 class TestLink:

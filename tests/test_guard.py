@@ -107,7 +107,7 @@ class TestLivenessAccounting:
         one = make_block(2, 2, parents, (b"a",))
         two = make_block(2, 2, parents, (b"b",))
         deliver(g, [one], "v2", 200)
-        assert 2 not in g.asleep(2) and (2, 2) in g.responded
+        assert 2 not in g.asleep(2) and 2 in g.seen[2]
         actions = deliver(g, [two], "v2", 300)
         assert echoed(actions) == []  # second version kept in the fork table only
         assert {b.digest for b in g.dag.blocks_by(2, 2)} == {one.digest, two.digest}
@@ -122,7 +122,7 @@ class TestLivenessAccounting:
         sibling = make_block(2, 2, stored, (b"sibling",))
         assert echoed(deliver(g, [parked], "v2", 150)) == [parked]
         assert parked.ref() not in g.dag
-        assert (2, 2) in g.responded and 2 not in g.asleep(2)
+        assert 2 in g.seen[2] and 2 not in g.asleep(2)
         assert echoed(deliver(g, [sibling], "v2", 160)) == []
         assert echoed(deliver(g, [blocks[5]], "v5", 170)) == [blocks[5]]
         assert parked.ref() in g.dag and 2 in g.dag.equivocators(2)
@@ -132,7 +132,7 @@ class TestLivenessAccounting:
         late = [make_block(4, 2, stored, (tag,)) for tag in (b"late-a", b"late-b")]
         for block in late:
             assert echoed(deliver(g, [block], "v4", 200)) == []
-        assert (4, 2) not in g.responded and 4 in g.asleep(2)
+        assert 4 not in g.seen[2] and 4 in g.asleep(2)
         assert {b.digest for b in g.dag.blocks_by(4, 2)} == {b.digest for b in late}
 
     def test_held_block_skips_intake(self, monkeypatch):
@@ -140,11 +140,11 @@ class TestLivenessAccounting:
         block = full_round_blocks(g.dag, g.committee, 1)[1]
         checked = count_validations(monkeypatch, guard_module)
         assert echoed(deliver(g, [block], "v1", 100)) == [block]
-        stored, responded = len(g.dag), set(g.responded)
+        stored, seen = len(g.dag), {r: set(authors) for r, authors in g.seen.items()}
         # another guard's echo brings the same object back
         assert g.ingest_block(block, "g1", 100) == []
         assert len(checked) == 1 and checked[0] is block
-        assert (len(g.dag), g.responded) == (stored, responded)
+        assert (len(g.dag), g.seen) == (stored, seen)
         (held,) = g.dag.blocks_by(1, 1)
         assert held is block
 
@@ -261,6 +261,18 @@ class TestOnLBlame:
         for m in attest(2, 1, range(GUARDS)):
             g.on_lblame(m, 100)
         assert 2 not in g.lblamed.get(1, set())
+
+    def test_round_zero_blames_promote_no_one(self):
+        """Every member's genesis block is known from the start, so a
+        majority of round-0 attestations blames no one, and a re-sent
+        genesis copy is not echoed."""
+        g = make_guard()
+        for m in attest(3, 0, range(3)):
+            assert g.on_lblame(m, 0) == []
+        assert len(g.blames[(3, 0)]) == 3
+        assert 0 not in g.lblamed
+        copy = genesis_blocks(g.committee)[3]
+        assert echoed(g.ingest_block(copy, "v3", 0)) == []
 
 
 def build_conflict_guard():

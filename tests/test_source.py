@@ -10,6 +10,10 @@ SRC = Path(pentabft.__file__).resolve().parent
 # functions whose only callers live outside src/, with the reason they stay
 OUTSIDE_CALLERS = {
     "check_delivery_bounds": "perfbench/sample.py checks the runs that record events with it",
+    # moving it into tests/oracles.py changes the source text of
+    # TestOrderIndependence::test_replayed_orders_agree, which seeds that
+    # test's derandomized Hypothesis examples
+    "decided_slots": "test_properties.py's order-independence property calls it",
 }
 
 
@@ -36,3 +40,40 @@ def test_every_function_is_used_in_src():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     }
     assert unused.keys() == OUTSIDE_CALLERS.keys(), unused
+
+
+# attributes that src/ stores on `self` and only code outside src/ reads,
+# with the reason they stay
+OUTSIDE_READERS = {
+    "invalid_blocks": "the invalid-block counter of ROADMAP item 1; tests read it",
+}
+
+
+def test_every_stored_attribute_is_read_in_src():
+    """`src/` keeps no write-only state: each attribute stored on `self`
+    is read elsewhere in `src/` as an attribute, a name or a string
+    constant. Strings count as for functions, but the names a `__slots__`
+    declares do not."""
+    stored: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        slots: set[int] = set()  # ids of the nodes inside `__slots__` values
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                slots.update(id(c) for c in ast.walk(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Load):
+                    if isinstance(node.value, ast.Name) and node.value.id == "self":
+                        stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+                else:
+                    read.add(node.attr)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in slots:
+                read.add(node.value)
+    unread = {name: where for name, where in stored.items() if name not in read}
+    assert unread.keys() == OUTSIDE_READERS.keys(), unread
