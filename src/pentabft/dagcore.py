@@ -694,12 +694,22 @@ def unpruned(committee: Committee, blocks: Iterable[Block]) -> Dag:
 
 
 class PendingPool:
-    """Blocks waiting on missing ancestors, keyed by the refs they await."""
+    """Blocks waiting on missing ancestors, keyed by the refs they await.
+
+    The awaited refs are also the replica's sync request table: a ref is
+    requested when the first parked block awaits it, and the pool keeps when
+    it was last requested and which peer sent each parked block, so a retry
+    knows whom to ask again. All of it leaves with the blocks that need it.
+    """
 
     def __init__(self):
         self._waiting: dict[bytes, Block] = {}
         self._needs: dict[bytes, set[bytes]] = {}
         self._dependents: dict[bytes, set[bytes]] = {}
+        # awaited digest -> (time it was last requested, its ref); same keys
+        # as _dependents
+        self._asked: dict[bytes, tuple[int, BlockRef]] = {}
+        self._senders: dict[bytes, str] = {}  # parked digest -> the peer that sent it
         self._floor = 0
 
     def __len__(self) -> int:
@@ -711,25 +721,61 @@ class PendingPool:
     def has(self, digest: bytes) -> bool:
         return digest in self._waiting
 
-    def add(self, block: Block, missing: Iterable[BlockRef]) -> None:
-        if block.digest in self._waiting:
-            return
-        self._waiting[block.digest] = block
-        need = {m.digest for m in missing}
-        self._needs[block.digest] = need
-        for d in need:
-            self._dependents.setdefault(d, set()).add(block.digest)
+    def add(
+        self, block: Block, missing: Iterable[BlockRef], sender: Optional[str], now: int
+    ) -> tuple[BlockRef, ...]:
+        """Park `block`, sent by `sender`, until `missing` arrive. Returns the
+        refs no parked block awaited before, stamped as requested at `now`."""
+        digest = block.digest
+        if digest in self._waiting:
+            return ()
+        self._waiting[digest] = block
+        if sender is not None:
+            self._senders[digest] = sender
+        need = self._needs[digest] = set()
+        dependents = self._dependents
+        fresh = []
+        for m in missing:
+            need.add(m.digest)
+            waiters = dependents.get(m.digest)
+            if waiters is None:
+                dependents[m.digest] = {digest}
+                self._asked[m.digest] = (now, m)
+                fresh.append(m)
+            else:
+                waiters.add(digest)
+        return tuple(fresh)
+
+    def overdue(self, now: int, age: int) -> dict[str, list[BlockRef]]:
+        """Restamp at `now` every awaited ref last requested `age` or more
+        ago, and return them, in digest order, by sender of a parked block
+        that awaits them."""
+        due: dict[str, list[BlockRef]] = {}
+        asked, senders = self._asked, self._senders
+        for digest in sorted(asked):
+            at, ref = asked[digest]
+            if now - at < age:
+                continue
+            asked[digest] = (now, ref)
+            for peer in sorted({senders[w] for w in self._dependents[digest] if w in senders}):
+                due.setdefault(peer, []).append(ref)
+        return due
 
     def satisfy(self, digest: bytes) -> list[Block]:
         """Mark `digest` as available; return blocks with no remaining waits."""
+        waiters = self._dependents.pop(digest, None)
+        if waiters is None:
+            return []
+        del self._asked[digest]
         ready = []
-        for dep in sorted(self._dependents.pop(digest, ())):
+        for dep in sorted(waiters):
             need = self._needs.get(dep)
             if need is None:
                 continue
             need.discard(digest)
             if not need:
                 del self._needs[dep]
+                self._senders.pop(dep, None)
                 ready.append(self._waiting.pop(dep))
         return ready
 
@@ -745,11 +791,13 @@ class PendingPool:
             if block.round > floor:
                 continue
             del self._waiting[digest]
+            self._senders.pop(digest, None)
             for need in self._needs.pop(digest):
                 waiters = self._dependents[need]
                 waiters.discard(digest)
                 if not waiters:
                     del self._dependents[need]
+                    del self._asked[need]
             if block.round == floor:
                 at_floor.append(block)
         return sorted(at_floor, key=lambda b: b.digest)

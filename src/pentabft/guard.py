@@ -53,7 +53,7 @@ from .messages import (
     RecoveryDone,
     RestartDirective,
 )
-from .replica import Replica
+from .replica import SYNC_TIMER, Replica
 
 LIVENESS = "liveness"
 SAFETY = "safety"
@@ -331,11 +331,10 @@ class Guard(Replica):
     ):
         if committee.mode is not Mode.PARTIAL_SYNC:
             raise ValueError("guards assume synchrony; committee must be partial-sync mode")
-        super().__init__(committee, leaders_per_round)
+        super().__init__(committee, leaders_per_round, delta)
         self.me = me
         self.guard_count = guard_count
         self.t_g = (guard_count - 1) // 2
-        self.delta = delta
 
         self.current_round = 0
         self.now_round = 0  # liveness accounting clock ("now" in round units)
@@ -398,6 +397,8 @@ class Guard(Replica):
             return self._on_grace_timer(int(timer_id.split(":")[1]), now)
         if timer_id == "ba-finalize":
             return self._finalize_session(now)
+        if timer_id == SYNC_TIMER:
+            return self._retry_sync(now)
         return []
 
     def _blame(self, accused: ValidatorId, r: int, now: int) -> list[Action]:
@@ -466,7 +467,7 @@ class Guard(Replica):
         except ValidationError:
             self.invalid_blocks += 1
             return []
-        actions = self._admit(block, sender)
+        actions = self._admit(block, sender, now)
         # now_round never decreases, so a later version is timely only if the
         # first one was, and that one is in `seen`
         if self.now_round <= block.round and block.author not in self.seen.get(block.round, ()):

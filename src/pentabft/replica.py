@@ -3,10 +3,14 @@
 Every node that follows the core DAG keeps one: its block store, the pending
 pool of blocks waiting on missing ancestors, and the decision engine over the
 store. A block whose parents are all stored is inserted and releases the
-pending blocks that waited on it; a block with missing parents is parked and
-its parents are requested once from the peer that sent it, along with this
-replica's frontier: its highest stored round per committee member. A peer's
-sync request is served with the requested blocks and those of their ancestors
+pending blocks that waited on it; a block with missing parents is parked, and
+the peer that sent it is asked for the missing parents no parked block
+awaited before, along with this replica's frontier: its highest stored round
+per committee member. So each awaited ref is requested once per replica, not
+once per parked block. One retry timer re-requests a ref still awaited
+SYNC_RETRY delta after its last request from each peer that sent a block
+awaiting it; the retry must outlast the 2 delta round trip. A peer's sync
+request is served with the requested blocks and those of their ancestors
 above the requester's frontier. A stored DAG is closed downward, so the
 requester holds most of what lies below; a block it still lacks there, such
 as an equivocator's other fork, parks the shipped block that needs it, and
@@ -27,7 +31,12 @@ from typing import Optional
 
 from .committer import Committer, CommonCoin
 from .dagcore import Block, BlockRef, Committee, Dag, InsertStatus, PendingPool
-from .messages import Action, BlockMsg, NodeId, Send, SyncRequest, SyncResponse
+from .messages import Action, ArmTimer, BlockMsg, NodeId, Send, SyncRequest, SyncResponse
+
+# the retry timer's period in delta: strictly above the 2 delta round trip, as
+# a timer armed with a request pops before a response that lands exactly then
+SYNC_RETRY = 3
+SYNC_TIMER = "sync-retry"
 
 
 class Replica:
@@ -39,14 +48,17 @@ class Replica:
         self,
         committee: Committee,
         leaders_per_round: int,
+        delta: int,
         coin: Optional[CommonCoin] = None,
     ):
         self.committee = committee
         self.leaders_per_round = leaders_per_round
+        self.delta = delta
         self.dag = Dag(committee)
         self.committer = Committer(self.dag, committee, leaders_per_round, coin)
         self.pending = PendingPool()
         self.invalid_blocks = 0  # blocks that failed validation on intake
+        self._retry_armed = False  # the sync retry timer is pending
 
     def deliver(self, msg, sender: NodeId, now: int) -> list[Action]:
         """The one intake of a message. A malformed block field drops the
@@ -68,14 +80,17 @@ class Replica:
         name = self.handlers.get(kind)
         return [] if name is None else getattr(self, name)(msg, now)
 
-    def _admit(self, block: Block, sender: Optional[NodeId]) -> list[Action]:
-        """Insert a validated block, or park it and ask `sender` for its parents."""
+    def _admit(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
+        """Insert a validated block, or park it and ask `sender` for the
+        missing parents that no parked block awaited before; a parent some
+        block already awaits was requested then, and the retry timer asks
+        again if it stays missing."""
         outcome = self.dag.insert(block)
         if outcome.status is InsertStatus.MISSING_ANCESTORS:
             if not self.pending.has(block.digest):
-                self.pending.add(block, outcome.missing)
-                if sender is not None:
-                    return [Send(sender, SyncRequest(outcome.missing, self._frontier()))]
+                fresh = self.pending.add(block, outcome.missing, sender, now)
+                if fresh and sender is not None:
+                    return self._arm_retry([Send(sender, SyncRequest(fresh, self._frontier()))])
         elif outcome.status is InsertStatus.INSERTED and not self.pending.is_idle():
             ready = self.pending.satisfy(block.digest)
             while ready:
@@ -86,6 +101,25 @@ class Replica:
                 ready = released
         return []
 
+    def _arm_retry(self, actions: list[Action]) -> list[Action]:
+        if not self._retry_armed:
+            self._retry_armed = True
+            actions.append(ArmTimer(SYNC_TIMER, SYNC_RETRY * self.delta))
+        return actions
+
+    def _retry_sync(self, now: int) -> list[Action]:
+        """The retry timer: ask again for every ref last requested SYNC_RETRY
+        delta ago or more, from each sender of a block that awaits it, and
+        re-arm while any ref is awaited."""
+        self._retry_armed = False
+        if self.pending.is_idle():
+            return []
+        due = self.pending.overdue(now, SYNC_RETRY * self.delta)
+        frontier = self._frontier()
+        return self._arm_retry(
+            [Send(peer, SyncRequest(tuple(refs), frontier)) for peer, refs in sorted(due.items())]
+        )
+
     def _decide(self, now: int, trigger_round: int = -1, keep: Optional[int] = None) -> None:
         """Decision pass at virtual time `now`. If it raised the DAG's floor,
         the pending pool drops the blocks below the floor and inserts those
@@ -94,7 +128,7 @@ class Replica:
         self.committer.extend(trigger_round, keep, now)
         if self.dag.floor != floor and len(self.pending):
             for block in self.pending.prune(self.dag.floor):
-                self._admit(block, None)
+                self._admit(block, None, now)
 
     def _frontier(self) -> tuple[int, ...]:
         """Highest stored round per committee member, -1 for none stored."""

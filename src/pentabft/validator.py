@@ -26,7 +26,7 @@ from .dagcore import (
     validate_block,
 )
 from .messages import Action, ArmTimer, BlockMsg, Broadcast, NodeId
-from .replica import Replica
+from .replica import SYNC_TIMER, Replica
 
 LEADER_TIMER = "leader-wait"
 
@@ -43,9 +43,8 @@ class CoreValidator(Replica):
         coin: Optional[CommonCoin] = None,
         leader_timeout_factor: int = 2,
     ):
-        super().__init__(committee, leaders_per_round, coin)
+        super().__init__(committee, leaders_per_round, delta, coin)
         self.me = me
-        self.delta = delta
         self.leader_timeout = leader_timeout_factor * delta
         self.pending_transactions: list[bytes] = []
         self.current_round = 0  # highest round this validator proposed in
@@ -71,7 +70,7 @@ class CoreValidator(Replica):
         except ValidationError:
             self.invalid_blocks += 1
             return []
-        return self._admit(block, sender)
+        return self._admit(block, sender, now)
 
     # bound in this class's own namespace: the benchmark tracer
     # (perfbench/tracing.py) wraps entry points per class
@@ -80,6 +79,8 @@ class CoreValidator(Replica):
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
         if timer_id == LEADER_TIMER:
             return self.flush(now, trigger_round=-1)
+        if timer_id == SYNC_TIMER:
+            return self._retry_sync(now)
         return []
 
     # -- decisions and round advancement -----------------------------------------

@@ -2,8 +2,12 @@
 
 from typing import Sequence
 
-from pentabft.dagcore import Block
-from pentabft.messages import BlockMsg
+from pentabft.dagcore import Block, Committee, genesis_blocks, make_block
+from pentabft.messages import ArmTimer, BlockMsg, Send, SyncRequest
+from pentabft.replica import SYNC_RETRY, SYNC_TIMER
+from pentabft.validator import CoreValidator
+
+DELTA = 1000
 
 
 def deliver(node, blocks: Sequence[Block], sender: str, now: int) -> list:
@@ -28,3 +32,87 @@ def count_validations(monkeypatch, module) -> list[Block]:
 
     monkeypatch.setattr(module, "validate_block", counting)
     return checked
+
+
+def requests(actions) -> list[tuple[str, tuple]]:
+    """(peer, refs) of each sync request in `actions`."""
+    return [
+        (a.to, a.payload.refs)
+        for a in actions
+        if isinstance(a, Send) and isinstance(a.payload, SyncRequest)
+    ]
+
+
+class SyncRequestTable:
+    """A replica asks for each missing ref once, however many parked blocks
+    await it, and its retry timer asks again, SYNC_RETRY delta later, from
+    each peer that sent a block awaiting it. A test class sets `make_node`
+    to build the replica under test from a committee of six."""
+
+    make_node = None
+
+    def holding_round_one_but(self, *absent):
+        """A node that holds every round-1 block but those of `absent`, and
+        the six round-1 blocks."""
+        committee = Committee.of_size(6)
+        node = self.make_node(committee)
+        node.max_round = 0  # passive: the test drives every block
+        genesis = [b.ref() for b in genesis_blocks(committee)]
+        round1 = [make_block(a, 1, genesis, (b"t",)) for a in committee.members]
+        deliver(node, [b for b in round1 if b.author not in absent], "v1", DELTA)
+        return node, round1
+
+    def test_a_ref_two_blocks_await_is_requested_once(self):
+        node, round1 = self.holding_round_one_but(5)
+        refs = [b.ref() for b in round1]
+        first = make_block(2, 2, refs)
+        second = make_block(3, 2, refs)
+        assert requests(deliver(node, [first], "v2", 2 * DELTA)) == [("v2", (refs[5],))]
+        assert requests(deliver(node, [second], "v3", (SYNC_RETRY + 2) * DELTA - 1)) == []
+        assert len(node.pending) == 2
+
+    def test_a_newly_missing_ref_is_still_requested_from_its_sender(self):
+        node, round1 = self.holding_round_one_but(4, 5)
+        refs = [b.ref() for b in round1]
+        assert requests(deliver(node, [make_block(2, 2, refs[:5])], "v2", 2 * DELTA)) == [
+            ("v2", (refs[4],))
+        ]
+        assert requests(deliver(node, [make_block(3, 2, refs)], "v3", 2 * DELTA)) == [
+            ("v3", (refs[5],))
+        ]
+
+    def test_an_arrived_ref_leaves_the_pool(self):
+        node, round1 = self.holding_round_one_but(4, 5)
+        refs = [b.ref() for b in round1]
+        parked = [make_block(2, 2, refs[:5]), make_block(3, 2, refs)]
+        deliver(node, parked[:1], "v2", 2 * DELTA)
+        deliver(node, parked[1:], "v3", 2 * DELTA)
+        pool = node.pending
+        deliver(node, [round1[4]], "v4", 3 * DELTA)
+        assert set(pool._dependents) == set(pool._asked) == {refs[5].digest}
+        assert set(pool._senders) == {parked[1].digest}
+        deliver(node, [round1[5]], "v5", 3 * DELTA)
+        assert pool._dependents == pool._asked == pool._senders == {} and len(pool) == 0
+        assert all(b.ref() in node.dag for b in parked)
+
+    def test_the_retry_asks_a_later_sender_when_the_first_never_answers(self):
+        """v2 is asked first and never answers; the block v3 sent within the
+        window asked nothing, so only the retry timer reaches v3."""
+        node, round1 = self.holding_round_one_but(5)
+        refs = [b.ref() for b in round1]
+        server = CoreValidator(5, node.committee, delta=DELTA)
+        for b in round1:
+            server.dag.insert(b)
+        parked = [make_block(2, 2, refs), make_block(3, 2, refs)]
+        armed = deliver(node, parked[:1], "v2", 2 * DELTA)
+        assert ArmTimer(SYNC_TIMER, SYNC_RETRY * DELTA) in armed
+        assert requests(deliver(node, parked[1:], "v3", 3 * DELTA)) == []
+        retry = node.on_timer(SYNC_TIMER, (SYNC_RETRY + 2) * DELTA)
+        assert requests(retry) == [("v2", (refs[5],)), ("v3", (refs[5],))]
+        assert ArmTimer(SYNC_TIMER, SYNC_RETRY * DELTA) in retry  # a ref is still awaited
+        (to_v3,) = [a.payload for a in retry if isinstance(a, Send) and a.to == "v3"]
+        (resp,) = server.on_sync_request(to_v3, "v0")
+        deliver(node, resp.payload.blocks, "v3", (SYNC_RETRY + 4) * DELTA)
+        assert all(b.ref() in node.dag for b in parked)
+        assert len(node.pending) == 0 and node.pending.is_idle()
+        assert node.on_timer(SYNC_TIMER, (2 * SYNC_RETRY + 2) * DELTA) == []  # nothing left to ask

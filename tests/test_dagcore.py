@@ -490,7 +490,7 @@ class TestPendingPool:
             for a in committee.members
         ]
         r2 = make_block(0, 2, [b.ref() for b in r1[:5]])
-        pool.add(r2, [b.ref() for b in r1[:5]])
+        pool.add(r2, [b.ref() for b in r1[:5]], "v1", 0)
         for b in r1[:4]:
             dag.insert(b)
             assert pool.satisfy(b.digest) == []
@@ -506,8 +506,12 @@ class TestPendingPool:
             r: make_block(5, r + 1, [m for m in missing if m.round == r]) for r in (1, 2, 3)
         }
         for r, block in parked.items():
-            pool.add(block, [m for m in missing if m.round == r])
+            pool.add(block, [m for m in missing if m.round == r], "v1", 0)
         assert pool.prune(3) == [parked[2]]  # round 2 is below, round 3 at the floor
         assert len(pool) == 1 and pool.has(parked[3].digest)
+        # the request entries leave with the blocks that await them
+        assert set(pool._asked) == {m.digest for m in missing if m.round == 3}
+        assert set(pool._senders) == {parked[3].digest}
         assert pool.prune(3) == [] and pool.prune(2) == []
         assert pool.prune(5) == [] and len(pool) == 0 and pool.is_idle()
+        assert pool._asked == pool._senders == {}

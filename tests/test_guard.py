@@ -50,7 +50,7 @@ from pentabft.messages import (
 from pentabft.runner import Runner
 from pentabft.validator import CoreValidator
 
-from replica_path import count_validations, deliver
+from replica_path import SyncRequestTable, count_validations, deliver
 
 DELTA = 1000
 GUARDS = 5
@@ -445,6 +445,10 @@ def idle_conflict_guard():
 
 def guard_intake(g, msg, now=40):
     return g.deliver(msg, "g1", now)
+
+
+class TestSyncRequestTable(SyncRequestTable):
+    make_node = staticmethod(lambda committee: make_guard(0, committee))
 
 
 class TestHostileGuardInput:

@@ -16,6 +16,7 @@ from pentabft.dagcore import (
     CoinShare,
     Committee,
     Mode,
+    PendingPool,
     genesis_blocks,
     make_block,
     stored_history,
@@ -257,6 +258,46 @@ class TestBoundedState:
             assert state.committee.memo.floor > 0
         assert sizes[40] == sizes[80]
 
+    @staticmethod
+    def request_tables(pool):
+        """A pending pool's awaited refs, their request times and the senders
+        of its parked blocks."""
+        return pool._dependents, pool._asked, pool._senders
+
+    def peak_request_tables(self, monkeypatch):
+        """The largest size each request table of any pool reaches from now
+        on, checked after every block it parks."""
+        peak = [0, 0, 0]
+        real = PendingPool.add
+
+        def add(pool, *args):
+            fresh = real(pool, *args)
+            peak[:] = map(max, peak, map(len, self.request_tables(pool)))
+            return fresh
+
+        monkeypatch.setattr(PendingPool, "add", add)
+        return peak
+
+    @pytest.mark.parametrize("name", ["async-adversarial", "equivocate-f"])
+    def test_request_tables_end_empty(self, name, monkeypatch):
+        """The catalog scenarios that sync leave nothing awaited: each
+        request entry leaves with the blocks that await it."""
+        peak = self.peak_request_tables(monkeypatch)
+        result = run(scenarios.CATALOG[name](), seed=1)
+        assert min(peak) > 0
+        for state in result.epochs:
+            for node in [*state.validators.values(), *state.guards.values()]:
+                assert self.request_tables(node.pending) == ({}, {}, {})
+
+    def test_request_tables_are_the_same_size_at_n_and_2n_rounds(self, monkeypatch):
+        peak = self.peak_request_tables(monkeypatch)
+        peaks = {}
+        for rounds in (16, 32):
+            peak[:] = [0, 0, 0]
+            run(scenarios.equivocate_f(rounds=rounds, guards=5), seed=1)
+            peaks[rounds] = list(peak)
+        assert min(peaks[16]) > 0 and peaks[16] == peaks[32]
+
 
 class TestForkTable:
     @staticmethod
@@ -368,7 +409,8 @@ class TestEventLog:
 
 class TestSyncTraffic:
     def deliveries(self, rounds):
-        """(blocks shipped in sync responses, BlockMsg deliveries)."""
+        """(blocks shipped in sync responses, BlockMsg deliveries, sync
+        request deliveries)."""
         cfg = scenarios.equivocate_f(rounds=rounds, guards=5, record_events=True)
         details = [
             line.split("\t")[4].split(" ")
@@ -376,16 +418,25 @@ class TestSyncTraffic:
             if line.split("\t")[2] == "deliver"
         ]
         shipped = sum(int(d[2]) for d in details if d[1] == "sync-resp")
-        return shipped, sum(d[1] == "block" for d in details)
+        requests = sum(d[1] == "sync-req" for d in details)
+        return shipped, sum(d[1] == "block" for d in details), requests
 
     def test_shipped_blocks_grow_linearly_below_block_messages(self):
         # sync by frontier ships only what the requester lacks; a closure back
         # to genesis would grow with the square of the round count
-        shipped16, blocks16 = self.deliveries(16)
-        shipped32, blocks32 = self.deliveries(32)
+        shipped16, blocks16, _ = self.deliveries(16)
+        shipped32, blocks32, _ = self.deliveries(32)
         assert shipped16 <= blocks16
         assert shipped32 <= blocks32
         assert shipped32 / shipped16 <= 2.3
+
+    def test_each_missing_ref_is_requested_once_per_replica(self):
+        # not once per parked block that awaits it, so few blocks ship twice
+        shipped16, blocks16, requests16 = self.deliveries(16)
+        shipped32, blocks32, requests32 = self.deliveries(32)
+        assert 4 * shipped16 <= blocks16
+        assert 4 * shipped32 <= blocks32
+        assert requests32 / requests16 <= 2.3
 
 
 class TestOutboundCheck:
@@ -519,9 +570,9 @@ class TestPartialSynchrony:
 # of these is a protocol or record change and re-pins them on purpose.
 GOLDEN_DIGESTS = {
     "async-adversarial": (
-        ("1e49d247c82ace43c32143c837e8661a", "3108c5f7e62c62495390469087fcbc44"),
-        ("bc6816a03b89b0444cbe729b21769aac", "97235f025f40a9bede587414bbe2c1e4"),
-        ("b196862118002284d4bbdcd5a8b95af1", "5233e350ef9a245c7cf3ea30282c2425"),
+        ("1d33013e670f6423eb9ebbac718e3f60", "2d6cb43eb29634b006b0535c4b036632"),
+        ("948a0f9bd4f2fbd392a22a15f81867c3", "717bf1c9b614ae9fecf276f7ac23a0f1"),
+        ("95808ab2402f6c394d0330d43672fed3", "5a6ddf1ee8862469a5148dac771a4516"),
     ),
     "async-fault-free": (
         ("6fd0623c6338e87eba3b17ad521338fa", "86c012e0e6538b4c9946f0d613cdd3a6"),
@@ -549,9 +600,9 @@ GOLDEN_DIGESTS = {
         ("475eefac43e4aebcd5c84323fc0656b8", "c7e547deb94342eae39af7ed9bc25939"),
     ),
     "equivocate-f": (
-        ("62230d135c8bc23c20a1a9f0daa00c13", "1f8359c0ee12e29e8d5c01ada7de55ec"),
-        ("06270a4e254bc2e4e54caa39ffcf538f", "e9984a6b288df68e732765cca25ce5b6"),
-        ("e08fc02d045f8d460fba89a97379e6f9", "3cba6cfcd6df60d0b7ca076bd0e7bdc3"),
+        ("aa3415930fdd3f54a84efdc36b303bc7", "5f82ab5cd5f874a484b7e0fed13df7a7"),
+        ("2ebf64a63ceac3a638d2d8ebc52d3759", "017b5f20b9c19fedaee8534eb7a92a4c"),
+        ("54c03d5414257c1dc04eefd086660773", "2bc588201ffee22935451ed6899bc21b"),
     ),
     "fault-free-f1": (
         ("69e6fc26c5fc459924cfbfd93da3a583", "6a997c039628b5cfc3fe73d427eaa5be"),
@@ -580,9 +631,9 @@ GOLDEN_DIGESTS = {
 # .to_text()`) of the same runs, per seed.
 METRICS_DIGESTS = {
     "async-adversarial": (
-        "84c2ec9752ba05f26f21a82c63d84efc",
-        "c6b5c8ad556ad8ce37d36a809b092e8f",
-        "2c785c17f9ed5d30b748a40035092139",
+        "9b16c5c0895779978a61769bc11dfa91",
+        "696659bea16fe9ddc48825ca82eff809",
+        "558ac69e62c1a514f5b5416d6c9ababd",
     ),
     "async-fault-free": (
         "357612ca2615172e3de0a0e10246b444",
@@ -706,7 +757,7 @@ BENCHMARK_CONFIGS = {
 BENCHMARK_DIGESTS = {
     "sync-f6": ("141fffc6f233d57c62a9e637bdb7975f", "3522c3f1ee61e35f893b3be82e96fbde"),
     "async-f6": ("d73ad94d55e6c89732425c9721738101", "c2d6b2aa282649a8a27e7fe92afdf380"),
-    "equivocate-guarded": ("ed7f94be56d4778bfb6ddf4988830309", "ff4e293ba94f3a89cfd5c9c1174d9167"),
+    "equivocate-guarded": ("0cf7ea5acd04ed2a5a15dfa7f3daf7a6", "c21e15e783565a3eb8fbfdd7af7743b4"),
     "crash-recover": ("fb3bb388571b75c0803ab9494ae818a5", "1ce4641b1765d2f30c440568303b6394"),
 }
 

@@ -20,7 +20,7 @@ from pentabft import validator
 from pentabft.validator import LEADER_TIMER, CoreValidator
 
 from oracles import committed_leaders
-from replica_path import count_validations, deliver
+from replica_path import SyncRequestTable, count_validations, deliver
 
 DELTA = 1000
 
@@ -269,6 +269,10 @@ class TestOnBlock:
         assert sync_requests(deliver(requester, resp.payload.blocks, "v5", 4 * DELTA)) == []
         assert len(requester.pending) == 0
         assert all(b.ref() in requester.dag for b in round1 + [fork] + round2 + [top])
+
+
+class TestSyncRequestTable(SyncRequestTable):
+    make_node = staticmethod(lambda committee: fresh_validator(0, committee))
 
 
 def sync_requests(actions):
