@@ -92,7 +92,8 @@ def cmd_run(args) -> int:
         per_seed.append(m)
         (out_dir / f"{cfg.name}-seed{seed}.metrics").write_text(m.to_text())
         if args.records:
-            (out_dir / f"{cfg.name}-seed{seed}.record").write_text(record.to_text())
+            with (out_dir / f"{cfg.name}-seed{seed}.record").open("w") as out:
+                out.writelines(record.chunks())
         for failure in verify_scenario(cfg, record):
             failures.append(f"seed {seed}: {failure}")
     agg = metrics_mod.aggregate(per_seed)

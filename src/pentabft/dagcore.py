@@ -16,6 +16,7 @@ import enum
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, KeysView, Optional
 
 # A validator is identified by its stable index for the epoch.
@@ -99,7 +100,8 @@ class CommitteeMemo:
     that can ask. Each is computed once per committee, i.e. once per epoch,
     not once per validator and guard. Slot verdicts are held once per
     committee too: each node's committer keeps the committee's one object
-    for a verdict it reached.
+    for a verdict it reached. So are the genesis blocks every DAG of the
+    committee starts from.
 
     No node reads below its DAG's floor, so the validity, vote, ancestor and
     verdict tables map a round to that round's entries, and the rounds
@@ -107,7 +109,9 @@ class CommitteeMemo:
     dropped.
     """
 
-    __slots__ = ("valid", "votes", "ancestors", "verdicts", "delivery", "floor", "_floors")
+    __slots__ = (
+        "valid", "votes", "ancestors", "verdicts", "delivery", "genesis", "floor", "_floors"
+    )
 
     def __init__(self):
         # block round -> digest -> auth tag of a block found valid; the digest
@@ -121,6 +125,7 @@ class CommitteeMemo:
         # committee's one SlotDecision object for that verdict
         self.verdicts: dict[int, dict[tuple, object]] = {}
         self.delivery = None  # root of the committer's delivery log, built by the first committer
+        self.genesis: Optional[tuple] = None  # the committee's genesis blocks, built by the first DAG
         self.floor = 0  # the lowest floor among the committee's DAGs
         self._floors: dict[int, int] = {}  # floor -> DAGs of the committee at it
 
@@ -241,7 +246,14 @@ def compute_digest(
 @dataclass(frozen=True, eq=False)
 class Block:
     """A DAG vertex. Immutable; digest, parent-author index and parent digests
-    computed at creation."""
+    computed at creation.
+
+    `parent_lookup`, None for a block without parents, fetches every parent
+    digest from a mapping in one C-level call and raises KeyError if any is
+    absent; it is how a DAG tests that a block's parents are stored. Like
+    the other derived fields it is built once and shared by every node that
+    holds the block.
+    """
 
     author: ValidatorId
     round: int
@@ -264,7 +276,9 @@ class Block:
         object.__setattr__(
             self, "parent_by_author", {p.author: p for p in self.parents}
         )
-        object.__setattr__(self, "parent_digests", tuple(p.digest for p in self.parents))
+        digests = tuple(p.digest for p in self.parents)
+        object.__setattr__(self, "parent_digests", digests)
+        object.__setattr__(self, "parent_lookup", itemgetter(*digests) if digests else None)
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.digest == other.digest
@@ -345,17 +359,21 @@ def make_block(
     )
 
 
-def genesis_blocks(committee: Committee) -> list[Block]:
+def genesis_blocks(committee: Committee) -> tuple[Block, ...]:
     """One parent-less round-0 block per member, known to every node.
 
     The payload pins the epoch so block digests never collide across
-    restarts of the protocol with a reduced committee.
+    restarts of the protocol with a reduced committee. The blocks are built
+    once per committee, and every DAG of the committee stores those objects.
     """
-    return [
-        make_block(m, 0, (), (f"genesis/{committee.epoch}/{m}".encode(),),
-                   CoinShare(m, 0) if committee.mode is Mode.ASYNC else None)
-        for m in committee.members
-    ]
+    memo = committee.memo
+    if memo.genesis is None:
+        memo.genesis = tuple(
+            make_block(m, 0, (), (f"genesis/{committee.epoch}/{m}".encode(),),
+                       CoinShare(m, 0) if committee.mode is Mode.ASYNC else None)
+            for m in committee.members
+        )
+    return memo.genesis
 
 
 def validate_block(block: Block, committee: Committee) -> None:
@@ -433,7 +451,9 @@ class Dag:
 
     Inserts are idempotent; a block is admitted only when all its parents are
     already present, which keeps the causal-completeness invariant by
-    induction. Blocks are assumed validated by the caller.
+    induction. The presence test is one call of the block's `parent_lookup`
+    on the digest index; only a block that fails it pays for the list of
+    missing refs. Blocks are assumed validated by the caller.
 
     The floor is the lowest round held: `prune` drops every round below it.
     A block below the floor is refused, and a block at the floor is stored
@@ -495,7 +515,7 @@ class Dag:
 
     def insert(self, block: Block) -> InsertOutcome:
         """Store `block` if its parents are present or lie below the floor;
-        report missing refs otherwise."""
+        report missing refs otherwise, in parent order."""
         by_digest = self._by_digest
         if block.digest in by_digest:
             return _DUPLICATE
@@ -508,9 +528,14 @@ class Dag:
                 len(block.parent_by_author) == len(block.parents)
                 and len(block.parents) >= self._strong_quorum
             ), "block below the parent-quorum floor"
-        if block.round > self.floor and not all(map(by_digest.__contains__, block.parent_digests)):
-            missing = tuple(p for p in block.parents if p.digest not in by_digest)
-            return InsertOutcome(InsertStatus.MISSING_ANCESTORS, missing)
+        if block.round > self.floor:
+            try:
+                block.parent_lookup(by_digest)
+            except KeyError:
+                # a list comprehension is cheaper than a generator here, which
+                # keeps this path as fast as before the one-call test
+                missing = tuple([p for p in block.parents if p.digest not in by_digest])
+                return InsertOutcome(InsertStatus.MISSING_ANCESTORS, missing)
         self._store(block)
         return _INSERTED
 

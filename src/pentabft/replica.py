@@ -14,7 +14,10 @@ request is served with the requested blocks and those of their ancestors
 above the requester's frontier. A stored DAG is closed downward, so the
 requester holds most of what lies below; a block it still lacks there, such
 as an equivocator's other fork, parks the shipped block that needs it, and
-that block's own request names it, so it ships.
+that block's own request names it, so it ships. A response holds at most
+SYNC_CAP_PER_MEMBER times the committee size blocks, the lowest by (round,
+author, digest); the requester's retry timer asks again for what it still
+awaits, with a frontier that the shipped blocks raised.
 
 Each decision pass may raise the DAG's floor. Intake then passes over blocks
 below it, the pending pool drops them, and sync serving stops there.
@@ -37,6 +40,9 @@ from .messages import Action, ArmTimer, BlockMsg, NodeId, Send, SyncRequest, Syn
 # a timer armed with a request pops before a response that lands exactly then
 SYNC_RETRY = 3
 SYNC_TIMER = "sync-retry"
+# a sync response ships at most this many blocks per committee member; a
+# requester that lacks more fetches the rest with its retry timer
+SYNC_CAP_PER_MEMBER = 4
 
 
 class Replica:
@@ -139,10 +145,12 @@ class Replica:
         """Serve the requested blocks we hold plus their ancestors above the
         requester's frontier.
 
-        Requested blocks always ship; another reached block ships only if its
-        round is above the frontier entry of its author and not below this
-        DAG's floor, and the walk descends only from shipped blocks. A
-        malformed request gets no answer.
+        Requested blocks are always reached; another block is reached only
+        if its round is above the frontier entry of its author and not below
+        this DAG's floor, and the walk descends only from reached blocks. Of
+        the reached blocks, the lowest by (round, author, digest) ship, at
+        most SYNC_CAP_PER_MEMBER times the committee size. A malformed
+        request gets no answer.
         """
         members = self.committee.members
         if not _well_formed(req, len(members)):
@@ -162,6 +170,7 @@ class Replica:
                     blocks.append(blk)
                     stack.append(blk)
         blocks.sort(key=lambda b: (b.round, b.author, b.digest))
+        del blocks[SYNC_CAP_PER_MEMBER * len(members):]
         return [Send(sender, SyncResponse(tuple(blocks)))] if blocks else []
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .committer import CommonCoin, SlotDecision, Verdict
 from .dagcore import Committee, Mode, ValidatorId
@@ -212,24 +212,38 @@ class RunRecord:
     def honest_validators(self, epoch: int = 0) -> list[NodeSummary]:
         return [v for v in self.epochs[epoch].validators if not v.faulty]
 
-    def to_text(self) -> str:
-        lines = [f"run scenario={self.scenario} seed={self.seed} end={self.end_vtime}"]
-        lines.append(f"deliveries={self.total_deliveries}")
+    def chunks(self) -> Iterator[str]:
+        """The pieces of the record text, in order: the run header, each
+        epoch line, each node's and guard's lines, the violations, the
+        `events N` line, then each event block and its newline. A reader
+        that hashes or writes them one at a time never holds the whole
+        text."""
+        yield (
+            f"run scenario={self.scenario} seed={self.seed} end={self.end_vtime}\n"
+            f"deliveries={self.total_deliveries}\n"
+        )
         for ep in self.epochs:
-            lines.append(
+            yield (
                 f"epoch {ep.epoch} members={','.join(str(m) for m in ep.members)} f={ep.f}"
-                f" start={ep.start_vtime} end={ep.end_vtime}"
+                f" start={ep.start_vtime} end={ep.end_vtime}\n"
             )
-            for v in ep.validators:
-                lines.extend(v.to_lines())
-            for g in ep.guards:
-                lines.extend(g.to_lines())
-        for v in self.violations:
-            lines.append(f"violation {v}")
-        lines.append(f"events {self.event_count}")
-        lines.extend(self.event_blocks)
-        lines.append("")  # the final newline, without copying the text again
-        return "\n".join(lines)
+            for node in (*ep.validators, *ep.guards):
+                yield _text(node.to_lines())
+        if self.violations:
+            yield _text([f"violation {v}" for v in self.violations])
+        yield f"events {self.event_count}\n"
+        for block in self.event_blocks:
+            yield block
+            yield "\n"
+
+    def to_text(self) -> str:
+        return "".join(self.chunks())
+
+
+def _text(lines: list[str]) -> str:
+    """`lines`, each ended by a newline, in one string."""
+    lines.append("")
+    return "\n".join(lines)
 
 
 @dataclass

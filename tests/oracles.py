@@ -6,8 +6,9 @@ blame count behind the direct rule, the memo-free decision walk over every
 slot, the post-order linearization of one leader's history with separate
 scheduled and emitted sets, explicit-list linearization and commit
 extension, the vote relation between two blocks, parent-path reachability
-between two blocks, and the lowest equivocating pair of one author at one
-round. The decision trace, DAG dump and scenario file formats live here
+between two blocks, the lowest equivocating pair of one author at one
+round, and a DAG insert's outcome with its parents tested one at a time.
+The decision trace, DAG dump and scenario file formats live here
 too, and so does a run that keeps every node's whole DAG history for the
 tests that read it, and the event log of a simulator or a run record split
 back into its lines.
@@ -30,6 +31,7 @@ from pentabft.dagcore import (
     BlockRef,
     Committee,
     Dag,
+    InsertStatus,
     UnknownBlockError,
     ValidatorId,
     stored_history,
@@ -170,6 +172,20 @@ def dump_dag(dag: Dag) -> str:
             parents = " ".join(p.digest.hex() for p in blk.parents)
             lines.append(f"{blk.digest.hex()} {blk.author} {blk.round} {parents}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def insert_outcome(dag: Dag, block: Block) -> tuple[InsertStatus, tuple[BlockRef, ...]]:
+    """The (status, missing refs) `dag.insert(block)` reports, with the parent
+    presence test as a short-circuiting `all` over the parent digests."""
+    if dag.contains_digest(block.digest):
+        return InsertStatus.DUPLICATE, ()
+    if block.round < dag.floor:
+        return InsertStatus.BELOW_FLOOR, ()
+    if block.round > dag.floor and not all(map(dag.contains_digest, block.parent_digests)):
+        return InsertStatus.MISSING_ANCESTORS, tuple(
+            p for p in block.parents if not dag.contains_digest(p.digest)
+        )
+    return InsertStatus.INSERTED, ()
 
 
 def linearize_sub_dags(

@@ -4,7 +4,7 @@ from typing import Sequence
 
 from pentabft.dagcore import Block, Committee, genesis_blocks, make_block
 from pentabft.messages import ArmTimer, BlockMsg, Send, SyncRequest
-from pentabft.replica import SYNC_RETRY, SYNC_TIMER
+from pentabft.replica import SYNC_CAP_PER_MEMBER, SYNC_RETRY, SYNC_TIMER
 from pentabft.validator import CoreValidator
 
 DELTA = 1000
@@ -116,3 +116,47 @@ class SyncRequestTable:
         assert all(b.ref() in node.dag for b in parked)
         assert len(node.pending) == 0 and node.pending.is_idle()
         assert node.on_timer(SYNC_TIMER, (2 * SYNC_RETRY + 2) * DELTA) == []  # nothing left to ask
+
+    def test_a_requester_that_lacks_more_than_a_response_holds_gets_every_block(self):
+        """A sync response ships at most SYNC_CAP_PER_MEMBER blocks per
+        member, the lowest first; the retry timer fetches the rest, each
+        time from the frontier the shipped blocks raised."""
+        committee = Committee.of_size(6)
+        node = self.make_node(committee)
+        node.max_round = 0
+        server = CoreValidator(5, committee, delta=DELTA)
+        history: list[Block] = []
+        parents = [b.ref() for b in genesis_blocks(committee)]
+        for r in range(1, 8):
+            blocks = [make_block(a, r, parents, (b"t",)) for a in committee.members]
+            for b in blocks:
+                server.dag.insert(b)
+            history.extend(blocks)
+            parents = [b.ref() for b in blocks]
+        top = make_block(0, 8, parents)
+        cap = SYNC_CAP_PER_MEMBER * committee.size
+        assert len(history) > cap
+        now = 2 * DELTA
+        actions = deliver(node, [top], "v5", now)
+        shipped = []
+        for _ in range(10):
+            asked = [
+                a.payload
+                for a in actions
+                if isinstance(a, Send) and isinstance(a.payload, SyncRequest)
+            ]
+            if not asked:
+                if node.pending.is_idle():
+                    break
+                now += SYNC_RETRY * DELTA
+                actions = node.on_timer(SYNC_TIMER, now)
+                continue
+            now += DELTA
+            actions = []
+            for req in asked:
+                for resp in server.on_sync_request(req, "v0"):
+                    shipped.append(len(resp.payload.blocks))
+                    actions.extend(deliver(node, resp.payload.blocks, "v5", now))
+        assert shipped[0] == cap and max(shipped) == cap and len(shipped) >= 2
+        assert all(b.ref() in node.dag for b in (*history, top))
+        assert len(node.pending) == 0 and node.pending.is_idle()

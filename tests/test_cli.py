@@ -1,9 +1,12 @@
 """Command-line interface: run, list, plot-data, acceptance plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
-from pentabft import cli
+from pentabft import cli, scenarios
 from pentabft.metrics import Metrics
+from pentabft.runner import run_record
 from pentabft.scenarios import ScenarioConfig, fault_free
 
 from oracles import config_text
@@ -108,6 +111,9 @@ class TestRunCommand:
         assert code == 0
         record = (out / "fault-free-f1-seed1.record").read_text()
         assert record.startswith("run scenario=fault-free-f1")
+        # written piece by piece, byte for byte the record text
+        cfg = replace(scenarios.by_name("fault-free-f1"), rounds=5)
+        assert record == run_record(cfg, 1).to_text()
 
 
 class TestPlotData:

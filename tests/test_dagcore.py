@@ -1,6 +1,10 @@
 """Block validity, DAG storage, and the deterministic vote traversal."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentabft.dagcore import (
     BadSignature,
@@ -24,7 +28,7 @@ from pentabft.dagcore import (
     validate_block,
 )
 
-from oracles import dump_dag, equivocation_of, is_vote, link
+from oracles import dump_dag, equivocation_of, insert_outcome, is_vote, link
 
 
 def full_round(dag, committee, r, txs=b""):
@@ -211,6 +215,91 @@ class TestInsert:
                 assert equivocation_of(dag, a, r) is None
 
 
+class TestParentPresence:
+    """`Dag.insert` tests a block's parents with the block's one-call
+    `parent_lookup` and lists the missing ones in parent order, as the
+    one-parent-at-a-time oracle does."""
+
+    @staticmethod
+    def round_one(committee):
+        return [make_block(a, 1, [g.ref() for g in genesis_blocks(committee)]) for a in range(6)]
+
+    def dag_holding_round_one_but(self, committee, absent):
+        dag = Dag(committee)
+        round1 = self.round_one(committee)
+        for i, b in enumerate(round1):
+            if i not in absent:
+                assert dag.insert(b).status is InsertStatus.INSERTED
+        return dag, [b.ref() for b in round1]
+
+    @pytest.mark.parametrize("position", [0, 2, 5], ids=["first", "middle", "last"])
+    def test_one_missing_parent_is_reported(self, committee, position):
+        dag, refs = self.dag_holding_round_one_but(committee, {position})
+        block = make_block(0, 2, refs)
+        outcome = dag.insert(block)
+        assert outcome.status is InsertStatus.MISSING_ANCESTORS
+        assert outcome.missing == (refs[position],)
+        assert block.ref() not in dag
+
+    def test_a_block_at_the_floor_needs_no_parents(self, committee):
+        dag, refs = self.dag_holding_round_one_but(committee, set())
+        for r in (2, 3):
+            full_round(dag, committee, r)
+        dag.prune(2)
+        late = make_block(1, 2, refs[1:], (b"late",))  # its parents are pruned
+        assert late.parent_lookup is not None
+        assert dag.insert(late).status is InsertStatus.INSERTED
+
+    def test_a_parent_stored_as_another_object_counts(self, committee):
+        """Parents are found by digest: a parent held as a copy of the block
+        the child names is present, and a copy of a stored block is a
+        duplicate."""
+        dag = Dag(committee)
+        round1 = self.round_one(committee)
+        for b in round1:
+            assert dag.insert(replace(b)).status is InsertStatus.INSERTED
+        assert all(dag.get(b.ref()) is not b for b in round1)
+        child = make_block(0, 2, [b.ref() for b in round1])
+        assert dag.insert(child).status is InsertStatus.INSERTED
+        assert dag.insert(replace(child)).status is InsertStatus.DUPLICATE
+
+    def test_a_genesis_block_has_no_lookup(self, committee):
+        assert {g.parent_lookup for g in genesis_blocks(committee)} == {None}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_insert_agrees_with_the_oracle(self, data):
+        """Up to three blocks of the parent round absent, parents or not, in
+        any parent order, with the block below, at or above the floor:
+        `insert` gives the oracle's status and missing refs, and a second
+        insert of the same block too. Absent positions are drawn in parent
+        order, so a lone missing first, middle or last parent comes up."""
+        committee = Committee.of_size(6)
+        holder = Dag(committee)
+        rounds = [list(genesis_blocks(committee))]
+        rounds.extend(full_round(holder, committee, r) for r in (1, 2, 3))
+        r = data.draw(st.integers(2, 4), label="round")
+        count = data.draw(st.integers(5, 6), label="parent count")
+        order = data.draw(st.permutations(rounds[r - 1]), label="parent order")
+        parents = order[:count]
+        chosen = data.draw(st.sets(st.integers(0, 5), max_size=3), label="absent")
+        absent = {order[i] for i in chosen}
+        floor = data.draw(st.integers(0, r + 1), label="floor")
+        dag = Dag(committee)
+        for below in rounds[1 : r - 1]:
+            for b in below:
+                dag.insert(b)
+        for b in rounds[r - 1]:
+            if b not in absent:
+                dag.insert(b)
+        dag.prune(floor)
+        block = make_block(0, r, [p.ref() for p in parents], (b"probe",))
+        for _ in range(2):
+            want = insert_outcome(dag, block)
+            outcome = dag.insert(block)
+            assert (outcome.status, outcome.missing) == want
+
+
 class TestQuorumStamp:
     """A round gets a stamp, the DAG size, once it holds blocks by 4f+1
     authors; every later block stored at it moves the stamp."""
@@ -274,6 +363,15 @@ class TestCommitteeMemo:
         assert sibling.insert(support).status is InsertStatus.INSERTED
         assert sibling.voted_block(support, 1, 1) == voted
         assert Committee.of_size(6).memo is not committee.memo
+
+    def test_every_dag_of_a_committee_stores_the_same_genesis_objects(self, committee):
+        genesis = genesis_blocks(committee)
+        assert type(genesis) is tuple and genesis_blocks(committee) is genesis
+        for dag in (Dag(committee), Dag(committee)):
+            assert [dag.first_block_by(m, 0) for m in committee.members] == list(genesis)
+            assert all(dag.first_block_by(g.author, 0) is g for g in genesis)
+        other = genesis_blocks(Committee.of_size(6, epoch=1))
+        assert {g.digest for g in other}.isdisjoint(g.digest for g in genesis)
 
 
 class TestPrune:

@@ -271,7 +271,7 @@ class TestOnLBlame:
             assert g.on_lblame(m, 0) == []
         assert len(g.blames[(3, 0)]) == 3
         assert 0 not in g.lblamed
-        copy = genesis_blocks(g.committee)[3]
+        copy = replace(genesis_blocks(g.committee)[3])
         assert echoed(g.ingest_block(copy, "v3", 0)) == []
 
 
