@@ -66,7 +66,10 @@ class ValidatorAdapter(Node):
     def deliver(self, msg, sender, now):
         v = self.validator
         was_crashed = v.crashed
-        return self._gate(v.deliver(msg, sender, now), was_crashed, now)
+        actions = v.deliver(msg, sender, now)
+        if was_crashed or v.crashed:
+            return self._gate(actions, was_crashed, now)
+        return actions
 
     def flush(self, now):
         v = self.validator
@@ -75,20 +78,24 @@ class ValidatorAdapter(Node):
         while self._tx_round < v.current_round:
             self._tx_round += 1
             self._refill()
-        return self._gate(actions, was_crashed, now)
+        if was_crashed or v.crashed:
+            return self._gate(actions, was_crashed, now)
+        return actions
 
     def on_timer(self, timer_id, now):
         v = self.validator
         was_crashed = v.crashed
-        return self._gate(v.on_timer(timer_id, now), was_crashed, now)
+        actions = v.on_timer(timer_id, now)
+        if was_crashed or v.crashed:
+            return self._gate(actions, was_crashed, now)
+        return actions
 
     def _gate(self, actions, was_crashed: bool, now: int):
         # a node crashing during this step still emits what it produced
         # before the crash point; it is silent from the next step on
         if was_crashed:
             return []
-        if self.validator.crashed:
-            self.runner.sim.inject(self.node_id, "crash activated", now)
+        self.runner.sim.inject(self.node_id, "crash activated", now)
         return actions
 
 
@@ -101,16 +108,19 @@ class GuardAdapter(Node):
         self.node_id = guard_node(guard.me)
 
     def deliver(self, msg, sender, now):
-        return self._wrap(self.guard.deliver(msg, sender, now))
+        guard = self.guard
+        actions = guard.deliver(msg, sender, now)
+        return [] if guard.is_silent else actions
 
     def flush(self, now):
-        return self._wrap(self.guard.flush(now))
+        guard = self.guard
+        actions = guard.flush(now)
+        return [] if guard.is_silent else actions
 
     def on_timer(self, timer_id, now):
-        return self._wrap(self.guard.on_timer(timer_id, now))
-
-    def _wrap(self, actions):
-        return [] if self.guard.is_silent else actions
+        guard = self.guard
+        actions = guard.on_timer(timer_id, now)
+        return [] if guard.is_silent else actions
 
 
 # -- run record ------------------------------------------------------------------

@@ -54,6 +54,15 @@ class ScenarioConfig:
             raise ConfigError(f"unknown protocol mode {self.protocol_mode!r}")
         if self.protocol_mode == "async" and self.network in (SYNC, PARTIAL):
             raise ConfigError("async protocol mode expects an asynchronous network")
+        # every network model draws from, or waits, a non-empty range of delays
+        if self.delta < 1:
+            raise ConfigError(f"delta {self.delta} is below 1 us")
+        if self.gst < 0:
+            raise ConfigError(f"gst {self.gst} is negative")
+        if self.async_base < 1:
+            raise ConfigError(f"async_base {self.async_base} is below 1 us")
+        if self.async_cap < self.async_base:
+            raise ConfigError(f"async_cap {self.async_cap} is below async_base {self.async_base}")
         if self.guards and self.network != SYNC:
             raise ConfigError("guards assume synchrony; attach them to sync scenarios")
         if self.guards and self.protocol_mode != "partial-sync":

@@ -5,13 +5,19 @@ A calendar queue drives the run (R. Brown, "Calendar queues", CACM 31(10),
 time. Every event takes the next sequence number, so appending in push order
 keeps each queue in sequence order, and events pop in (virtual time, sequence
 number) order: identical (scenario, seed) inputs replay byte-identically. A
-broadcast costs one append per recipient, not one heap push. Virtual time is
-integer microseconds. Message delays come from one of three network models;
-timers fire exactly.
+broadcast costs one append per recipient, not one heap push, and `send`
+appends to the queue itself. Virtual time is integer microseconds. Message
+delays come from one of three network models; timers fire exactly. A model
+fixes its delay ranges at construction, refusing an empty one, and draws
+from a range by the loop CPython's `randint` runs: `getrandbits(k)` for the
+width's bit length k until the value is below the width. So the stream is
+`randint`'s, but no longer depends on how `randint` maps bits.
 
 Deliveries at one instant are ingested per event and each touched node is
-then flushed once (decisions, round advancement, outbound actions), which is
-behaviorally identical because nothing sent at time t can arrive at time t.
+then flushed once, in node-id order (decisions, round advancement, outbound
+actions), which is behaviorally identical because nothing sent at time t can
+arrive at time t. An instant that touched one node flushes it without
+collecting or sorting the touched set.
 
 The event log is text, each line written once as its event happens; one
 payload description serves back-to-back copies of a message object, as a
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -75,6 +81,15 @@ class Synchronous:
         return send_time + self.delta
 
 
+def _draw_range(lo: int, hi: int) -> tuple[int, int, int]:
+    """(low end, width, width's bit length) of a uniform draw from [lo, hi].
+    An empty range is refused: drawing from it would never end."""
+    width = hi - lo + 1
+    if width < 1:
+        raise ConfigError(f"empty delay range [{lo}, {hi}]")
+    return lo, width, width.bit_length()
+
+
 @dataclass(frozen=True)
 class PartialSynchrony:
     """Arbitrary (seeded) delays before GST; delta afterwards.
@@ -86,12 +101,21 @@ class PartialSynchrony:
     gst: int
     delta: int
     pre_gst_spread: int = 20  # pre-GST delays drawn from [delta, spread*delta]
+    _pre_gst: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        spread = _draw_range(self.delta, self.pre_gst_spread * self.delta)
+        object.__setattr__(self, "_pre_gst", spread)
 
     def delay(self, rng: random.Random, now: int) -> int:
         if now >= self.gst:
             return self.delta
-        raw = rng.randint(self.delta, self.pre_gst_spread * self.delta)
-        return min(now + raw, self.gst + self.delta) - now
+        # randint's draw, which CPython makes by this loop, without its frames
+        lo, width, bits = self._pre_gst
+        raw = rng.getrandbits(bits)
+        while raw >= width:
+            raw = rng.getrandbits(bits)
+        return min(now + lo + raw, self.gst + self.delta) - now
 
     def delivery_bound(self, send_time: int) -> int:
         return max(send_time, self.gst) + self.delta
@@ -109,13 +133,30 @@ class Asynchronous:
     base: int = 1000
     cap: int = 10000
     benign: bool = True
+    # the draw ranges of the benign band, or of the adversarial fast
+    # deliveries and spikes
+    _fast: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    _spike: Optional[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.benign:
+            fast, spike = _draw_range(max(1, self.base // 2), self.base), None
+        else:
+            fast = _draw_range(max(1, self.base // 10), self.base)
+            spike = _draw_range(self.base, self.cap)
+        object.__setattr__(self, "_fast", fast)
+        object.__setattr__(self, "_spike", spike)
 
     def delay(self, rng: random.Random, now: int) -> int:
-        if self.benign:
-            return rng.randint(max(1, self.base // 2), self.base)
-        if rng.random() < 0.25:
-            return rng.randint(self.base, self.cap)
-        return rng.randint(max(1, self.base // 10), self.base)
+        # randint's draw, which CPython makes by this loop, without its frames
+        if self.benign or rng.random() >= 0.25:
+            lo, width, bits = self._fast
+        else:
+            lo, width, bits = self._spike
+        raw = rng.getrandbits(bits)
+        while raw >= width:
+            raw = rng.getrandbits(bits)
+        return lo + raw
 
     def delivery_bound(self, send_time: int) -> int:
         return send_time + self.cap
@@ -232,7 +273,13 @@ class Simulator:
     def send(self, frm: NodeId, to: NodeId, payload: object, now: int) -> None:
         delay = self.network.delay(self.rng, now)
         at = now + (delay if delay > 0 else 1)
-        self._push(at, DELIVER, to, frm, payload)
+        # _push's body, inline on the hottest path
+        self._seq = seq = self._seq + 1
+        queue = self._queues.get(at)
+        if queue is None:
+            queue = self._queues[at] = deque()
+            heappush(self._times, at)
+        queue.append((seq, DELIVER, to, frm, payload))
         self.delivery_count += 1
         if self.record_events and at > self.network.delivery_bound(now):
             self.late_deliveries.append((now, frm, to, at))
@@ -301,6 +348,8 @@ class Simulator:
         queues = self._queues
         timer_seq = self._timer_seq
         lines = self.event_tail
+        record = self.record_events
+        apply_actions = self.apply_actions
         described, description = None, describe_payload(None)
         while times and times[0] <= self.horizon:
             time = heappop(times)
@@ -309,9 +358,11 @@ class Simulator:
                 del queues[time]
                 continue
             self.now = time
-            touched: set[NodeId] = set()
-            # ingest every event at this instant, then flush touched nodes
-            # once; an event pushed for this instant meanwhile joins the queue
+            # ingest every event at this instant, then flush the nodes it
+            # touched once each; an event pushed for this instant meanwhile
+            # joins the queue. Most instants touch one node: it is `first`,
+            # and a set collects the nodes only once a second one is touched
+            first = touched = None
             popleft = queue.popleft
             while queue:
                 seq, kind, node_id, a, b = popleft()
@@ -322,7 +373,7 @@ class Simulator:
                 if node is None:
                     continue
                 if kind == DELIVER:
-                    if self.record_events:
+                    if record:
                         if b is not described:
                             described, description = b, describe_payload(b)
                         lines.append(f"{time}\t{seq}\tdeliver\t{node_id}\t{a} {description}")
@@ -332,19 +383,31 @@ class Simulator:
                     if timer_seq.get(key) != seq:
                         continue  # superseded by a re-arm
                     del timer_seq[key]
-                    if self.record_events:
+                    if record:
                         lines.append(f"{time}\t{seq}\ttimer\t{node_id}\t{a}")
                     actions = node.on_timer(a, time)
                 if actions:
-                    self.apply_actions(node_id, actions, time)
-                touched.add(node_id)
+                    apply_actions(node_id, actions, time)
+                if node_id != first:
+                    if first is None:
+                        first = node_id
+                    elif touched is None:
+                        touched = {first, node_id}
+                    else:
+                        touched.add(node_id)
             del queues[time]
-            for node_id in sorted(touched):
+            if touched is not None:
+                flushed = sorted(touched)
+            elif first is not None:
+                flushed = (first,)
+            else:
+                flushed = ()
+            for node_id in flushed:
                 node = self.nodes.get(node_id)
                 if node is not None:
                     actions = node.flush(time)
                     if actions:
-                        self.apply_actions(node_id, actions, time)
+                        apply_actions(node_id, actions, time)
             if len(lines) >= EVENT_BLOCK_LINES:
                 self._join_tail()
         self._join_tail()

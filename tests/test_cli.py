@@ -78,8 +78,21 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("round=7", "unknown scenario key 'round'"), ("crash=4", "malformed value '4' for crash")],
-        ids=["unknown-key", "crash-without-round"],
+        [
+            ("round=7", "unknown scenario key 'round'"),
+            ("crash=4", "malformed value '4' for crash"),
+            # empty delay ranges: each would fail mid-run, or never end a draw
+            ("network=async-adversarial\nprotocol_mode=async\nasync_cap=500",
+             "async_cap 500 is below async_base 1000"),
+            ("network=async-benign\nprotocol_mode=async\nasync_base=0",
+             "async_base 0 is below 1 us"),
+            ("delta=0", "delta 0 is below 1 us"),
+            ("network=partial\ngst=-1", "gst -1 is negative"),
+        ],
+        ids=[
+            "unknown-key", "crash-without-round", "cap-below-base", "zero-base",
+            "zero-delta", "negative-gst",
+        ],
     )
     def test_malformed_config_file_exit_code(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 """Simulator engine: determinism, delivery bounds, timers, epochs, fault budgets."""
 
+import random
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from pentabft.simnet import (
     EVENT_BLOCK_LINES,
     Asynchronous,
     BudgetExceeded,
+    ConfigError,
     Node,
     PartialSynchrony,
     Simulator,
@@ -127,6 +129,48 @@ class TestDelivery:
         sim.send("n0", "n1", "second", 0)
         sim.run()
         assert [entry[3] for entry in nodes[1].log] == ["first", "second"]
+
+
+class TestDelayDraws:
+    """The first draws of each network model at one seed, pinned as taken
+    from CPython's `randint`, which the models' own draw loop replaced."""
+
+    @pytest.mark.parametrize(
+        "net, first_draws",
+        [
+            (PartialSynchrony(gst=50_000, delta=1000),
+             [19873, 19250, 17458, 12375, 5032, 11279, 8934, 12330, 17918, 3172]),
+            (Asynchronous(base=1000, cap=8000, benign=True),
+             [902, 828, 794, 785, 757, 677, 806, 563, 660, 943]),
+            # the seventh is a spike above base
+            (Asynchronous(base=1000, cap=8000, benign=False),
+             [689, 614, 226, 347, 454, 998, 2761, 325, 645, 671]),
+        ],
+        ids=["partial-before-gst", "async-benign", "async-adversarial"],
+    )
+    def test_first_draws_are_pinned(self, net, first_draws):
+        rng = random.Random("net/1")
+        assert [net.delay(rng, 0) for _ in first_draws] == first_draws
+
+    def test_partial_synchrony_clips_at_gst(self):
+        net = PartialSynchrony(gst=50_000, delta=1000)
+        rng = random.Random("net/1")
+        # the first draw is 19873 as above: clipped to land at gst + delta
+        assert net.delay(rng, 40_000) == 11_000
+        assert net.delay(rng, 50_000) == 1000
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PartialSynchrony(gst=1000, delta=1000, pre_gst_spread=0),
+            lambda: Asynchronous(base=0, cap=8000, benign=True),
+            lambda: Asynchronous(base=1000, cap=500, benign=False),
+        ],
+        ids=["partial-zero-spread", "async-benign-zero-base", "async-cap-below-base"],
+    )
+    def test_an_empty_delay_range_is_refused_at_construction(self, make):
+        with pytest.raises(ConfigError, match="empty delay range"):
+            make()
 
 
 class TestTimers:
@@ -319,6 +363,35 @@ class TestCalendarQueue:
         ]
         seqs = [int(seq) for _, seq, _, _, _ in fields]
         assert seqs == sorted(seqs)
+
+    def test_an_instant_flushes_each_touched_node_once_in_node_order(self):
+        sim, nodes = make_sim()
+        order = []
+        for node in nodes:
+            node.flush = lambda now, node=node: order.append((node.node_id, now)) or []
+        sim.send("n1", "n2", "a", 0)
+        sim.send("n1", "n0", "b", 0)
+        sim.send("n1", "n2", "c", 0)
+        sim.run()
+        assert order == [("n0", 1000), ("n2", 1000)]
+
+    def test_a_single_event_instant_flushes_its_node_once(self):
+        sim, nodes = make_sim()
+        sim.send("n0", "n1", "only", 0)
+        sim.run()
+        assert nodes[1].log == [("deliver", 1000, "n0", "only")]
+        assert [n.flushes for n in nodes] == [[0], [0, 1000], [0]]
+
+    def test_a_zero_timer_armed_in_a_single_event_instant_fires_before_the_flush(self):
+        sim, nodes = make_sim()
+        order = []
+        node = nodes[1]
+        node.script[("deliver", "go")] = [ArmTimer("now", 0)]
+        node.flush = lambda now: order.append(("flush", now)) or []
+        node.on_timer = lambda timer_id, now: order.append((timer_id, now)) or []
+        sim.send("n0", "n1", "go", 0)
+        sim.run()
+        assert order == [("now", 1000), ("flush", 1000)]
 
     def test_restart_mid_instant_drops_the_rest_of_the_instant(self):
         sim, old = make_sim()

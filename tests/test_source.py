@@ -77,3 +77,16 @@ def test_every_stored_attribute_is_read_in_src():
                 read.add(node.value)
     unread = {name: where for name, where in stored.items() if name not in read}
     assert unread.keys() == OUTSIDE_READERS.keys(), unread
+
+
+def test_the_network_models_draw_without_randint():
+    """`simnet.py` draws its delays from `getrandbits` itself: it calls
+    neither `randint` nor `randrange`, whose mapping of bits to integers is
+    CPython's to change."""
+    tree = ast.parse((SRC / "simnet.py").read_text())
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert called.isdisjoint({"randint", "randrange"})
