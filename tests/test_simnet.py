@@ -145,8 +145,11 @@ class TestDelayDraws:
             # the seventh is a spike above base
             (Asynchronous(base=1000, cap=8000, benign=False),
              [689, 614, 226, 347, 454, 998, 2761, 325, 645, 671]),
+            # a narrow band, [1, 3]: the draws reach both ends
+            (Asynchronous(base=3, cap=3, benign=True),
+             [3, 3, 3, 3, 2, 3, 1, 2, 1, 2, 3, 3]),
         ],
-        ids=["partial-before-gst", "async-benign", "async-adversarial"],
+        ids=["partial-before-gst", "async-benign", "async-adversarial", "async-benign-narrow"],
     )
     def test_first_draws_are_pinned(self, net, first_draws):
         rng = random.Random("net/1")
