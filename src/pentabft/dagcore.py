@@ -101,7 +101,10 @@ class CommitteeMemo:
     not once per validator and guard. Slot verdicts are held once per
     committee too: each node's committer keeps the committee's one object
     for a verdict it reached. So are the genesis blocks every DAG of the
-    committee starts from.
+    committee starts from. A guard's commit-view update is checked once per
+    committee too: `updates` keeps, per guard index, the last message
+    object that passed the shape and tag check, so it holds at most one
+    entry per guard.
 
     No node reads below its DAG's floor, so the validity, vote, ancestor and
     verdict tables map a round to that round's entries, and the rounds
@@ -110,7 +113,8 @@ class CommitteeMemo:
     """
 
     __slots__ = (
-        "valid", "votes", "ancestors", "verdicts", "delivery", "genesis", "floor", "_floors"
+        "valid", "votes", "ancestors", "verdicts", "updates", "delivery", "genesis", "floor",
+        "_floors",
     )
 
     def __init__(self):
@@ -124,6 +128,8 @@ class CommitteeMemo:
         # slot round -> (rank, committed digest or None for a skip) -> the
         # committee's one SlotDecision object for that verdict
         self.verdicts: dict[int, dict[tuple, object]] = {}
+        # guard index -> the last update message object that passed its check
+        self.updates: dict[int, object] = {}
         self.delivery = None  # root of the committer's delivery log, built by the first committer
         self.genesis: Optional[tuple] = None  # the committee's genesis blocks, built by the first DAG
         self.floor = 0  # the lowest floor among the committee's DAGs
@@ -507,11 +513,18 @@ class Dag:
     def contains_digest(self, digest: bytes) -> bool:
         return digest in self._by_digest
 
-    def skips(self, block: Block) -> bool:
-        """Whether intake passes `block` over: it lies below the floor, or
-        this very object is stored. A copy that shares only its digest, such
-        as one with a forged tag, is not skipped."""
-        return block.round < self.floor or self._by_digest.get(block.digest) is block
+    def skips(self, block: Block, parked: dict[bytes, Block]) -> bool:
+        """Whether intake passes `block` over as held: it lies below the
+        floor, or this very object is stored, or it is the object `parked`
+        (a pending pool's blocks by digest) holds. A copy that shares only
+        its digest, such as one with a forged tag, is not skipped. An empty
+        pool costs no call."""
+        if block.round < self.floor:
+            return True
+        digest = block.digest
+        return self._by_digest.get(digest) is block or (
+            parked.get(digest) is block if parked else False
+        )
 
     def insert(self, block: Block) -> InsertOutcome:
         """Store `block` if its parents are present or lie below the floor;
@@ -725,10 +738,12 @@ class PendingPool:
     requested when the first parked block awaits it, and the pool keeps when
     it was last requested and which peer sent each parked block, so a retry
     knows whom to ask again. All of it leaves with the blocks that need it.
+    `parked` maps each parked block's digest to the block, for intake's
+    test of what a replica holds (`Dag.skips`).
     """
 
     def __init__(self):
-        self._waiting: dict[bytes, Block] = {}
+        self.parked: dict[bytes, Block] = {}  # digest -> parked block
         self._needs: dict[bytes, set[bytes]] = {}
         self._dependents: dict[bytes, set[bytes]] = {}
         # awaited digest -> (time it was last requested, its ref); same keys
@@ -738,13 +753,13 @@ class PendingPool:
         self._floor = 0
 
     def __len__(self) -> int:
-        return len(self._waiting)
+        return len(self.parked)
 
     def is_idle(self) -> bool:
         return not self._dependents
 
     def has(self, digest: bytes) -> bool:
-        return digest in self._waiting
+        return digest in self.parked
 
     def add(
         self, block: Block, missing: Iterable[BlockRef], sender: Optional[str], now: int
@@ -752,9 +767,9 @@ class PendingPool:
         """Park `block`, sent by `sender`, until `missing` arrive. Returns the
         refs no parked block awaited before, stamped as requested at `now`."""
         digest = block.digest
-        if digest in self._waiting:
+        if digest in self.parked:
             return ()
-        self._waiting[digest] = block
+        self.parked[digest] = block
         if sender is not None:
             self._senders[digest] = sender
         need = self._needs[digest] = set()
@@ -801,7 +816,7 @@ class PendingPool:
             if not need:
                 del self._needs[dep]
                 self._senders.pop(dep, None)
-                ready.append(self._waiting.pop(dep))
+                ready.append(self.parked.pop(dep))
         return ready
 
     def prune(self, floor: int) -> list[Block]:
@@ -812,10 +827,10 @@ class PendingPool:
             return []
         self._floor = floor
         at_floor = []
-        for digest, block in list(self._waiting.items()):
+        for digest, block in list(self.parked.items()):
             if block.round > floor:
                 continue
-            del self._waiting[digest]
+            del self.parked[digest]
             self._senders.pop(digest, None)
             for need in self._needs.pop(digest):
                 waiters = self._dependents[need]

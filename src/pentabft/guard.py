@@ -21,6 +21,12 @@ A guard's DAG replica is pruned like a validator's, but keeps EVIDENCE_DEPTH
 rounds below its current round for conflict evidence, and the rounds its
 pending timers read. Its per-round liveness state is dropped below the DAG's
 floor, and blocks and blames below the floor are ignored.
+
+A guard checks each thing once. A block it holds stored or parked is passed
+over on intake. The safety scan resolves a fork only once its next round has
+f+1 forked authors, the fewest a blameset names. A remote update message is
+checked once per committee, and a remote claim that is the very verdict
+object this guard sequenced agrees with it.
 """
 
 from __future__ import annotations
@@ -413,8 +419,9 @@ class Guard(Replica):
             return []
         self.now_round = max(self.now_round, r)
         actions: list[Action] = []
+        asleep = self.asleep(r - 1)
         for leader in leaders_of_round(r - 1, self.committee, self.leaders_per_round):
-            if leader in self.asleep(r - 1):
+            if leader in asleep:
                 actions.extend(self._blame(leader, r - 1, now))
         return actions
 
@@ -457,10 +464,10 @@ class Guard(Replica):
         liveness and is echoed, even while it waits in the pending pool;
         later versions enter the DAG replica, whose fork table is the safety
         scan's evidence, so the replayed decision rules see what validators
-        see. A block already held was handled when first stored, and one
-        below the floor is ignored.
+        see. A block already held, stored or parked as this very object,
+        was handled when first taken in, and one below the floor is ignored.
         """
-        if self.dag.skips(block):
+        if self.dag.skips(block, self.pending.parked):
             return []
         try:
             validate_block(block, self.committee)
@@ -540,44 +547,62 @@ class Guard(Replica):
 
     def _conflicting_claim(self, mine: SlotDecision) -> Optional[SlotDecision]:
         """The first held remote claim that contradicts `mine`; the slot's
-        claims are dropped, since its own verdict is now in the sequence."""
+        claims are dropped, since its own verdict is now in the sequence.
+        A claim that is the very object `mine` agrees with it: a committee
+        holds one object per verdict."""
         remotes = self.remote_claims.pop(mine.slot, None)
         if not remotes:
             return None
         for claim in remotes.values():
-            if self._claims_conflict(mine, claim):
+            if claim is not mine and self._claims_conflict(mine, claim):
                 return claim
         return None
 
     @staticmethod
     def _claims_conflict(a: SlotDecision, b: SlotDecision) -> bool:
-        """Whether two verdicts on one slot contradict each other."""
+        """Whether two verdicts on one slot contradict each other. Both are
+        COMMIT or SKIP: a sequenced verdict is decided, and a remote claim
+        passed the shape check."""
         va, vb = a.verdict, b.verdict
         if va is Verdict.COMMIT and vb is Verdict.COMMIT:
             return a.block.digest != b.block.digest
-        return {va, vb} == {Verdict.COMMIT, Verdict.SKIP}
+        return va is not vb
 
     def on_remote_update(self, msg: CoreUpdateMsg, now: int) -> list[Action]:
         """Check a remote guard's claims against this guard's sequence, and
         hold those on slots it has not sequenced yet, up to CLAIM_WINDOW
-        rounds above its DAG."""
-        ranks = self.leaders_per_round
-        if not (
-            type(msg.guard) is int
-            and type(msg.claims) is tuple
-            and all(_well_formed_claim(c, ranks) for c in msg.claims)
-            and msg.tag == update_tag(msg.guard, msg.claims)
-        ):
+        rounds above its DAG.
+
+        The message is checked field by field and its tag recomputed once
+        per committee: the committee's memo keeps, per guard index, the last
+        message object that passed, and a guard handed that very object
+        again skips the check. A claim that is the very object this guard
+        sequenced for its slot agrees with it."""
+        guard = msg.guard
+        if type(guard) is not int:
             return []
+        passed = self.committee.memo.updates
+        if passed.get(guard) is not msg:
+            ranks = self.leaders_per_round
+            if not (
+                type(msg.claims) is tuple
+                and all(_well_formed_claim(c, ranks) for c in msg.claims)
+                and msg.tag == update_tag(guard, msg.claims)
+            ):
+                return []
+            if 0 <= guard < self.guard_count:  # made-up indices would grow the table
+                passed[guard] = msg
         actions: list[Action] = []
         horizon = self.dag.max_round + CLAIM_WINDOW
+        sequenced = self.committer.sequenced
         for claim in msg.claims:
-            if self.committer.sequenced(claim.slot) is None:
+            mine = sequenced(claim.slot)
+            if mine is None:
                 if claim.slot.round > horizon:
                     continue
                 key = claim.block.digest if claim.block else claim.verdict.value.encode()
                 self.remote_claims.setdefault(claim.slot, {})[key] = claim
-            else:
+            elif mine is not claim:
                 actions.extend(self._recover_on_conflict(claim, now))
         return actions
 
@@ -650,11 +675,16 @@ class Guard(Replica):
     def _detect_safety_fault(self, now: int) -> Optional[BlameSet]:
         """Equivocation-pair scan over the replica's forks, ascending by
         (author, round): a fork's two lowest-digest versions whose decision
-        round shows >= f+1 double-voters yield a safety blameset directly."""
+        round shows >= f+1 double-voters yield a safety blameset directly.
+        A double-voter forked at the decision round, so a fork whose next
+        round has fewer than f+1 forked authors is passed over unresolved."""
         dag = self.dag
         scanned = self._scanned_inputs
+        needed = self.committee.f + 1
         for key in dag.forked_keys():
             author, r = key
+            if len(dag.equivocators(r + 1)) < needed:
+                continue
             versions = dag.blocks_by(author, r)
             inputs = (len(versions), dag.block_count(r + 1))
             if scanned.get(key) == inputs:

@@ -23,9 +23,11 @@ Each decision pass may raise the DAG's floor. Intake then passes over blocks
 below it, the pending pool drops them, and sync serving stops there.
 
 Every message enters a replica through `deliver`: a block, alone or shipped
-in a sync response, goes to the subclass's `ingest_block`, which validates
-it; a sync request is served here; any other kind goes to the handler the
-subclass names for it in `handlers`, and a kind with none is dropped.
+in a sync response, goes to the subclass's `ingest_block`, which passes
+over a block the replica holds (below the floor, or this very object stored
+or parked: `Dag.skips`) and validates any other; a sync request is served
+here; any other kind goes to the handler the subclass names for it in
+`handlers`, and a kind with none is dropped.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ class CoreValidator(Replica):
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
         if block.round > self._trigger:  # skipped and invalid blocks count too
             self._trigger = block.round
-        if self.dag.skips(block):  # below the floor, or validated on intake or made here
+        if self.dag.skips(block, self.pending.parked):  # below the floor, stored or parked
             return []
         try:
             validate_block(block, self.committee)

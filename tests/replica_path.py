@@ -2,8 +2,16 @@
 
 from typing import Sequence
 
-from pentabft.dagcore import Block, Committee, genesis_blocks, make_block
-from pentabft.messages import ArmTimer, BlockMsg, Send, SyncRequest
+from pentabft.dagcore import (
+    Block,
+    Committee,
+    Dag,
+    auth_tag_for,
+    genesis_blocks,
+    make_block,
+    stored_history,
+)
+from pentabft.messages import ArmTimer, BlockMsg, Broadcast, Send, SyncRequest
 from pentabft.replica import SYNC_CAP_PER_MEMBER, SYNC_RETRY, SYNC_TIMER
 from pentabft.validator import CoreValidator
 
@@ -34,6 +42,28 @@ def count_validations(monkeypatch, module) -> list[Block]:
     return checked
 
 
+def count_inserts(monkeypatch) -> list[Block]:
+    """Record every block passed to `Dag.insert` from now on."""
+    inserted: list[Block] = []
+    real = Dag.insert
+
+    def counting(dag, block):
+        inserted.append(block)
+        return real(dag, block)
+
+    monkeypatch.setattr(Dag, "insert", counting)
+    return inserted
+
+
+def echoes(actions) -> list[Block]:
+    """The blocks `actions` broadcast."""
+    return [
+        a.payload.block
+        for a in actions
+        if isinstance(a, Broadcast) and isinstance(a.payload, BlockMsg)
+    ]
+
+
 def requests(actions) -> list[tuple[str, tuple]]:
     """(peer, refs) of each sync request in `actions`."""
     return [
@@ -41,6 +71,18 @@ def requests(actions) -> list[tuple[str, tuple]]:
         for a in actions
         if isinstance(a, Send) and isinstance(a.payload, SyncRequest)
     ]
+
+
+def holding_round_one_but(make_node, *absent):
+    """A node built by `make_node` from a committee of six that holds every
+    round-1 block but those of `absent`, and the six round-1 blocks."""
+    committee = Committee.of_size(6)
+    node = make_node(committee)
+    node.max_round = 0  # passive: the test drives every block
+    genesis = [b.ref() for b in genesis_blocks(committee)]
+    round1 = [make_block(a, 1, genesis, (b"t",)) for a in committee.members]
+    deliver(node, [b for b in round1 if b.author not in absent], "v1", DELTA)
+    return node, round1
 
 
 class SyncRequestTable:
@@ -51,19 +93,8 @@ class SyncRequestTable:
 
     make_node = None
 
-    def holding_round_one_but(self, *absent):
-        """A node that holds every round-1 block but those of `absent`, and
-        the six round-1 blocks."""
-        committee = Committee.of_size(6)
-        node = self.make_node(committee)
-        node.max_round = 0  # passive: the test drives every block
-        genesis = [b.ref() for b in genesis_blocks(committee)]
-        round1 = [make_block(a, 1, genesis, (b"t",)) for a in committee.members]
-        deliver(node, [b for b in round1 if b.author not in absent], "v1", DELTA)
-        return node, round1
-
     def test_a_ref_two_blocks_await_is_requested_once(self):
-        node, round1 = self.holding_round_one_but(5)
+        node, round1 = holding_round_one_but(self.make_node, 5)
         refs = [b.ref() for b in round1]
         first = make_block(2, 2, refs)
         second = make_block(3, 2, refs)
@@ -72,7 +103,7 @@ class SyncRequestTable:
         assert len(node.pending) == 2
 
     def test_a_newly_missing_ref_is_still_requested_from_its_sender(self):
-        node, round1 = self.holding_round_one_but(4, 5)
+        node, round1 = holding_round_one_but(self.make_node, 4, 5)
         refs = [b.ref() for b in round1]
         assert requests(deliver(node, [make_block(2, 2, refs[:5])], "v2", 2 * DELTA)) == [
             ("v2", (refs[4],))
@@ -82,7 +113,7 @@ class SyncRequestTable:
         ]
 
     def test_an_arrived_ref_leaves_the_pool(self):
-        node, round1 = self.holding_round_one_but(4, 5)
+        node, round1 = holding_round_one_but(self.make_node, 4, 5)
         refs = [b.ref() for b in round1]
         parked = [make_block(2, 2, refs[:5]), make_block(3, 2, refs)]
         deliver(node, parked[:1], "v2", 2 * DELTA)
@@ -98,7 +129,7 @@ class SyncRequestTable:
     def test_the_retry_asks_a_later_sender_when_the_first_never_answers(self):
         """v2 is asked first and never answers; the block v3 sent within the
         window asked nothing, so only the retry timer reaches v3."""
-        node, round1 = self.holding_round_one_but(5)
+        node, round1 = holding_round_one_but(self.make_node, 5)
         refs = [b.ref() for b in round1]
         server = CoreValidator(5, node.committee, delta=DELTA)
         for b in round1:
@@ -159,4 +190,61 @@ class SyncRequestTable:
                     actions.extend(deliver(node, resp.payload.blocks, "v5", now))
         assert shipped[0] == cap and max(shipped) == cap and len(shipped) >= 2
         assert all(b.ref() in node.dag for b in (*history, top))
+        assert len(node.pending) == 0 and node.pending.is_idle()
+
+
+class HeldParkedBlock:
+    """Intake passes over a block the replica holds parked, as it does one
+    it holds stored: the same object delivered again, say as another node's
+    echo, is neither validated nor inserted, asks for nothing and is not
+    echoed again. A test class sets `make_node` as for SyncRequestTable,
+    `module` to the module whose `validate_block` the node calls, and
+    `echoes_first` to whether the node echoes a timely first version."""
+
+    make_node = None
+    module = None
+    echoes_first = False
+
+    def parked(self):
+        """A node holding one round-2 block parked on the missing round-1
+        block of author 5, that block, and the round-1 blocks."""
+        node, round1 = holding_round_one_but(self.make_node, 5)
+        refs = [b.ref() for b in round1]
+        block = make_block(2, 2, refs, (b"parked",))
+        first = deliver(node, [block], "v2", 2 * DELTA)
+        assert requests(first) == [("v2", (refs[5],))]
+        assert echoes(first) == ([block] if self.echoes_first else [])
+        assert block.ref() not in node.dag and node.pending.has(block.digest)
+        assert len(node.pending) == 1
+        return node, block, round1
+
+    def test_a_parked_block_delivered_again_is_passed_over(self, monkeypatch):
+        node, block, _ = self.parked()
+        checked = count_validations(monkeypatch, self.module)
+        inserted = count_inserts(monkeypatch)
+        again = deliver(node, [block], "v3", 2 * DELTA + 1)
+        assert checked == [] and inserted == []
+        assert requests(again) == [] and echoes(again) == []
+        assert len(node.pending) == 1 and node.invalid_blocks == 0
+
+    def test_a_forged_copy_of_a_parked_block_is_still_rejected(self, monkeypatch):
+        node, block, _ = self.parked()
+        forged = Block(2, 2, block.parents, block.transactions, None, auth_tag_for(4))
+        assert forged.digest == block.digest
+        checked = count_validations(monkeypatch, self.module)
+        actions = deliver(node, [forged], "v4", 2 * DELTA + 1)
+        assert len(checked) == 1 and checked[0] is forged
+        assert node.invalid_blocks == 1
+        assert requests(actions) == [] and echoes(actions) == []
+        assert len(node.pending) == 1
+
+    def test_the_parked_block_is_stored_once_when_its_parent_arrives(self):
+        node, block, round1 = self.parked()
+        deliver(node, [block], "v3", 2 * DELTA + 1)
+        with stored_history() as log:
+            deliver(node, [round1[5]], "v5", 3 * DELTA)
+            deliver(node, [block], "v4", 3 * DELTA + 1)
+        assert log[node.dag] == [round1[5], block]
+        (held,) = node.dag.blocks_by(2, 2)
+        assert held is block
         assert len(node.pending) == 0 and node.pending.is_idle()

@@ -50,7 +50,7 @@ from pentabft.messages import (
 from pentabft.runner import Runner
 from pentabft.validator import CoreValidator
 
-from replica_path import SyncRequestTable, count_validations, deliver
+from replica_path import HeldParkedBlock, SyncRequestTable, count_validations, deliver
 
 DELTA = 1000
 GUARDS = 5
@@ -379,47 +379,168 @@ def spy_resolve(g):
     return calls
 
 
+def forked_round_three(g, fork_a, round2, authors, tag=b"r3"):
+    """Two round-3 versions by each of `authors`, both voting for `fork_a`,
+    so none of them straddles a fork of `fork_a`'s author."""
+    parents = [b.ref() for b in round2] + [fork_a.ref()]
+    for a in authors:
+        versions = [make_block(a, 3, parents, (tag, bytes([i]))) for i in range(2)]
+        deliver(g, versions, f"v{a}", 25)
+    assert set(authors) <= set(g.dag.equivocators(3))
+
+
 class TestSafetyScan:
-    def test_key_rescanned_only_when_its_inputs_grow(self):
-        g = make_guard(0)
+    """The fixtures give round 3 f+1 = 2 forked authors, as a blameset for
+    a round-2 fork needs, but their versions all vote for one side of it."""
+
+    def round_two(self, g):
         feed_round(g, 1, now=10)
         parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
         round2 = [make_block(a, 2, parents, (b"r2",)) for a in (0, 1, 3, 4, 5)]
         deliver(g, round2, "v0", 19)
+        return parents, round2
+
+    def test_key_rescanned_only_when_its_inputs_grow(self):
+        g = make_guard(0)
+        parents, round2 = self.round_two(g)
         fork_a = make_block(2, 2, parents, (b"fork-a",))
         fork_b = make_block(2, 2, parents, (b"fork-b",))
-        calls = spy_resolve(g)
         deliver(g, [fork_a], "v2", 20)
-        deliver(g, [fork_b], "v2", 21)
+        forked_round_three(g, fork_a, round2, (0, 1))
+        calls = spy_resolve(g)
+        deliver(g, [fork_b], "v2", 26)
         assert calls == [(2, 2)]
         # neither a new version nor a new round-3 block: the key is skipped
-        deliver(g, [fork_b], "v3", 22)
-        g.flush(23)
+        deliver(g, [fork_b], "v3", 27)
+        g.flush(28)
         assert calls == [(2, 2)]
         # a round-3 block may double-vote, so the key is scanned again
-        vote = make_block(0, 3, [b.ref() for b in round2] + [fork_a.ref()], (b"r3",))
-        deliver(g, [vote], "v0", 30)
+        vote = make_block(3, 3, [b.ref() for b in round2] + [fork_a.ref()], (b"r3",))
+        deliver(g, [vote], "v3", 30)
         assert calls == [(2, 2), (2, 2)]
         assert g.recovery_input is None
 
     def test_key_with_a_parked_version_is_not_memoized(self):
         g = make_guard(0)
-        feed_round(g, 1, now=10)
+        parents, round2 = self.round_two(g)
         genesis = [b.ref() for b in g.dag.blocks_at_round(0)]
         hidden = make_block(5, 1, genesis, (b"hidden",))  # not yet delivered
-        parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
         fork_a = make_block(2, 2, parents, (b"fork-a",))
         fork_b = make_block(2, 2, parents[:5] + [hidden.ref()], (b"fork-b",))
-        calls = spy_resolve(g)
         deliver(g, [fork_a], "v2", 20)
-        deliver(g, [fork_b], "v2", 21)  # parked: its parent `hidden` is missing
+        forked_round_three(g, fork_a, round2, (0, 1))
+        calls = spy_resolve(g)
+        deliver(g, [fork_b], "v2", 26)  # parked: its parent `hidden` is missing
         assert fork_b.ref() not in g.dag
         assert calls == []
         # the key is a fork of the replica, and so scanned, once the parked
         # version is stored
-        deliver(g, [hidden], "v5", 22)
+        deliver(g, [hidden], "v5", 27)
         assert fork_b.ref() in g.dag
         assert (2, 2) in calls
+
+    def test_a_fork_without_f_plus_1_forked_authors_next_round_is_not_resolved(self):
+        g = make_guard(0)
+        parents, round2 = self.round_two(g)
+        fork_a = make_block(2, 2, parents, (b"fork-a",))
+        fork_b = make_block(2, 2, parents, (b"fork-b",))
+        calls = spy_resolve(g)
+        deliver(g, [fork_a, fork_b], "v2", 20)
+        forked_round_three(g, fork_a, round2, (0,))
+        assert calls == [] and g._scanned_inputs == {}
+        forked_round_three(g, fork_a, round2, (1,), tag=b"late")
+        assert calls == [(2, 2)]
+
+
+class TestUpdateCheckedOnce:
+    """A committee checks each update message object once, and a guard
+    passes over a remote claim that is its own verdict object."""
+
+    def test_a_second_guard_does_not_recheck_the_same_message(self, monkeypatch):
+        committee = Committee.of_size(6)
+        guards = [make_guard(i, committee) for i in range(3)]
+        claims = (SlotDecision(LeaderSlot(1, 0), Verdict.SKIP),)
+        msg = CoreUpdateMsg(3, claims, update_tag(3, claims))
+        tags = []
+        real = guard_module.update_tag
+
+        def counting(guard, claims):
+            tags.append(guard)
+            return real(guard, claims)
+
+        monkeypatch.setattr(guard_module, "update_tag", counting)
+        for g in guards[:2]:
+            assert guard_intake(g, msg, 15) == []
+            assert g.remote_claims == {claims[0].slot: {b"skip": claims[0]}}
+        assert tags == [3] and committee.memo.updates == {3: msg}
+        # an equal but distinct object is checked again, and a wrong tag drops it
+        forged = replace(msg, tag="update:3:0")
+        assert forged.claims is msg.claims and forged is not msg
+        assert guard_intake(guards[2], forged, 15) == []
+        assert tags == [3, 3] and guards[2].remote_claims == {}
+        assert committee.memo.updates == {3: msg}
+        copy = replace(msg)
+        assert copy == msg and copy is not msg
+        guard_intake(guards[2], copy, 15)
+        assert tags == [3, 3, 3] and committee.memo.updates == {3: copy}
+        assert guards[2].remote_claims == guards[0].remote_claims
+        # an index no guard has is checked but not kept: the table stays bounded
+        far = CoreUpdateMsg(10**6, claims, update_tag(10**6, claims))
+        guard_intake(guards[2], far, 15)
+        assert committee.memo.updates == {3: copy}
+
+    def test_a_claim_that_is_the_guards_own_verdict_is_not_checked(self):
+        g, block_b, block_p = idle_conflict_guard()
+        mine = g.committer.sequenced(LeaderSlot(2, 0))
+        checked = []
+        real = g.check_equivocation
+
+        def spy(claim):
+            checked.append(claim)
+            return real(claim)
+
+        g.check_equivocation = spy
+        claims = (mine,)
+        assert guard_intake(g, CoreUpdateMsg(1, claims, update_tag(1, claims))) == []
+        assert checked == [] and g.recovery_input is None
+        conflict = (SlotDecision(mine.slot, Verdict.COMMIT, block_p.ref()),)
+        actions = guard_intake(g, CoreUpdateMsg(1, conflict, update_tag(1, conflict)))
+        assert checked == [conflict[0]] and g.recovery_input is not None
+        assert any(isinstance(a, Broadcast) and isinstance(a.payload, AgreementRelay) for a in actions)
+
+    def test_a_held_claim_that_is_the_guards_own_verdict_is_not_compared(self, monkeypatch):
+        committee = Committee.of_size(6)
+        g0, g1 = make_guard(0, committee), make_guard(1, committee)
+        for r in (1, 2):
+            feed_round(g1, r, now=10 * r)
+        slot = LeaderSlot(1, 0)
+        theirs = g1.committer.sequenced(slot)
+        assert theirs is not None
+        feed_round(g0, 1, now=10)
+        claims = (theirs,)
+        guard_intake(g0, CoreUpdateMsg(1, claims, update_tag(1, claims)), 15)
+        assert list(g0.remote_claims) == [slot]
+        compared = []
+        real = Guard._claims_conflict
+
+        def spy(a, b):
+            compared.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(Guard, "_claims_conflict", staticmethod(spy))
+        feed_round(g0, 2, now=20)
+        assert g0.committer.sequenced(slot) is theirs  # one object per verdict
+        assert compared == [] and g0.remote_claims == {} and g0.recovery_input is None
+
+    def test_the_table_holds_one_message_per_guard(self):
+        cfg = scenarios.crash_f_plus_1()
+        runner = Runner(cfg, seed=1)
+        runner.run()
+        tables = [epoch.committee.memo.updates for epoch in runner.epochs]
+        assert len(tables) == 2 and all(tables)
+        for table in tables:
+            assert len(table) <= cfg.guards
+            assert all(type(g) is int and msg.guard == g for g, msg in table.items())
 
 
 class TestSyncServing:
@@ -449,6 +570,12 @@ def guard_intake(g, msg, now=40):
 
 class TestSyncRequestTable(SyncRequestTable):
     make_node = staticmethod(lambda committee: make_guard(0, committee))
+
+
+class TestHeldParkedBlock(HeldParkedBlock):
+    make_node = staticmethod(lambda committee: make_guard(0, committee))
+    module = guard_module
+    echoes_first = True
 
 
 class TestHostileGuardInput:
@@ -718,7 +845,7 @@ class TestValidatorIntakeProperty:
         assert floor >= _V_FLOOR
         assert all(r >= floor for r in range(v.dag.max_round + 1) if v.dag.author_count(r))
         assert len(v.pending) == 0 or min(
-            b.round for b in v.pending._waiting.values()
+            b.round for b in v.pending.parked.values()
         ) > floor
 
 

@@ -20,7 +20,7 @@ from pentabft import validator
 from pentabft.validator import LEADER_TIMER, CoreValidator
 
 from oracles import committed_leaders
-from replica_path import SyncRequestTable, count_validations, deliver
+from replica_path import HeldParkedBlock, SyncRequestTable, count_validations, deliver
 
 DELTA = 1000
 
@@ -273,6 +273,11 @@ class TestOnBlock:
 
 class TestSyncRequestTable(SyncRequestTable):
     make_node = staticmethod(lambda committee: fresh_validator(0, committee))
+
+
+class TestHeldParkedBlock(HeldParkedBlock):
+    make_node = staticmethod(lambda committee: fresh_validator(0, committee))
+    module = validator
 
 
 def sync_requests(actions):
