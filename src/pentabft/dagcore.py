@@ -102,9 +102,9 @@ class CommitteeMemo:
     committee too: each node's committer keeps the committee's one object
     for a verdict it reached. So are the genesis blocks every DAG of the
     committee starts from. A guard's commit-view update is checked once per
-    committee too: `updates` keeps, per guard index, the last message
-    object that passed the shape and tag check, so it holds at most one
-    entry per guard.
+    committee too: `updates` keeps, per sender node id, the last message
+    object that passed the shape and tag check; unlike a message's guard
+    field, a sender id is hashable unchecked and names a real node.
 
     No node reads below its DAG's floor, so the validity, vote, ancestor and
     verdict tables map a round to that round's entries, and the rounds
@@ -128,8 +128,8 @@ class CommitteeMemo:
         # slot round -> (rank, committed digest or None for a skip) -> the
         # committee's one SlotDecision object for that verdict
         self.verdicts: dict[int, dict[tuple, object]] = {}
-        # guard index -> the last update message object that passed its check
-        self.updates: dict[int, object] = {}
+        # sender node id -> the last update message object that passed its check
+        self.updates: dict[str, object] = {}
         self.delivery = None  # root of the committer's delivery log, built by the first committer
         self.genesis: Optional[tuple] = None  # the committee's genesis blocks, built by the first DAG
         self.floor = 0  # the lowest floor among the committee's DAGs

@@ -25,8 +25,8 @@ floor, and blocks and blames below the floor are ignored.
 A guard checks each thing once. A block it holds stored or parked is passed
 over on intake. The safety scan resolves a fork only once its next round has
 f+1 forked authors, the fewest a blameset names. A remote update message is
-checked once per committee, and a remote claim that is the very verdict
-object this guard sequenced agrees with it.
+checked once per committee, in `Replica.deliver`, and a remote claim that is
+the very verdict object this guard sequenced agrees with it.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .messages import (
     RecoverProposal,
     RecoveryDone,
     RestartDirective,
+    update_tag,
 )
 from .replica import SYNC_TIMER, Replica
 
@@ -76,15 +77,6 @@ def lblame_tag(guard: int, accused: ValidatorId, round_: int) -> str:
     return f"lblame:{guard}:{accused}:{round_}"
 
 
-def update_tag(guard: int, claims: tuple[SlotDecision, ...]) -> str:
-    body = ";".join(
-        f"{c.slot.round}/{c.slot.rank}:{c.verdict.value}:{c.block.digest.hex() if c.block else '-'}"
-        for c in claims
-    )
-    h = hashlib.blake2b(body.encode(), digest_size=8).hexdigest()
-    return f"update:{guard}:{h}"
-
-
 def _proposal_body_hash(blameset_text: str, branch: Optional[BlockRef]) -> str:
     body = blameset_text + ("|" + branch.digest.hex() if branch else "|-")
     return hashlib.blake2b(body.encode(), digest_size=8).hexdigest()
@@ -97,44 +89,6 @@ def recover_tag(guard: int, blameset_text: str, branch: Optional[BlockRef]) -> s
 def relay_tag(guard: int, proposer: int, proposal: RecoverProposal) -> str:
     h = _proposal_body_hash(proposal.blameset_text, proposal.branch)
     return f"relay:{guard}:{proposer}:{h}"
-
-
-# -- input shapes ---------------------------------------------------------------
-# A peer's message is checked field by field before its tag is computed, so
-# a malformed field drops the message instead of raising in the handler.
-
-
-def _ints(*values) -> bool:
-    return all(type(v) is int for v in values)
-
-
-def _well_formed_ref(ref) -> bool:
-    return type(ref) is BlockRef and _ints(ref.author, ref.round) and type(ref.digest) is bytes
-
-
-def _well_formed_claim(claim, ranks: int) -> bool:
-    """A decided leader slot of round >= 1 and rank below `ranks`: a commit
-    names a block ref, a skip names none."""
-    if type(claim) is not SlotDecision or type(claim.slot) is not LeaderSlot:
-        return False
-    r, k = claim.slot.round, claim.slot.rank
-    if not (_ints(r, k) and r >= 1 and 0 <= k < ranks):
-        return False
-    if claim.verdict is Verdict.COMMIT:
-        return _well_formed_ref(claim.block)
-    return claim.verdict is Verdict.SKIP and claim.block is None
-
-
-def _well_formed_relay(relay: AgreementRelay) -> bool:
-    p = relay.proposal
-    return (
-        type(relay.chain) is tuple and type(relay.chain_tags) is tuple
-        and _ints(relay.proposer, *relay.chain)
-        and all(type(t) is str for t in relay.chain_tags)
-        and type(p) is RecoverProposal and _ints(p.guard)
-        and type(p.blameset_text) is str and type(p.tag) is str
-        and (p.branch is None or _well_formed_ref(p.branch))
-    )
 
 
 # -- blamesets ----------------------------------------------------------------
@@ -571,27 +525,8 @@ class Guard(Replica):
     def on_remote_update(self, msg: CoreUpdateMsg, now: int) -> list[Action]:
         """Check a remote guard's claims against this guard's sequence, and
         hold those on slots it has not sequenced yet, up to CLAIM_WINDOW
-        rounds above its DAG.
-
-        The message is checked field by field and its tag recomputed once
-        per committee: the committee's memo keeps, per guard index, the last
-        message object that passed, and a guard handed that very object
-        again skips the check. A claim that is the very object this guard
+        rounds above its DAG. A claim that is the very object this guard
         sequenced for its slot agrees with it."""
-        guard = msg.guard
-        if type(guard) is not int:
-            return []
-        passed = self.committee.memo.updates
-        if passed.get(guard) is not msg:
-            ranks = self.leaders_per_round
-            if not (
-                type(msg.claims) is tuple
-                and all(_well_formed_claim(c, ranks) for c in msg.claims)
-                and msg.tag == update_tag(guard, msg.claims)
-            ):
-                return []
-            if 0 <= guard < self.guard_count:  # made-up indices would grow the table
-                passed[guard] = msg
         actions: list[Action] = []
         horizon = self.dag.max_round + CLAIM_WINDOW
         sequenced = self.committer.sequenced
@@ -703,13 +638,9 @@ class Guard(Replica):
         """Record one guard's attestation; majority promotes the accused
         unless this guard saw its timely block. Attestations below the floor
         are ignored."""
-        if not (
-            _ints(msg.guard, msg.accused, msg.round)
-            and msg.round >= self.dag.floor
-            and 0 <= msg.guard < self.guard_count
-            and type(msg.tag) is str
-            and msg.tag == lblame_tag(msg.guard, msg.accused, msg.round)
-        ):
+        if msg.round < self.dag.floor or not 0 <= msg.guard < self.guard_count:
+            return []
+        if msg.tag != lblame_tag(msg.guard, msg.accused, msg.round):
             return []
         key = (msg.accused, msg.round)
         per_guard = self.blames.setdefault(key, {})
@@ -817,7 +748,10 @@ class Guard(Replica):
     def on_recover_msg(self, relay: AgreementRelay, now: int) -> list[Action]:
         """Adopt a first valid proposal if idle, then echo-forward per the
         signature-chain schedule."""
-        if not (_well_formed_relay(relay) and self._verify_chain(relay)):
+        if not all(  # each signer is a guard and signed the proposal
+            0 <= g < self.guard_count and tag == relay_tag(g, relay.proposer, relay.proposal)
+            for g, tag in zip(relay.chain, relay.chain_tags)
+        ):
             return []
         actions: list[Action] = []
         if self.recovery_input is None:
@@ -833,23 +767,6 @@ class Guard(Replica):
             return actions  # too late for this chain length
         actions.extend(self._accept_relay(relay, now))
         return actions
-
-    def _verify_chain(self, relay: AgreementRelay) -> bool:
-        chain = relay.chain
-        if not chain or chain[0] != relay.proposer:
-            return False
-        if len(set(chain)) != len(chain):
-            return False
-        if not all(0 <= g < self.guard_count for g in chain):
-            return False
-        if relay.proposal.guard != relay.proposer:
-            return False
-        if len(relay.chain_tags) != len(chain):
-            return False
-        return all(
-            tag == relay_tag(g, relay.proposer, relay.proposal)
-            for g, tag in zip(chain, relay.chain_tags)
-        )
 
     def _accept_relay(self, relay: AgreementRelay, now: int) -> list[Action]:
         session = self.session

@@ -22,21 +22,25 @@ awaits, with a frontier that the shipped blocks raised.
 Each decision pass may raise the DAG's floor. Intake then passes over blocks
 below it, the pending pool drops them, and sync serving stops there.
 
-Every message enters a replica through `deliver`: a block, alone or shipped
-in a sync response, goes to the subclass's `ingest_block`, which passes
-over a block the replica holds (below the floor, or this very object stored
-or parked: `Dag.skips`) and validates any other; a sync request is served
-here; any other kind goes to the handler the subclass names for it in
-`handlers`, and a kind with none is dropped.
+Every message enters a replica through `deliver`. It drops a kind the replica
+has no handler for unchecked, and drops and counts in `malformed` a message
+that fails its kind's shape (`messages.SHAPES`). A block, alone or in a sync
+response, goes to the subclass's `ingest_block`, which passes over a block the
+replica holds (below the floor, or this very object stored or parked:
+`Dag.skips`) and validates any other; a sync request is served here; any other
+kind goes to the handler the subclass names for it in `handlers`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from .committer import Committer, CommonCoin
-from .dagcore import Block, BlockRef, Committee, Dag, InsertStatus, PendingPool
-from .messages import Action, ArmTimer, BlockMsg, NodeId, Send, SyncRequest, SyncResponse
+from .dagcore import Block, Committee, Dag, InsertStatus, PendingPool
+from .messages import (
+    SHAPES, Action, ArmTimer, BlockMsg, CoreUpdateMsg, NodeId, Send, SyncRequest, SyncResponse,
+)
 
 # the retry timer's period in delta: strictly above the 2 delta round trip, as
 # a timer armed with a request pops before a response that lands exactly then
@@ -66,27 +70,37 @@ class Replica:
         self.committer = Committer(self.dag, committee, leaders_per_round, coin)
         self.pending = PendingPool()
         self.invalid_blocks = 0  # blocks that failed validation on intake
+        self.malformed: Counter[str] = Counter()  # kind name -> messages dropped as malformed
         self._retry_armed = False  # the sync retry timer is pending
 
     def deliver(self, msg, sender: NodeId, now: int) -> list[Action]:
-        """The one intake of a message. A malformed block field drops the
-        whole message."""
+        """The one intake of a message. Only update messages that pass are kept,
+        per sender, in the committee's memo: each is checked once per committee."""
         kind = type(msg)
         if kind is BlockMsg:
             block = msg.block
-            return self.ingest_block(block, sender, now) if type(block) is Block else []
-        if kind is SyncResponse:
+            if type(block) is Block:
+                return self.ingest_block(block, sender, now)
+        elif kind is SyncResponse:
             blocks = msg.blocks
-            if type(blocks) is not tuple or not all(type(b) is Block for b in blocks):
+            if type(blocks) is tuple and all(type(b) is Block for b in blocks):
+                actions: list[Action] = []
+                for block in blocks:
+                    actions.extend(self.ingest_block(block, sender, now))
+                return actions
+        else:
+            name = self.handlers.get(kind)
+            if name is None and kind is not SyncRequest:
                 return []
-            actions: list[Action] = []
-            for block in blocks:
-                actions.extend(self.ingest_block(block, sender, now))
-            return actions
-        if kind is SyncRequest:
-            return self.on_sync_request(msg, sender)
-        name = self.handlers.get(kind)
-        return [] if name is None else getattr(self, name)(msg, now)
+            updates, shape = self.committee.memo.updates, SHAPES[kind]
+            if updates.get(sender) is msg or shape(msg, self.committee.size, self.leaders_per_round):
+                if kind is CoreUpdateMsg:
+                    updates[sender] = msg
+                if name is None:
+                    return self.on_sync_request(msg, sender)
+                return getattr(self, name)(msg, now)
+        self.malformed[kind.__name__] += 1
+        return []
 
     def _admit(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
         """Insert a validated block, or park it and ask `sender` for the
@@ -151,12 +165,9 @@ class Replica:
         if its round is above the frontier entry of its author and not below
         this DAG's floor, and the walk descends only from reached blocks. Of
         the reached blocks, the lowest by (round, author, digest) ship, at
-        most SYNC_CAP_PER_MEMBER times the committee size. A malformed
-        request gets no answer.
+        most SYNC_CAP_PER_MEMBER times the committee size.
         """
         members = self.committee.members
-        if not _well_formed(req, len(members)):
-            return []
         frontier = dict(zip(members, req.frontier))
         dag = self.dag
         floor = dag.floor
@@ -175,15 +186,3 @@ class Replica:
         del blocks[SYNC_CAP_PER_MEMBER * len(members):]
         return [Send(sender, SyncResponse(tuple(blocks)))] if blocks else []
 
-
-def _well_formed(req: SyncRequest, size: int) -> bool:
-    """Whether a peer's request holds one integer round per committee member
-    and only block refs with a byte digest."""
-    try:
-        return (
-            len(req.frontier) == size
-            and all(type(x) is int for x in req.frontier)
-            and all(type(r) is BlockRef and type(r.digest) is bytes for r in req.refs)
-        )
-    except TypeError:  # a frontier or refs field that is no sequence
-        return False

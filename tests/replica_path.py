@@ -4,6 +4,7 @@ from typing import Sequence
 
 from pentabft.dagcore import (
     Block,
+    BlockRef,
     Committee,
     Dag,
     auth_tag_for,
@@ -248,3 +249,29 @@ class HeldParkedBlock:
         (held,) = node.dag.blocks_by(2, 2)
         assert held is block
         assert len(node.pending) == 0 and node.pending.is_idle()
+
+
+class MalformedSyncRequest:
+    """`deliver` drops a sync request of the wrong shape unserved and counts
+    it, and serves the same request well formed. A test class sets
+    `make_node` as for SyncRequestTable."""
+
+    make_node = None
+
+    def test_malformed_frontier_gets_no_answer(self):
+        node, round1 = holding_round_one_but(self.make_node)
+        ref = round1[1].ref()
+        frontiers = ((), (-1,) * 3, (None,) * 6, ("x",) * 6, None)
+        refs = (
+            ("junk",), (ref, "junk"), (BlockRef(1, 1, []),), None,
+            # a stored block's digest under an author or a round that is no int
+            (BlockRef("1", 1, ref.digest),), (BlockRef(1, 1.0, ref.digest),),
+        )
+        malformed = [SyncRequest((ref,), f) for f in frontiers]
+        malformed += [SyncRequest(r, (-1,) * 6) for r in refs]
+        for req in malformed:
+            assert node.deliver(req, "v5", 2 * DELTA) == []
+        assert node.malformed == {"SyncRequest": len(malformed)}
+        # the same request with one entry per member is served
+        (resp,) = node.deliver(SyncRequest((ref,), (-1,) * 6), "v5", 2 * DELTA)
+        assert ref in {b.ref() for b in resp.payload.blocks}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentabft import guard as guard_module
+from pentabft import messages as messages_module
 from pentabft.committer import LeaderSlot, SlotDecision, Verdict, leader_of
 from pentabft import scenarios
 from pentabft.dagcore import (
@@ -37,6 +38,7 @@ from pentabft.guard import (
     update_tag,
 )
 from pentabft.messages import (
+    SHAPES,
     AgreementRelay,
     Broadcast,
     BlockMsg,
@@ -46,11 +48,18 @@ from pentabft.messages import (
     RecoveryDone,
     SyncRequest,
     SyncResponse,
+    guard_node,
 )
 from pentabft.runner import Runner
 from pentabft.validator import CoreValidator
 
-from replica_path import HeldParkedBlock, SyncRequestTable, count_validations, deliver
+from replica_path import (
+    HeldParkedBlock,
+    MalformedSyncRequest,
+    SyncRequestTable,
+    count_validations,
+    deliver,
+)
 
 DELTA = 1000
 GUARDS = 5
@@ -461,33 +470,30 @@ class TestUpdateCheckedOnce:
         guards = [make_guard(i, committee) for i in range(3)]
         claims = (SlotDecision(LeaderSlot(1, 0), Verdict.SKIP),)
         msg = CoreUpdateMsg(3, claims, update_tag(3, claims))
-        tags = []
-        real = guard_module.update_tag
-
-        def counting(guard, claims):
-            tags.append(guard)
-            return real(guard, claims)
-
-        monkeypatch.setattr(guard_module, "update_tag", counting)
+        tags = spy(monkeypatch, messages_module, "update_tag")
+        shapes = spy(monkeypatch, messages_module, "_well_formed_claim")
         for g in guards[:2]:
             assert guard_intake(g, msg, 15) == []
             assert g.remote_claims == {claims[0].slot: {b"skip": claims[0]}}
-        assert tags == [3] and committee.memo.updates == {3: msg}
+        # the second guard runs neither the claim predicate nor the tag
+        assert tags == [(3, claims)] and shapes == [(claims[0], 2)]
+        assert committee.memo.updates == {"g1": msg}
         # an equal but distinct object is checked again, and a wrong tag drops it
         forged = replace(msg, tag="update:3:0")
         assert forged.claims is msg.claims and forged is not msg
         assert guard_intake(guards[2], forged, 15) == []
-        assert tags == [3, 3] and guards[2].remote_claims == {}
-        assert committee.memo.updates == {3: msg}
+        assert len(tags) == 2 and guards[2].remote_claims == {}
+        assert guards[2].malformed == {"CoreUpdateMsg": 1}
+        assert committee.memo.updates == {"g1": msg}
         copy = replace(msg)
         assert copy == msg and copy is not msg
         guard_intake(guards[2], copy, 15)
-        assert tags == [3, 3, 3] and committee.memo.updates == {3: copy}
+        assert len(tags) == 3 and committee.memo.updates == {"g1": copy}
         assert guards[2].remote_claims == guards[0].remote_claims
-        # an index no guard has is checked but not kept: the table stays bounded
+        # the table is keyed by sender: an index no guard has adds no entry
         far = CoreUpdateMsg(10**6, claims, update_tag(10**6, claims))
         guard_intake(guards[2], far, 15)
-        assert committee.memo.updates == {3: copy}
+        assert committee.memo.updates == {"g1": far}
 
     def test_a_claim_that_is_the_guards_own_verdict_is_not_checked(self):
         g, block_b, block_p = idle_conflict_guard()
@@ -540,20 +546,7 @@ class TestUpdateCheckedOnce:
         assert len(tables) == 2 and all(tables)
         for table in tables:
             assert len(table) <= cfg.guards
-            assert all(type(g) is int and msg.guard == g for g, msg in table.items())
-
-
-class TestSyncServing:
-    def test_malformed_frontier_gets_no_answer(self):
-        g = make_guard()
-        feed_round(g, 1, now=100)
-        ref = g.dag.first_block_by(1, 1).ref()
-        for frontier in ((), (-1,) * 3, (None,) * 6, ("x",) * 6, None):
-            assert g.on_sync_request(SyncRequest((ref,), frontier), "v5") == []
-        for refs in (("junk",), (ref, "junk"), (BlockRef(1, 1, []),), None):
-            assert g.on_sync_request(SyncRequest(refs, (-1,) * 6), "v5") == []
-        (resp,) = g.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5")
-        assert ref in {b.ref() for b in resp.payload.blocks}
+            assert all(sender == guard_node(msg.guard) for sender, msg in table.items())
 
 
 def idle_conflict_guard():
@@ -576,6 +569,10 @@ class TestHeldParkedBlock(HeldParkedBlock):
     make_node = staticmethod(lambda committee: make_guard(0, committee))
     module = guard_module
     echoes_first = True
+
+
+class TestMalformedSyncRequest(MalformedSyncRequest):
+    make_node = staticmethod(lambda committee: make_guard(0, committee))
 
 
 class TestHostileGuardInput:
@@ -672,6 +669,89 @@ class TestIntakeDispatch:
             g.deliver(msg, "g1", 40)
         assert calls == ["on_lblame", "on_remote_update", "on_recover_msg"]
         assert g.blames
+
+
+class TestShapeTable:
+    """`Replica.deliver` checks each message against its kind's entry in
+    `messages.SHAPES` once, before dispatch, and counts what it drops."""
+
+    def test_every_kind_a_replica_takes_has_an_entry(self):
+        kinds = {*CoreValidator.handlers, *Guard.handlers, SyncRequest}
+        assert kinds <= SHAPES.keys()
+
+    def test_a_validator_runs_no_predicate_on_guard_kinds(self, monkeypatch):
+        checked = []
+        for kind, real in SHAPES.items():
+            def spying(msg, size, ranks, real=real):
+                checked.append(msg)
+                return real(msg, size, ranks)
+
+            monkeypatch.setitem(SHAPES, kind, spying)
+        v = CoreValidator(0, Committee.of_size(6), delta=DELTA)
+        for msg in TestIntakeDispatch().guard_kinds():
+            assert v.deliver(msg, "g1", 40) == []
+        assert checked == [] and v.malformed == {}
+        request = SyncRequest((), (-1,) * 6)
+        v.deliver(request, "v1", 40)
+        assert checked == [request]
+
+    def test_malformed_messages_are_counted_by_kind(self):
+        v, g = CoreValidator(0, Committee.of_size(6), delta=DELTA), make_guard()
+        block = genesis_blocks(v.committee)[0]
+        for node in (v, g):
+            for msg in (
+                BlockMsg("block"), SyncResponse([block]), SyncResponse((block, None)),
+                SyncRequest((), None), object(), LBlameMsg(1, 2, 1, None),
+            ):
+                assert node.deliver(msg, "v1", 40) == []
+        counts = {"BlockMsg": 1, "SyncResponse": 2, "SyncRequest": 1}
+        assert v.malformed == counts  # a validator drops blames unchecked
+        assert g.malformed == {**counts, "LBlameMsg": 1}
+
+    def test_a_relay_whose_chain_fails_its_shape_is_counted(self, monkeypatch):
+        g, *_ = idle_conflict_guard()
+        checked = spy(monkeypatch, g, "valid_recovery_proposal")
+        text = "blameset kind=liveness members=4,5 round=1\n"
+        proposal = RecoverProposal(1, text, None, recover_tag(1, text, None))
+
+        def relay(proposer, chain):
+            tags = tuple(relay_tag(s, proposer, proposal) for s in chain)
+            return AgreementRelay(proposer, proposal, chain, tags)
+
+        bad = [
+            relay(1, ()),  # no signer
+            relay(1, (2, 1)),  # the proposer is not first
+            relay(2, (2,)),  # the proposal names another guard
+            relay(1, (1, 1)),  # a signer twice
+            replace(relay(1, (1, 2)), chain_tags=(relay_tag(1, 1, proposal),)),  # a tag short
+        ]
+        for msg in bad:
+            assert guard_intake(g, msg) == []
+        assert g.malformed == {"AgreementRelay": len(bad)}
+        # a signer that is no guard of the committee is the handler's to drop
+        assert guard_intake(g, relay(1, (1, GUARDS))) == []
+        assert g.malformed == {"AgreementRelay": len(bad)} and checked == []
+        guard_intake(g, relay(1, (1, 2)))
+        assert checked == [(proposal,)]
+
+    def test_a_blame_from_an_index_no_guard_has_is_ignored_not_malformed(self):
+        g, *_ = idle_conflict_guard()
+        for msg in attest(2, 3, [GUARDS, -1]):
+            assert guard_intake(g, msg) == []
+        assert g.blames == {} and g.malformed == {}
+
+
+def spy(monkeypatch, module, name) -> list:
+    """Record the arguments of every call to `module.name` from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def spying(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spying)
+    return calls
 
 
 def junk():

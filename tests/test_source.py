@@ -46,6 +46,7 @@ def test_every_function_is_used_in_src():
 # with the reason they stay
 OUTSIDE_READERS = {
     "invalid_blocks": "the invalid-block counter of ROADMAP item 1; tests read it",
+    "malformed": "the malformed-message counter of ROADMAP item 1; tests read it",
 }
 
 
@@ -53,20 +54,24 @@ def test_every_stored_attribute_is_read_in_src():
     """`src/` keeps no write-only state: each attribute stored on `self`
     is read elsewhere in `src/` as an attribute, a name or a string
     constant. Strings count as for functions, but the names a `__slots__`
-    declares do not."""
+    declares do not. Storing an item, as in `self.x[k] += 1`, stores `x`
+    and does not read it."""
     stored: dict[str, str] = {}
     read: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         slots: set[int] = set()  # ids of the nodes inside `__slots__` values
+        items: set[int] = set()  # ids of the attributes whose items are stored
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
             ):
                 slots.update(id(c) for c in ast.walk(node.value))
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                items.add(id(node.value))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                if not isinstance(node.ctx, ast.Load):
+                if not isinstance(node.ctx, ast.Load) or id(node) in items:
                     if isinstance(node.value, ast.Name) and node.value.id == "self":
                         stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
                 else:
@@ -90,3 +95,17 @@ def test_the_network_models_draw_without_randint():
         if isinstance(node, ast.Call)
     }
     assert called.isdisjoint({"randint", "randrange"})
+
+
+def test_message_shapes_are_defined_only_in_messages():
+    """The shape of a peer message has one definition: no `_well_formed*`
+    or `_ints` function is defined outside `messages.py`."""
+    outside = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "messages.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith(("_well_formed", "_ints"))
+    ]
+    assert outside == []

@@ -20,7 +20,13 @@ from pentabft import validator
 from pentabft.validator import LEADER_TIMER, CoreValidator
 
 from oracles import committed_leaders
-from replica_path import HeldParkedBlock, SyncRequestTable, count_validations, deliver
+from replica_path import (
+    HeldParkedBlock,
+    MalformedSyncRequest,
+    SyncRequestTable,
+    count_validations,
+    deliver,
+)
 
 DELTA = 1000
 
@@ -219,19 +225,6 @@ class TestOnBlock:
         low = v.dag.first_block_by(4, 1).ref()
         assert [b.digest for b in served((3,) * 6, (low, ref))] == [low.digest, ref.digest]
 
-    def test_malformed_frontier_gets_no_answer(self):
-        v = fresh_validator()
-        v.flush(0)
-        drive_round(v, 1, now=DELTA)
-        ref = v.dag.first_block_by(1, 1).ref()
-        for frontier in ((), (-1,) * 3, (None,) * 6, ("x",) * 6, None):
-            assert v.on_sync_request(SyncRequest((ref,), frontier), "v5") == []
-        for refs in (("junk",), (ref, "junk"), (BlockRef(1, 1, []),), None):
-            assert v.on_sync_request(SyncRequest(refs, (-1,) * 6), "v5") == []
-        # the same request with one entry per member is served
-        (resp,) = v.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5")
-        assert ref in {b.ref() for b in resp.payload.blocks}
-
     def test_pruned_fork_is_requested_by_name(self):
         """The requester holds one fork of equivocator v1 at round 1; the block
         it needs rests on the other fork, which its frontier prunes from the
@@ -278,6 +271,10 @@ class TestSyncRequestTable(SyncRequestTable):
 class TestHeldParkedBlock(HeldParkedBlock):
     make_node = staticmethod(lambda committee: fresh_validator(0, committee))
     module = validator
+
+
+class TestMalformedSyncRequest(MalformedSyncRequest):
+    make_node = staticmethod(lambda committee: fresh_validator(0, committee))
 
 
 def sync_requests(actions):
