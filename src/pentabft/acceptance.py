@@ -3,28 +3,38 @@
 Each criterion runs its mapped scenarios at fixed seeds, measures against a
 pinned bound, and reports one pass/fail line. Seed sweeps fan out over a
 process pool; each worker owns its run end-to-end and returns plain data.
+
+Most criteria (C3-C8) are failure lists: a worker returns the failures of
+its job, and `_check` pools the jobs and passes the criterion when none
+fail, with the first failure as the detail. The guard criteria C6 and C7
+start from `runner.verify_scenario` on each run and add what it does not
+check, sharing one check of every guard's agreed recovery.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .committer import LeaderSlot, SlotDecision, Verdict, validate_stake_split
 from .dagcore import stored_history, unpruned
-from .guard import BlameSet, is_valid_blameset
+from .guard import LIVENESS, SAFETY, BlameSet, is_valid_blameset
 from .metrics import verdicts
-from .runner import check_prefix_consistency, run, run_record
+from .runner import check_prefix_consistency, run, run_record, verify_scenario
 from .scenarios import (
     ASYNC_ADVERSARIAL,
     PARTIAL,
+    ScenarioConfig,
     adversary_matrix,
     async_fault_free,
+    by_name,
     crash_f_plus_1,
     fault_free,
     splitview_3f,
@@ -62,6 +72,25 @@ def _pool_map(fn: Callable, jobs: list) -> list:
         return [fn(job) for job in jobs]
 
 
+def _check(
+    ident: str, name: str, measured: str, bound: str, worker: Callable, jobs: list
+) -> CriterionResult:
+    """A failure-list criterion: `worker` maps each job to its failure
+    strings, and the criterion passes with none, showing the first as its
+    detail. `measured` is formatted with the `failures` and `jobs` counts."""
+    t0 = time.time()
+    failures = [f for fs in _pool_map(worker, jobs) for f in fs]
+    return CriterionResult(
+        ident,
+        name,
+        measured.format(failures=len(failures), jobs=len(jobs)),
+        bound,
+        not failures,
+        failures[0] if failures else "",
+        time.time() - t0,
+    )
+
+
 # -- criterion 1 + 2: commit path latency -----------------------------------------
 
 
@@ -79,7 +108,7 @@ def _latency_worker(job: tuple) -> dict:
     complete = (rounds - expected_gap) * cfg.leaders_per_round
     direct = 0
     off_round = 0
-    hist: dict[int, int] = {}
+    hist: Counter = Counter()
     for slot_round, _, verdict, rule, delay, _ in verdicts(ref):
         if slot_round > rounds - expected_gap:
             continue
@@ -88,7 +117,7 @@ def _latency_worker(job: tuple) -> dict:
             if delay != wl:
                 off_round += 1
             if delay is not None:
-                hist[delay] = hist.get(delay, 0) + 1
+                hist[delay] += 1
     return {
         "complete": complete,
         "direct": direct,
@@ -96,11 +125,6 @@ def _latency_worker(job: tuple) -> dict:
         "hist": hist,
         "fails": len(check_prefix_consistency(record)) + len(record.violations),
     }
-
-
-def _merge_hist(target: dict, extra: dict) -> None:
-    for k, v in extra.items():
-        target[k] = target.get(k, 0) + v
 
 
 # latency runs are shared between the two latency criteria within a process
@@ -146,18 +170,13 @@ def criterion_async_latency_delta(seeds: int = 20, rounds: int = 200) -> Criteri
     t0 = time.time()
     sync_jobs = [("sync", f, rounds, s) for f in (1, 2, 6) for s in range(1, seeds + 1)]
     async_jobs = [("async", f, rounds, s) for f in (1, 2, 6) for s in range(1, seeds + 1)]
-    sync_hist: dict[int, int] = {}
-    async_hist: dict[int, int] = {}
-    off = 0
-    fails = 0
-    for r in _latency_results(sync_jobs):
-        _merge_hist(sync_hist, r["hist"])
-    for r in _latency_results(async_jobs):
-        _merge_hist(async_hist, r["hist"])
-        off += r["off_round"]
-        fails += r["fails"]
-    sync_mode = max(sync_hist, key=sync_hist.get) if sync_hist else 0
-    async_mode = max(async_hist, key=async_hist.get) if async_hist else 0
+    sync_hist = sum((r["hist"] for r in _latency_results(sync_jobs)), Counter())
+    async_results = _latency_results(async_jobs)
+    async_hist = sum((r["hist"] for r in async_results), Counter())
+    off = sum(r["off_round"] for r in async_results)
+    fails = sum(r["fails"] for r in async_results)
+    sync_mode = max(sync_hist, key=sync_hist.get, default=0)
+    async_mode = max(async_hist, key=async_hist.get, default=0)
     ratio = Fraction(async_mode, sync_mode) if sync_mode else Fraction(0)
     passed = ratio == Fraction(3, 2) and async_mode == 3 and off == 0 and fails == 0
     return CriterionResult(
@@ -184,24 +203,19 @@ def _safety_worker(job: tuple) -> list[str]:
 
 
 def criterion_safety_matrix(seeds: int = 100) -> CriterionResult:
-    t0 = time.time()
-    jobs = []
-    for adversary in ("crash", "equivocate", "withhold"):
-        for network, gst_mid in ((PARTIAL, False), (PARTIAL, True), (ASYNC_ADVERSARIAL, False)):
-            for seed in range(1, seeds + 1):
-                jobs.append((adversary, network, gst_mid, seed))
-    failures: list[str] = []
-    for fs in _pool_map(_safety_worker, jobs):
-        failures.extend(fs)
-    passed = not failures
-    return CriterionResult(
+    jobs = [
+        (adversary, network, gst_mid, seed)
+        for adversary in ("crash", "equivocate", "withhold")
+        for network, gst_mid in ((PARTIAL, False), (PARTIAL, True), (ASYNC_ADVERSARIAL, False))
+        for seed in range(1, seeds + 1)
+    ]
+    return _check(
         "C3",
         "prefix consistency under <= f Byzantine",
-        f"{len(failures)} violations over {len(jobs)} runs",
+        "{failures} violations over {jobs} runs",
         "zero violations",
-        passed,
-        failures[0] if failures else "",
-        time.time() - t0,
+        _safety_worker,
+        jobs,
     )
 
 
@@ -215,9 +229,8 @@ def _liveness_worker(job: tuple) -> list[str]:
     cfg = adversary_matrix("crash", PARTIAL, gst_rounds > 0, rounds=rounds)
     record = run_record(cfg, seed)
     failures: list[str] = []
-    gst = cfg.gst
     for ref in record.honest_validators(0):
-        post_rounds = {r for r, t in ref.round_entries.items() if t >= gst + cfg.delta}
+        post_rounds = {r for r, t in ref.round_entries.items() if t >= cfg.gst + cfg.delta}
         if not post_rounds:
             failures.append(f"seed={seed} {ref.node}: no post-GST rounds")
             continue
@@ -243,29 +256,22 @@ def _liveness_worker(job: tuple) -> list[str]:
 
 
 def criterion_liveness_window(seeds: int = 10) -> CriterionResult:
-    t0 = time.time()
-    jobs = [(s, 45, 15) for s in range(1, seeds + 1)]
-    failures: list[str] = []
-    for fs in _pool_map(_liveness_worker, jobs):
-        failures.extend(fs)
     f = 1
-    return CriterionResult(
+    return _check(
         "C4",
         "post-GST decisions within the rotation window",
-        f"{len(failures)} violations",
+        "{failures} violations",
         f"every slot decided within {2 * f + 2} rounds of its decision round",
-        not failures,
-        failures[0] if failures else "",
-        time.time() - t0,
+        _liveness_worker,
+        [(s, 45, 15) for s in range(1, seeds + 1)],
     )
 
 
 # -- criterion 5: quorum arithmetic -------------------------------------------------------
 
 
-def criterion_quorum_math() -> CriterionResult:
-    t0 = time.time()
-    n, f = 6, 1
+def _quorum_worker(job: tuple) -> list[str]:
+    n, f = job
     strong, weak = 4 * f + 1, 2 * f + 1
     failures = []
     # single-vote assignments: support or blame, one decision block each
@@ -274,203 +280,158 @@ def criterion_quorum_math() -> CriterionResult:
         blames = n - supports
         if supports >= strong and blames >= strong:
             failures.append(f"assignment {assignment:06b} both quorums")
-    # two-sided authors allowed: blame quorum plus weak support needs >= f+1 dupes
-    for assignment in range(3**n):
-        digits = []
-        x = assignment
-        for _ in range(n):
-            digits.append(x % 3)
-            x //= 3
+    # two-sided authors allowed: blame quorum plus weak support needs >= f+1 dupes;
+    # per author 0 supports, 1 blames, 2 does both
+    for digits in itertools.product(range(3), repeat=n):
         supports = sum(1 for d in digits if d in (0, 2))
         blames = sum(1 for d in digits if d in (1, 2))
-        both = sum(1 for d in digits if d == 2)
+        both = digits.count(2)
         if blames >= strong and supports >= weak and both < f + 1:
-            failures.append(f"3^n assignment {assignment} evades the overlap bound")
+            failures.append(f"3^n assignment {digits} evades the overlap bound")
         # strong certificate exclusivity: two blocks of one author
         if supports >= strong and blames >= weak and both <= f:
-            failures.append(f"exclusivity breach at {assignment}")
-    passed = not failures
-    return CriterionResult(
+            failures.append(f"exclusivity breach at {digits}")
+    return failures
+
+
+def criterion_quorum_math() -> CriterionResult:
+    return _check(
         "C5",
         "quorum-intersection enumeration (n=6, f=1)",
-        f"{len(failures)} counterexamples over 2^6 + 3^6 assignments",
+        "{failures} counterexamples over 2^6 + 3^6 assignments",
         "none",
-        passed,
-        failures[0] if failures else "",
-        time.time() - t0,
+        _quorum_worker,
+        [(6, 1)],
     )
 
 
-# -- criterion 6: guard liveness recovery ---------------------------------------------------
+# -- criteria 6 + 7: guard recovery -------------------------------------------------------
+
+
+def _recovery_failures(seed: int, cfg: ScenarioConfig, state, kind: str, detected_by) -> list[str]:
+    """Every guard agreed on a restart directive of `kind` within the
+    agreement window (t_g+1)D after `detected_by`; the directive names at
+    least f+1 members, all corrupt, and its blameset text re-verifies; and
+    all guards agreed on the same directive."""
+    committee = state.committee
+    deadline = detected_by + ((cfg.guards - 1) // 2 + 1) * cfg.delta
+    failures: list[str] = []
+    agreed: set[tuple] = set()
+    for gid, guard in state.guards.items():
+        tag = f"seed={seed} g{gid}"
+        directive = guard.recovery_result
+        if directive is None:
+            failures.append(f"{tag}: no agreed blameset")
+            continue
+        agreed.add((directive.kind, directive.excluded, directive.blameset_text))
+        members = set(directive.excluded)
+        if directive.kind != kind:
+            failures.append(f"{tag}: agreed a {directive.kind} blameset, not {kind}")
+        if len(members) < committee.f + 1 or not members <= cfg.faulty_validators():
+            failures.append(f"{tag}: bad members {sorted(members)}")
+        bs = BlameSet.from_text(directive.blameset_text)
+        if not is_valid_blameset(bs, committee, cfg.guards):
+            failures.append(f"{tag}: blameset fails re-verification")
+        if guard.recovery_result_vtime > deadline:
+            failures.append(f"{tag}: agreed at {guard.recovery_result_vtime} > {deadline}")
+    if len(agreed) != 1:
+        failures.append(f"seed={seed}: guards agreed on {len(agreed)} blamesets, not one")
+    return failures
+
+
+def _guard_liveness_worker(seed: int) -> list[str]:
+    cfg = crash_f_plus_1()
+    result = run(cfg, seed)
+    failures = [f"seed={seed}: {f}" for f in verify_scenario(cfg, result.record)]
+    state = result.epochs[0]
+    crashed = cfg.faulty_validators()
+    halted = max(v.highest_round for v in result.record.honest_validators(0))
+    if halted > max(r for _, r in cfg.crash) + 1:
+        return failures + [f"seed={seed}: DAG did not halt (round {halted})"]
+    entries = [g.entry_vtime.get(halted) for g in state.guards.values()]
+    if None in entries:
+        return failures + [f"seed={seed}: a guard never entered round {halted}"]
+    blamed_by = min(entries) + 6 * cfg.delta
+    for gid, guard in state.guards.items():
+        blamed = guard.lblamed.get(halted, set())
+        if blamed != crashed:
+            failures.append(f"seed={seed} g{gid}: lblamed {sorted(blamed)} != crashed")
+        assembled = guard.lblamed_at.get(halted)
+        if assembled is None or assembled > blamed_by:
+            failures.append(f"seed={seed} g{gid}: blame assembly at {assembled}")
+    return failures + _recovery_failures(seed, cfg, state, LIVENESS, blamed_by)
 
 
 def criterion_guard_liveness(seeds: int = 3) -> CriterionResult:
-    t0 = time.time()
-    failures: list[str] = []
-    for seed in range(1, seeds + 1):
-        cfg = crash_f_plus_1()
-        result = run(cfg, seed)
-        record = result.record
-        state = result.epochs[0]
-        committee = state.committee
-        crashed = {v for v, _ in cfg.crash}
-        delta = cfg.delta
-        t_g = (cfg.guards - 1) // 2
-        halted = max(
-            v.highest_round for v in record.epochs[0].validators if not v.faulty
-        )
-        if halted > max(r for _, r in cfg.crash) + 1:
-            failures.append(f"seed={seed}: DAG did not halt (round {halted})")
-            continue
-        blamed_round = halted
-        entries = [g.entry_vtime.get(blamed_round) for g in state.guards.values()]
-        if any(e is None for e in entries):
-            failures.append(f"seed={seed}: a guard never entered round {blamed_round}")
-            continue
-        first_entry = min(entries)
-        agreed: set[tuple] = set()
-        for gid, guard in state.guards.items():
-            blamed = guard.lblamed.get(blamed_round, set())
-            if blamed != crashed:
-                failures.append(f"seed={seed} g{gid}: lblamed {sorted(blamed)} != crashed")
-            assembled = guard.lblamed_at.get(blamed_round)
-            if assembled is None or assembled > first_entry + 6 * delta:
-                failures.append(f"seed={seed} g{gid}: blame assembly at {assembled}")
-            if guard.recovery_result is None:
-                failures.append(f"seed={seed} g{gid}: no agreed blameset")
-                continue
-            directive = guard.recovery_result
-            agreed.add((directive.kind, directive.excluded, directive.blameset_text))
-            members = set(directive.excluded)
-            if len(members) < committee.f + 1 or not members <= crashed:
-                failures.append(f"seed={seed} g{gid}: bad members {sorted(members)}")
-            bs = BlameSet.from_text(directive.blameset_text)
-            if not is_valid_blameset(bs, committee, cfg.guards):
-                failures.append(f"seed={seed} g{gid}: blameset fails re-verification")
-            deadline = first_entry + 6 * delta + (t_g + 1) * delta
-            if guard.recovery_result_vtime > deadline:
-                failures.append(
-                    f"seed={seed} g{gid}: agreed at {guard.recovery_result_vtime} > {deadline}"
-                )
-        if len(agreed) > 1:
-            failures.append(f"seed={seed}: guards disagree on the blameset")
-        if len(record.epochs) < 2:
-            failures.append(f"seed={seed}: no restart epoch")
-        else:
-            resumed = max(len(v.committed) for v in record.epochs[1].validators)
-            if resumed == 0:
-                failures.append(f"seed={seed}: reduced committee never committed")
-    return CriterionResult(
+    return _check(
         "C6",
         "guard liveness recovery (crash f+1)",
-        f"{len(failures)} violations over {seeds} seeds",
+        "{failures} violations over {jobs} seeds",
         "identical >=f+1 blamesets in 6D + (t_g+1)D, then progress",
-        not failures,
-        failures[0] if failures else "",
-        time.time() - t0,
+        _guard_liveness_worker,
+        list(range(1, seeds + 1)),
     )
 
 
-# -- criterion 7: guard safety recovery ------------------------------------------------------
+def _guard_safety_worker(seed: int) -> list[str]:
+    cfg = splitview_3f()
+    result = run(cfg, seed)
+    failures = [f"seed={seed}: {f}" for f in verify_scenario(cfg, result.record)]
+    state = result.epochs[0]
+    slot_key = f"{cfg.splitview_round}/0"
+    outcomes = [v.decided.get(slot_key, "") for v in result.record.honest_validators(0)]
+    committed = sorted({o.split(":", 1)[1] for o in outcomes if o.startswith("commit:")})
+    detections = []
+    for gid, guard in state.guards.items():
+        tag = f"seed={seed} g{gid}"
+        if guard.safety_detection_vtime is None:
+            failures.append(f"{tag}: no safety detection")
+            continue
+        detections.append(guard.safety_detection_vtime)
+        if not committed:
+            continue  # verify_scenario has reported the missing divergence
+        # replay the commit-conflict path: feed each guard the claim made
+        # by the camp it did NOT end up in
+        claim = _opposing_claim(guard, cfg.splitview_round, committed)
+        if claim is None:
+            failures.append(f"{tag}: no opposing claim constructible")
+            continue
+        bs = guard.check_equivocation(claim)
+        if bs is None:
+            failures.append(f"{tag}: check_equivocation empty")
+            continue
+        if len(bs.members) < state.committee.f + 1:
+            failures.append(f"{tag}: overlap too small")
+        if not is_valid_blameset(bs, state.committee, cfg.guards):
+            failures.append(f"{tag}: overlap proof invalid")
+    # with no detection at all, every guard has failed above
+    detected_by = min(detections, default=math.inf) + 2 * cfg.delta
+    return failures + _recovery_failures(seed, cfg, state, SAFETY, detected_by)
 
 
 def criterion_guard_safety(seeds: int = 3) -> CriterionResult:
-    t0 = time.time()
-    failures: list[str] = []
-    for seed in range(1, seeds + 1):
-        cfg = splitview_3f()
-        result = run(cfg, seed)
-        record = result.record
-        state = result.epochs[0]
-        committee = state.committee
-        corrupt = cfg.faulty_validators()
-        delta = cfg.delta
-        t_g = (cfg.guards - 1) // 2
-        slot_key = f"{cfg.splitview_round}/0"
-        outcomes = {
-            v.node: v.decided.get(slot_key, "undecided")
-            for v in record.epochs[0].validators
-            if not v.faulty
-        }
-        committed_digests = sorted(
-            {o.split(":", 1)[1] for o in outcomes.values() if o.startswith("commit:")}
-        )
-        skipped = any(o == "skip" for o in outcomes.values())
-        diverged = len(committed_digests) >= 2 or (committed_digests and skipped)
-        if not diverged:
-            failures.append(f"seed={seed}: no honest divergence ({outcomes})")
-        committed_ref = committed_digests[0] if committed_digests else None
-        detections = []
-        agreed: set[tuple] = set()
-        for gid, guard in state.guards.items():
-            if guard.safety_detection_vtime is None:
-                failures.append(f"seed={seed} g{gid}: no safety detection")
-                continue
-            detections.append(guard.safety_detection_vtime)
-            # replay the commit-conflict path: feed each guard the claim made
-            # by the camp it did NOT end up in
-            if committed_ref is not None:
-                claim = _opposing_claim(guard, cfg.splitview_round, committed_digests)
-                if claim is None:
-                    failures.append(f"seed={seed} g{gid}: no opposing claim constructible")
-                else:
-                    bs = guard.check_equivocation(claim)
-                    if bs is None:
-                        failures.append(f"seed={seed} g{gid}: check_equivocation empty")
-                    else:
-                        if len(bs.members) < committee.f + 1:
-                            failures.append(f"seed={seed} g{gid}: overlap too small")
-                        if not is_valid_blameset(bs, committee, cfg.guards):
-                            failures.append(f"seed={seed} g{gid}: overlap proof invalid")
-            if guard.recovery_result is None:
-                failures.append(f"seed={seed} g{gid}: no agreed blameset")
-                continue
-            directive = guard.recovery_result
-            agreed.add((directive.kind, directive.excluded, directive.blameset_text))
-            members = set(directive.excluded)
-            if directive.kind != "safety" or len(members) < committee.f + 1:
-                failures.append(f"seed={seed} g{gid}: bad agreed set")
-            if not members <= corrupt:
-                failures.append(f"seed={seed} g{gid}: honest member blamed")
-            bs = BlameSet.from_text(directive.blameset_text)
-            if not is_valid_blameset(bs, committee, cfg.guards):
-                failures.append(f"seed={seed} g{gid}: blameset fails re-verification")
-        if detections and state.guards:
-            first = min(detections)
-            deadline = first + 2 * delta + (t_g + 1) * delta
-            for gid, guard in state.guards.items():
-                if guard.recovery_result_vtime and guard.recovery_result_vtime > deadline:
-                    failures.append(
-                        f"seed={seed} g{gid}: recovery at {guard.recovery_result_vtime} > {deadline}"
-                    )
-        if len(agreed) > 1:
-            failures.append(f"seed={seed}: guards disagree on the blameset")
-    return CriterionResult(
+    return _check(
         "C7",
         "guard safety recovery (view-split, 3f corrupt)",
-        f"{len(failures)} violations over {seeds} seeds",
+        "{failures} violations over {jobs} seeds",
         "divergence detected; agreed blameset within 2D + (t_g+1)D",
-        not failures,
-        failures[0] if failures else "",
-        time.time() - t0,
+        _guard_safety_worker,
+        list(range(1, seeds + 1)),
     )
 
 
 def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optional[SlotDecision]:
-    """The divergent camp's claim for the attacked slot, as seen by `guard`."""
+    """The divergent camp's claim for the attacked slot, as seen by `guard`,
+    given the honest nodes' committed digests (at least one)."""
     slot = LeaderSlot(slot_round, 0)
     mine = guard.committer.sequenced(slot)
-    other = None
+    other = committed_hexes[0]
     if mine is not None and mine.verdict is Verdict.COMMIT:
         mine_hex = mine.block.digest.hex()
         others = [h for h in committed_hexes if h != mine_hex]
         if not others:
             return SlotDecision(slot, Verdict.SKIP, None)
         other = others[0]
-    else:
-        other = committed_hexes[0] if committed_hexes else None
-    if other is None:
-        return None
     digest = bytes.fromhex(other)
     for blk in guard.dag.blocks_at_round(slot_round):
         if blk.digest == digest:
@@ -482,78 +443,52 @@ def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optio
 
 
 def _false_alarm_worker(job: tuple) -> list[str]:
-    kind, seed = job
-    from .scenarios import crash_f, crash_leader, equivocate_f
-
-    builders = {
-        "fault-free": lambda: fault_free(1, rounds=30),
-        "crash-leader": lambda: crash_leader(rounds=30),
-        "crash-f": lambda: crash_f(rounds=30),
-        "equivocate-f": lambda: equivocate_f(rounds=30),
-    }
-    cfg = builders[kind]()
-    from dataclasses import replace
-
-    cfg = replace(cfg, guards=5)
-    cfg.validate()
-    result = run(cfg, seed)
+    name, seed = job
+    result = run(replace(by_name(name), rounds=30, guards=5), seed)
     failures = []
     faulty = result.epochs[0].faulty
     for gid, guard in result.epochs[0].guards.items():
+        tag = f"{name} seed={seed} g{gid}"
         if guard.recovery_input is not None:
-            failures.append(f"{kind} seed={seed} g{gid}: recover invoked")
+            failures.append(f"{tag}: recover invoked")
         if guard.session is not None:
-            failures.append(f"{kind} seed={seed} g{gid}: agreement session opened")
+            failures.append(f"{tag}: agreement session opened")
         for r, blamed in guard.lblamed.items():
             honest_blamed = set(blamed) - faulty
             if honest_blamed:
-                failures.append(
-                    f"{kind} seed={seed} g{gid}: honest {sorted(honest_blamed)} lblamed at r{r}"
-                )
+                failures.append(f"{tag}: honest {sorted(honest_blamed)} lblamed at r{r}")
         honest_attested = {m.accused for m in guard.lblame_sent} - faulty
         if honest_attested:
-            failures.append(
-                f"{kind} seed={seed} g{gid}: honest {sorted(honest_attested)} blamed"
-            )
+            failures.append(f"{tag}: honest {sorted(honest_attested)} blamed")
     failures.extend(check_prefix_consistency(result.record))
     return failures
 
 
 def criterion_no_false_alarms(seeds_per_scenario: int = 25) -> CriterionResult:
-    t0 = time.time()
-    jobs = [
-        (kind, seed)
-        for kind in ("fault-free", "crash-leader", "crash-f", "equivocate-f")
-        for seed in range(1, seeds_per_scenario + 1)
-    ]
-    failures: list[str] = []
-    for fs in _pool_map(_false_alarm_worker, jobs):
-        failures.extend(fs)
-    return CriterionResult(
+    return _check(
         "C8",
         "no recovery and no honest blame under <= f corruption",
-        f"{len(failures)} alarms over {len(jobs)} guarded runs",
+        "{failures} alarms over {jobs} guarded runs",
         "zero",
-        not failures,
-        failures[0] if failures else "",
-        time.time() - t0,
+        _false_alarm_worker,
+        [
+            (name, seed)
+            for name in ("fault-free-f1", "crash-leader", "crash-f", "equivocate-f")
+            for seed in range(1, seeds_per_scenario + 1)
+        ],
     )
 
 
 # -- criterion 9: async structure and commit probability ----------------------------------------
 
 
-def _async_structure_worker(job: tuple) -> dict:
+def _async_structure_worker(job: tuple) -> Counter:
     seed, rounds, leaders, with_crash, adversarial = job
-    from dataclasses import replace
-
-    cfg = async_fault_free(1, rounds=rounds, record_delivery=False)
-    cfg = replace(cfg, leaders_per_round=leaders)
+    cfg = async_fault_free(1, rounds=rounds, record_delivery=False, leaders_per_round=leaders)
     if adversarial:
         cfg = replace(cfg, network=ASYNC_ADVERSARIAL, name="async-hostile-scheduler")
     if with_crash:
         cfg = replace(cfg, crash=((5, rounds // 2),), name="async-crash")
-    cfg.validate()
     with stored_history() as log:  # the validator's own DAG drops old rounds
         result = run(cfg, seed)
     state = result.epochs[0]
@@ -568,15 +503,7 @@ def _async_structure_worker(job: tuple) -> dict:
         r for r, _, verdict, rule, _, _ in verdicts(ref_summary)
         if verdict == "commit" and rule == "direct"
     }
-    out = {
-        "ref_violations": 0,
-        "core_small": 0,
-        "sampled": 0,
-        "wave_success": 0,
-        "wave_bound_sum": 0.0,
-        "waves": 0,
-        "l4_failures": 0,
-    }
+    out: Counter = Counter()
     n = committee.size
     max_complete = min(ref_summary.highest_round, dag.max_round) - 4
     for r in range(1, max_complete):
@@ -590,14 +517,14 @@ def _async_structure_worker(job: tuple) -> dict:
             if honest_refs < 3 * f + 1:
                 out["ref_violations"] += 1
         # the heavily referenced core of round r
-        refs: dict[int, int] = {}
         forked = dag.equivocators(r + 1)
-        for blk in next_blocks:
-            if blk.author not in honest or blk.author in forked:
-                continue
-            for p in blk.parents:
-                if p.author in honest:
-                    refs[p.author] = refs.get(p.author, 0) + 1
+        refs = Counter(
+            p.author
+            for blk in next_blocks
+            if blk.author in honest and blk.author not in forked
+            for p in blk.parents
+            if p.author in honest
+        )
         core = {a for a, c in refs.items() if c >= f + 1}
         if len(core) < 2 * f + 1:
             out["core_small"] += 1
@@ -618,18 +545,9 @@ def criterion_async_combinatorics() -> CriterionResult:
     jobs += [(s, 110, 2, False, True) for s in range(201, 221)]
     jobs_l4 = [(s, 60, 4, False, False) for s in range(1, 11)]
     jobs_crash = [(s, 60, 2, True, False) for s in range(101, 111)]
-    totals = {
-        "ref_violations": 0,
-        "core_small": 0,
-        "sampled": 0,
-        "wave_success": 0,
-        "wave_bound_sum": 0.0,
-        "waves": 0,
-        "l4_failures": 0,
-    }
+    totals: Counter = Counter()
     for out in _pool_map(_async_structure_worker, jobs + jobs_l4 + jobs_crash):
-        for k in totals:
-            totals[k] += out[k]
+        totals.update(out)
     freq = totals["wave_success"] / totals["waves"] if totals["waves"] else 0.0
     bound = totals["wave_bound_sum"] / totals["waves"] if totals["waves"] else 1.0
     passed = (
@@ -643,7 +561,7 @@ def criterion_async_combinatorics() -> CriterionResult:
     return CriterionResult(
         "C9",
         "async reference structure and commit probability",
-        f"refs_ok over {totals['sampled']} rounds, success {freq:.4f} vs bound {bound:.4f}",
+        f"refs_ok over {totals['sampled']} rounds, success {freq:.4f} against {bound:.4f} expected",
         ">= 3f+1 honest refs, |core| >= 2f+1, success >= hypergeometric bound, l>3f exact",
         passed,
         f"l4 failures {totals['l4_failures']}, small cores {totals['core_small']}",

@@ -258,10 +258,8 @@ def is_valid_blameset(bs: BlameSet, committee: Committee, guard_count: int) -> b
 
 @dataclass
 class RecoverySession:
-    kind: str
     t0: int
     skew: int  # extra slack on chain acceptance; delta for safety sessions
-    my_proposal: RecoverProposal
     # proposer -> value hash -> (proposal, shortest chain length seen)
     accepted: dict = field(default_factory=dict)
     relayed: set = field(default_factory=set)
@@ -704,7 +702,7 @@ class Guard(Replica):
         text = bs.to_text()
         proposal = RecoverProposal(self.me, text, branch, recover_tag(self.me, text, branch))
         skew = self.delta if bs.kind == SAFETY else 0
-        self.session = RecoverySession(bs.kind, now, skew, proposal)
+        self.session = RecoverySession(now, skew)
         actions: list[Action] = [
             ArmTimer("ba-finalize", (self.t_g + 1) * self.delta + skew)
         ]

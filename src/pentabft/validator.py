@@ -29,6 +29,7 @@ from .messages import Action, ArmTimer, BlockMsg, Broadcast, NodeId
 from .replica import SYNC_TIMER, Replica
 
 LEADER_TIMER = "leader-wait"
+LEADER_TIMEOUT_FACTOR = 2  # deltas a validator waits for its round's leaders
 
 
 class CoreValidator(Replica):
@@ -41,11 +42,10 @@ class CoreValidator(Replica):
         leaders_per_round: int = 2,
         delta: int = 1000,
         coin: Optional[CommonCoin] = None,
-        leader_timeout_factor: int = 2,
     ):
         super().__init__(committee, leaders_per_round, delta, coin)
         self.me = me
-        self.leader_timeout = leader_timeout_factor * delta
+        self.leader_timeout = LEADER_TIMEOUT_FACTOR * delta
         self.pending_transactions: list[bytes] = []
         self.current_round = 0  # highest round this validator proposed in
         self.round_entry_vtime: dict[int, int] = {0: 0}

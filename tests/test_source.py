@@ -51,17 +51,19 @@ OUTSIDE_READERS = {
 
 
 def test_every_stored_attribute_is_read_in_src():
-    """`src/` keeps no write-only state: each attribute stored on `self`
-    is read elsewhere in `src/` as an attribute, a name or a string
-    constant. Strings count as for functions, but the names a `__slots__`
-    declares do not. Storing an item, as in `self.x[k] += 1`, stores `x`
-    and does not read it."""
+    """`src/` keeps no write-only state: each attribute stored on `self`,
+    and each annotated field of a `@dataclass` class body, is read
+    elsewhere in `src/` as an attribute, a name or a string constant.
+    Strings count as for functions, but the names a `__slots__` declares
+    do not, nor does a field's own declaration. Storing an item, as in
+    `self.x[k] += 1`, stores `x` and does not read it."""
     stored: dict[str, str] = {}
     read: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         slots: set[int] = set()  # ids of the nodes inside `__slots__` values
         items: set[int] = set()  # ids of the attributes whose items are stored
+        declared: set[int] = set()  # ids of the names that declare dataclass fields
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
@@ -69,6 +71,14 @@ def test_every_stored_attribute_is_read_in_src():
                 slots.update(id(c) for c in ast.walk(node.value))
             elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
                 items.add(id(node.value))
+            elif isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        stored.setdefault(stmt.target.id, f"{path.name}:{stmt.lineno}")
+                        declared.add(id(stmt.target))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 if not isinstance(node.ctx, ast.Load) or id(node) in items:
@@ -76,7 +86,7 @@ def test_every_stored_attribute_is_read_in_src():
                         stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
                 else:
                     read.add(node.attr)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and id(node) not in declared:
                 read.add(node.id)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in slots:
                 read.add(node.value)
