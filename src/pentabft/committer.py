@@ -169,6 +169,12 @@ def leader_of(
 def leaders_of_round(
     r: int, committee: Committee, leaders_per_round: int, coin: Optional[CoinOutput] = None
 ) -> list[ValidatorId]:
+    """The leaders of round r's slots, by rank: `leader_of` each slot, with
+    the rotation indexed directly under partial synchrony."""
+    if committee.mode is not Mode.ASYNC:
+        members = committee.members
+        n = len(members)
+        return [members[(r + rank) % n] for rank in range(leaders_per_round)]
     return [
         leader_of(LeaderSlot(r, rank), committee, coin)
         for rank in range(leaders_per_round)
@@ -305,23 +311,13 @@ class Committer:
         decision_round = self.decision_round(slot.round)
         strong = self.committee.strong_quorum
         dag = self.dag
-        slot_round = slot.round
-        # one pass over the decision round: slot blames plus per-candidate votes
-        blames = 0
-        supports: dict[bytes, int] = {}
-        forked = dag.equivocators(decision_round)
-        for author, block in dag.round_view(decision_round).items():
-            if author in forked:
-                continue
-            voted = dag.voted_block(block, leader, slot_round)
-            if voted is None:
-                blames += 1
-            else:
-                supports[voted] = supports.get(voted, 0) + 1
-        if blames >= strong:
+        # one read of the decision round: each unforked voter's vote, None
+        # for a blame of the slot
+        votes = dag.round_votes(decision_round, leader, slot.round)
+        if votes.count(None) >= strong:
             return SlotDecision(slot, Verdict.SKIP)
-        for cand in dag.blocks_by(leader, slot_round):
-            if supports.get(cand.digest, 0) >= strong:
+        for cand in dag.blocks_by(leader, slot.round):
+            if votes.count(cand.digest) >= strong:
                 return SlotDecision(slot, Verdict.COMMIT, cand.ref())
         return SlotDecision(slot, Verdict.UNDECIDED)
 

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, KeysView, Optional
 
 # A validator is identified by its stable index for the epoch.
 ValidatorId = int
 
 DIGEST_SIZE = 16
+_DIGEST = attrgetter("digest")
 
 
 class Mode(enum.Enum):
@@ -205,9 +207,13 @@ class Committee:
         return ms
 
 
-def _encode_varbytes(out: bytearray, data: bytes) -> None:
-    out += len(data).to_bytes(4, "big")
-    out += data
+# the body's fixed-width fields, big-endian: author, round and parent count;
+# a parent's author and round, before its digest; a count or a length; and
+# a present coin share's flag, author and round
+_HEAD = struct.Struct(">IQI")
+_PARENT = struct.Struct(">IQ")
+_LENGTH = struct.Struct(">I")
+_SHARE = struct.Struct(">BIQ")
 
 
 def encode_block_body(
@@ -218,23 +224,19 @@ def encode_block_body(
     coin_share: Optional[CoinShare],
 ) -> bytes:
     """Canonical byte encoding of the digest-covered fields, in field order."""
-    out = bytearray()
-    out += author.to_bytes(4, "big")
-    out += round_.to_bytes(8, "big")
-    out += len(parents).to_bytes(4, "big")
+    out = bytearray(_HEAD.pack(author, round_, len(parents)))
+    parent, length = _PARENT.pack, _LENGTH.pack
     for p in parents:
-        out += p.author.to_bytes(4, "big")
-        out += p.round.to_bytes(8, "big")
+        out += parent(p.author, p.round)
         out += p.digest
-    out += len(transactions).to_bytes(4, "big")
+    out += length(len(transactions))
     for tx in transactions:
-        _encode_varbytes(out, tx)
+        out += length(len(tx))
+        out += tx
     if coin_share is None:
         out += b"\x00"
     else:
-        out += b"\x01"
-        out += coin_share.author.to_bytes(4, "big")
-        out += coin_share.round.to_bytes(8, "big")
+        out += _SHARE.pack(1, coin_share.author, coin_share.round)
     return bytes(out)
 
 
@@ -251,8 +253,8 @@ def compute_digest(
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A DAG vertex. Immutable; digest, parent-author index and parent digests
-    computed at creation.
+    """A DAG vertex. Immutable; digest, parent-author index, distinct-parent
+    count and parent digests computed at creation.
 
     `parent_lookup`, None for a block without parents, fetches every parent
     digest from a mapping in one C-level call and raises KeyError if any is
@@ -277,12 +279,16 @@ class Block:
                 self.author, self.round, self.parents, self.transactions, self.coin_share
             ),
         )
+        parents = self.parents
         # author -> parent ref; valid blocks carry distinct parent authors, so
         # this is exactly the first-match order a depth-one DFS would see
-        object.__setattr__(
-            self, "parent_by_author", {p.author: p for p in self.parents}
-        )
-        digests = tuple(p.digest for p in self.parents)
+        by_author = {p.author: p for p in parents}
+        object.__setattr__(self, "parent_by_author", by_author)
+        # the parent count, or 0 if two parents share an author: the one
+        # figure the DAG's structural check reads
+        distinct = len(parents) if len(by_author) == len(parents) else 0
+        object.__setattr__(self, "distinct_parents", distinct)
+        digests = tuple(map(_DIGEST, parents))
         object.__setattr__(self, "parent_digests", digests)
         object.__setattr__(self, "parent_lookup", itemgetter(*digests) if digests else None)
 
@@ -301,13 +307,11 @@ class Block:
 
     def encode(self) -> bytes:
         """Full canonical wire encoding (body followed by the auth tag)."""
-        out = bytearray(
-            encode_block_body(
-                self.author, self.round, self.parents, self.transactions, self.coin_share
-            )
+        tag = self.auth_tag.encode()
+        body = encode_block_body(
+            self.author, self.round, self.parents, self.transactions, self.coin_share
         )
-        _encode_varbytes(out, self.auth_tag.encode())
-        return bytes(out)
+        return body + _LENGTH.pack(len(tag)) + tag
 
 
 def decode_block(data: bytes) -> Block:
@@ -536,11 +540,10 @@ class Dag:
             return _BELOW_FLOOR
         if block.round >= 1:
             # structural floor re-checked on every insert: a strong quorum of
-            # pairwise-distinct parent authors (the author map collapses dupes)
-            assert (
-                len(block.parent_by_author) == len(block.parents)
-                and len(block.parents) >= self._strong_quorum
-            ), "block below the parent-quorum floor"
+            # pairwise-distinct parent authors
+            assert block.distinct_parents >= self._strong_quorum, (
+                "block below the parent-quorum floor"
+            )
         if block.round > self.floor:
             try:
                 block.parent_lookup(by_digest)
@@ -609,9 +612,17 @@ class Dag:
         """Authors with two or more stored round-r blocks."""
         return self._forks.get(r, {}).keys()
 
-    def forked_keys(self) -> list[tuple[ValidatorId, int]]:
-        """(author, round) of every stored fork, ascending."""
-        return sorted((a, r) for r, authors in self._forks.items() for a in authors)
+    def forked_keys(self, next_round_forked: int) -> list[tuple[ValidatorId, int]]:
+        """(author, round) of every stored fork whose next round has at least
+        `next_round_forked` forked authors, ascending; the rounds are picked
+        before the sort."""
+        forks = self._forks
+        return sorted(
+            (a, r)
+            for r, authors in forks.items()
+            if len(forks.get(r + 1, _EMPTY)) >= next_round_forked
+            for a in authors
+        )
 
     def blocks_by(self, author: ValidatorId, r: int) -> list[Block]:
         """All stored blocks by `author` at round `r`, lowest digest first."""
@@ -661,6 +672,29 @@ class Dag:
             return cached
         found = votes[key] = self._voted_block_uncached(support, author, r)
         return found
+
+    def round_votes(self, voter_round: int, author: ValidatorId, r: int) -> list[Optional[bytes]]:
+        """What `voted_block` gives for each unforked round-`voter_round`
+        author's block, in first-insert order: the direct rule's one read of
+        a decision round. An author forked at `voter_round` is left out.
+
+        The adjacent round reads each voter's parent by author; a deeper
+        round reads the memo table and calls `voted_block` on a miss only.
+        """
+        view = self._by_round.get(voter_round, _EMPTY)
+        forked = self._forks.get(voter_round, _EMPTY)
+        voters = view.values() if not forked else [b for a, b in view.items() if a not in forked]
+        if voter_round == r + 1:
+            return [
+                None if (p := b.parent_by_author.get(author)) is None else p.digest
+                for b in voters
+            ]
+        memo = self._memo.votes.get(r, _EMPTY)
+        votes = []
+        for b in voters:
+            vote = memo.get((b.digest, author), False)
+            votes.append(self.voted_block(b, author, r) if vote is False else vote)
+        return votes
 
     def _voted_block_uncached(self, support: Block, author: ValidatorId, r: int) -> Optional[bytes]:
         for p in support.parents:
@@ -745,9 +779,11 @@ class PendingPool:
     def __init__(self):
         self.parked: dict[bytes, Block] = {}  # digest -> parked block
         self._needs: dict[bytes, set[bytes]] = {}
-        self._dependents: dict[bytes, set[bytes]] = {}
+        # awaited digest -> digests of the parked blocks awaiting it; empty
+        # exactly when the pool is idle
+        self.awaited: dict[bytes, set[bytes]] = {}
         # awaited digest -> (time it was last requested, its ref); same keys
-        # as _dependents
+        # as awaited
         self._asked: dict[bytes, tuple[int, BlockRef]] = {}
         self._senders: dict[bytes, str] = {}  # parked digest -> the peer that sent it
         self._floor = 0
@@ -756,7 +792,7 @@ class PendingPool:
         return len(self.parked)
 
     def is_idle(self) -> bool:
-        return not self._dependents
+        return not self.awaited
 
     def has(self, digest: bytes) -> bool:
         return digest in self.parked
@@ -773,13 +809,13 @@ class PendingPool:
         if sender is not None:
             self._senders[digest] = sender
         need = self._needs[digest] = set()
-        dependents = self._dependents
+        awaited = self.awaited
         fresh = []
         for m in missing:
             need.add(m.digest)
-            waiters = dependents.get(m.digest)
+            waiters = awaited.get(m.digest)
             if waiters is None:
-                dependents[m.digest] = {digest}
+                awaited[m.digest] = {digest}
                 self._asked[m.digest] = (now, m)
                 fresh.append(m)
             else:
@@ -797,13 +833,13 @@ class PendingPool:
             if now - at < age:
                 continue
             asked[digest] = (now, ref)
-            for peer in sorted({senders[w] for w in self._dependents[digest] if w in senders}):
+            for peer in sorted({senders[w] for w in self.awaited[digest] if w in senders}):
                 due.setdefault(peer, []).append(ref)
         return due
 
     def satisfy(self, digest: bytes) -> list[Block]:
         """Mark `digest` as available; return blocks with no remaining waits."""
-        waiters = self._dependents.pop(digest, None)
+        waiters = self.awaited.pop(digest, None)
         if waiters is None:
             return []
         del self._asked[digest]
@@ -833,10 +869,10 @@ class PendingPool:
             del self.parked[digest]
             self._senders.pop(digest, None)
             for need in self._needs.pop(digest):
-                waiters = self._dependents[need]
+                waiters = self.awaited[need]
                 waiters.discard(digest)
                 if not waiters:
-                    del self._dependents[need]
+                    del self.awaited[need]
                     del self._asked[need]
             if block.round == floor:
                 at_floor.append(block)

@@ -609,15 +609,12 @@ class Guard(Replica):
         """Equivocation-pair scan over the replica's forks, ascending by
         (author, round): a fork's two lowest-digest versions whose decision
         round shows >= f+1 double-voters yield a safety blameset directly.
-        A double-voter forked at the decision round, so a fork whose next
-        round has fewer than f+1 forked authors is passed over unresolved."""
+        A double-voter forked at the decision round, so only the forks whose
+        next round has at least f+1 forked authors are visited."""
         dag = self.dag
         scanned = self._scanned_inputs
-        needed = self.committee.f + 1
-        for key in dag.forked_keys():
+        for key in dag.forked_keys(self.committee.f + 1):
             author, r = key
-            if len(dag.equivocators(r + 1)) < needed:
-                continue
             versions = dag.blocks_by(author, r)
             inputs = (len(versions), dag.block_count(r + 1))
             if scanned.get(key) == inputs:

@@ -113,7 +113,7 @@ class Replica:
                 fresh = self.pending.add(block, outcome.missing, sender, now)
                 if fresh and sender is not None:
                     return self._arm_retry([Send(sender, SyncRequest(fresh, self._frontier()))])
-        elif outcome.status is InsertStatus.INSERTED and not self.pending.is_idle():
+        elif outcome.status is InsertStatus.INSERTED and self.pending.awaited:
             ready = self.pending.satisfy(block.digest)
             while ready:
                 released: list[Block] = []

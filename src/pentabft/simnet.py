@@ -220,6 +220,9 @@ class Simulator:
         horizon: int = 10_000_000,
     ):
         self.network = network
+        # a synchronous model's one delay, read without a call; None for a
+        # model that draws
+        self._fixed_delay = network.delta if type(network) is Synchronous else None
         self.rng = random.Random(f"net/{seed}")
         self.now = 0
         self.horizon = horizon
@@ -271,7 +274,9 @@ class Simulator:
         queue.append((self._seq, kind, node, a, b))
 
     def send(self, frm: NodeId, to: NodeId, payload: object, now: int) -> None:
-        delay = self.network.delay(self.rng, now)
+        delay = self._fixed_delay
+        if delay is None:
+            delay = self.network.delay(self.rng, now)
         at = now + (delay if delay > 0 else 1)
         # _push's body, inline on the hottest path
         self._seq = seq = self._seq + 1

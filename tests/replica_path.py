@@ -121,10 +121,10 @@ class SyncRequestTable:
         deliver(node, parked[1:], "v3", 2 * DELTA)
         pool = node.pending
         deliver(node, [round1[4]], "v4", 3 * DELTA)
-        assert set(pool._dependents) == set(pool._asked) == {refs[5].digest}
+        assert set(pool.awaited) == set(pool._asked) == {refs[5].digest}
         assert set(pool._senders) == {parked[1].digest}
         deliver(node, [round1[5]], "v5", 3 * DELTA)
-        assert pool._dependents == pool._asked == pool._senders == {} and len(pool) == 0
+        assert pool.awaited == pool._asked == pool._senders == {} and len(pool) == 0
         assert all(b.ref() in node.dag for b in parked)
 
     def test_the_retry_asks_a_later_sender_when_the_first_never_answers(self):

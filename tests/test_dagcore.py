@@ -23,12 +23,16 @@ from pentabft.dagcore import (
     WrongParentRound,
     auth_tag_for,
     decode_block,
+    encode_block_body,
     genesis_blocks,
     make_block,
+    unpruned,
     validate_block,
 )
 
-from oracles import dump_dag, equivocation_of, insert_outcome, is_vote, link
+from pentabft.scenarios import async_fault_free, equivocate_f
+
+from oracles import dump_dag, equivocation_of, insert_outcome, is_vote, link, run_with_history
 
 
 def full_round(dag, committee, r, txs=b""):
@@ -215,6 +219,22 @@ class TestInsert:
                 assert equivocation_of(dag, a, r) is None
 
 
+class TestStructuralFloor:
+    """`Dag.insert` re-checks the parent quorum of a block that skipped
+    `validate_block`."""
+
+    def test_a_repeated_parent_author_fails_the_assert(self, committee, dag):
+        parents = [g.ref() for g in genesis_blocks(committee)][:5]
+        block = make_block(0, 1, parents + parents[:1])
+        with pytest.raises(AssertionError):
+            dag.insert(block)
+
+    def test_fewer_than_a_strong_quorum_of_parents_fails_the_assert(self, committee, dag):
+        parents = [g.ref() for g in genesis_blocks(committee)][:4]
+        with pytest.raises(AssertionError):
+            dag.insert(make_block(0, 1, parents))
+
+
 class TestParentPresence:
     """`Dag.insert` tests a block's parents with the block's one-call
     `parent_lookup` and lists the missing ones in parent order, as the
@@ -387,7 +407,7 @@ class TestPrune:
         stored, stamp, highest = dag.stored, dag.quorum_stamp, dict(dag.highest)
         dag.prune(2)
         assert dag.floor == 2 and len(dag) == 3 * committee.size
-        assert dag.author_count(1) == 0 and dag.forked_keys() == []
+        assert dag.author_count(1) == 0 and dag.forked_keys(0) == []
         assert sorted(dag.quorum_stamps) == [2, 3, 4]
         assert (dag.stored, dag.quorum_stamp, dag.highest) == (stored, stamp, highest)
         dag.prune(1)  # the floor never falls
@@ -548,7 +568,78 @@ class TestIsVote:
         assert first == second
 
 
+def per_voter_votes(dag, voter_round, author, r):
+    """`round_votes` spelled out: `voted_block` per unforked voter."""
+    forked = dag.equivocators(voter_round)
+    return [
+        dag.voted_block(block, author, r)
+        for a, block in dag.round_view(voter_round).items()
+        if a not in forked
+    ]
+
+
+class TestRoundVotes:
+    """`Dag.round_votes` gives what `voted_block` gives per voter, in the
+    stored history of a run."""
+
+    def test_adjacent_rounds_leave_forked_authors_out(self):
+        result, history = run_with_history(equivocate_f(rounds=10), 7)
+        dag = history(result.epochs[0].validators[0])
+        members = dag.committee.members
+        forked_rounds = 0
+        for voter_round in range(1, dag.max_round + 1):
+            forked_rounds += bool(dag.equivocators(voter_round))
+            for author in members:
+                r = voter_round - 1
+                votes = dag.round_votes(voter_round, author, r)
+                assert votes == per_voter_votes(dag, voter_round, author, r)
+                assert len(votes) == dag.author_count(voter_round) - len(
+                    dag.equivocators(voter_round)
+                )
+        assert forked_rounds > 0
+
+    def test_two_rounds_deep_with_a_cold_and_a_warm_memo(self, monkeypatch):
+        result, history = run_with_history(async_fault_free(1, rounds=12), 1)
+        run_dag = history(result.epochs[0].validators[0])
+        blocks = [b for r in range(run_dag.max_round + 1) for b in run_dag.blocks_at_round(r)]
+
+        def fresh():
+            # a committee of its own gives the DAG a cold vote memo
+            c = run_dag.committee
+            return unpruned(Committee(c.members, c.f, c.mode, c.epoch), blocks)
+
+        dag, reference = fresh(), fresh()
+        calls = []
+        voted_block = dag.voted_block
+        monkeypatch.setattr(
+            dag, "voted_block", lambda *args: calls.append(args) or voted_block(*args)
+        )
+        queries = [
+            (voter_round, author, voter_round - 2)
+            for voter_round in range(2, dag.max_round + 1)
+            for author in dag.committee.members
+        ]
+        expected = [per_voter_votes(reference, *q) for q in queries]
+        assert any(v is not None for votes in expected for v in votes)
+        assert [dag.round_votes(*q) for q in queries] == expected  # cold
+        assert calls
+        calls.clear()
+        assert [dag.round_votes(*q) for q in queries] == expected  # warm
+        assert calls == []
+
+
 class TestSerialization:
+    def test_block_body_bytes_are_pinned(self):
+        parents = (BlockRef(1, 6, bytes(range(16))), BlockRef(4, 6, bytes(range(16, 32))))
+        body = encode_block_body(3, 7, parents, (b"tx-a", b"tx-bb"), CoinShare(3, 7))
+        assert body.hex() == (
+            "00000003" "0000000000000007" "00000002"
+            "00000001" "0000000000000006" "000102030405060708090a0b0c0d0e0f"
+            "00000004" "0000000000000006" "101112131415161718191a1b1c1d1e1f"
+            "00000002" "00000004" "74782d61" "00000005" "74782d6262"
+            "01" "00000003" "0000000000000007"
+        )
+
     def test_roundtrip(self, committee, dag):
         full_round(dag, committee, 1)
         parents = [dag.first_block_by(a, 1).ref() for a in range(5)]

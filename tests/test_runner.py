@@ -263,7 +263,7 @@ class TestBoundedState:
     def request_tables(pool):
         """A pending pool's awaited refs, their request times and the senders
         of its parked blocks."""
-        return pool._dependents, pool._asked, pool._senders
+        return pool.awaited, pool._asked, pool._senders
 
     def peak_request_tables(self, monkeypatch):
         """The largest size each request table of any pool reaches from now
