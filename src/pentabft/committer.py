@@ -166,19 +166,12 @@ def leader_of(
     return committee.members[(s + slot.rank) % committee.size]
 
 
-def leaders_of_round(
-    r: int, committee: Committee, leaders_per_round: int, coin: Optional[CoinOutput] = None
-) -> list[ValidatorId]:
-    """The leaders of round r's slots, by rank: `leader_of` each slot, with
-    the rotation indexed directly under partial synchrony."""
-    if committee.mode is not Mode.ASYNC:
-        members = committee.members
-        n = len(members)
-        return [members[(r + rank) % n] for rank in range(leaders_per_round)]
-    return [
-        leader_of(LeaderSlot(r, rank), committee, coin)
-        for rank in range(leaders_per_round)
-    ]
+def leaders_of_round(r: int, committee: Committee, leaders_per_round: int) -> list[ValidatorId]:
+    """The leaders of round r's slots, by rank, under partial synchrony's
+    round-keyed rotation (`leader_of` without a coin)."""
+    members = committee.members
+    n = len(members)
+    return [members[(r + rank) % n] for rank in range(leaders_per_round)]
 
 
 def get_leader_blocks(

@@ -612,15 +612,16 @@ class Dag:
         """Authors with two or more stored round-r blocks."""
         return self._forks.get(r, {}).keys()
 
-    def forked_keys(self, next_round_forked: int) -> list[tuple[ValidatorId, int]]:
+    def blamable_fork_keys(self) -> list[tuple[ValidatorId, int]]:
         """(author, round) of every stored fork whose next round has at least
-        `next_round_forked` forked authors, ascending; the rounds are picked
-        before the sort."""
+        f+1 forked authors, ascending: only such a round can show f+1
+        double-voters. The rounds are picked before the sort."""
         forks = self._forks
+        needed = self.committee.f + 1
         return sorted(
             (a, r)
             for r, authors in forks.items()
-            if len(forks.get(r + 1, _EMPTY)) >= next_round_forked
+            if len(forks.get(r + 1, _EMPTY)) >= needed
             for a in authors
         )
 
@@ -790,9 +791,6 @@ class PendingPool:
 
     def __len__(self) -> int:
         return len(self.parked)
-
-    def is_idle(self) -> bool:
-        return not self.awaited
 
     def has(self, digest: bytes) -> bool:
         return digest in self.parked

@@ -613,7 +613,7 @@ class Guard(Replica):
         next round has at least f+1 forked authors are visited."""
         dag = self.dag
         scanned = self._scanned_inputs
-        for key in dag.forked_keys(self.committee.f + 1):
+        for key in dag.blamable_fork_keys():
             author, r = key
             versions = dag.blocks_by(author, r)
             inputs = (len(versions), dag.block_count(r + 1))

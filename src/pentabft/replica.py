@@ -134,7 +134,7 @@ class Replica:
         delta ago or more, from each sender of a block that awaits it, and
         re-arm while any ref is awaited."""
         self._retry_armed = False
-        if self.pending.is_idle():
+        if not self.pending.awaited:
             return []
         due = self.pending.overdue(now, SYNC_RETRY * self.delta)
         frontier = self._frontier()

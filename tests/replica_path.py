@@ -146,7 +146,7 @@ class SyncRequestTable:
         (resp,) = server.on_sync_request(to_v3, "v0")
         deliver(node, resp.payload.blocks, "v3", (SYNC_RETRY + 4) * DELTA)
         assert all(b.ref() in node.dag for b in parked)
-        assert len(node.pending) == 0 and node.pending.is_idle()
+        assert len(node.pending) == 0 and not node.pending.awaited
         assert node.on_timer(SYNC_TIMER, (2 * SYNC_RETRY + 2) * DELTA) == []  # nothing left to ask
 
     def test_a_requester_that_lacks_more_than_a_response_holds_gets_every_block(self):
@@ -178,7 +178,7 @@ class SyncRequestTable:
                 if isinstance(a, Send) and isinstance(a.payload, SyncRequest)
             ]
             if not asked:
-                if node.pending.is_idle():
+                if not node.pending.awaited:
                     break
                 now += SYNC_RETRY * DELTA
                 actions = node.on_timer(SYNC_TIMER, now)
@@ -191,7 +191,7 @@ class SyncRequestTable:
                     actions.extend(deliver(node, resp.payload.blocks, "v5", now))
         assert shipped[0] == cap and max(shipped) == cap and len(shipped) >= 2
         assert all(b.ref() in node.dag for b in (*history, top))
-        assert len(node.pending) == 0 and node.pending.is_idle()
+        assert len(node.pending) == 0 and not node.pending.awaited
 
 
 class HeldParkedBlock:
@@ -248,7 +248,7 @@ class HeldParkedBlock:
         assert log[node.dag] == [round1[5], block]
         (held,) = node.dag.blocks_by(2, 2)
         assert held is block
-        assert len(node.pending) == 0 and node.pending.is_idle()
+        assert len(node.pending) == 0 and not node.pending.awaited
 
 
 class MalformedSyncRequest:

@@ -13,6 +13,7 @@ from pentabft.committer import (
     Verdict,
     get_leader_blocks,
     leader_of,
+    leaders_of_round,
     validate_stake_split,
 )
 from pentabft.dagcore import CoinShare, Committee, Dag, Mode, genesis_blocks, make_block
@@ -67,6 +68,11 @@ class TestLeaderSchedule:
         assert leader_of(LeaderSlot(4, 0), c) == 4
         assert leader_of(LeaderSlot(4, 1), c) == 5
         assert leader_of(LeaderSlot(6, 0), c) == 0
+
+    def test_leaders_of_round_match_each_slot(self):
+        c = Committee.of_size(6)
+        for r in range(1, 14):
+            assert leaders_of_round(r, c, 3) == [leader_of(LeaderSlot(r, k), c) for k in range(3)]
 
     def test_async_uses_coin_output(self):
         c = Committee.of_size(6, Mode.ASYNC)

@@ -407,7 +407,7 @@ class TestPrune:
         stored, stamp, highest = dag.stored, dag.quorum_stamp, dict(dag.highest)
         dag.prune(2)
         assert dag.floor == 2 and len(dag) == 3 * committee.size
-        assert dag.author_count(1) == 0 and dag.forked_keys(0) == []
+        assert dag.author_count(1) == 0 and dag._forks == {}
         assert sorted(dag.quorum_stamps) == [2, 3, 4]
         assert (dag.stored, dag.quorum_stamp, dag.highest) == (stored, stamp, highest)
         dag.prune(1)  # the floor never falls
@@ -699,5 +699,5 @@ class TestPendingPool:
         assert set(pool._asked) == {m.digest for m in missing if m.round == 3}
         assert set(pool._senders) == {parked[3].digest}
         assert pool.prune(3) == [] and pool.prune(2) == []
-        assert pool.prune(5) == [] and len(pool) == 0 and pool.is_idle()
+        assert pool.prune(5) == [] and len(pool) == 0 and not pool.awaited
         assert pool._asked == pool._senders == {}

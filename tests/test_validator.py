@@ -327,7 +327,7 @@ class TestFloor:
         assert request.refs == (missing,) and len(v.pending) == 1
         self.driven(3, 20, v)
         assert v.dag.floor > parked.round
-        assert len(v.pending) == 0 and v.pending.is_idle()
+        assert len(v.pending) == 0 and not v.pending.awaited
         assert sync_requests(deliver(v, [parked], "v1", 21 * DELTA)) == []
         assert len(v.pending) == 0
 
