@@ -109,12 +109,6 @@ class SlotDecision:
     block: Optional[BlockRef] = None
 
 
-@dataclass(frozen=True)
-class CoinOutput:
-    wave: int
-    output: int
-
-
 class CommonCoin:
     """Deterministic stand-in for a threshold coin.
 
@@ -135,8 +129,9 @@ class CommonCoin:
         ).digest()
         return int.from_bytes(raw, "big") % self._committee.size
 
-    def combine(self, shares: Iterable[CoinShare], wave: int, decision_round: int) -> CoinOutput:
-        """Combine decision-round shares; needs f+1 distinct authors."""
+    def combine(self, shares: Iterable[CoinShare], wave: int, decision_round: int) -> int:
+        """Combine decision-round shares into the wave's output; needs f+1
+        distinct authors."""
         authors = {
             s.author
             for s in shares
@@ -146,11 +141,11 @@ class CommonCoin:
             raise InsufficientShares(
                 f"{len(authors)} distinct shares, need {self._committee.f + 1}"
             )
-        return CoinOutput(wave, self.output_for(wave))
+        return self.output_for(wave)
 
 
 def leader_of(
-    slot: LeaderSlot, committee: Committee, coin: Optional[CoinOutput] = None
+    slot: LeaderSlot, committee: Committee, coin: Optional[int] = None
 ) -> ValidatorId:
     """Identity of the slot's leader.
 
@@ -160,7 +155,7 @@ def leader_of(
     if committee.mode is Mode.ASYNC:
         if coin is None:
             raise CoinUnavailable(f"no coin output for slot {slot.short()}")
-        s = coin.output
+        s = coin
     else:
         s = slot.round
     return committee.members[(s + slot.rank) % committee.size]
@@ -172,17 +167,6 @@ def leaders_of_round(r: int, committee: Committee, leaders_per_round: int) -> li
     members = committee.members
     n = len(members)
     return [members[(r + rank) % n] for rank in range(leaders_per_round)]
-
-
-def get_leader_blocks(
-    dag: Dag, slot: LeaderSlot, committee: Committee, coin: Optional[CoinOutput] = None
-) -> list[Block]:
-    """All stored propose-round blocks by the slot's leader, lowest digest first.
-
-    Several blocks mean the leader equivocated; none means it is silent so far.
-    """
-    leader = leader_of(slot, committee, coin)
-    return dag.blocks_by(leader, slot.round)
 
 
 def anchored_supports(
@@ -228,7 +212,9 @@ class Committer:
     the DAG's quorum stamps tell which decision rounds grew since, and the
     monotone commit log with its place in the committee's delivery log.
     `decided` keys slots by their global index
-    `(round - 1) * leaders_per_round + rank`.
+    `(round - 1) * leaders_per_round + rank`; each `decision_events` entry
+    holds the same verdict object. Under asynchrony each wave's coin output
+    is combined once and kept.
     """
 
     def __init__(
@@ -248,45 +234,44 @@ class Committer:
         if committee.mode is Mode.ASYNC and coin is None:
             raise ValueError("async mode requires a common coin")
         self.decided: dict[int, SlotDecision] = {}  # slot index -> verdict
-        self._coin_outputs: dict[int, CoinOutput] = {}
+        self._coin_outputs: dict[int, int] = {}  # wave -> coin output
         self._seen_blocks = 0  # dag.stored at the last pass that walked the slots
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         if committee.memo.delivery is None:
             committee.memo.delivery = PrefixNode(None, [])  # nothing committed
         self._prefix = committee.memo.delivery  # log node of the committed leaders
-        self._prefix_len = 0  # slots consumed into `sequence`
-        # (slot, verdict, rule, trigger round, vtime) history for latency accounting
-        self.decision_events: list[tuple[LeaderSlot, Verdict, str, int, int]] = []
+        # (verdict, rule, trigger round, vtime) history for latency accounting
+        self.decision_events: list[tuple[SlotDecision, str, int, int]] = []
 
     # -- wave geometry -------------------------------------------------------
 
     def decision_round(self, r: int) -> int:
         return r + self.wave_length - 1
 
-    def _slot_coin(self, slot: LeaderSlot) -> Optional[CoinOutput]:
-        """Coin output for the slot's wave, combined from decision-round shares."""
+    def _slot_leader(self, slot: LeaderSlot) -> Optional[ValidatorId]:
+        """The slot's leader. Under asynchrony it is None until the wave's
+        coin combines from the decision round's shares; the output is then
+        kept per wave."""
         if self.committee.mode is not Mode.ASYNC:
-            return None
+            return leader_of(slot, self.committee)
         wave = slot.round // self.wave_length
-        decision = self.decision_round(slot.round)
         out = self._coin_outputs.get(wave)
         if out is None:
-            if self.dag.author_count(decision) < self.committee.f + 1:
-                raise CoinUnavailable(f"no quorum of shares for wave {wave}")
+            decision = self.decision_round(slot.round)
             shares = [
                 b.coin_share
                 for b in self.dag.blocks_at_round(decision)
                 if b.coin_share is not None
             ]
-            out = self.coin.combine(shares, wave, decision)
+            try:
+                out = self.coin.combine(shares, wave, decision)
+            except InsufficientShares:
+                return None
             self._coin_outputs[wave] = out
-        return out
+        return leader_of(slot, self.committee, out)
 
     # -- decision rules ------------------------------------------------------
-
-    def leader_blocks(self, slot: LeaderSlot) -> list[Block]:
-        return get_leader_blocks(self.dag, slot, self.committee, self._slot_coin(slot))
 
     def try_direct_decide(self, slot: LeaderSlot) -> SlotDecision:
         """Direct rule: skip on 4f+1 votes that reach no block of the slot,
@@ -296,11 +281,9 @@ class Committer:
         whole (including slots whose leader never proposed); a strong blame
         quorum proves no candidate can ever gather a certificate anywhere.
         """
-        try:
-            coin = self._slot_coin(slot)
-        except (CoinUnavailable, InsufficientShares):
+        leader = self._slot_leader(slot)
+        if leader is None:
             return SlotDecision(slot, Verdict.UNDECIDED)
-        leader = leader_of(slot, self.committee, coin)
         decision_round = self.decision_round(slot.round)
         strong = self.committee.strong_quorum
         dag = self.dag
@@ -339,12 +322,11 @@ class Committer:
         if anchor_decision is None or anchor_decision.verdict is Verdict.UNDECIDED:
             return SlotDecision(slot, Verdict.UNDECIDED)
         anchor_ref = anchor_decision.block
-        try:
-            candidates = self.leader_blocks(slot)
-        except (CoinUnavailable, InsufficientShares):
+        leader = self._slot_leader(slot)
+        if leader is None:
             return SlotDecision(slot, Verdict.UNDECIDED)
         weak = self.committee.weak_quorum
-        for cand in candidates:
+        for cand in self.dag.blocks_by(leader, slot.round):
             if anchored_supports(self.dag, decision_round, cand, anchor_ref) >= weak:
                 return SlotDecision(slot, Verdict.COMMIT, cand.ref())
         return SlotDecision(slot, Verdict.SKIP)
@@ -393,9 +375,11 @@ class Committer:
         stamps = dag.quorum_stamps
         decided = self.decided
         verdicts = self.committee.memo.verdicts
+        sequence = self.sequence
+        done = len(sequence)  # slots in the committed prefix
         l = self.leaders_per_round
         wl = self.wave_length
-        for r in range(dag.max_round, self._prefix_len // l, -1):
+        for r in range(dag.max_round, done // l, -1):
             dr = r + wl - 1
             # a round has a stamp once quorate, and it moves when the round grows
             if stamps.get(dr, 0) <= since:
@@ -417,19 +401,19 @@ class Committer:
                 d = verdicts.setdefault(r, {}).setdefault(key, d)
                 decided[idx] = d
                 since = 0  # a new anchor: every quorate slot below is evaluated
-                self.decision_events.append((d.slot, d.verdict, rule, trigger_round, now))
-        prefix_len = self._prefix_len
-        while self._prefix_len in decided:
-            d = decided[self._prefix_len]
-            assert (d.slot.round - 1) * l + d.slot.rank == self._prefix_len, (
+                self.decision_events.append((d, rule, trigger_round, now))
+        n = done
+        while n in decided:
+            d = decided[n]
+            assert (d.slot.round - 1) * l + d.slot.rank == n, (
                 "commit prefix must be gap-free"
             )
-            self.sequence.append(d)
-            self._prefix_len += 1
+            sequence.append(d)
+            n += 1
             if d.verdict is Verdict.COMMIT:
                 self._deliver(d.block)
-        if self._prefix_len != prefix_len:
-            floor = self.sequence[-1].slot.round - PRUNE_DEPTH
+        if n != done:
+            floor = sequence[-1].slot.round - PRUNE_DEPTH
             dag.prune(floor if keep is None else min(floor, keep))
 
     def _deliver(self, leader: BlockRef) -> None:

@@ -97,10 +97,10 @@ class CommitteeMemo:
 
     A block's digest covers its parents' digests, and every holder of a block
     stores its history down to its floor, so a block's validity, its vote for
-    an (author, round), its ancestors at a round, and the batch a leader
-    delivers after a given committed-leader prefix are the same at every node
-    that can ask. Each is computed once per committee, i.e. once per epoch,
-    not once per validator and guard. Slot verdicts are held once per
+    an (author, round), and the batch a leader delivers after a given
+    committed-leader prefix are the same at every node that can ask. Each
+    is computed once per committee, i.e. once per epoch, not once per
+    validator and guard. Slot verdicts are held once per
     committee too: each node's committer keeps the committee's one object
     for a verdict it reached. So are the genesis blocks every DAG of the
     committee starts from. A guard's commit-view update is checked once per
@@ -108,14 +108,14 @@ class CommitteeMemo:
     object that passed the shape and tag check; unlike a message's guard
     field, a sender id is hashable unchecked and names a real node.
 
-    No node reads below its DAG's floor, so the validity, vote, ancestor and
-    verdict tables map a round to that round's entries, and the rounds
+    No node reads below its DAG's floor, so the validity, vote and verdict
+    tables map a round to that round's entries, and the rounds
     below the lowest floor among the DAGs built for the committee are
     dropped.
     """
 
     __slots__ = (
-        "valid", "votes", "ancestors", "verdicts", "updates", "delivery", "genesis", "floor",
+        "valid", "votes", "verdicts", "updates", "delivery", "genesis", "floor",
         "_floors",
     )
 
@@ -126,7 +126,6 @@ class CommitteeMemo:
         self.valid: dict[int, dict[bytes, str]] = {}
         # voted round -> (support digest, author) -> digest
         self.votes: dict[int, dict[tuple, Optional[bytes]]] = {}
-        self.ancestors: dict[int, dict[bytes, frozenset]] = {}  # round -> digest -> digests
         # slot round -> (rank, committed digest or None for a skip) -> the
         # committee's one SlotDecision object for that verdict
         self.verdicts: dict[int, dict[tuple, object]] = {}
@@ -150,7 +149,7 @@ class CommitteeMemo:
         lowest, floor = self.floor, min(floors)
         self.floor = floor
         if floor > lowest:
-            for table in (self.valid, self.votes, self.ancestors, self.verdicts):
+            for table in (self.valid, self.votes, self.verdicts):
                 for r in [r for r in table if r < floor]:
                     del table[r]
 
@@ -601,9 +600,6 @@ class Dag:
         """Whether round r holds blocks by a strong quorum of authors."""
         return r in self.quorum_stamps
 
-    def author_count(self, r: int) -> int:
-        return len(self._by_round.get(r, ()))
-
     def block_count(self, r: int) -> int:
         extra = sum(len(v) - 1 for v in self._forks.get(r, {}).values())
         return len(self._by_round.get(r, ())) + extra
@@ -707,16 +703,10 @@ class Dag:
                     return res
         return None
 
-    def ancestors_at_round(self, ref: BlockRef, r: int) -> frozenset:
+    def ancestors_at_round(self, ref: BlockRef, r: int) -> set[bytes]:
         """Digests of all round-r blocks in `ref`'s causal history."""
         if ref.digest not in self._by_digest:
             raise UnknownBlockError(ref.short())
-        ancestors = self._memo.ancestors.get(r)
-        if ancestors is None:
-            ancestors = self._memo.ancestors[r] = {}
-        cached = ancestors.get(ref.digest)
-        if cached is not None:
-            return cached
         found: set[bytes] = set()
         if ref.round == r:
             found.add(ref.digest)
@@ -731,8 +721,7 @@ class Dag:
                     elif p.round > r and p.digest not in seen:
                         seen.add(p.digest)
                         stack.append(self._by_digest[p.digest])
-        result = ancestors[ref.digest] = frozenset(found)
-        return result
+        return found
 
 
 @contextmanager

@@ -260,7 +260,7 @@ def is_valid_blameset(bs: BlameSet, committee: Committee, guard_count: int) -> b
 class RecoverySession:
     t0: int
     skew: int  # extra slack on chain acceptance; delta for safety sessions
-    # proposer -> value hash -> (proposal, shortest chain length seen)
+    # proposer -> value hash -> proposal; two values prove the proposer equivocated
     accepted: dict = field(default_factory=dict)
     relayed: set = field(default_factory=set)
     done: bool = False
@@ -652,8 +652,6 @@ class Guard(Replica):
 
     def _build_liveness_blameset(self, r: int) -> Optional[BlameSet]:
         members = frozenset(self.lblamed.get(r, set()))
-        if len(members) < self.committee.f + 1:
-            return None
         attestations = {}
         for m in members:
             atts = tuple(

@@ -43,56 +43,56 @@ class Metrics:
         return total / count if count else 0.0
 
     def to_text(self) -> str:
-        lines = [
-            f"scenario={self.scenario}",
-            f"seed={self.seed}",
-            f"mode={self.mode}",
-            f"load_bytes={self.load_bytes}",
-            f"slots_direct_committed={self.slots_direct_committed}",
-            f"slots_indirect={self.slots_indirect}",
-            f"slots_skipped={self.slots_skipped}",
-            "latency_rounds="
-            + ";".join(f"{k}:{v}" for k, v in sorted(self.commit_latency_rounds.items())),
-            "latency_vtime="
-            + ";".join(f"{k}:{v}" for k, v in sorted(self.commit_latency_vtime.items())),
-            f"guard_detection_vtime={-1 if self.guard_detection_vtime is None else self.guard_detection_vtime}",
-            f"blameset={self.blameset or '-'}",
-            f"recovery_vtime={-1 if self.recovery_vtime is None else self.recovery_vtime}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}={show(getattr(self, attr))}\n" for key, attr, (show, _) in _FORMAT)
 
     @staticmethod
     def from_text(text: str) -> "Metrics":
-        kv: dict[str, str] = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition("=")
-            kv[key] = value
-
-        def histogram(s: str) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for part in s.split(";"):
-                if part:
-                    k, v = part.split(":")
-                    out[int(k)] = int(v)
-            return out
-
-        m = Metrics(
-            scenario=kv.get("scenario", ""),
-            seed=int(kv.get("seed", 0)),
-            mode=kv.get("mode", ""),
-            load_bytes=int(kv.get("load_bytes", 0)),
-            slots_direct_committed=int(kv.get("slots_direct_committed", 0)),
-            slots_indirect=int(kv.get("slots_indirect", 0)),
-            slots_skipped=int(kv.get("slots_skipped", 0)),
-            commit_latency_rounds=histogram(kv.get("latency_rounds", "")),
-            commit_latency_vtime=histogram(kv.get("latency_vtime", "")),
-        )
-        det = int(kv.get("guard_detection_vtime", -1))
-        m.guard_detection_vtime = None if det < 0 else det
-        m.blameset = "" if kv.get("blameset", "-") == "-" else kv["blameset"]
-        rec = int(kv.get("recovery_vtime", -1))
-        m.recovery_vtime = None if rec < 0 else rec
+        """Parse `to_text`'s lines; a missing key keeps its field's default
+        and an unknown key is ignored."""
+        kv = dict(line.partition("=")[::2] for line in text.strip().splitlines())
+        m = Metrics()
+        for key, attr, (_, parse) in _FORMAT:
+            if key in kv:
+                setattr(m, attr, parse(kv[key]))
         return m
+
+    def add_guard_outcome(
+        self, detection: Optional[int], recovery: Optional[int], blameset: str
+    ) -> None:
+        """Merge one guard's, or one seed's, outcome: the earliest detection,
+        the latest recovery and the first non-empty blameset win."""
+        earliest, latest = self.guard_detection_vtime, self.recovery_vtime
+        if detection is not None and (earliest is None or detection < earliest):
+            self.guard_detection_vtime = detection
+        if recovery is not None and (latest is None or recovery > latest):
+            self.recovery_vtime = recovery
+        self.blameset = self.blameset or blameset
+
+
+# (to text, from text) per kind of `.metrics` value: an absent time is -1
+# and an empty blameset is "-"
+_PLAIN, _INT = (str, str), (str, int)
+_HISTOGRAM = (
+    lambda h: ";".join(f"{k}:{v}" for k, v in sorted(h.items())),
+    lambda s: {int(k): int(v) for k, v in (part.split(":") for part in s.split(";") if part)},
+)
+_TIME = (lambda t: -1 if t is None else t, lambda s: None if int(s) < 0 else int(s))
+_BLAMESET = (lambda b: b or "-", lambda s: "" if s == "-" else s)
+# the `.metrics` lines in order: key, Metrics field and kind
+_FORMAT = (
+    ("scenario", "scenario", _PLAIN),
+    ("seed", "seed", _INT),
+    ("mode", "mode", _PLAIN),
+    ("load_bytes", "load_bytes", _INT),
+    ("slots_direct_committed", "slots_direct_committed", _INT),
+    ("slots_indirect", "slots_indirect", _INT),
+    ("slots_skipped", "slots_skipped", _INT),
+    ("latency_rounds", "commit_latency_rounds", _HISTOGRAM),
+    ("latency_vtime", "commit_latency_vtime", _HISTOGRAM),
+    ("guard_detection_vtime", "guard_detection_vtime", _TIME),
+    ("blameset", "blameset", _BLAMESET),
+    ("recovery_vtime", "recovery_vtime", _TIME),
+)
 
 
 def verdicts(
@@ -138,16 +138,12 @@ def from_record(record: RunRecord, config_mode: str, load_bytes: int) -> Metrics
         for g in ep.guards:
             if g.faulty:
                 continue
-            if g.detection_vtime is not None:
-                if m.guard_detection_vtime is None or g.detection_vtime < m.guard_detection_vtime:
-                    m.guard_detection_vtime = g.detection_vtime
-            if g.recovery_vtime is not None:
-                if m.recovery_vtime is None or g.recovery_vtime > m.recovery_vtime:
-                    m.recovery_vtime = g.recovery_vtime
-                if not m.blameset:
-                    m.blameset = f"{g.recovery_kind}:" + ",".join(
-                        str(x) for x in g.recovery_members
-                    )
+            recovered = g.recovery_vtime is not None
+            m.add_guard_outcome(
+                g.detection_vtime,
+                g.recovery_vtime,
+                f"{g.recovery_kind}:" + ",".join(map(str, g.recovery_members)) if recovered else "",
+            )
     return m
 
 
@@ -165,14 +161,7 @@ def aggregate(per_seed: Iterable[Metrics]) -> Metrics:
             agg.commit_latency_rounds[k] = agg.commit_latency_rounds.get(k, 0) + v
         for k, v in m.commit_latency_vtime.items():
             agg.commit_latency_vtime[k] = agg.commit_latency_vtime.get(k, 0) + v
-        if m.recovery_vtime is not None:
-            if agg.recovery_vtime is None or m.recovery_vtime > agg.recovery_vtime:
-                agg.recovery_vtime = m.recovery_vtime
-        if m.guard_detection_vtime is not None:
-            if agg.guard_detection_vtime is None or m.guard_detection_vtime < agg.guard_detection_vtime:
-                agg.guard_detection_vtime = m.guard_detection_vtime
-        if m.blameset and not agg.blameset:
-            agg.blameset = m.blameset
+        agg.add_guard_outcome(m.guard_detection_vtime, m.recovery_vtime, m.blameset)
     return agg
 
 

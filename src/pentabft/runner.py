@@ -504,8 +504,8 @@ class Runner:
                 if self.config.record_delivery:
                     summary.delivery = [ref.digest.hex() for ref in delivery]
                 summary.commit_events = [
-                    (s.round, s.rank, v.value, rule, t, vtime)
-                    for s, v, rule, t, vtime in node.committer.decision_events
+                    (d.slot.round, d.slot.rank, d.verdict.value, rule, t, vtime)
+                    for d, rule, t, vtime in node.committer.decision_events
                 ]
                 summary.round_entries = dict(node.round_entry_vtime)
                 ep.validators.append(summary)

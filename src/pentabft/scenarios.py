@@ -46,6 +46,8 @@ class ScenarioConfig:
     extra_vtime: int = 0  # run this much virtual time past quiescence targets
 
     def validate(self) -> None:
+        if self.f < 0:
+            raise ConfigError(f"fault budget f={self.f} is negative")
         if self.n != 5 * self.f + 1:
             raise ConfigError(f"committee size {self.n} != 5f+1 for f={self.f}")
         if self.network not in NETWORKS:

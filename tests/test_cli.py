@@ -88,10 +88,12 @@ class TestRunCommand:
              "async_base 0 is below 1 us"),
             ("delta=0", "delta 0 is below 1 us"),
             ("network=partial\ngst=-1", "gst -1 is negative"),
+            # n = 5f+1 holds, but no committee has a negative fault budget
+            ("n=-4\nf=-1", "fault budget f=-1 is negative"),
         ],
         ids=[
             "unknown-key", "crash-without-round", "cap-below-base", "zero-base",
-            "zero-delta", "negative-gst",
+            "zero-delta", "negative-gst", "negative-f",
         ],
     )
     def test_malformed_config_file_exit_code(self, tmp_path, capsys, line, message):

@@ -3,7 +3,6 @@
 import pytest
 
 from pentabft.committer import (
-    CoinOutput,
     CommonCoin,
     Committer,
     InsufficientShares,
@@ -11,7 +10,6 @@ from pentabft.committer import (
     MissingDecisions,
     SlotDecision,
     Verdict,
-    get_leader_blocks,
     leader_of,
     leaders_of_round,
     validate_stake_split,
@@ -52,8 +50,11 @@ class TestWaveArithmetic:
         # rounds 6, 7 and 8 each propose a slot of wave 2; its coin is
         # combined from the shares of the slot's own decision round
         for r in (6, 7, 8):
-            assert c._slot_coin(LeaderSlot(r, 0)) == CoinOutput(2, c.coin.output_for(2))
-        assert c._slot_coin(LeaderSlot(9, 0)).wave == 3
+            slot = LeaderSlot(r, 0)
+            assert c._slot_leader(slot) == leader_of(slot, c.committee, c.coin.output_for(2))
+        assert c._coin_outputs == {2: c.coin.output_for(2)}
+        c._slot_leader(LeaderSlot(9, 0))
+        assert c._coin_outputs.keys() == {2, 3}
 
     def test_every_round_proposes_some_wave(self):
         for mode, wl in ((Mode.PARTIAL_SYNC, 2), (Mode.ASYNC, 3)):
@@ -76,7 +77,7 @@ class TestLeaderSchedule:
 
     def test_async_uses_coin_output(self):
         c = Committee.of_size(6, Mode.ASYNC)
-        assert leader_of(LeaderSlot(10, 1), c, CoinOutput(0, 3)) == 4
+        assert leader_of(LeaderSlot(10, 1), c, 3) == 4
 
     def test_async_without_coin_fails(self):
         from pentabft.committer import CoinUnavailable
@@ -86,17 +87,23 @@ class TestLeaderSchedule:
             leader_of(LeaderSlot(10, 0), c)
 
 
+def leader_blocks(dag, slot, committee):
+    """The stored propose-round blocks of the slot's leader, as both rules
+    read them."""
+    return dag.blocks_by(Committer(dag, committee)._slot_leader(slot), slot.round)
+
+
 class TestLeaderBlocks:
     def test_single_proposal(self):
         committee, dag, proposals, _, _ = build_vote_fixture()
         slot = LeaderSlot(1, 1)  # leader (1+1) % 6 = validator 2
-        got = get_leader_blocks(dag, slot, committee)
+        got = leader_blocks(dag, slot, committee)
         assert [b.digest for b in got] == [proposals[2].digest]
 
     def test_equivocating_leader_returns_both_lowest_first(self):
         committee, dag, proposals, prime, _ = build_vote_fixture()
         slot = LeaderSlot(1, 0)  # leader (1+0) % 6 = validator 1, the equivocator
-        got = get_leader_blocks(dag, slot, committee)
+        got = leader_blocks(dag, slot, committee)
         assert len(got) == 2
         assert got[0].digest < got[1].digest
         assert {b.digest for b in got} == {proposals[1].digest, prime.digest}
@@ -104,7 +111,28 @@ class TestLeaderBlocks:
     def test_silent_leader_empty(self):
         committee = Committee.of_size(6)
         dag = Dag(committee)
-        assert get_leader_blocks(dag, LeaderSlot(1, 0), committee) == []
+        assert leader_blocks(dag, LeaderSlot(1, 0), committee) == []
+
+
+class TestCoinGate:
+    """Under asynchrony a slot stays undecided, by either rule, until its
+    decision round holds coin shares from f+1 authors."""
+
+    def test_rules_wait_for_f_plus_one_shares(self):
+        c = make_committer(Mode.ASYNC, rounds=4)
+        dag, committee = c.dag, c.committee
+        slot = LeaderSlot(3, 0)  # wave 1, decided at round 5
+        parents = [dag.first_block_by(a, 4).ref() for a in committee.members]
+        dag.insert(make_block(0, 5, parents, coin_share=CoinShare(0, 5)))
+        assert committee.f + 1 == 2
+        # a committed anchor above the decision round
+        anchor = SlotDecision(LeaderSlot(6, 0), Verdict.COMMIT, parents[0])
+        assert c.try_direct_decide(slot) == SlotDecision(slot, Verdict.UNDECIDED)
+        assert c.try_indirect_decide(slot, [anchor]) == SlotDecision(slot, Verdict.UNDECIDED)
+        assert c._coin_outputs == {}
+        dag.insert(make_block(1, 5, parents, coin_share=CoinShare(1, 5)))
+        assert c._slot_leader(slot) == leader_of(slot, committee, c.coin.output_for(1))
+        assert c._coin_outputs == {1: c.coin.output_for(1)}
 
 
 class TestTally:
@@ -169,7 +197,7 @@ class TestCoin:
         committee, coin = self.make()
         shares = [CoinShare(0, 9), CoinShare(1, 9)]
         out = coin.combine(shares, 4, 9)
-        assert 0 <= out.output < 6
+        assert 0 <= out < 6
         with pytest.raises(InsufficientShares):
             coin.combine([CoinShare(0, 9)], 4, 9)
 

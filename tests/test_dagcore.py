@@ -185,7 +185,7 @@ class TestInsert:
         other = make_block(4, 2, parents)
 
         def index(r):
-            return set(dag.authors_at_round(r)), dag.author_count(r)
+            return set(dag.authors_at_round(r)), len(dag.authors_at_round(r))
 
         def from_blocks(r):
             authors = {b.author for b in dag.blocks_at_round(r)}
@@ -332,7 +332,7 @@ class TestQuorumStamp:
         parents = [dag.first_block_by(a, 0).ref() for a in range(5)]
         for author in range(4):  # 4f authors
             dag.insert(make_block(author, 1, parents))
-        assert dag.author_count(1) == 4 * committee.f
+        assert len(dag.authors_at_round(1)) == 4 * committee.f
         assert not dag.quorate(1) and 1 not in dag.quorum_stamps
         assert dag.quorum_stamp == committee.size  # still genesis's
         dag.insert(make_block(4, 1, parents))
@@ -349,7 +349,7 @@ class TestQuorumStamp:
         stamp = dag.quorum_stamps[2]
         dag.insert(make_block(2, 2, parents, (b"b",)))
         assert list(dag.equivocators(2)) == [2]
-        assert dag.author_count(2) == 5
+        assert len(dag.authors_at_round(2)) == 5
         assert dag.quorum_stamp == dag.quorum_stamps[2] == len(dag) == stamp + 1
         # a fork below the quorum stamps nothing
         above = [dag.first_block_by(a, 2).ref() for a in range(5)]
@@ -407,7 +407,7 @@ class TestPrune:
         stored, stamp, highest = dag.stored, dag.quorum_stamp, dict(dag.highest)
         dag.prune(2)
         assert dag.floor == 2 and len(dag) == 3 * committee.size
-        assert dag.author_count(1) == 0 and dag._forks == {}
+        assert len(dag.authors_at_round(1)) == 0 and dag._forks == {}
         assert sorted(dag.quorum_stamps) == [2, 3, 4]
         assert (dag.stored, dag.quorum_stamp, dag.highest) == (stored, stamp, highest)
         dag.prune(1)  # the floor never falls

@@ -923,7 +923,7 @@ class TestValidatorIntakeProperty:
             v.flush(now + i)
         floor = v.dag.floor
         assert floor >= _V_FLOOR
-        assert all(r >= floor for r in range(v.dag.max_round + 1) if v.dag.author_count(r))
+        assert all(r >= floor for r in range(v.dag.max_round + 1) if v.dag.authors_at_round(r))
         assert len(v.pending) == 0 or min(
             b.round for b in v.pending.parked.values()
         ) > floor

@@ -187,7 +187,7 @@ class TestCommitteeMemo:
     def test_one_verdict_object_per_slot_verdict(self):
         """Every validator and guard that reaches a slot's verdict keeps the
         committee's one object for it, in its decided slots, its sequence
-        and, by its slot, its decision events."""
+        and its decision events."""
         state = run(scenarios.fault_free(1, guards=5), seed=1).epochs[0]
         nodes = [*state.validators.values(), *state.guards.values()]
         first = {}
@@ -196,8 +196,8 @@ class TestCommitteeMemo:
             for d in committer.decided.values():
                 assert first.setdefault(d, d) is d
             assert all(first[d] is d for d in committer.sequence)
-            slots = {id(d.slot) for d in committer.decided.values()}
-            assert all(id(slot) in slots for slot, _, _, _, _ in committer.decision_events)
+            decided = committer.decided_slots()
+            assert all(decided[d.slot] is d for d, _, _, _ in committer.decision_events)
         assert len(first) == len({d.slot for d in first}) > 20
 
     @pytest.mark.parametrize(
@@ -240,7 +240,7 @@ class TestBoundedState:
             sizes[rounds] = (
                 [len(node.dag) for node in nodes],
                 [len(node.pending) for node in nodes],
-                *map(self.entries, (memo.votes, memo.ancestors, memo.valid, memo.verdicts)),
+                *map(self.entries, (memo.votes, memo.valid, memo.verdicts)),
             )
         assert sizes[30] == sizes[60]
 

@@ -131,7 +131,7 @@ class TestOnBlock:
         from pentabft.committer import LeaderSlot
 
         assert decided[LeaderSlot(1, 0)].verdict is Verdict.COMMIT
-        assert v.committer.decision_events[0][3] == 2  # trigger round
+        assert v.committer.decision_events[0][2] == 2  # trigger round
 
     def test_unknown_parent_requests_sync(self):
         v = fresh_validator()
@@ -296,7 +296,7 @@ class TestFloor:
         v = self.driven(1, 20)
         prefix = v.committer.sequence[-1].slot.round
         assert v.dag.floor == prefix - PRUNE_DEPTH > 1
-        assert min(r for r in range(v.dag.max_round + 1) if v.dag.author_count(r)) == v.dag.floor
+        assert min(r for r in range(v.dag.max_round + 1) if v.dag.authors_at_round(r)) == v.dag.floor
         assert v.current_round - 1 >= v.dag.floor
 
     def test_block_below_the_floor_is_ignored_never_delivered_nor_served(self, monkeypatch):
