@@ -435,7 +435,7 @@ def _opposing_claim(guard, slot_round: int, committed_hexes: list[str]) -> Optio
     digest = bytes.fromhex(other)
     for blk in guard.dag.blocks_at_round(slot_round):
         if blk.digest == digest:
-            return SlotDecision(slot, Verdict.COMMIT, blk.ref())
+            return SlotDecision(slot, Verdict.COMMIT, blk.ref)
     return None
 
 

@@ -236,6 +236,7 @@ class Committer:
         self.decided: dict[int, SlotDecision] = {}  # slot index -> verdict
         self._coin_outputs: dict[int, int] = {}  # wave -> coin output
         self._seen_blocks = 0  # dag.stored at the last pass that walked the slots
+        self._verdicts = committee.memo.verdicts
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         if committee.memo.delivery is None:
@@ -291,10 +292,10 @@ class Committer:
         # for a blame of the slot
         votes = dag.round_votes(decision_round, leader, slot.round)
         if votes.count(None) >= strong:
-            return SlotDecision(slot, Verdict.SKIP)
+            return self._reached(slot, None)
         for cand in dag.blocks_by(leader, slot.round):
             if votes.count(cand.digest) >= strong:
-                return SlotDecision(slot, Verdict.COMMIT, cand.ref())
+                return self._reached(slot, cand)
         return SlotDecision(slot, Verdict.UNDECIDED)
 
     def try_indirect_decide(
@@ -328,8 +329,24 @@ class Committer:
         weak = self.committee.weak_quorum
         for cand in self.dag.blocks_by(leader, slot.round):
             if anchored_supports(self.dag, decision_round, cand, anchor_ref) >= weak:
-                return SlotDecision(slot, Verdict.COMMIT, cand.ref())
-        return SlotDecision(slot, Verdict.SKIP)
+                return self._reached(slot, cand)
+        return self._reached(slot, None)
+
+    def _reached(self, slot: LeaderSlot, committed: Optional[Block]) -> SlotDecision:
+        """The committee's one verdict object for committing `committed` in
+        `slot`, or for skipping the slot if it is None: read from the memo,
+        and built only by the committee's first node to reach it."""
+        verdicts = self._verdicts.get(slot.round)
+        if verdicts is None:
+            verdicts = self._verdicts[slot.round] = {}
+        key = (slot.rank, None if committed is None else committed.digest)
+        d = verdicts.get(key)
+        if d is None:
+            d = verdicts[key] = (
+                SlotDecision(slot, Verdict.SKIP) if committed is None
+                else SlotDecision(slot, Verdict.COMMIT, committed.ref)
+            )
+        return d
 
     # -- decision pass and commit sequence -----------------------------------
 
@@ -374,7 +391,6 @@ class Committer:
         self._seen_blocks = dag.stored
         stamps = dag.quorum_stamps
         decided = self.decided
-        verdicts = self.committee.memo.verdicts
         sequence = self.sequence
         done = len(sequence)  # slots in the committed prefix
         l = self.leaders_per_round
@@ -397,8 +413,6 @@ class Committer:
                     rule = "indirect"
                 if d.verdict is Verdict.UNDECIDED:
                     continue
-                key = (rank, d.block.digest if d.block is not None else None)
-                d = verdicts.setdefault(r, {}).setdefault(key, d)
                 decided[idx] = d
                 since = 0  # a new anchor: every quorate slot below is evaluated
                 self.decision_events.append((d, rule, trigger_round, now))
@@ -482,7 +496,7 @@ def linearize_one(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[Block
     while stack:
         block, expanded = stack.pop()
         if expanded:
-            out.append(block.ref())
+            out.append(block.ref)
             continue
         push((block, True))
         if block.round <= lowest:

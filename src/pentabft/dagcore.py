@@ -80,13 +80,20 @@ class CoinShare:
     round: int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BlockRef:
-    """Compact reference to a block: (author, round, content digest)."""
+    """Compact reference to a block: (author, round, content digest).
+
+    `piece` is the ref's part of a block body that names it as a parent:
+    its author and round packed, then its digest. The first body encoding
+    that reads it fills it in, so a malformed ref still constructs and
+    fails only when encoded. Equality, hashing and ordering leave it out.
+    """
 
     author: ValidatorId
     round: int
     digest: bytes
+    piece: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def short(self) -> str:
         return f"{self.author}/{self.round}/{self.digest.hex()[:8]}"
@@ -100,10 +107,11 @@ class CommitteeMemo:
     an (author, round), and the batch a leader delivers after a given
     committed-leader prefix are the same at every node that can ask. Each
     is computed once per committee, i.e. once per epoch, not once per
-    validator and guard. Slot verdicts are held once per
-    committee too: each node's committer keeps the committee's one object
-    for a verdict it reached. So are the genesis blocks every DAG of the
-    committee starts from. A guard's commit-view update is checked once per
+    validator and guard. Slot verdicts are held once per committee too: a
+    decision rule that reaches a verdict reads it here first, so only the
+    committee's first node to reach it builds the object, and every node's
+    committer keeps that one object. So are the genesis blocks every DAG of
+    the committee starts from. A guard's commit-view update is checked once per
     committee too: `updates` keeps, per sender node id, the last message
     object that passed the shape and tag check; unlike a message's guard
     field, a sender id is hashable unchecked and names a real node.
@@ -213,6 +221,17 @@ _HEAD = struct.Struct(">IQI")
 _PARENT = struct.Struct(">IQ")
 _LENGTH = struct.Struct(">I")
 _SHARE = struct.Struct(">BIQ")
+_PIECE = attrgetter("piece")
+
+
+def _fill_piece(ref: BlockRef) -> bytes:
+    piece = ref.piece
+    if piece is None:
+        # a digest of another length is kept as it stands: a `16s` field
+        # would pad or cut it
+        piece = _PARENT.pack(ref.author, ref.round) + ref.digest
+        object.__setattr__(ref, "piece", piece)
+    return piece
 
 
 def encode_block_body(
@@ -224,10 +243,11 @@ def encode_block_body(
 ) -> bytes:
     """Canonical byte encoding of the digest-covered fields, in field order."""
     out = bytearray(_HEAD.pack(author, round_, len(parents)))
-    parent, length = _PARENT.pack, _LENGTH.pack
-    for p in parents:
-        out += parent(p.author, p.round)
-        out += p.digest
+    try:
+        out += b"".join(map(_PIECE, parents))
+    except TypeError:  # a parent not named by any body before
+        out += b"".join(map(_fill_piece, parents))
+    length = _LENGTH.pack
     out += length(len(transactions))
     for tx in transactions:
         out += length(len(tx))
@@ -252,8 +272,8 @@ def compute_digest(
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A DAG vertex. Immutable; digest, parent-author index, distinct-parent
-    count and parent digests computed at creation.
+    """A DAG vertex. Immutable; digest, ref, parent-author index,
+    distinct-parent count and parent digests computed at creation.
 
     `parent_lookup`, None for a block without parents, fetches every parent
     digest from a mapping in one C-level call and raises KeyError if any is
@@ -271,13 +291,11 @@ class Block:
     digest: bytes = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "digest",
-            compute_digest(
-                self.author, self.round, self.parents, self.transactions, self.coin_share
-            ),
+        digest = compute_digest(
+            self.author, self.round, self.parents, self.transactions, self.coin_share
         )
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "ref", BlockRef(self.author, self.round, digest))
         parents = self.parents
         # author -> parent ref; valid blocks carry distinct parent authors, so
         # this is exactly the first-match order a depth-one DFS would see
@@ -296,13 +314,6 @@ class Block:
 
     def __hash__(self):
         return hash(self.digest)
-
-    def ref(self) -> BlockRef:
-        r = getattr(self, "_ref", None)
-        if r is None:
-            r = BlockRef(self.author, self.round, self.digest)
-            object.__setattr__(self, "_ref", r)
-        return r
 
     def encode(self) -> bytes:
         """Full canonical wire encoding (body followed by the auth tag)."""

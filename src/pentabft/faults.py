@@ -112,7 +112,7 @@ class WithholdVotesValidator(CoreValidator):
         kept = [a for a in authors if a not in self.targets]
         if len(kept) < self.committee.strong_quorum:
             kept = authors
-        return [self.dag.first_block_by(a, prev).ref() for a in kept]
+        return [self.dag.first_block_by(a, prev).ref for a in kept]
 
 
 class SplitViewValidator(CoreValidator):
@@ -150,7 +150,7 @@ class SplitViewValidator(CoreValidator):
     def _parents(self, picks: dict[ValidatorId, Block]) -> list[BlockRef]:
         """The honest parent set, with `picks` standing in for its authors."""
         chosen = {**self.dag.round_view(self.current_round), **picks}
-        return [chosen[a].ref() for a in sorted(chosen)]
+        return [chosen[a].ref for a in sorted(chosen)]
 
     def _fork(self, next_round, txs, marker: bytes, picks_a, picks_b) -> tuple[list[Block], list[Action]]:
         """Two versions of this node's block, variant A to camp A and B to

@@ -670,10 +670,10 @@ class Guard(Replica):
         <= 3f corruption); counted over any stored vote version per author."""
         candidates = [proof.block_a] + ([proof.block_b] if proof.block_b else [])
         for cand in candidates:
-            if cand.ref() not in self.dag:
+            if cand.ref not in self.dag:
                 continue
             if self._strong_vote_count(cand) >= self.committee.strong_quorum:
-                return cand.ref()
+                return cand.ref
         return None
 
     def _strong_vote_count(self, leader: Block) -> int:
@@ -723,14 +723,14 @@ class Guard(Replica):
             if proposal.branch is None:
                 return None
             proof: SafetyProof = bs.proof
-            refs = {proof.block_a.ref()}
+            refs = {proof.block_a.ref}
             if proof.block_b is not None:
-                refs.add(proof.block_b.ref())
+                refs.add(proof.block_b.ref)
             if proposal.branch not in refs:
                 return None
             # the branch must be the strongly certified side in our replica
-            branch_block = proof.block_a if proposal.branch == proof.block_a.ref() else proof.block_b
-            if branch_block.ref() not in self.dag:
+            branch_block = proof.block_a if proposal.branch == proof.block_a.ref else proof.block_b
+            if branch_block.ref not in self.dag:
                 return None
             if self._strong_vote_count(branch_block) < self.committee.strong_quorum:
                 return None

@@ -71,22 +71,70 @@ class ScenarioConfig:
             raise ConfigError("guards monitor the partial-sync protocol only")
         if not (1 <= self.leaders_per_round <= self.n):
             raise ConfigError("leaders per round out of range")
+        # the first slot's decision round is round 2
+        if self.rounds < 2:
+            raise ConfigError(f"rounds {self.rounds} is below 2")
+        for name in ("tx_per_block", "tx_size", "guards", "extra_vtime"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} {getattr(self, name)} is negative")
         if self.splitview_round:
             if self.leaders_per_round != 1:
                 raise ConfigError("the view-split attack is scripted for one leader slot per round")
             if self.splitview_round % self.n != 3 % self.n or self.n != 6:
                 raise ConfigError("the view-split script expects n=6 and round = 3 mod 6")
+        given: set[int] = set()  # guards given a policy
         for gid, policy in self.byz_guards:
             if policy not in ("bogus-proposal", "silent"):
                 raise ConfigError(f"unknown guard policy {policy!r}")
             if not (0 <= gid < self.guards):
                 raise ConfigError("byzantine guard id out of range")
+            if gid in given:
+                raise ConfigError(f"byz_guards gives guard {gid} two policies")
+            given.add(gid)
         faulty = self.faulty_validators()
         unknown = faulty - set(range(self.n))
         if unknown:
             raise BudgetExceeded(f"faulty ids {sorted(unknown)} not in committee")
+        self._check_strategies()
         if not self.beyond_f and len(faulty) > self.f:
             raise BudgetExceeded(f"{len(faulty)} corrupt validators exceed the budget f={self.f}")
+        if self.beyond_f:
+            # the guard layer tolerates f < 3n/5 corrupt core validators, and the
+            # committee left after their exclusion must still hold each round's leaders
+            if 5 * len(faulty) >= 3 * self.n:
+                raise BudgetExceeded(
+                    f"beyond_f: {len(faulty)} corrupt validators of {self.n} reach 3n/5"
+                )
+            if self.n - len(faulty) < self.leaders_per_round:
+                raise BudgetExceeded(
+                    f"beyond_f: excluding {len(faulty)} corrupt validators leaves "
+                    f"{self.n - len(faulty)}, fewer than leaders_per_round={self.leaders_per_round}"
+                )
+
+    def _check_strategies(self) -> None:
+        """One fault strategy per validator, crash rounds from 1, and
+        withhold targets inside the committee."""
+        strategy: dict[int, str] = {}
+        trio = self.splitview_corrupt() if self.splitview_round else ()
+        for name, ids in (
+            ("crash", [v for v, _ in self.crash]),
+            ("equivocate", self.equivocate),
+            ("withhold", [v for v, _ in self.withhold]),
+            ("splitview_round", trio),
+        ):
+            for v in ids:
+                if strategy.get(v) == name:
+                    raise ConfigError(f"{name} names validator {v} twice")
+                if v in strategy:
+                    raise ConfigError(f"validator {v} is in both {strategy[v]} and {name}")
+                strategy[v] = name
+        for v, r in self.crash:
+            if r < 1:
+                raise ConfigError(f"crash round {r} of validator {v} is below 1")
+        for v, targets in self.withhold:
+            for t in targets:
+                if not (0 <= t < self.n):
+                    raise ConfigError(f"withhold target {t} of validator {v} is not in the committee")
 
     def horizon_vtime(self) -> int:
         per_round = {

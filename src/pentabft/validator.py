@@ -150,7 +150,7 @@ class CoreValidator(Replica):
 
     def _build_parents(self) -> list[BlockRef]:
         view = self.dag.round_view(self.current_round)
-        return [view[author].ref() for author in sorted(view)]
+        return [view[author].ref for author in sorted(view)]
 
     def _next_coin_share(self, next_round: int) -> Optional[CoinShare]:
         if self.committee.mode is Mode.ASYNC:

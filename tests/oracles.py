@@ -111,7 +111,7 @@ def direct_decide(dag: Dag, slot: LeaderSlot, committee: Committee, wave_length:
         return SlotDecision(slot, Verdict.SKIP)
     for cand in dag.blocks_by(leader, slot.round):
         if tally_votes(dag, decision_round, cand)[0] >= committee.strong_quorum:
-            return SlotDecision(slot, Verdict.COMMIT, cand.ref())
+            return SlotDecision(slot, Verdict.COMMIT, cand.ref)
     return SlotDecision(slot, Verdict.UNDECIDED)
 
 
@@ -211,7 +211,7 @@ def post_order(dag: Dag, leader: BlockRef, emitted: set[bytes]) -> list[BlockRef
         block, expanded = stack.pop()
         if expanded:
             emitted.add(block.digest)
-            out.append(block.ref())
+            out.append(block.ref)
             continue
         stack.append((block, True))
         for p in reversed(block.parents):

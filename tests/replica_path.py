@@ -80,7 +80,7 @@ def holding_round_one_but(make_node, *absent):
     committee = Committee.of_size(6)
     node = make_node(committee)
     node.max_round = 0  # passive: the test drives every block
-    genesis = [b.ref() for b in genesis_blocks(committee)]
+    genesis = [b.ref for b in genesis_blocks(committee)]
     round1 = [make_block(a, 1, genesis, (b"t",)) for a in committee.members]
     deliver(node, [b for b in round1 if b.author not in absent], "v1", DELTA)
     return node, round1
@@ -96,7 +96,7 @@ class SyncRequestTable:
 
     def test_a_ref_two_blocks_await_is_requested_once(self):
         node, round1 = holding_round_one_but(self.make_node, 5)
-        refs = [b.ref() for b in round1]
+        refs = [b.ref for b in round1]
         first = make_block(2, 2, refs)
         second = make_block(3, 2, refs)
         assert requests(deliver(node, [first], "v2", 2 * DELTA)) == [("v2", (refs[5],))]
@@ -105,7 +105,7 @@ class SyncRequestTable:
 
     def test_a_newly_missing_ref_is_still_requested_from_its_sender(self):
         node, round1 = holding_round_one_but(self.make_node, 4, 5)
-        refs = [b.ref() for b in round1]
+        refs = [b.ref for b in round1]
         assert requests(deliver(node, [make_block(2, 2, refs[:5])], "v2", 2 * DELTA)) == [
             ("v2", (refs[4],))
         ]
@@ -115,7 +115,7 @@ class SyncRequestTable:
 
     def test_an_arrived_ref_leaves_the_pool(self):
         node, round1 = holding_round_one_but(self.make_node, 4, 5)
-        refs = [b.ref() for b in round1]
+        refs = [b.ref for b in round1]
         parked = [make_block(2, 2, refs[:5]), make_block(3, 2, refs)]
         deliver(node, parked[:1], "v2", 2 * DELTA)
         deliver(node, parked[1:], "v3", 2 * DELTA)
@@ -125,13 +125,13 @@ class SyncRequestTable:
         assert set(pool._senders) == {parked[1].digest}
         deliver(node, [round1[5]], "v5", 3 * DELTA)
         assert pool.awaited == pool._asked == pool._senders == {} and len(pool) == 0
-        assert all(b.ref() in node.dag for b in parked)
+        assert all(b.ref in node.dag for b in parked)
 
     def test_the_retry_asks_a_later_sender_when_the_first_never_answers(self):
         """v2 is asked first and never answers; the block v3 sent within the
         window asked nothing, so only the retry timer reaches v3."""
         node, round1 = holding_round_one_but(self.make_node, 5)
-        refs = [b.ref() for b in round1]
+        refs = [b.ref for b in round1]
         server = CoreValidator(5, node.committee, delta=DELTA)
         for b in round1:
             server.dag.insert(b)
@@ -145,7 +145,7 @@ class SyncRequestTable:
         (to_v3,) = [a.payload for a in retry if isinstance(a, Send) and a.to == "v3"]
         (resp,) = server.on_sync_request(to_v3, "v0")
         deliver(node, resp.payload.blocks, "v3", (SYNC_RETRY + 4) * DELTA)
-        assert all(b.ref() in node.dag for b in parked)
+        assert all(b.ref in node.dag for b in parked)
         assert len(node.pending) == 0 and not node.pending.awaited
         assert node.on_timer(SYNC_TIMER, (2 * SYNC_RETRY + 2) * DELTA) == []  # nothing left to ask
 
@@ -158,13 +158,13 @@ class SyncRequestTable:
         node.max_round = 0
         server = CoreValidator(5, committee, delta=DELTA)
         history: list[Block] = []
-        parents = [b.ref() for b in genesis_blocks(committee)]
+        parents = [b.ref for b in genesis_blocks(committee)]
         for r in range(1, 8):
             blocks = [make_block(a, r, parents, (b"t",)) for a in committee.members]
             for b in blocks:
                 server.dag.insert(b)
             history.extend(blocks)
-            parents = [b.ref() for b in blocks]
+            parents = [b.ref for b in blocks]
         top = make_block(0, 8, parents)
         cap = SYNC_CAP_PER_MEMBER * committee.size
         assert len(history) > cap
@@ -190,7 +190,7 @@ class SyncRequestTable:
                     shipped.append(len(resp.payload.blocks))
                     actions.extend(deliver(node, resp.payload.blocks, "v5", now))
         assert shipped[0] == cap and max(shipped) == cap and len(shipped) >= 2
-        assert all(b.ref() in node.dag for b in (*history, top))
+        assert all(b.ref in node.dag for b in (*history, top))
         assert len(node.pending) == 0 and not node.pending.awaited
 
 
@@ -210,12 +210,12 @@ class HeldParkedBlock:
         """A node holding one round-2 block parked on the missing round-1
         block of author 5, that block, and the round-1 blocks."""
         node, round1 = holding_round_one_but(self.make_node, 5)
-        refs = [b.ref() for b in round1]
+        refs = [b.ref for b in round1]
         block = make_block(2, 2, refs, (b"parked",))
         first = deliver(node, [block], "v2", 2 * DELTA)
         assert requests(first) == [("v2", (refs[5],))]
         assert echoes(first) == ([block] if self.echoes_first else [])
-        assert block.ref() not in node.dag and node.pending.has(block.digest)
+        assert block.ref not in node.dag and node.pending.has(block.digest)
         assert len(node.pending) == 1
         return node, block, round1
 
@@ -260,7 +260,7 @@ class MalformedSyncRequest:
 
     def test_malformed_frontier_gets_no_answer(self):
         node, round1 = holding_round_one_but(self.make_node)
-        ref = round1[1].ref()
+        ref = round1[1].ref
         frontiers = ((), (-1,) * 3, (None,) * 6, ("x",) * 6, None)
         refs = (
             ("junk",), (ref, "junk"), (BlockRef(1, 1, []),), None,
@@ -274,4 +274,4 @@ class MalformedSyncRequest:
         assert node.malformed == {"SyncRequest": len(malformed)}
         # the same request with one entry per member is served
         (resp,) = node.deliver(SyncRequest((ref,), (-1,) * 6), "v5", 2 * DELTA)
-        assert ref in {b.ref() for b in resp.payload.blocks}
+        assert ref in {b.ref for b in resp.payload.blocks}

@@ -90,10 +90,16 @@ class TestRunCommand:
             ("network=partial\ngst=-1", "gst -1 is negative"),
             # n = 5f+1 holds, but no committee has a negative fault budget
             ("n=-4\nf=-1", "fault budget f=-1 is negative"),
+            # beyond the guard layer's budget: each would fail at the restart
+            ("crash=0@3;1@3;2@3;3@3;4@3\nbeyond_f=1\nguards=5",
+             "beyond_f: 5 corrupt validators of 6 reach 3n/5"),
+            ("crash=4@3;5@3\nbeyond_f=1\nguards=5\nleaders_per_round=6",
+             "beyond_f: excluding 2 corrupt validators leaves 4, fewer than leaders_per_round=6"),
         ],
         ids=[
             "unknown-key", "crash-without-round", "cap-below-base", "zero-base",
-            "zero-delta", "negative-gst", "negative-f",
+            "zero-delta", "negative-gst", "negative-f", "corrupt-three-fifths",
+            "too-few-left-to-lead",
         ],
     )
     def test_malformed_config_file_exit_code(self, tmp_path, capsys, line, message):

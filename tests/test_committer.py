@@ -32,7 +32,7 @@ def make_committer(mode, rounds=0):
     committee = Committee.of_size(6, mode)
     dag = Dag(committee)
     for r in range(1, rounds + 1):
-        parents = [dag.first_block_by(a, r - 1).ref() for a in sorted(dag.authors_at_round(r - 1))]
+        parents = [dag.first_block_by(a, r - 1).ref for a in sorted(dag.authors_at_round(r - 1))]
         for m in committee.members:
             dag.insert(make_block(m, r, parents, coin_share=CoinShare(m, r)))
     coin = CommonCoin(b"epoch-seed", committee) if mode is Mode.ASYNC else None
@@ -122,7 +122,7 @@ class TestCoinGate:
         c = make_committer(Mode.ASYNC, rounds=4)
         dag, committee = c.dag, c.committee
         slot = LeaderSlot(3, 0)  # wave 1, decided at round 5
-        parents = [dag.first_block_by(a, 4).ref() for a in committee.members]
+        parents = [dag.first_block_by(a, 4).ref for a in committee.members]
         dag.insert(make_block(0, 5, parents, coin_share=CoinShare(0, 5)))
         assert committee.f + 1 == 2
         # a committed anchor above the decision round
@@ -153,7 +153,7 @@ class TestTally:
     def test_decision_round_equivocator_counts_for_neither(self):
         committee, dag, proposals, prime, votes = build_vote_fixture()
         # voter 0 equivocates in the decision round with a non-voting variant
-        twin = make_block(0, 2, [proposals[x].ref() for x in range(1, 6)], (b"twin",))
+        twin = make_block(0, 2, [proposals[x].ref for x in range(1, 6)], (b"twin",))
         dag.insert(twin)
         supports, blames = tally_votes(dag, 2, proposals[0])
         assert (supports, blames) == (4, 1)
@@ -167,12 +167,32 @@ class TestTally:
     def test_direct_rule_matches_tally_oracles(self):
         committee, dag, proposals, prime, votes = build_vote_fixture()
         committer = Committer(dag, committee, leaders_per_round=6)
-        twin = make_block(0, 2, [proposals[x].ref() for x in range(1, 6)], (b"twin",))
+        twin = make_block(0, 2, [proposals[x].ref for x in range(1, 6)], (b"twin",))
         for _ in range(2):  # the second pass has a decision-round equivocator
             for rank in range(6):
                 slot = LeaderSlot(1, rank)
                 assert committer.try_direct_decide(slot) == direct_decide(dag, slot, committee, 2)
             dag.insert(twin)
+
+
+class TestVerdictObjects:
+    def test_one_object_per_verdict_per_committee(self):
+        """Committers of one committee that reach one verdict get the
+        committee's one object; a different committed digest gets another."""
+        committee = Committee.of_size(6)
+        slot = LeaderSlot(1, 0)  # led by member 1
+
+        def committer(txs):
+            dag = Dag(committee)
+            full_round(dag, committee, 1, txs)
+            full_round(dag, committee, 2)
+            return Committer(dag, committee)
+
+        first, again = (committer(b"x").try_direct_decide(slot) for _ in range(2))
+        other = committer(b"y").try_direct_decide(slot)
+        assert first.verdict is other.verdict is Verdict.COMMIT
+        assert again is first
+        assert other is not first and other.block != first.block
 
 
 class TestStakeSplit:
@@ -239,9 +259,9 @@ class TestLinearize:
         leader = dag.first_block_by(0, 3)
         emitted = {b.digest for b in dag.blocks_at_round(0)}
         emitted |= {b.digest for b in dag.blocks_at_round(1)}
-        out = linearize_sub_dags([leader.ref()], dag, emitted)
+        out = linearize_sub_dags([leader.ref], dag, emitted)
         # all round-2 parents first (in parent order), the leader last
-        assert out[-1] == leader.ref()
+        assert out[-1] == leader.ref
         assert [r.round for r in out] == [2] * 6 + [3]
         assert [r.author for r in out[:-1]] == list(range(6))
 
@@ -250,10 +270,10 @@ class TestLinearize:
         first = dag.first_block_by(0, 2)
         second = dag.first_block_by(1, 2)
         emitted = {b.digest for b in dag.blocks_at_round(0)}
-        out = linearize_sub_dags([first.ref(), second.ref()], dag, emitted)
+        out = linearize_sub_dags([first.ref, second.ref], dag, emitted)
         assert len(out) == len({r.digest for r in out})
         # the second batch adds only the second leader itself
-        assert out[-1] == second.ref()
+        assert out[-1] == second.ref
         assert [r.digest for r in out].count(first.digest) == 1
 
     def test_linear_chain_oldest_first(self):
@@ -265,14 +285,14 @@ class TestLinearize:
         emitted = {b.digest for b in dag.blocks_at_round(0)}
         emitted |= {b.digest for b in dag.blocks_at_round(1) if b.author != 0}
         emitted |= {b.digest for b in dag.blocks_at_round(2) if b.author != 0}
-        out = linearize_sub_dags([b3.ref()], dag, emitted)
-        assert out == [b1.ref(), b2.ref(), b3.ref()]
+        out = linearize_sub_dags([b3.ref], dag, emitted)
+        assert out == [b1.ref, b2.ref, b3.ref]
 
 
 class TestExtendCommitSequence:
     def decisions(self, dag):
-        a = dag.first_block_by(0, 1).ref()
-        b = dag.first_block_by(1, 1).ref()
+        a = dag.first_block_by(0, 1).ref
+        b = dag.first_block_by(1, 1).ref
         return a, b
 
     def test_stops_at_first_undecided(self):
@@ -324,7 +344,7 @@ class TestTryDecideOnEmptyDag:
 
 def test_trace_format():
     committee, dag = chain_dag()
-    a = dag.first_block_by(0, 1).ref()
+    a = dag.first_block_by(0, 1).ref
     seq = [
         SlotDecision(LeaderSlot(1, 0), Verdict.COMMIT, a),
         SlotDecision(LeaderSlot(1, 1), Verdict.SKIP),

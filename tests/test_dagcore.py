@@ -1,5 +1,6 @@
 """Block validity, DAG storage, and the deterministic vote traversal."""
 
+import struct
 from dataclasses import replace
 
 import pytest
@@ -37,7 +38,7 @@ from oracles import dump_dag, equivocation_of, insert_outcome, is_vote, link, ru
 
 def full_round(dag, committee, r, txs=b""):
     """One block per member at round r referencing every round r-1 block."""
-    parents = [dag.first_block_by(a, r - 1).ref() for a in sorted(dag.authors_at_round(r - 1))]
+    parents = [dag.first_block_by(a, r - 1).ref for a in sorted(dag.authors_at_round(r - 1))]
     blocks = []
     for m in committee.members:
         b = make_block(m, r, parents, (txs,) if txs else ())
@@ -73,7 +74,7 @@ class TestCommittee:
 class TestValidateBlock:
     def test_five_distinct_parents_ok(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         validate_block(make_block(0, 2, parents), committee)
 
     def test_genesis_has_no_parents(self, committee):
@@ -82,13 +83,13 @@ class TestValidateBlock:
 
     def test_four_parents_insufficient(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(4)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(4)]
         with pytest.raises(InsufficientParents):
             validate_block(make_block(0, 2, parents), committee)
 
     def test_bad_tag_rejected(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         forged = Block(0, 2, tuple(parents), (), None, auth_tag_for(3))
         with pytest.raises(BadSignature):
             validate_block(forged, committee)
@@ -96,7 +97,7 @@ class TestValidateBlock:
     def test_forged_copy_does_not_poison_the_honest_block(self, committee, dag):
         # the digest leaves out the tag: a forged copy shares the honest digest
         full_round(dag, committee, 1)
-        parents = tuple(dag.first_block_by(a, 1).ref() for a in range(5))
+        parents = tuple(dag.first_block_by(a, 1).ref for a in range(5))
         honest = make_block(0, 2, parents)
         forged = Block(0, 2, parents, (), None, auth_tag_for(3))
         assert forged.digest == honest.digest
@@ -113,14 +114,14 @@ class TestValidateBlock:
     def test_wrong_parent_round(self, committee, dag):
         full_round(dag, committee, 1)
         full_round(dag, committee, 2)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(4)]
-        parents.append(dag.first_block_by(5, 2).ref())
+        parents = [dag.first_block_by(a, 1).ref for a in range(4)]
+        parents.append(dag.first_block_by(5, 2).ref)
         with pytest.raises(WrongParentRound):
             validate_block(make_block(0, 3, parents), committee)
 
     def test_duplicate_parent_author(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         parents.append(parents[0])
         with pytest.raises(DuplicateParentAuthor):
             validate_block(make_block(0, 2, parents), committee)
@@ -128,7 +129,7 @@ class TestValidateBlock:
     def test_async_blocks_need_bound_coin_share(self):
         committee = Committee.of_size(6, Mode.ASYNC)
         dag = Dag(committee)
-        parents = [dag.first_block_by(a, 0).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 0).ref for a in range(5)]
         with pytest.raises(MissingCoinShare):
             validate_block(make_block(0, 1, parents), committee)
         with pytest.raises(MissingCoinShare):
@@ -144,18 +145,18 @@ class TestInsert:
 
     def test_missing_ancestors_reported(self, committee, dag):
         full_round(dag, committee, 1)
-        orphan_parent = make_block(0, 1, [g.ref() for g in genesis_blocks(committee)], (b"x",))
-        child = make_block(1, 2, [orphan_parent.ref()] + [
-            dag.first_block_by(a, 1).ref() for a in range(1, 5)
+        orphan_parent = make_block(0, 1, [g.ref for g in genesis_blocks(committee)], (b"x",))
+        child = make_block(1, 2, [orphan_parent.ref] + [
+            dag.first_block_by(a, 1).ref for a in range(1, 5)
         ])
         outcome = dag.insert(child)
         assert outcome.status is InsertStatus.MISSING_ANCESTORS
-        assert outcome.missing == (orphan_parent.ref(),)
-        assert child.ref() not in dag
+        assert outcome.missing == (orphan_parent.ref,)
+        assert child.ref not in dag
 
     def test_equivocation_indexed_on_second_insert(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         one = make_block(2, 2, parents, (b"a",))
         two = make_block(2, 2, parents, (b"b",))
         dag.insert(one)
@@ -167,7 +168,7 @@ class TestInsert:
 
     def test_three_equivocations_report_lowest_two(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         blocks = [make_block(2, 2, parents, (bytes([i]),)) for i in range(3)]
         for b in blocks:
             dag.insert(b)
@@ -177,7 +178,7 @@ class TestInsert:
 
     def test_author_index_follows_stored_blocks(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         low, high = sorted(
             (make_block(2, 2, parents, (b"a",)), make_block(2, 2, parents, (b"b",))),
             key=lambda b: b.digest,
@@ -224,13 +225,13 @@ class TestStructuralFloor:
     `validate_block`."""
 
     def test_a_repeated_parent_author_fails_the_assert(self, committee, dag):
-        parents = [g.ref() for g in genesis_blocks(committee)][:5]
+        parents = [g.ref for g in genesis_blocks(committee)][:5]
         block = make_block(0, 1, parents + parents[:1])
         with pytest.raises(AssertionError):
             dag.insert(block)
 
     def test_fewer_than_a_strong_quorum_of_parents_fails_the_assert(self, committee, dag):
-        parents = [g.ref() for g in genesis_blocks(committee)][:4]
+        parents = [g.ref for g in genesis_blocks(committee)][:4]
         with pytest.raises(AssertionError):
             dag.insert(make_block(0, 1, parents))
 
@@ -242,7 +243,7 @@ class TestParentPresence:
 
     @staticmethod
     def round_one(committee):
-        return [make_block(a, 1, [g.ref() for g in genesis_blocks(committee)]) for a in range(6)]
+        return [make_block(a, 1, [g.ref for g in genesis_blocks(committee)]) for a in range(6)]
 
     def dag_holding_round_one_but(self, committee, absent):
         dag = Dag(committee)
@@ -250,7 +251,7 @@ class TestParentPresence:
         for i, b in enumerate(round1):
             if i not in absent:
                 assert dag.insert(b).status is InsertStatus.INSERTED
-        return dag, [b.ref() for b in round1]
+        return dag, [b.ref for b in round1]
 
     @pytest.mark.parametrize("position", [0, 2, 5], ids=["first", "middle", "last"])
     def test_one_missing_parent_is_reported(self, committee, position):
@@ -259,7 +260,7 @@ class TestParentPresence:
         outcome = dag.insert(block)
         assert outcome.status is InsertStatus.MISSING_ANCESTORS
         assert outcome.missing == (refs[position],)
-        assert block.ref() not in dag
+        assert block.ref not in dag
 
     def test_a_block_at_the_floor_needs_no_parents(self, committee):
         dag, refs = self.dag_holding_round_one_but(committee, set())
@@ -278,8 +279,8 @@ class TestParentPresence:
         round1 = self.round_one(committee)
         for b in round1:
             assert dag.insert(replace(b)).status is InsertStatus.INSERTED
-        assert all(dag.get(b.ref()) is not b for b in round1)
-        child = make_block(0, 2, [b.ref() for b in round1])
+        assert all(dag.get(b.ref) is not b for b in round1)
+        child = make_block(0, 2, [b.ref for b in round1])
         assert dag.insert(child).status is InsertStatus.INSERTED
         assert dag.insert(replace(child)).status is InsertStatus.DUPLICATE
 
@@ -313,7 +314,7 @@ class TestParentPresence:
             if b not in absent:
                 dag.insert(b)
         dag.prune(floor)
-        block = make_block(0, r, [p.ref() for p in parents], (b"probe",))
+        block = make_block(0, r, [p.ref for p in parents], (b"probe",))
         for _ in range(2):
             want = insert_outcome(dag, block)
             outcome = dag.insert(block)
@@ -329,7 +330,7 @@ class TestQuorumStamp:
         assert dag.quorum_stamp == dag.quorum_stamps[0] == len(dag) == committee.size
 
     def test_stamp_appears_at_the_strong_quorum(self, committee, dag):
-        parents = [dag.first_block_by(a, 0).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 0).ref for a in range(5)]
         for author in range(4):  # 4f authors
             dag.insert(make_block(author, 1, parents))
         assert len(dag.authors_at_round(1)) == 4 * committee.f
@@ -343,7 +344,7 @@ class TestQuorumStamp:
 
     def test_forked_version_at_a_quorate_round_moves_the_stamp(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         for author in range(5):
             dag.insert(make_block(author, 2, parents, (b"a",)))
         stamp = dag.quorum_stamps[2]
@@ -352,7 +353,7 @@ class TestQuorumStamp:
         assert len(dag.authors_at_round(2)) == 5
         assert dag.quorum_stamp == dag.quorum_stamps[2] == len(dag) == stamp + 1
         # a fork below the quorum stamps nothing
-        above = [dag.first_block_by(a, 2).ref() for a in range(5)]
+        above = [dag.first_block_by(a, 2).ref for a in range(5)]
         for txs in (b"a", b"b"):
             dag.insert(make_block(0, 3, above, (txs,)))
         assert list(dag.equivocators(3)) == [0]
@@ -364,7 +365,7 @@ class TestCommitteeMemo:
     def test_ancestors_of_an_unknown_ref_raise_after_a_sibling_cached_them(self, committee):
         holder = Dag(committee)
         round1 = full_round(holder, committee, 1)
-        top = full_round(holder, committee, 2)[0].ref()
+        top = full_round(holder, committee, 2)[0].ref
         assert holder.ancestors_at_round(top, 1) == {b.digest for b in round1}
         sibling = Dag(committee)
         full_round(sibling, committee, 1)
@@ -400,7 +401,7 @@ class TestPrune:
 
     def test_rounds_below_the_floor_are_dropped(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [b.ref() for b in genesis_blocks(committee)]
+        parents = [b.ref for b in genesis_blocks(committee)]
         dag.insert(make_block(2, 1, parents, (b"fork",)))
         for r in (2, 3, 4):
             full_round(dag, committee, r)
@@ -416,10 +417,10 @@ class TestPrune:
     def test_intake_around_the_floor(self, committee, dag):
         for r in (1, 2, 3):
             full_round(dag, committee, r)
-        round1 = [dag.first_block_by(a, 1).ref() for a in range(5)]
-        round2 = [dag.first_block_by(a, 2).ref() for a in range(5)]
+        round1 = [dag.first_block_by(a, 1).ref for a in range(5)]
+        round2 = [dag.first_block_by(a, 2).ref for a in range(5)]
         dag.prune(2)
-        below = make_block(0, 2 - 1, [b.ref() for b in genesis_blocks(committee)][:5], (b"x",))
+        below = make_block(0, 2 - 1, [b.ref for b in genesis_blocks(committee)][:5], (b"x",))
         assert dag.insert(below).status is InsertStatus.BELOW_FLOOR
         at = make_block(1, 2, round1, (b"late",))  # its parents are gone
         assert dag.insert(at).status is InsertStatus.INSERTED
@@ -480,29 +481,29 @@ class TestPrune:
 class TestLink:
     def test_self_link(self, committee, dag):
         g = dag.first_block_by(0, 0)
-        assert link(dag, g.ref(), g.ref())
+        assert link(dag, g.ref, g.ref)
 
     def test_direct_parent(self, committee, dag):
         (b, *_) = full_round(dag, committee, 1)
         g = dag.first_block_by(0, 0)
-        assert link(dag, g.ref(), b.ref())
+        assert link(dag, g.ref, b.ref)
 
     def test_edges_point_downward_only(self, committee, dag):
         (b, *_) = full_round(dag, committee, 1)
         g = dag.first_block_by(0, 0)
-        assert not link(dag, b.ref(), g.ref())
+        assert not link(dag, b.ref, g.ref)
 
     def test_unknown_block_raises(self, committee, dag):
         phantom = BlockRef(0, 9, b"\x00" * 16)
         with pytest.raises(UnknownBlockError):
-            link(dag, phantom, dag.first_block_by(0, 0).ref())
+            link(dag, phantom, dag.first_block_by(0, 0).ref)
 
     def test_transitive(self, committee, dag):
         full_round(dag, committee, 1)
         full_round(dag, committee, 2)
         (b3, *_) = full_round(dag, committee, 3)
         g = dag.first_block_by(4, 0)
-        assert link(dag, g.ref(), b3.ref())
+        assert link(dag, g.ref, b3.ref)
 
 
 def build_vote_fixture():
@@ -513,7 +514,7 @@ def build_vote_fixture():
     """
     committee = Committee.of_size(6)
     dag = Dag(committee)
-    genesis = {g.author: g.ref() for g in genesis_blocks(committee)}
+    genesis = {g.author: g.ref for g in genesis_blocks(committee)}
     proposals = {}
     for a in committee.members:
         p = make_block(a, 1, [genesis[x] for x in sorted(genesis)], (b"p",))
@@ -523,10 +524,10 @@ def build_vote_fixture():
     dag.insert(prime)
     votes = {}
     for a in range(5):
-        v = make_block(a, 2, [proposals[x].ref() for x in range(5)], (b"v",))
+        v = make_block(a, 2, [proposals[x].ref for x in range(5)], (b"v",))
         dag.insert(v)
         votes[a] = v
-    v5_parents = [prime.ref()] + [proposals[x].ref() for x in range(2, 6)]
+    v5_parents = [prime.ref] + [proposals[x].ref for x in range(2, 6)]
     votes[5] = make_block(5, 2, v5_parents, (b"v",))
     dag.insert(votes[5])
     return committee, dag, proposals, prime, votes
@@ -535,36 +536,36 @@ def build_vote_fixture():
 class TestIsVote:
     def test_votes_follow_references(self):
         _, dag, proposals, prime, votes = build_vote_fixture()
-        assert is_vote(dag, votes[0].ref(), proposals[0].ref())
-        assert not is_vote(dag, votes[5].ref(), proposals[0].ref())
-        assert is_vote(dag, votes[5].ref(), prime.ref())
-        assert not is_vote(dag, votes[5].ref(), proposals[1].ref())
+        assert is_vote(dag, votes[0].ref, proposals[0].ref)
+        assert not is_vote(dag, votes[5].ref, proposals[0].ref)
+        assert is_vote(dag, votes[5].ref, prime.ref)
+        assert not is_vote(dag, votes[5].ref, proposals[1].ref)
 
     def test_direct_reference_agrees_with_link(self):
         _, dag, proposals, prime, votes = build_vote_fixture()
         for vote in votes.values():
             for target in list(proposals.values()) + [prime]:
-                assert is_vote(dag, vote.ref(), target.ref()) == link(
-                    dag, target.ref(), vote.ref()
+                assert is_vote(dag, vote.ref, target.ref) == link(
+                    dag, target.ref, vote.ref
                 )
 
     def test_traversal_order_resolves_equivocating_pair(self):
         _, dag, proposals, prime, votes = build_vote_fixture()
         # both paths present: the first parent's subtree wins
-        others = [votes[x].ref() for x in (1, 2, 3)]
-        via_prime = make_block(0, 3, [votes[5].ref(), votes[0].ref()] + others)
+        others = [votes[x].ref for x in (1, 2, 3)]
+        via_prime = make_block(0, 3, [votes[5].ref, votes[0].ref] + others)
         dag.insert(via_prime)
-        assert is_vote(dag, via_prime.ref(), prime.ref())
-        assert not is_vote(dag, via_prime.ref(), proposals[1].ref())
-        via_plain = make_block(1, 3, [votes[0].ref(), votes[5].ref()] + others)
+        assert is_vote(dag, via_prime.ref, prime.ref)
+        assert not is_vote(dag, via_prime.ref, proposals[1].ref)
+        via_plain = make_block(1, 3, [votes[0].ref, votes[5].ref] + others)
         dag.insert(via_plain)
-        assert is_vote(dag, via_plain.ref(), proposals[1].ref())
-        assert not is_vote(dag, via_plain.ref(), prime.ref())
+        assert is_vote(dag, via_plain.ref, proposals[1].ref)
+        assert not is_vote(dag, via_plain.ref, prime.ref)
 
     def test_repeated_queries_are_stable(self):
         _, dag, proposals, _, votes = build_vote_fixture()
-        first = [is_vote(dag, votes[i].ref(), proposals[0].ref()) for i in range(6)]
-        second = [is_vote(dag, votes[i].ref(), proposals[0].ref()) for i in range(6)]
+        first = [is_vote(dag, votes[i].ref, proposals[0].ref) for i in range(6)]
+        second = [is_vote(dag, votes[i].ref, proposals[0].ref) for i in range(6)]
         assert first == second
 
 
@@ -637,9 +638,35 @@ class TestSerialization:
             "01" "00000003" "0000000000000007"
         )
 
+    def test_digests_of_other_lengths_encode_as_they_stand(self):
+        """A parent's digest is appended as it is, whatever its length, on
+        the first encoding that names the ref and on every later one."""
+        parents = (BlockRef(2, 5, b"abc"), BlockRef(7, 5, bytes(range(20))), BlockRef(9, 5, b""))
+        expected = (
+            "00000001" "0000000000000006" "00000003"
+            "00000002" "0000000000000005" "616263"
+            "00000007" "0000000000000005" "000102030405060708090a0b0c0d0e0f10111213"
+            "00000009" "0000000000000005"
+            "00000000" "00"
+        )
+        for _ in range(2):
+            assert encode_block_body(1, 6, parents, (), None).hex() == expected
+
+    def test_a_malformed_ref_constructs_and_fails_when_encoded(self, committee, dag):
+        full_round(dag, committee, 1)
+        good = [dag.first_block_by(a, 1).ref for a in range(4)]
+        digest = dag.first_block_by(4, 1).digest
+        bad = BlockRef("1", 1, digest)
+        assert bad.piece is None
+        with pytest.raises(struct.error):
+            make_block(0, 2, good + [bad])
+        assert bad.piece is None
+        # the refs encoded before the bad one keep their pieces
+        assert all(ref.piece is not None for ref in good)
+
     def test_roundtrip(self, committee, dag):
         full_round(dag, committee, 1)
-        parents = [dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
         block = make_block(3, 2, parents, (b"tx-1", b""), CoinShare(3, 2))
         again = decode_block(block.encode())
         assert again == block
@@ -667,16 +694,37 @@ class TestSerialization:
         assert len(fields) == 3 + 6  # six parent digests
 
 
+class TestBlockRef:
+    def test_a_block_holds_one_ref_built_with_it(self):
+        block = make_block(2, 0, (), (b"x",))
+        assert block.ref is block.ref
+        assert block.ref == BlockRef(2, 0, block.digest)
+        assert block.ref.piece is None  # filled by the first body that names it
+
+    def test_the_cached_piece_leaves_equality_hashing_and_order_alone(self):
+        digest = bytes(range(16))
+        named, fresh = BlockRef(1, 2, digest), BlockRef(1, 2, digest)
+        encode_block_body(0, 3, (named,), (), None)
+        assert named.piece == bytes.fromhex("00000001" "0000000000000002") + digest
+        assert fresh.piece is None
+        assert named == fresh and hash(named) == hash(fresh)
+        assert not named < fresh and not fresh < named
+        assert {named: 1}[fresh] == 1
+        above = BlockRef(1, 2, bytes(range(1, 17)))
+        assert named < above and fresh < above
+        assert repr(named) == repr(fresh)
+
+
 class TestPendingPool:
     def test_cascading_release(self, committee):
         dag = Dag(committee)
         pool = PendingPool()
         r1 = [
-            make_block(a, 1, [g.ref() for g in genesis_blocks(committee)])
+            make_block(a, 1, [g.ref for g in genesis_blocks(committee)])
             for a in committee.members
         ]
-        r2 = make_block(0, 2, [b.ref() for b in r1[:5]])
-        pool.add(r2, [b.ref() for b in r1[:5]], "v1", 0)
+        r2 = make_block(0, 2, [b.ref for b in r1[:5]])
+        pool.add(r2, [b.ref for b in r1[:5]], "v1", 0)
         for b in r1[:4]:
             dag.insert(b)
             assert pool.satisfy(b.digest) == []

@@ -51,7 +51,7 @@ def build_fixture():
                          (4, OMIT_AT_ROUND_4), (5, OMIT_AT_ROUND_5)):
         for a in committee.members:
             parents = [
-                blocks[(p, r - 1)].ref()
+                blocks[(p, r - 1)].ref
                 for p in committee.members
                 if omissions is None or omissions[a] != p
             ]
@@ -90,15 +90,15 @@ def test_decisions_match_reference(fixture):
     assert by_slot[LeaderSlot(2, 0)].verdict is Verdict.SKIP  # L0a
     l0b = by_slot[LeaderSlot(2, 1)]
     assert l0b.verdict is Verdict.COMMIT
-    assert l0b.block == blocks[(3, 2)].ref()
+    assert l0b.block == blocks[(3, 2)].ref
     l1a = by_slot[LeaderSlot(3, 0)]
     assert l1a.verdict is Verdict.COMMIT
-    assert l1a.block == blocks[(3, 3)].ref()
+    assert l1a.block == blocks[(3, 3)].ref
     assert LeaderSlot(3, 1) not in by_slot  # L1b
     assert by_slot[LeaderSlot(4, 0)].verdict is Verdict.SKIP  # L2a
     l2b = by_slot[LeaderSlot(4, 1)]
     assert l2b.verdict is Verdict.COMMIT
-    assert l2b.block == blocks[(5, 4)].ref()
+    assert l2b.block == blocks[(5, 4)].ref
     for slot in (LeaderSlot(5, 0), LeaderSlot(5, 1)):
         assert slot not in by_slot
     # the memo-free full walk reaches the same verdicts
@@ -131,21 +131,21 @@ def test_anchor_passes_over_skipped_slot(fixture):
     later = [d for d in decide_all(dag, committee, 2) if d.slot.round > 2]
     # the anchored weak certificate commits L0b and rejects L0a
     l0b = committer.try_indirect_decide(LeaderSlot(2, 1), later)
-    assert l0b.verdict is Verdict.COMMIT and l0b.block == blocks[(3, 2)].ref()
+    assert l0b.verdict is Verdict.COMMIT and l0b.block == blocks[(3, 2)].ref
     l0a = committer.try_indirect_decide(LeaderSlot(2, 0), later)
     assert l0a.verdict is Verdict.SKIP
 
 
 def test_anchored_weak_certificate_members(fixture):
     committee, dag, blocks = fixture
-    anchor = blocks[(5, 4)].ref()  # L2b
+    anchor = blocks[(5, 4)].ref  # L2b
     assert anchored_supports(dag, 3, blocks[(3, 2)], anchor) >= committee.weak_quorum
     assert anchored_supports(dag, 3, blocks[(2, 2)], anchor) < committee.weak_quorum
     # the cited certificate blocks are all linked from the anchor
     linked = dag.ancestors_at_round(anchor, 3)
     for voter in (0, 1, 2):
         assert blocks[(voter, 3)].digest in linked
-        assert is_vote(dag, blocks[(voter, 3)].ref(), blocks[(3, 2)].ref())
+        assert is_vote(dag, blocks[(voter, 3)].ref, blocks[(3, 2)].ref)
 
 
 def test_commit_sequence_and_linearization(fixture):
@@ -158,19 +158,19 @@ def test_commit_sequence_and_linearization(fixture):
         (2, 1, "commit"),
         (3, 0, "commit"),
     ]
-    assert committed_leaders(committer)[-2:] == [blocks[(3, 2)].ref(), blocks[(3, 3)].ref()]
+    assert committed_leaders(committer)[-2:] == [blocks[(3, 2)].ref, blocks[(3, 3)].ref]
 
     emitted = {b.digest for (a, r), b in blocks.items() if r < 2}
     tail = linearize_sub_dags(
-        [blocks[(3, 2)].ref(), blocks[(3, 3)].ref()], dag, emitted
+        [blocks[(3, 2)].ref, blocks[(3, 3)].ref], dag, emitted
     )
     expected = [
-        blocks[(3, 2)].ref(),  # L0b alone: its history is already delivered
-        blocks[(0, 2)].ref(),
-        blocks[(1, 2)].ref(),
-        blocks[(4, 2)].ref(),
-        blocks[(5, 2)].ref(),
-        blocks[(3, 3)].ref(),  # L1a closes its own batch
+        blocks[(3, 2)].ref,  # L0b alone: its history is already delivered
+        blocks[(0, 2)].ref,
+        blocks[(1, 2)].ref,
+        blocks[(4, 2)].ref,
+        blocks[(5, 2)].ref,
+        blocks[(3, 3)].ref,  # L1a closes its own batch
     ]
     assert tail == expected
 
@@ -212,6 +212,6 @@ def test_vote_equals_link_for_adjacent_rounds(fixture):
             for (b, rb), newer in blocks.items():
                 if rb != r + 1:
                     continue
-                assert is_vote(dag, newer.ref(), older.ref()) == link(
-                    dag, older.ref(), newer.ref()
+                assert is_vote(dag, newer.ref, older.ref) == link(
+                    dag, older.ref, newer.ref
                 )

@@ -72,7 +72,7 @@ def make_guard(me=0, committee=None):
 
 def full_round_blocks(dag, committee, r, payload=b"t"):
     parents = [
-        dag.first_block_by(a, r - 1).ref() for a in sorted(dag.authors_at_round(r - 1))
+        dag.first_block_by(a, r - 1).ref for a in sorted(dag.authors_at_round(r - 1))
     ]
     return [make_block(a, r, parents, (payload,)) for a in committee.members]
 
@@ -112,7 +112,7 @@ class TestLivenessAccounting:
     def test_equivocating_block_not_considered(self):
         g = make_guard()
         feed_round(g, 1, now=100)
-        parents = [g.dag.first_block_by(a, 1).ref() for a in range(5)]
+        parents = [g.dag.first_block_by(a, 1).ref for a in range(5)]
         one = make_block(2, 2, parents, (b"a",))
         two = make_block(2, 2, parents, (b"b",))
         deliver(g, [one], "v2", 200)
@@ -125,16 +125,16 @@ class TestLivenessAccounting:
     def test_only_a_timely_first_version_is_echoed(self):
         g = make_guard()
         blocks, _ = feed_round(g, 1, authors=(0, 1, 2, 3, 4), now=100)
-        stored = [b.ref() for b in blocks[:5]]
+        stored = [b.ref for b in blocks[:5]]
         # timely first version, parked on author 5's undelivered block
-        parked = make_block(2, 2, stored[:4] + [blocks[5].ref()], (b"parked",))
+        parked = make_block(2, 2, stored[:4] + [blocks[5].ref], (b"parked",))
         sibling = make_block(2, 2, stored, (b"sibling",))
         assert echoed(deliver(g, [parked], "v2", 150)) == [parked]
-        assert parked.ref() not in g.dag
+        assert parked.ref not in g.dag
         assert 2 in g.seen[2] and 2 not in g.asleep(2)
         assert echoed(deliver(g, [sibling], "v2", 160)) == []
         assert echoed(deliver(g, [blocks[5]], "v5", 170)) == [blocks[5]]
-        assert parked.ref() in g.dag and 2 in g.dag.equivocators(2)
+        assert parked.ref in g.dag and 2 in g.dag.equivocators(2)
         assert echoed(deliver(g, [parked], "g1", 180)) == []
         # late first version: the accounting clock passed round 2 meanwhile
         g.now_round = 3
@@ -204,7 +204,7 @@ class TestLivenessAccounting:
     def test_voters_of_either_fork_are_not_blamed(self):
         g = make_guard()
         feed_round(g, 1, now=100)
-        parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
+        parents = [g.dag.first_block_by(a, 1).ref for a in range(6)]
         # leader of round 1 rank 0 (validator 1) equivocates
         fork_a = make_block(1, 2, parents, (b"fa",))
         fork_b = make_block(1, 2, parents, (b"fb",))
@@ -212,10 +212,10 @@ class TestLivenessAccounting:
         deliver(g, [fork_b], "v1", 151)
         for a in (0, 2, 3, 4, 5):
             deliver(g, [make_block(a, 2, parents, (b"r2",))], f"v{a}", 150)
-        base = {x: g.dag.first_block_by(x, 2).ref() for x in range(6)}
+        base = {x: g.dag.first_block_by(x, 2).ref for x in range(6)}
         for a in range(6):
             chosen = dict(base)
-            chosen[1] = fork_a.ref() if a in (0, 2) else fork_b.ref()
+            chosen[1] = fork_a.ref if a in (0, 2) else fork_b.ref
             vote = make_block(a, 3, [chosen[x] for x in sorted(chosen)], (b"v",))
             deliver(g, [vote], f"v{a}", 200)
         actions = g.on_timer("g-live:3", 5000)
@@ -291,18 +291,18 @@ def build_conflict_guard():
     committee = Committee.of_size(6)
     g = make_guard(0, committee)
     feed_round(g, 1, now=10)
-    parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
+    parents = [g.dag.first_block_by(a, 1).ref for a in range(6)]
     for a in (0, 1, 3, 4, 5):
         deliver(g, [make_block(a, 2, parents, (b"r2",))], f"v{a}", 19)
     block_b = make_block(2, 2, parents, (b"fork-b",))
     block_p = make_block(2, 2, parents, (b"fork-p",))
     deliver(g, [block_b], "v2", 20)
     deliver(g, [block_p], "v2", 21)
-    base = {a: g.dag.first_block_by(a, 2).ref() for a in g.dag.authors_at_round(2)}
+    base = {a: g.dag.first_block_by(a, 2).ref for a in g.dag.authors_at_round(2)}
 
     def vote(author, target, tag):
         chosen = dict(base)
-        chosen[2] = target.ref()
+        chosen[2] = target.ref
         parents3 = [chosen[a] for a in sorted(chosen)]
         block = make_block(author, 3, parents3, (tag,))
         deliver(g, [block], f"v{author}", 30)
@@ -316,20 +316,20 @@ def build_conflict_guard():
 class TestCheckEquivocation:
     def own_commit(self, g, block_b):
         slot = LeaderSlot(2, 0)
-        assert g.committer.sequenced(slot) == SlotDecision(slot, Verdict.COMMIT, block_b.ref())
+        assert g.committer.sequenced(slot) == SlotDecision(slot, Verdict.COMMIT, block_b.ref)
         return slot
 
     def test_overlap_of_double_voters(self):
         g, committee, block_b, block_p, *_ = build_conflict_guard()
         slot = self.own_commit(g, block_b)
-        bs = g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_p.ref()))
+        bs = g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_p.ref))
         assert bs.kind == SAFETY and bs.members == {1, 2, 3, 4}
         assert is_valid_blameset(bs, committee, GUARDS)
 
     def test_no_conflict_returns_none(self):
         g, committee, block_b, *_ = build_conflict_guard()
         slot = self.own_commit(g, block_b)
-        assert g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_b.ref())) is None
+        assert g.check_equivocation(SlotDecision(slot, Verdict.COMMIT, block_b.ref)) is None
         assert g.check_equivocation(SlotDecision(LeaderSlot(2, 1), Verdict.SKIP)) is None
 
     def test_commit_versus_skip_conflict(self):
@@ -344,7 +344,7 @@ class TestCheckEquivocation:
         g, committee, block_b, block_p, *_ = build_conflict_guard()
         g.recovery_input = g.session = None  # forget the pair scan's recovery
         slot = self.own_commit(g, block_b)
-        claims = (SlotDecision(slot, Verdict.COMMIT, block_p.ref()),)
+        claims = (SlotDecision(slot, Verdict.COMMIT, block_p.ref),)
         actions = g.on_remote_update(CoreUpdateMsg(1, claims, update_tag(1, claims)), 40)
         assert g.recovery_input.to_text() == g.check_equivocation(claims[0]).to_text()
         assert any(isinstance(a, Broadcast) and isinstance(a.payload, AgreementRelay) for a in actions)
@@ -358,7 +358,7 @@ class TestCheckEquivocation:
         slot = LeaderSlot(1, 0)
         assert g.committer.sequenced(slot) is None
         leader = round1[leader_of(slot, committee)]
-        claims = (SlotDecision(slot, Verdict.COMMIT, leader.ref()),)
+        claims = (SlotDecision(slot, Verdict.COMMIT, leader.ref),)
         assert g.on_remote_update(CoreUpdateMsg(1, claims, update_tag(1, claims)), 15) == []
         assert g.remote_claims == {slot: {leader.digest: claims[0]}}
         feed_round(g, 2, now=20)
@@ -391,7 +391,7 @@ def spy_resolve(g):
 def forked_round_three(g, fork_a, round2, authors, tag=b"r3"):
     """Two round-3 versions by each of `authors`, both voting for `fork_a`,
     so none of them straddles a fork of `fork_a`'s author."""
-    parents = [b.ref() for b in round2] + [fork_a.ref()]
+    parents = [b.ref for b in round2] + [fork_a.ref]
     for a in authors:
         versions = [make_block(a, 3, parents, (tag, bytes([i]))) for i in range(2)]
         deliver(g, versions, f"v{a}", 25)
@@ -404,7 +404,7 @@ class TestSafetyScan:
 
     def round_two(self, g):
         feed_round(g, 1, now=10)
-        parents = [g.dag.first_block_by(a, 1).ref() for a in range(6)]
+        parents = [g.dag.first_block_by(a, 1).ref for a in range(6)]
         round2 = [make_block(a, 2, parents, (b"r2",)) for a in (0, 1, 3, 4, 5)]
         deliver(g, round2, "v0", 19)
         return parents, round2
@@ -424,7 +424,7 @@ class TestSafetyScan:
         g.flush(28)
         assert calls == [(2, 2)]
         # a round-3 block may double-vote, so the key is scanned again
-        vote = make_block(3, 3, [b.ref() for b in round2] + [fork_a.ref()], (b"r3",))
+        vote = make_block(3, 3, [b.ref for b in round2] + [fork_a.ref], (b"r3",))
         deliver(g, [vote], "v3", 30)
         assert calls == [(2, 2), (2, 2)]
         assert g.recovery_input is None
@@ -432,20 +432,20 @@ class TestSafetyScan:
     def test_key_with_a_parked_version_is_not_memoized(self):
         g = make_guard(0)
         parents, round2 = self.round_two(g)
-        genesis = [b.ref() for b in g.dag.blocks_at_round(0)]
+        genesis = [b.ref for b in g.dag.blocks_at_round(0)]
         hidden = make_block(5, 1, genesis, (b"hidden",))  # not yet delivered
         fork_a = make_block(2, 2, parents, (b"fork-a",))
-        fork_b = make_block(2, 2, parents[:5] + [hidden.ref()], (b"fork-b",))
+        fork_b = make_block(2, 2, parents[:5] + [hidden.ref], (b"fork-b",))
         deliver(g, [fork_a], "v2", 20)
         forked_round_three(g, fork_a, round2, (0, 1))
         calls = spy_resolve(g)
         deliver(g, [fork_b], "v2", 26)  # parked: its parent `hidden` is missing
-        assert fork_b.ref() not in g.dag
+        assert fork_b.ref not in g.dag
         assert calls == []
         # the key is a fork of the replica, and so scanned, once the parked
         # version is stored
         deliver(g, [hidden], "v5", 27)
-        assert fork_b.ref() in g.dag
+        assert fork_b.ref in g.dag
         assert (2, 2) in calls
 
     def test_a_fork_without_f_plus_1_forked_authors_next_round_is_not_resolved(self):
@@ -509,7 +509,7 @@ class TestUpdateCheckedOnce:
         claims = (mine,)
         assert guard_intake(g, CoreUpdateMsg(1, claims, update_tag(1, claims))) == []
         assert checked == [] and g.recovery_input is None
-        conflict = (SlotDecision(mine.slot, Verdict.COMMIT, block_p.ref()),)
+        conflict = (SlotDecision(mine.slot, Verdict.COMMIT, block_p.ref),)
         actions = guard_intake(g, CoreUpdateMsg(1, conflict, update_tag(1, conflict)))
         assert checked == [conflict[0]] and g.recovery_input is not None
         assert any(isinstance(a, Broadcast) and isinstance(a.payload, AgreementRelay) for a in actions)
@@ -825,7 +825,7 @@ def hostile_message(draw, refs):
     return signed(msg) if draw(st.booleans()) else msg
 
 
-_REFS = [b.ref() for b in build_conflict_guard()[2:4]]  # block_b and block_p
+_REFS = [b.ref for b in build_conflict_guard()[2:4]]  # block_b and block_p
 
 
 def well_formed(claim, ranks):
@@ -867,7 +867,7 @@ _V_VALIDATOR, _, _V_HISTORY = validator_after_a_run()
 _V_FLOOR = _V_VALIDATOR.dag.floor
 _V_ROUNDS = (0, 1, _V_FLOOR - 1, _V_FLOOR, _V_FLOOR + 1, _V_HISTORY.max_round, _V_HISTORY.max_round + 1, 10**6)
 _V_BLOCKS = [b for r in range(_V_HISTORY.max_round + 1) for b in _V_HISTORY.blocks_at_round(r)]
-_V_REFS = [b.ref() for b in _V_BLOCKS] + [BlockRef(1, r, bytes([r % 256]) * 16) for r in _V_ROUNDS]
+_V_REFS = [b.ref for b in _V_BLOCKS] + [BlockRef(1, r, bytes([r % 256]) * 16) for r in _V_ROUNDS]
 
 
 @st.composite
@@ -1107,4 +1107,4 @@ class TestReconfiguration:
         pairs = {a: (votes_b[a], votes_p[a]) for a in (1, 2, 3, 4)}
         proof = SafetyProof(LeaderSlot(2, 0), block_b, block_p, pairs)
         branch = g._canonical_branch(proof)
-        assert branch == block_b.ref()  # five distinct voters back block_b
+        assert branch == block_b.ref  # five distinct voters back block_b

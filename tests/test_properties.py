@@ -73,7 +73,7 @@ class TestVoteOracle:
                 verdict = decided[LeaderSlot(r, rank)]
                 if supports >= committee.strong_quorum:
                     assert verdict.verdict is Verdict.COMMIT
-                    assert verdict.block == candidates[0].ref()
+                    assert verdict.block == candidates[0].ref
                 if blames >= committee.strong_quorum:
                     assert verdict.verdict is Verdict.SKIP
 
@@ -126,7 +126,7 @@ class TestCertificates:
                 continue
             for future_round in (r + 2, r + 3):
                 for block in dag.blocks_at_round(future_round):
-                    linked = dag.ancestors_at_round(block.ref(), r + 1)
+                    linked = dag.ancestors_at_round(block.ref, r + 1)
                     assert len(linked & supporters) >= committee.weak_quorum
 
 
@@ -215,7 +215,7 @@ class TestIncrementalPass:
                         for d in decide_all(full, state.committee, cfg.leaders_per_round, committer.coin)
                         if d.verdict is not Verdict.UNDECIDED
                     }
-                    assert committer.decided_slots() == expected, (cfg.name, block.ref().short())
+                    assert committer.decided_slots() == expected, (cfg.name, block.ref.short())
             assert committer.sequence, cfg.name
 
     def test_fresh_committer_extends_the_live_sequence(self):
@@ -249,7 +249,7 @@ class TestIncrementalPass:
         committer.extend()
         assert committer.sequence
         calls = spy_on_rules(monkeypatch)
-        parents = [dag.first_block_by(a, 3).ref() for a in committee.members]
+        parents = [dag.first_block_by(a, 3).ref for a in committee.members]
         for author in range(4 * committee.f):
             dag.insert(make_block(author, 4, parents))
             committer.extend()

@@ -453,7 +453,7 @@ class TestOutboundCheck:
     def test_forged_block_in_honest_name_is_a_violation(self):
         runner = self.guarded_run()
         genesis = runner.epochs[-1].validators[0].dag.blocks_at_round(0)
-        forged = make_block(0, 1, [b.ref() for b in genesis], (b"forged",))
+        forged = make_block(0, 1, [b.ref for b in genesis], (b"forged",))
         runner.sim.apply_actions("v1", [Send("v2", BlockMsg(forged))], runner.sim.now)
         assert runner.violations == [
             f"forged block {forged.digest.hex()[:8]} in honest name v0 from v1"
@@ -462,7 +462,7 @@ class TestOutboundCheck:
     def test_forged_broadcast_is_one_violation(self):
         runner = self.guarded_run()
         genesis = runner.epochs[-1].validators[0].dag.blocks_at_round(0)
-        forged = make_block(0, 1, [b.ref() for b in genesis], (b"forged",))
+        forged = make_block(0, 1, [b.ref for b in genesis], (b"forged",))
         runner.sim.apply_actions("v1", [Broadcast(BlockMsg(forged))], runner.sim.now)
         assert runner.violations == [
             f"forged block {forged.digest.hex()[:8]} in honest name v0 from v1"
@@ -501,7 +501,7 @@ class TestHostGate:
         v = CrashValidator(0, committee, delta=delta, crash_round=3)
         adapter = ValidatorAdapter(host, v)
         adapter.flush(0)
-        genesis = [b.ref() for b in genesis_blocks(committee)]
+        genesis = [b.ref for b in genesis_blocks(committee)]
         # round 1's leaders are 1 and 2; leader 2 stays away
         for a in (1, 3, 4, 5):
             adapter.deliver(BlockMsg(make_block(a, 1, genesis, (b"t",))), f"v{a}", delta)
@@ -527,7 +527,7 @@ class TestHostGate:
         v = CrashValidator(0, committee, delta=delta, coin=coin, crash_round=3)
         adapter = ValidatorAdapter(host, v)
         adapter.flush(0)
-        genesis = [b.ref() for b in genesis_blocks(committee)]
+        genesis = [b.ref for b in genesis_blocks(committee)]
         for a in (1, 2, 3):
             block = make_block(a, 1, genesis, (b"t",), CoinShare(a, 1))
             adapter.deliver(BlockMsg(block), f"v{a}", delta)
@@ -544,7 +544,7 @@ class TestHostGate:
     def test_silent_guard_receives_but_emits_nothing(self):
         committee = Committee.of_size(6)
         g = SilentGuard(0, committee, guard_count=5, delta=1000)
-        genesis = [b.ref() for b in genesis_blocks(committee)]
+        genesis = [b.ref for b in genesis_blocks(committee)]
         block = make_block(1, 1, genesis, (b"t",))
         assert g.deliver(BlockMsg(block), "v1", 10)  # the guard itself echoes
         assert GuardAdapter(g).deliver(BlockMsg(make_block(2, 1, genesis, ())), "v2", 10) == []

@@ -8,6 +8,7 @@ import pytest
 
 from pentabft.messages import ArmTimer, Broadcast, Send, SyncRequest, SyncResponse
 from pentabft.runner import RunRecord, check_delivery_bounds
+from pentabft import scenarios
 from pentabft.scenarios import ScenarioConfig
 from pentabft.simnet import (
     EVENT_BLOCK_LINES,
@@ -444,3 +445,45 @@ class TestFaultBudget:
         cfg = ScenarioConfig("budget", crash=((9, 5),), beyond_f=True)
         with pytest.raises(BudgetExceeded):
             cfg.validate()
+
+    def test_the_guard_layer_tolerates_fewer_than_three_fifths(self):
+        guarded = dict(guards=5, beyond_f=True)
+        ScenarioConfig("budget", crash=((3, 5), (4, 5), (5, 5)), **guarded).validate()
+        cfg = ScenarioConfig("budget", crash=tuple((v, 5) for v in range(2, 6)), **guarded)
+        with pytest.raises(BudgetExceeded, match="reach 3n/5"):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("equivocate=0;0", "equivocate names validator 0 twice"),
+            ("crash=0@3;0@5", "crash names validator 0 twice"),
+            ("crash=0@3\nequivocate=0", "validator 0 is in both crash and equivocate"),
+            ("withhold=1>0\nequivocate=1", "validator 1 is in both equivocate and withhold"),
+            ("leaders_per_round=1\nsplitview_round=9\nguards=5\nbeyond_f=1\ncrash=4@3",
+             "validator 4 is in both crash and splitview_round"),
+            ("guards=2\nbyz_guards=0:silent;0:bogus-proposal", "byz_guards gives guard 0 two policies"),
+            ("withhold=1>9", "withhold target 9 of validator 1 is not in the committee"),
+            ("tx_per_block=-1", "tx_per_block -1 is negative"),
+            ("tx_size=-1", "tx_size -1 is negative"),
+            ("guards=-1", "guards -1 is negative"),
+            ("extra_vtime=-100000", "extra_vtime -100000 is negative"),
+            ("crash=0@0", "crash round 0 of validator 0 is below 1"),
+            ("crash=0@-1", "crash round -1 of validator 0 is below 1"),
+            ("rounds=0", "rounds 0 is below 2"),
+            ("rounds=-3", "rounds -3 is below 2"),
+            ("rounds=1", "rounds 1 is below 2"),
+        ],
+    )
+    def test_one_strategy_per_node_and_counts_that_mean_something(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_text(text)
+        assert str(err.value) == message
+
+    def test_catalog_and_matrix_configs_validate(self):
+        for name in scenarios.CATALOG:
+            scenarios.by_name(name)
+        for adversary in ("crash", "equivocate", "withhold"):
+            for network in scenarios.NETWORKS:
+                scenarios.adversary_matrix(adversary, network, gst_mid=True)
+                scenarios.adversary_matrix(adversary, network, gst_mid=False)

@@ -43,7 +43,7 @@ def fresh_validator(me=0, committee=None, **kwargs):
 def other_round(committee, r, parents_dag, authors):
     """Blocks by `authors` for round r referencing all round r-1 blocks in parents_dag."""
     parents = [
-        parents_dag.first_block_by(a, r - 1).ref()
+        parents_dag.first_block_by(a, r - 1).ref
         for a in sorted(parents_dag.authors_at_round(r - 1))
     ]
     return [make_block(a, r, parents, (b"t",)) for a in authors]
@@ -168,7 +168,7 @@ class TestOnBlock:
 
         v = fresh_validator()
         v.flush(0)
-        parents = tuple(g.ref() for g in genesis_blocks(v.committee))
+        parents = tuple(g.ref for g in genesis_blocks(v.committee))
         forged = Block(2, 1, parents[:5], (), None, auth_tag_for(4))
         actions = deliver(v, [forged], "v2", DELTA)
         assert actions == []
@@ -198,14 +198,14 @@ class TestOnBlock:
         assert v.ingest_block(forged, "v4", DELTA) == []
         assert len(checked) == 1 and checked[0] is forged
         assert v.invalid_blocks == 1
-        assert v.dag.get(block.ref()) is block
+        assert v.dag.get(block.ref) is block
 
     def test_serves_blocks_above_the_frontier(self):
         v = fresh_validator()
         v.flush(0)
         drive_round(v, 1, now=DELTA)
         drive_round(v, 2, now=2 * DELTA)
-        ref = v.dag.first_block_by(0, 3).ref()
+        ref = v.dag.first_block_by(0, 3).ref
 
         def served(frontier, refs=(ref,)):
             (resp,) = v.on_sync_request(SyncRequest(refs, frontier), "v5")
@@ -216,13 +216,13 @@ class TestOnBlock:
         assert {b.round for b in served((-1,) * 6)} == {0, 1, 2, 3}
         # a peer holding round 1 everywhere gets the request and its parents
         above = served((1,) * 6)
-        assert {b.ref() for b in above} == {ref, *parents}
+        assert {b.ref for b in above} == {ref, *parents}
         # frontier entries are per author, in committee order
         skipped = parents[-1].author
         frontier = tuple(2 if a == skipped else 1 for a in range(6))
-        assert {b.ref() for b in served(frontier)} == {ref, *parents[:-1]}
+        assert {b.ref for b in served(frontier)} == {ref, *parents[:-1]}
         # a requested ref ships even at or below the frontier
-        low = v.dag.first_block_by(4, 1).ref()
+        low = v.dag.first_block_by(4, 1).ref
         assert [b.digest for b in served((3,) * 6, (low, ref))] == [low.digest, ref.digest]
 
     def test_pruned_fork_is_requested_by_name(self):
@@ -233,17 +233,17 @@ class TestOnBlock:
         server = fresh_validator(5, committee)
         requester = fresh_validator(0, committee)
         requester.max_round = 0  # passive: the test drives every block
-        genesis = [b.ref() for b in genesis_blocks(committee)]
+        genesis = [b.ref for b in genesis_blocks(committee)]
         round1 = [make_block(a, 1, genesis, (b"t",)) for a in range(6)]
         fork = make_block(1, 1, genesis, (b"fork",))
         for b in round1 + [fork]:
             server.dag.insert(b)
         deliver(requester, round1, "v1", DELTA)
 
-        held = [b.ref() for b in round1]
-        on_fork = [b.ref() for b in round1 if b.author != 1] + [fork.ref()]
+        held = [b.ref for b in round1]
+        on_fork = [b.ref for b in round1 if b.author != 1] + [fork.ref]
         round2 = [make_block(a, 2, on_fork if a == 2 else held) for a in (0, 2, 3, 4, 5)]
-        top = make_block(3, 3, [b.ref() for b in round2])
+        top = make_block(3, 3, [b.ref for b in round2])
         for b in round2 + [top]:
             server.dag.insert(b)
 
@@ -256,12 +256,12 @@ class TestOnBlock:
         (resp,) = server.on_sync_request(first, "v0")
         assert [b.round for b in resp.payload.blocks] == [2] * 5
         (second,) = sync_requests(deliver(requester, resp.payload.blocks, "v5", 3 * DELTA))
-        assert second.refs == (fork.ref(),)
+        assert second.refs == (fork.ref,)
         (resp,) = server.on_sync_request(second, "v0")
         assert resp.payload.blocks == (fork,)
         assert sync_requests(deliver(requester, resp.payload.blocks, "v5", 4 * DELTA)) == []
         assert len(requester.pending) == 0
-        assert all(b.ref() in requester.dag for b in round1 + [fork] + round2 + [top])
+        assert all(b.ref in requester.dag for b in round1 + [fork] + round2 + [top])
 
 
 class TestSyncRequestTable(SyncRequestTable):
@@ -305,23 +305,23 @@ class TestFloor:
         history = unpruned(v.committee, log[v.dag])
         r = v.dag.floor - 1  # more than PRUNE_DEPTH below the committed prefix
         assert v.committer.sequence[-1].slot.round - r > PRUNE_DEPTH
-        parents = [b.ref() for b in history.blocks_at_round(r - 1)]
+        parents = [b.ref for b in history.blocks_at_round(r - 1)]
         late = make_block(1, r, parents, (b"late",))
         checked = count_validations(monkeypatch, validator)
         assert sync_requests(deliver(v, [late], "v1", 21 * DELTA)) == []
         assert checked == [] and len(v.pending) == 0
         assert not v.dag.contains_digest(late.digest)
         self.driven(21, 30, v)
-        assert late.ref() not in v.committer.delivery_sequence
+        assert late.ref not in v.committer.delivery_sequence
         # neither the late block nor a stored one that was pruned is served
-        pruned = history.first_block_by(1, r).ref()
-        for ref in (late.ref(), pruned):
+        pruned = history.first_block_by(1, r).ref
+        for ref in (late.ref, pruned):
             assert v.on_sync_request(SyncRequest((ref,), (-1,) * 6), "v5") == []
 
     def test_parked_block_leaves_the_pool_once_the_floor_passes_it(self):
         v = self.driven(1, 2)
         missing = BlockRef(1, 2, bytes(16))  # a parent that never arrives
-        parents = [v.dag.first_block_by(a, 2).ref() for a in (0, 2, 3, 4, 5)] + [missing]
+        parents = [v.dag.first_block_by(a, 2).ref for a in (0, 2, 3, 4, 5)] + [missing]
         parked = make_block(1, 3, sorted(parents), (b"parked",))
         (request,) = sync_requests(deliver(v, [parked], "v1", 3 * DELTA))
         assert request.refs == (missing,) and len(v.pending) == 1
@@ -400,7 +400,7 @@ class TestIdleFlush:
         committee = Committee.of_size(6, Mode.ASYNC)
         v = CoreValidator(0, committee, delta=DELTA, coin=CommonCoin(b"seed", committee))
         v.flush(0)
-        genesis = [b.ref() for b in genesis_blocks(committee)]
+        genesis = [b.ref for b in genesis_blocks(committee)]
         round1 = [make_block(a, 1, genesis, (b"t",), CoinShare(a, 1)) for a in (1, 2, 3, 4)]
         seen = []
         real = v.committer.extend
