@@ -762,9 +762,13 @@ def junk():
 
 
 def field_paths(value, prefix=()):
-    """The path to every field of a message, nested ones included."""
+    """The path to every field of a message, nested ones included. A field
+    the constructor does not take, such as a ref's cached body piece, is
+    derived, not sent, and `replace` cannot set it."""
     if is_dataclass(value):
         for f in fields(value):
+            if not f.init:
+                continue
             yield prefix + (f.name,)
             yield from field_paths(getattr(value, f.name), prefix + (f.name,))
     elif type(value) is tuple:

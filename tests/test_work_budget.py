@@ -19,9 +19,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the CPython minor version the ceilings were measured on; the counts of
-# another version's interpreter and standard library differ
-MEASURED_ON = (3, 11)
+# the CPython release the ceilings were measured on. The counts include
+# every standard-library frame a run enters (dataclass-generated methods,
+# enum), whose Python code another release, a patch release included, may
+# change, so the ceilings hold only on this one.
+MEASURED_ON = (3, 11, 7)
 CEILINGS = {
     "sync-f6": 580_483,
     "async-f6": 781_164,
@@ -54,9 +56,9 @@ def python_calls(workload: str) -> int:
 
 
 @pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info[:2] != MEASURED_ON,
-    reason="call ceilings were measured on CPython %d.%d, not on %s %d.%d"
-    % (*MEASURED_ON, sys.implementation.name, *sys.version_info[:2]),
+    sys.implementation.name != "cpython" or sys.version_info[:3] != MEASURED_ON,
+    reason="call ceilings were measured on CPython %d.%d.%d, not on %s %d.%d.%d"
+    % (*MEASURED_ON, sys.implementation.name, *sys.version_info[:3]),
 )
 @pytest.mark.parametrize("workload", sorted(CEILINGS))
 def test_python_calls_stay_under_the_ceiling(workload):
