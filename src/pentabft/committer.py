@@ -237,6 +237,7 @@ class Committer:
         self._coin_outputs: dict[int, int] = {}  # wave -> coin output
         self._seen_blocks = 0  # dag.stored at the last pass that walked the slots
         self._verdicts = committee.memo.verdicts
+        self._slots = committee.memo.slots
         # committed prefix state
         self.sequence: list[SlotDecision] = []  # decided prefix, ascending slots
         if committee.memo.delivery is None:
@@ -401,11 +402,14 @@ class Committer:
             if stamps.get(dr, 0) <= since:
                 continue
             base = (r - 1) * l
+            slots = self._slots.setdefault(r, {})
             for rank in range(l - 1, -1, -1):
                 idx = base + rank
                 if idx in decided:
                     continue
-                slot = LeaderSlot(r, rank)
+                slot = slots.get(rank)
+                if slot is None:
+                    slot = slots[rank] = LeaderSlot(r, rank)
                 rule = "direct"
                 d = self.try_direct_decide(slot)
                 if d.verdict is Verdict.UNDECIDED:

@@ -18,6 +18,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, KeysView, Optional
 
 # A validator is identified by its stable index for the epoch.
@@ -110,20 +111,20 @@ class CommitteeMemo:
     validator and guard. Slot verdicts are held once per committee too: a
     decision rule that reaches a verdict reads it here first, so only the
     committee's first node to reach it builds the object, and every node's
-    committer keeps that one object. So are the genesis blocks every DAG of
-    the committee starts from. A guard's commit-view update is checked once per
-    committee too: `updates` keeps, per sender node id, the last message
-    object that passed the shape and tag check; unlike a message's guard
-    field, a sender id is hashable unchecked and names a real node.
+    committer keeps that one object. So are the slots the committers evaluate
+    and the genesis blocks every DAG of the committee starts from. A guard's
+    commit-view update is checked once per committee too: `updates` keeps,
+    per sender node id, the last message object that passed the shape and tag
+    check; unlike a message's guard field, a sender id is hashable unchecked
+    and names a real node.
 
-    No node reads below its DAG's floor, so the validity, vote and verdict
-    tables map a round to that round's entries, and the rounds
-    below the lowest floor among the DAGs built for the committee are
-    dropped.
+    No node reads below its DAG's floor, so the validity, vote, verdict and
+    slot tables map a round to that round's entries, and the rounds below the
+    lowest floor among the DAGs built for the committee are dropped.
     """
 
     __slots__ = (
-        "valid", "votes", "verdicts", "updates", "delivery", "genesis", "floor",
+        "valid", "votes", "verdicts", "slots", "updates", "delivery", "genesis", "floor",
         "_floors",
     )
 
@@ -137,6 +138,8 @@ class CommitteeMemo:
         # slot round -> (rank, committed digest or None for a skip) -> the
         # committee's one SlotDecision object for that verdict
         self.verdicts: dict[int, dict[tuple, object]] = {}
+        # slot round -> rank -> the committee's one LeaderSlot object for it
+        self.slots: dict[int, dict[int, object]] = {}
         # sender node id -> the last update message object that passed its check
         self.updates: dict[str, object] = {}
         self.delivery = None  # root of the committer's delivery log, built by the first committer
@@ -157,7 +160,7 @@ class CommitteeMemo:
         lowest, floor = self.floor, min(floors)
         self.floor = floor
         if floor > lowest:
-            for table in (self.valid, self.votes, self.verdicts):
+            for table in (self.valid, self.votes, self.verdicts, self.slots):
                 for r in [r for r in table if r < floor]:
                     del table[r]
 
@@ -455,7 +458,8 @@ class InsertOutcome:
     missing: tuple[BlockRef, ...] = ()
 
 
-_INSERTED = InsertOutcome(InsertStatus.INSERTED)
+# the one outcome of every insert that stores a block, which intake tests for
+INSERTED = InsertOutcome(InsertStatus.INSERTED)
 _DUPLICATE = InsertOutcome(InsertStatus.DUPLICATE)
 _BELOW_FLOOR = InsertOutcome(InsertStatus.BELOW_FLOOR)
 _EMPTY: dict = {}
@@ -486,6 +490,7 @@ class Dag:
         self.committee = committee
         self._strong_quorum = committee.strong_quorum
         self._by_digest: dict[bytes, Block] = {}
+        self.by_digest = MappingProxyType(self._by_digest)  # read-only, for intake
         # round -> author -> the author's lowest-digest block, first-insert order
         self._by_round: dict[int, dict[ValidatorId, Block]] = {}
         # round -> author -> all versions sorted by digest, for forked authors only
@@ -527,19 +532,6 @@ class Dag:
     def contains_digest(self, digest: bytes) -> bool:
         return digest in self._by_digest
 
-    def skips(self, block: Block, parked: dict[bytes, Block]) -> bool:
-        """Whether intake passes `block` over as held: it lies below the
-        floor, or this very object is stored, or it is the object `parked`
-        (a pending pool's blocks by digest) holds. A copy that shares only
-        its digest, such as one with a forged tag, is not skipped. An empty
-        pool costs no call."""
-        if block.round < self.floor:
-            return True
-        digest = block.digest
-        return self._by_digest.get(digest) is block or (
-            parked.get(digest) is block if parked else False
-        )
-
     def insert(self, block: Block) -> InsertOutcome:
         """Store `block` if its parents are present or lie below the floor;
         report missing refs otherwise, in parent order."""
@@ -563,7 +555,7 @@ class Dag:
                 missing = tuple([p for p in block.parents if p.digest not in by_digest])
                 return InsertOutcome(InsertStatus.MISSING_ANCESTORS, missing)
         self._store(block)
-        return _INSERTED
+        return INSERTED
 
     def _store(self, block: Block) -> None:
         self._by_digest[block.digest] = block
@@ -774,7 +766,7 @@ class PendingPool:
     it was last requested and which peer sent each parked block, so a retry
     knows whom to ask again. All of it leaves with the blocks that need it.
     `parked` maps each parked block's digest to the block, for intake's
-    test of what a replica holds (`Dag.skips`).
+    test of what a replica holds.
     """
 
     def __init__(self):

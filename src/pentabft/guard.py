@@ -37,6 +37,7 @@ from typing import Optional
 
 from .committer import PRUNE_DEPTH, LeaderSlot, SlotDecision, Verdict, leaders_of_round
 from .dagcore import (
+    INSERTED,
     Block,
     BlockRef,
     Committee,
@@ -410,28 +411,35 @@ class Guard(Replica):
     # -- block handling ------------------------------------------------------
 
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
-        """Validate, admit, update liveness accounting, and echo.
+        """Validate, admit, update liveness accounting, and echo (see `replica`).
 
         Only the first timely version of an (author, round) counts toward
         liveness and is echoed, even while it waits in the pending pool;
         later versions enter the DAG replica, whose fork table is the safety
         scan's evidence, so the replayed decision rules see what validators
-        see. A block already held, stored or parked as this very object,
-        was handled when first taken in, and one below the floor is ignored.
+        see. A held block was handled when first taken in.
         """
-        if self.dag.skips(block, self.pending.parked):
+        r, digest = block.round, block.digest
+        dag, parked = self.dag, self.pending.parked
+        if r < dag.floor or dag.by_digest.get(digest) is block or (
+            parked and parked.get(digest) is block
+        ):
             return []
-        try:
-            validate_block(block, self.committee)
-        except ValidationError:
-            self.invalid_blocks += 1
-            return []
-        actions = self._admit(block, sender, now)
+        valid = self.committee.memo.valid.get(r)
+        if valid is None or valid.get(digest) != block.auth_tag:
+            try:
+                validate_block(block, self.committee)
+            except ValidationError:
+                self.invalid_blocks += 1
+                return []
+        outcome = dag.insert(block)
+        pooled = outcome is not INSERTED or self.pending.awaited
+        actions: list[Action] = self._settle(block, outcome, sender, now) if pooled else []
         # now_round never decreases, so a later version is timely only if the
         # first one was, and that one is in `seen`
-        if self.now_round <= block.round and block.author not in self.seen.get(block.round, ()):
-            self.seen.setdefault(block.round, set()).add(block.author)
-            self.lblamed.get(block.round, set()).discard(block.author)
+        if self.now_round <= r and block.author not in self.seen.get(r, ()):
+            self.seen.setdefault(r, set()).add(block.author)
+            self.lblamed.get(r, set()).discard(block.author)
             actions.append(Broadcast(BlockMsg(block)))
         return actions
 

@@ -25,10 +25,13 @@ below it, the pending pool drops them, and sync serving stops there.
 Every message enters a replica through `deliver`. It drops a kind the replica
 has no handler for unchecked, and drops and counts in `malformed` a message
 that fails its kind's shape (`messages.SHAPES`). A block, alone or in a sync
-response, goes to the subclass's `ingest_block`, which passes over a block the
-replica holds (below the floor, or this very object stored or parked:
-`Dag.skips`) and validates any other; a sync request is served here; any other
-kind goes to the handler the subclass names for it in `handlers`.
+response, goes to the subclass's `ingest_block`, which reads its checks in
+place: it passes over a block held below the floor, or as this very object
+stored or parked (identity, not digest, so a forged-tag copy is taken in; an
+empty pool costs no lookup), validates only on a validity-memo miss, and runs
+`_settle`, the pending pool's half, only for an insert outcome other than the
+shared `INSERTED` or while the pool awaits a ref. A sync request is served
+here; any other kind goes to the handler the subclass names in `handlers`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from collections import Counter
 from typing import Optional
 
 from .committer import Committer, CommonCoin
-from .dagcore import Block, Committee, Dag, InsertStatus, PendingPool
+from .dagcore import Block, Committee, Dag, InsertOutcome, InsertStatus, PendingPool
 from .messages import (
     SHAPES, Action, ArmTimer, BlockMsg, CoreUpdateMsg, NodeId, Send, SyncRequest, SyncResponse,
 )
@@ -102,12 +105,12 @@ class Replica:
         self.malformed[kind.__name__] += 1
         return []
 
-    def _admit(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
-        """Insert a validated block, or park it and ask `sender` for the
-        missing parents that no parked block awaited before; a parent some
-        block already awaits was requested then, and the retry timer asks
-        again if it stays missing."""
-        outcome = self.dag.insert(block)
+    def _settle(
+        self, block: Block, outcome: InsertOutcome, sender: Optional[NodeId], now: int
+    ) -> list[Action]:
+        """Park a validated block `Dag.insert` found parents missing for and ask
+        `sender` for those no parked block awaited before (the retry timer asks
+        again for the rest), or release what an inserted block completes."""
         if outcome.status is InsertStatus.MISSING_ANCESTORS:
             if not self.pending.has(block.digest):
                 fresh = self.pending.add(block, outcome.missing, sender, now)
@@ -150,7 +153,7 @@ class Replica:
         self.committer.extend(trigger_round, keep, now)
         if self.dag.floor != floor and len(self.pending):
             for block in self.pending.prune(self.dag.floor):
-                self._admit(block, None, now)
+                self._settle(block, self.dag.insert(block), None, now)
 
     def _frontier(self) -> tuple[int, ...]:
         """Highest stored round per committee member, -1 for none stored."""

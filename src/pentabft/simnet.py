@@ -220,9 +220,10 @@ class Simulator:
         horizon: int = 10_000_000,
     ):
         self.network = network
-        # a synchronous model's one delay, read without a call; None for a
-        # model that draws
-        self._fixed_delay = network.delta if type(network) is Synchronous else None
+        # a synchronous model's one delay, read without a call, lands every copy
+        # at the model's bound; None for a model that draws, or a delay below 1
+        fixed = type(network) is Synchronous and network.delta >= 1
+        self._fixed_delay = network.delta if fixed else None
         self.rng = random.Random(f"net/{seed}")
         self.now = 0
         self.horizon = horizon
@@ -277,7 +278,11 @@ class Simulator:
         delay = self._fixed_delay
         if delay is None:
             delay = self.network.delay(self.rng, now)
-        at = now + (delay if delay > 0 else 1)
+            at = now + (delay if delay > 0 else 1)
+            if self.record_events and at > self.network.delivery_bound(now):
+                self.late_deliveries.append((now, frm, to, at))
+        else:
+            at = now + delay
         # _push's body, inline on the hottest path
         self._seq = seq = self._seq + 1
         queue = self._queues.get(at)
@@ -286,8 +291,6 @@ class Simulator:
             heappush(self._times, at)
         queue.append((seq, DELIVER, to, frm, payload))
         self.delivery_count += 1
-        if self.record_events and at > self.network.delivery_bound(now):
-            self.late_deliveries.append((now, frm, to, at))
 
     def broadcast(self, frm: NodeId, payload: object, now: int) -> None:
         for node_id in self.nodes:

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .committer import CommonCoin, leaders_of_round
 from .dagcore import (
+    INSERTED,
     Block,
     BlockRef,
     CoinShare,
@@ -61,16 +62,25 @@ class CoreValidator(Replica):
     # -- block intake ----------------------------------------------------------
 
     def ingest_block(self, block: Block, sender: Optional[NodeId], now: int) -> list[Action]:
-        if block.round > self._trigger:  # skipped and invalid blocks count too
-            self._trigger = block.round
-        if self.dag.skips(block, self.pending.parked):  # below the floor, stored or parked
+        r, digest = block.round, block.digest  # checks read in place: see `replica`
+        if r > self._trigger:  # skipped and invalid blocks count too
+            self._trigger = r
+        dag, parked = self.dag, self.pending.parked
+        if r < dag.floor or dag.by_digest.get(digest) is block or (
+            parked and parked.get(digest) is block
+        ):
             return []
-        try:
-            validate_block(block, self.committee)
-        except ValidationError:
-            self.invalid_blocks += 1
+        valid = self.committee.memo.valid.get(r)
+        if valid is None or valid.get(digest) != block.auth_tag:
+            try:
+                validate_block(block, self.committee)
+            except ValidationError:
+                self.invalid_blocks += 1
+                return []
+        outcome = dag.insert(block)
+        if outcome is INSERTED and not self.pending.awaited:
             return []
-        return self._admit(block, sender, now)
+        return self._settle(block, outcome, sender, now)
 
     # bound in this class's own namespace: the benchmark tracer
     # (perfbench/tracing.py) wraps entry points per class

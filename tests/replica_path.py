@@ -251,6 +251,54 @@ class HeldParkedBlock:
         assert len(node.pending) == 0 and not node.pending.awaited
 
 
+class IntakeCallShape:
+    """What one delivered block costs in calls. A block whose validity the
+    committee's memo holds costs no `validate_block` call and one
+    `Dag.insert`; a held block costs neither; an inserted block still
+    releases the blocks parked on it. A test class sets `make_node` and
+    `module` as for HeldParkedBlock."""
+
+    make_node = None
+    module = None
+
+    def found_valid(self):
+        """A node holding every round-1 block but author 5's, the round-1
+        blocks, and a second node of the committee, which took all of them
+        and so found author 5's valid."""
+        node, round1 = holding_round_one_but(self.make_node, 5)
+        other = self.make_node(node.committee)
+        other.max_round = 0
+        deliver(other, round1, "v1", DELTA)
+        return node, round1
+
+    def test_a_block_the_committee_found_valid_costs_one_insert(self, monkeypatch):
+        node, round1 = self.found_valid()
+        checked = count_validations(monkeypatch, self.module)
+        inserted = count_inserts(monkeypatch)
+        node.deliver(BlockMsg(round1[5]), "v5", 2 * DELTA)
+        assert checked == [] and inserted == [round1[5]]
+        assert node.dag.by_digest[round1[5].digest] is round1[5]
+
+    def test_a_held_block_costs_no_validation_and_no_insert(self, monkeypatch):
+        node, round1 = self.found_valid()
+        checked = count_validations(monkeypatch, self.module)
+        inserted = count_inserts(monkeypatch)
+        for block in round1[:5]:
+            assert node.deliver(BlockMsg(block), "g1", 2 * DELTA) == []
+        assert checked == [] and inserted == []
+
+    def test_an_inserted_block_releases_the_blocks_parked_on_it(self, monkeypatch):
+        node, round1 = self.found_valid()
+        child = make_block(2, 2, [b.ref for b in round1], (b"child",))
+        deliver(node, [child], "v2", 2 * DELTA)
+        assert node.pending.has(child.digest)
+        inserted = count_inserts(monkeypatch)
+        node.deliver(BlockMsg(round1[5]), "v5", 3 * DELTA)
+        assert inserted == [round1[5], child]
+        assert node.dag.by_digest[child.digest] is child
+        assert len(node.pending) == 0 and not node.pending.awaited
+
+
 class MalformedSyncRequest:
     """`deliver` drops a sync request of the wrong shape unserved and counts
     it, and serves the same request well formed. A test class sets

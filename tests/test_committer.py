@@ -194,6 +194,27 @@ class TestVerdictObjects:
         assert again is first
         assert other is not first and other.block != first.block
 
+    def test_one_slot_object_per_committee(self, monkeypatch):
+        """Committers of one committee evaluate each slot as the committee's
+        one `LeaderSlot` object."""
+        committee = Committee.of_size(6)
+        evaluated = []
+        real = Committer.try_direct_decide
+
+        def recording(committer, slot):
+            evaluated.append(slot)
+            return real(committer, slot)
+
+        monkeypatch.setattr(Committer, "try_direct_decide", recording)
+        for _ in range(2):
+            dag = Dag(committee)
+            for r in (1, 2, 3):
+                full_round(dag, committee, r)
+            Committer(dag, committee).extend()
+        first, second = evaluated[: len(evaluated) // 2], evaluated[len(evaluated) // 2 :]
+        assert first and first == second
+        assert all(a is b for a, b in zip(first, second))
+
 
 class TestStakeSplit:
     def test_documented_examples(self):

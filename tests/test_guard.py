@@ -55,6 +55,7 @@ from pentabft.validator import CoreValidator
 
 from replica_path import (
     HeldParkedBlock,
+    IntakeCallShape,
     MalformedSyncRequest,
     SyncRequestTable,
     count_validations,
@@ -569,6 +570,11 @@ class TestHeldParkedBlock(HeldParkedBlock):
     make_node = staticmethod(lambda committee: make_guard(0, committee))
     module = guard_module
     echoes_first = True
+
+
+class TestIntakeCallShape(IntakeCallShape):
+    make_node = staticmethod(lambda committee: make_guard(0, committee))
+    module = guard_module
 
 
 class TestMalformedSyncRequest(MalformedSyncRequest):

@@ -22,6 +22,7 @@ from pentabft.validator import LEADER_TIMER, CoreValidator
 from oracles import committed_leaders
 from replica_path import (
     HeldParkedBlock,
+    IntakeCallShape,
     MalformedSyncRequest,
     SyncRequestTable,
     count_validations,
@@ -185,6 +186,21 @@ class TestOnBlock:
         assert v.ingest_block(block, "g0", DELTA) == []
         assert len(checked) == 1 and checked[0] is block
 
+    def test_a_skipped_block_still_raises_the_trigger_round(self):
+        """A held block and one below the floor are passed over, yet each
+        still counts toward the next flush's trigger round."""
+        v = fresh_validator()
+        v.flush(0)
+        (block,) = other_round(v.committee, 1, v.dag, (1,))
+        deliver(v, [block], "v1", DELTA)
+        assert v._trigger == -1
+        assert v.ingest_block(block, "g0", DELTA) == []
+        assert v._trigger == 1
+        v.flush(DELTA)
+        v.dag.prune(2)  # as a decision pass would
+        assert v.ingest_block(block, "g0", DELTA) == []
+        assert v._trigger == 1
+
     def test_forged_copy_of_a_held_block_is_still_rejected(self, monkeypatch):
         from pentabft.dagcore import Block, auth_tag_for
 
@@ -269,6 +285,11 @@ class TestSyncRequestTable(SyncRequestTable):
 
 
 class TestHeldParkedBlock(HeldParkedBlock):
+    make_node = staticmethod(lambda committee: fresh_validator(0, committee))
+    module = validator
+
+
+class TestIntakeCallShape(IntakeCallShape):
     make_node = staticmethod(lambda committee: fresh_validator(0, committee))
     module = validator
 
