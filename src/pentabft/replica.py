@@ -110,7 +110,7 @@ class Replica:
     ) -> list[Action]:
         """Park a validated block `Dag.insert` found parents missing for and ask
         `sender` for those no parked block awaited before (the retry timer asks
-        again for the rest), or release what an inserted block completes."""
+        again for any left missing), or release what an inserted one completes."""
         if outcome.status is InsertStatus.MISSING_ANCESTORS:
             if not self.pending.has(block.digest):
                 fresh = self.pending.add(block, outcome.missing, sender, now)

@@ -254,9 +254,9 @@ class HeldParkedBlock:
 class IntakeCallShape:
     """What one delivered block costs in calls. A block whose validity the
     committee's memo holds costs no `validate_block` call and one
-    `Dag.insert`; a held block costs neither; an inserted block still
-    releases the blocks parked on it. A test class sets `make_node` and
-    `module` as for HeldParkedBlock."""
+    `Dag.insert`, and an inserted block still releases the blocks parked on
+    it (a held block costs neither call: `test_held_block_skips_intake`). A
+    test class sets `make_node` and `module` as for HeldParkedBlock."""
 
     make_node = None
     module = None
@@ -278,14 +278,6 @@ class IntakeCallShape:
         node.deliver(BlockMsg(round1[5]), "v5", 2 * DELTA)
         assert checked == [] and inserted == [round1[5]]
         assert node.dag.by_digest[round1[5].digest] is round1[5]
-
-    def test_a_held_block_costs_no_validation_and_no_insert(self, monkeypatch):
-        node, round1 = self.found_valid()
-        checked = count_validations(monkeypatch, self.module)
-        inserted = count_inserts(monkeypatch)
-        for block in round1[:5]:
-            assert node.deliver(BlockMsg(block), "g1", 2 * DELTA) == []
-        assert checked == [] and inserted == []
 
     def test_an_inserted_block_releases_the_blocks_parked_on_it(self, monkeypatch):
         node, round1 = self.found_valid()

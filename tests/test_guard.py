@@ -58,6 +58,7 @@ from replica_path import (
     IntakeCallShape,
     MalformedSyncRequest,
     SyncRequestTable,
+    count_inserts,
     count_validations,
     deliver,
 )
@@ -151,9 +152,10 @@ class TestLivenessAccounting:
         checked = count_validations(monkeypatch, guard_module)
         assert echoed(deliver(g, [block], "v1", 100)) == [block]
         stored, seen = len(g.dag), {r: set(authors) for r, authors in g.seen.items()}
+        inserted = count_inserts(monkeypatch)
         # another guard's echo brings the same object back
         assert g.ingest_block(block, "g1", 100) == []
-        assert len(checked) == 1 and checked[0] is block
+        assert len(checked) == 1 and checked[0] is block and inserted == []
         assert (len(g.dag), g.seen) == (stored, seen)
         (held,) = g.dag.blocks_by(1, 1)
         assert held is block

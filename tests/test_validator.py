@@ -25,6 +25,7 @@ from replica_path import (
     IntakeCallShape,
     MalformedSyncRequest,
     SyncRequestTable,
+    count_inserts,
     count_validations,
     deliver,
 )
@@ -182,9 +183,10 @@ class TestOnBlock:
         (block,) = other_round(v.committee, 1, v.dag, (1,))
         checked = count_validations(monkeypatch, validator)
         deliver(v, [block], "v1", DELTA)
+        inserted = count_inserts(monkeypatch)
         # the guards' echo brings the same object back
         assert v.ingest_block(block, "g0", DELTA) == []
-        assert len(checked) == 1 and checked[0] is block
+        assert len(checked) == 1 and checked[0] is block and inserted == []
 
     def test_a_skipped_block_still_raises_the_trigger_round(self):
         """A held block and one below the floor are passed over, yet each
