@@ -187,6 +187,7 @@ class Committee:
             )
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate committee members")
+        object.__setattr__(self, "member_set", frozenset(self.members))
         object.__setattr__(self, "memo", CommitteeMemo())
 
     @classmethod
@@ -207,14 +208,7 @@ class Committee:
         return 2 * self.f + 1
 
     def is_member(self, v: ValidatorId) -> bool:
-        return v in self._member_set()
-
-    def _member_set(self) -> frozenset:
-        ms = getattr(self, "_members_frozen", None)
-        if ms is None:
-            ms = frozenset(self.members)
-            object.__setattr__(self, "_members_frozen", ms)
-        return ms
+        return v in self.member_set
 
 
 # the body's fixed-width fields, big-endian: author, round and parent count;
@@ -328,7 +322,8 @@ class Block:
 
 
 def decode_block(data: bytes) -> Block:
-    """Inverse of `Block.encode`."""
+    """Inverse of `Block.encode`, through the same field layouts; a
+    truncated encoding raises ValueError."""
     pos = 0
 
     def take(n: int) -> bytes:
@@ -339,27 +334,27 @@ def decode_block(data: bytes) -> Block:
         pos += n
         return chunk
 
-    author = int.from_bytes(take(4), "big")
-    round_ = int.from_bytes(take(8), "big")
-    n_parents = int.from_bytes(take(4), "big")
+    def read(layout: struct.Struct) -> tuple:
+        return layout.unpack(take(layout.size))
+
+    author, round_, n_parents = read(_HEAD)
     parents = []
     for _ in range(n_parents):
-        pa = int.from_bytes(take(4), "big")
-        pr = int.from_bytes(take(8), "big")
+        pa, pr = read(_PARENT)
         pd = take(DIGEST_SIZE)
         parents.append(BlockRef(pa, pr, pd))
-    n_tx = int.from_bytes(take(4), "big")
+    (n_tx,) = read(_LENGTH)
     txs = []
     for _ in range(n_tx):
-        ln = int.from_bytes(take(4), "big")
+        (ln,) = read(_LENGTH)
         txs.append(take(ln))
-    flag = take(1)
     share = None
-    if flag == b"\x01":
-        sa = int.from_bytes(take(4), "big")
-        sr = int.from_bytes(take(8), "big")
+    if data[pos : pos + 1] == b"\x01":
+        _, sa, sr = read(_SHARE)
         share = CoinShare(sa, sr)
-    tag_len = int.from_bytes(take(4), "big")
+    else:
+        take(1)  # the absent share's flag
+    (tag_len,) = read(_LENGTH)
     tag = take(tag_len).decode()
     return Block(author, round_, tuple(parents), tuple(txs), share, tag)
 

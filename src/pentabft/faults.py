@@ -16,21 +16,12 @@ from __future__ import annotations
 
 from .committer import leader_of, LeaderSlot
 from .dagcore import Block, BlockRef, ValidatorId, make_block
-from .guard import (
-    BlameSet,
-    Guard,
-    LIVENESS,
-    LivenessProof,
-    recover_tag,
-    relay_tag,
-)
+from .guard import BlameSet, Guard, LIVENESS, LivenessProof
 from .messages import (
     Action,
-    AgreementRelay,
     BlockMsg,
     Broadcast,
     NodeId,
-    RecoverProposal,
     Send,
     guard_node,
     validator_node,
@@ -186,10 +177,5 @@ class BogusProposalGuard(Guard):
             frozenset(list(self.committee.members)[: self.committee.f + 1]),
             LivenessProof(r, {}),
         )
-        text = bogus.to_text()
-        proposal = RecoverProposal(self.me, text, None, recover_tag(self.me, text, None))
         self.recovery_input = bogus
-        relay = AgreementRelay(
-            self.me, proposal, (self.me,), (relay_tag(self.me, self.me, proposal),)
-        )
-        return [Broadcast(relay)]
+        return [Broadcast(self._signed_relay(bogus.to_text(), None))]

@@ -25,8 +25,9 @@ floor, and blocks and blames below the floor are ignored.
 A guard checks each thing once. A block it holds stored or parked is passed
 over on intake. The safety scan resolves a fork only once its next round has
 f+1 forked authors, the fewest a blameset names. A remote update message is
-checked once per committee, in `Replica.deliver`, and a remote claim that is
-the very verdict object this guard sequenced agrees with it.
+checked once per committee, in `Replica.deliver`. Every remote claim, held
+or not, goes through `check_equivocation` once this guard has sequenced its
+slot, unless it is the very verdict object this guard sequenced.
 """
 
 from __future__ import annotations
@@ -263,7 +264,6 @@ class RecoverySession:
     skew: int  # extra slack on chain acceptance; delta for safety sessions
     # proposer -> value hash -> proposal; two values prove the proposer equivocated
     accepted: dict = field(default_factory=dict)
-    relayed: set = field(default_factory=set)
     done: bool = False
 
 
@@ -461,6 +461,9 @@ class Guard(Replica):
     # -- commit-view gossip and safety detection ------------------------------
 
     def _extend_own_view(self, now: int) -> list[Action]:
+        """Extend this guard's commit sequence, check the remote claims held
+        on each newly sequenced slot against it, then attest and gossip the
+        extension."""
         self._decide(now, keep=self._keep(now))
         self._forget_below(self.dag.floor)
         seq = self.committer.sequence
@@ -468,7 +471,16 @@ class Guard(Replica):
             return []
         claims = tuple(seq[self._claimed :])
         self._claimed = len(seq)
-        return self.on_core_update(claims, now)
+        actions: list[Action] = []
+        held = self.remote_claims
+        for mine in claims:
+            for claim in held.pop(mine.slot, {}).values():
+                if claim is not mine:
+                    bs = self.check_equivocation(claim)
+                    if bs is not None:
+                        actions.extend(self.recover(bs, now))
+        actions.append(Broadcast(CoreUpdateMsg(self.me, claims, update_tag(self.me, claims))))
+        return actions
 
     def _keep(self, now: int) -> int:
         """The highest floor this guard's own reads allow. A round's timers
@@ -494,40 +506,6 @@ class Guard(Replica):
         if self._scanned_inputs:
             self._scanned_inputs = {k: v for k, v in self._scanned_inputs.items() if k[1] >= floor}
 
-    def on_core_update(self, claims: tuple[SlotDecision, ...], now: int) -> list[Action]:
-        """Handle this guard's own commit-sequence extension: check it against
-        known remote claims, then attest and gossip it."""
-        actions: list[Action] = []
-        for claim in claims:
-            conflict = self._conflicting_claim(claim)
-            if conflict is not None:
-                actions.extend(self._recover_on_conflict(conflict, now))
-        actions.append(Broadcast(CoreUpdateMsg(self.me, claims, update_tag(self.me, claims))))
-        return actions
-
-    def _conflicting_claim(self, mine: SlotDecision) -> Optional[SlotDecision]:
-        """The first held remote claim that contradicts `mine`; the slot's
-        claims are dropped, since its own verdict is now in the sequence.
-        A claim that is the very object `mine` agrees with it: a committee
-        holds one object per verdict."""
-        remotes = self.remote_claims.pop(mine.slot, None)
-        if not remotes:
-            return None
-        for claim in remotes.values():
-            if claim is not mine and self._claims_conflict(mine, claim):
-                return claim
-        return None
-
-    @staticmethod
-    def _claims_conflict(a: SlotDecision, b: SlotDecision) -> bool:
-        """Whether two verdicts on one slot contradict each other. Both are
-        COMMIT or SKIP: a sequenced verdict is decided, and a remote claim
-        passed the shape check."""
-        va, vb = a.verdict, b.verdict
-        if va is Verdict.COMMIT and vb is Verdict.COMMIT:
-            return a.block.digest != b.block.digest
-        return va is not vb
-
     def on_remote_update(self, msg: CoreUpdateMsg, now: int) -> list[Action]:
         """Check a remote guard's claims against this guard's sequence, and
         hold those on slots it has not sequenced yet, up to CLAIM_WINDOW
@@ -544,30 +522,30 @@ class Guard(Replica):
                 key = claim.block.digest if claim.block else claim.verdict.value.encode()
                 self.remote_claims.setdefault(claim.slot, {})[key] = claim
             elif mine is not claim:
-                actions.extend(self._recover_on_conflict(claim, now))
+                bs = self.check_equivocation(claim)
+                if bs is not None:
+                    actions.extend(self.recover(bs, now))
         return actions
-
-    def _recover_on_conflict(self, claim: SlotDecision, now: int) -> list[Action]:
-        """Start recovery if `claim` contradicts this guard's verdict for its
-        slot and the conflict resolves into a safety blameset."""
-        if self.recovery_input is not None:
-            return []
-        bs = self.check_equivocation(claim)
-        return [] if bs is None else self.recover(bs, now)
 
     def check_equivocation(self, claim: SlotDecision) -> Optional[BlameSet]:
         """Resolve a claim that contradicts the local verdict for its slot
         into a safety blameset over the double-voting authors.
 
-        Quorum intersection guarantees >= f+1 of them whenever both sides
-        carried certificates; None without a conflict or with the committed
-        side missing from the replica.
+        Both verdicts are COMMIT or SKIP: a sequenced verdict is decided,
+        and a remote claim passed the shape check. Quorum intersection
+        guarantees >= f+1 double-voters whenever both sides carried
+        certificates; None without a conflict or with a committed side
+        missing from the replica.
         """
         mine = self.committer.sequenced(claim.slot)
-        if mine is None or not self._claims_conflict(mine, claim):
+        if mine is None:
             return None
         if mine.verdict is Verdict.COMMIT and claim.verdict is Verdict.COMMIT:
             a, b = mine.block, claim.block
+            if a.digest == b.digest:
+                return None
+        elif mine.verdict is claim.verdict:
+            return None  # both skip
         else:
             a, b = (mine if mine.verdict is Verdict.COMMIT else claim).block, None
         if a not in self.dag or (b is not None and b not in self.dag):
@@ -674,24 +652,34 @@ class Guard(Replica):
     # -- recovery ---------------------------------------------------------------
 
     def _canonical_branch(self, proof: SafetyProof) -> Optional[BlockRef]:
-        """The conflicting block carrying a strong certificate (unique under
-        <= 3f corruption); counted over any stored vote version per author."""
-        candidates = [proof.block_a] + ([proof.block_b] if proof.block_b else [])
-        for cand in candidates:
-            if cand.ref not in self.dag:
-                continue
-            if self._strong_vote_count(cand) >= self.committee.strong_quorum:
-                return cand.ref
+        """The conflicting block carrying a strong certificate, unique under
+        <= 3f corruption."""
+        for side in (proof.block_a, proof.block_b):
+            if side is not None and self._certified(side):
+                return side.ref
         return None
 
-    def _strong_vote_count(self, leader: Block) -> int:
+    def _certified(self, block: Block) -> bool:
+        """Whether `block` is stored with a strong certificate in this
+        replica: 4f+1 authors each with some stored version voting for it.
+        Unlike the direct rule's tally, a forked author counts."""
+        if block.ref not in self.dag:
+            return False
         count = 0
         for author in self.committee.members:
-            for v in self.dag.blocks_by(author, leader.round + 1):
-                if _votes_for(v, leader):
+            for v in self.dag.blocks_by(author, block.round + 1):
+                if _votes_for(v, block):
                     count += 1
                     break
-        return count
+        return count >= self.committee.strong_quorum
+
+    def _signed_relay(self, text: str, branch: Optional[BlockRef]) -> AgreementRelay:
+        """This guard's signed proposal of `text` and `branch`, as the first
+        relay of its signature chain."""
+        proposal = RecoverProposal(self.me, text, branch, recover_tag(self.me, text, branch))
+        return AgreementRelay(
+            self.me, proposal, (self.me,), (relay_tag(self.me, self.me, proposal),)
+        )
 
     def recover(self, bs: BlameSet, now: int) -> list[Action]:
         """Start (or join) the agreement session with `bs` as this guard's
@@ -702,16 +690,12 @@ class Guard(Replica):
         branch = None
         if bs.kind == SAFETY:
             branch = self._canonical_branch(bs.proof)
-        text = bs.to_text()
-        proposal = RecoverProposal(self.me, text, branch, recover_tag(self.me, text, branch))
         skew = self.delta if bs.kind == SAFETY else 0
         self.session = RecoverySession(now, skew)
         actions: list[Action] = [
             ArmTimer("ba-finalize", (self.t_g + 1) * self.delta + skew)
         ]
-        relay = AgreementRelay(
-            self.me, proposal, (self.me,), (relay_tag(self.me, self.me, proposal),)
-        )
+        relay = self._signed_relay(bs.to_text(), branch)
         self._accept_relay(relay, now)
         actions.append(Broadcast(relay))
         return actions
@@ -728,19 +712,10 @@ class Guard(Replica):
         if not is_valid_blameset(bs, self.committee, self.guard_count):
             return None
         if bs.kind == SAFETY:
-            if proposal.branch is None:
-                return None
             proof: SafetyProof = bs.proof
-            refs = {proof.block_a.ref}
-            if proof.block_b is not None:
-                refs.add(proof.block_b.ref)
-            if proposal.branch not in refs:
-                return None
-            # the branch must be the strongly certified side in our replica
-            branch_block = proof.block_a if proposal.branch == proof.block_a.ref else proof.block_b
-            if branch_block.ref not in self.dag:
-                return None
-            if self._strong_vote_count(branch_block) < self.committee.strong_quorum:
+            side = proof.block_a if proposal.branch == proof.block_a.ref else proof.block_b
+            # the branch must name the strongly certified side in our replica
+            if side is None or side.ref != proposal.branch or not self._certified(side):
                 return None
         elif proposal.branch is not None:
             return None
@@ -773,14 +748,11 @@ class Guard(Replica):
         session = self.session
         key = _proposal_body_hash(relay.proposal.blameset_text, relay.proposal.branch)
         per_proposer = session.accepted.setdefault(relay.proposer, {})
-        if key not in per_proposer:
-            if len(per_proposer) >= 2:
-                return []  # two values already prove proposer equivocation
-            per_proposer[key] = relay.proposal
-        # echo-forward each (proposer, value) once, appending our endorsement
-        if (relay.proposer, key) in session.relayed:
+        # echo-forward each (proposer, value) once, appending our
+        # endorsement; two values already prove proposer equivocation
+        if key in per_proposer or len(per_proposer) >= 2:
             return []
-        session.relayed.add((relay.proposer, key))
+        per_proposer[key] = relay.proposal
         if self.me in relay.chain:
             return []  # our own proposal was already broadcast by recover()
         if len(relay.chain) >= self.t_g + 1:

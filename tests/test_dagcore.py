@@ -675,6 +675,15 @@ class TestSerialization:
         assert again.coin_share == block.coin_share
         assert again.auth_tag == block.auth_tag
 
+    @pytest.mark.parametrize("share", [None, CoinShare(3, 2)])
+    def test_every_proper_prefix_raises_value_error(self, committee, dag, share):
+        full_round(dag, committee, 1)
+        parents = [dag.first_block_by(a, 1).ref for a in range(5)]
+        data = make_block(3, 2, parents, (b"tx-1", b""), share).encode()
+        for end in range(len(data)):
+            with pytest.raises(ValueError):
+                decode_block(data[:end])
+
     def test_digest_covers_content(self):
         a = make_block(0, 0, (), (b"x",))
         b = make_block(0, 0, (), (b"y",))

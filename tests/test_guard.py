@@ -287,10 +287,10 @@ class TestOnLBlame:
         assert echoed(g.ingest_block(copy, "v3", 0)) == []
 
 
-def build_conflict_guard():
+def build_conflict_guard(p_voters=range(1, 6)):
     """Guard state around one slot committed as B while B-prime gathers the
-    documented overlap: voters 0-4 support B, voters 1-5 support B-prime,
-    with 1-4 provably on both sides."""
+    documented overlap: voters 0-4 support B, voters 1-5 (`p_voters`)
+    support B-prime, with 1-4 provably on both sides."""
     committee = Committee.of_size(6)
     g = make_guard(0, committee)
     feed_round(g, 1, now=10)
@@ -312,7 +312,7 @@ def build_conflict_guard():
         return block
 
     votes_b = {a: vote(a, block_b, b"vb") for a in range(5)}
-    votes_p = {a: vote(a, block_p, b"vp") for a in range(1, 6)}
+    votes_p = {a: vote(a, block_p, b"vp") for a in p_voters}
     return g, committee, block_b, block_p, votes_b, votes_p
 
 
@@ -369,6 +369,43 @@ class TestCheckEquivocation:
         assert g.remote_claims == {} and g.recovery_input is None
         # a rank outside the round's leader slots names no sequenced slot
         assert g.committer.sequenced(LeaderSlot(1, 2)) is None
+
+    def test_every_held_claim_is_checked_when_the_slot_is_sequenced(self):
+        """A held claim that cannot be resolved, a commit of a block the
+        replica lacks, does not hide a later held skip claim on the slot.
+        Eight members with f = 1 leave room for six unforked voters that
+        commit the slot and two forked ones, each with a version voting for
+        the leader and one not, whom the skip claim blames."""
+        committee = Committee(tuple(range(8)), 1)
+        g = make_guard(0, committee)
+        feed_round(g, 1, now=10)
+        round2, _ = feed_round(g, 2, now=20)
+        slot = LeaderSlot(2, 0)
+        leader = round2[leader_of(slot, committee)]
+        unseen = make_block(leader.author, 2, leader.parents, (b"unseen",))
+        claims = (
+            SlotDecision(slot, Verdict.COMMIT, unseen.ref),
+            SlotDecision(slot, Verdict.SKIP),
+        )
+        guard_intake(g, CoreUpdateMsg(1, claims, update_tag(1, claims)), 25)
+        assert list(g.remote_claims[slot].values()) == list(claims)
+        voting = [b.ref for b in round2]
+        not_voting = [b.ref for b in round2 if b.author != leader.author]
+        forked = [a for a in committee.members if a != leader.author][-2:]
+        blocks = []
+        for a in committee.members:
+            blocks.append(make_block(a, 3, voting, (b"r3",)))
+            if a in forked:
+                blocks.append(make_block(a, 3, not_voting, (b"r3",)))
+        deliver(g, blocks, "v1", 30)
+        assert g.committer.sequenced(slot) == SlotDecision(slot, Verdict.COMMIT, leader.ref)
+        assert g.remote_claims == {}
+        # recovery started from the skip claim, not from the pair scan,
+        # whose blamesets name no slot
+        assert g.recovery_input is not None
+        proof = g.recovery_input.proof
+        assert (proof.slot, proof.block_a, proof.block_b) == (slot, leader, None)
+        assert g.recovery_input.members == set(forked)
 
     def test_pair_scan_detects_enough_equivocators(self):
         g, committee, *_ = build_conflict_guard()
@@ -530,13 +567,13 @@ class TestUpdateCheckedOnce:
         guard_intake(g0, CoreUpdateMsg(1, claims, update_tag(1, claims)), 15)
         assert list(g0.remote_claims) == [slot]
         compared = []
-        real = Guard._claims_conflict
+        real = Guard.check_equivocation
 
-        def spy(a, b):
-            compared.append((a, b))
-            return real(a, b)
+        def spy(self, claim):
+            compared.append(claim)
+            return real(self, claim)
 
-        monkeypatch.setattr(Guard, "_claims_conflict", staticmethod(spy))
+        monkeypatch.setattr(Guard, "check_equivocation", spy)
         feed_round(g0, 2, now=20)
         assert g0.committer.sequenced(slot) is theirs  # one object per verdict
         assert compared == [] and g0.remote_claims == {} and g0.recovery_input is None
@@ -1093,6 +1130,94 @@ class TestRecoverySession:
             assert out[0].directive.excluded == (4, 5)
             agreed.add(out[0].directive.blameset_text)
         assert len(agreed) == 1
+
+    def started(self):
+        """Guard 1 with its own liveness session opened at t0 = 1000."""
+        committee, guards = self.make_guards()
+        g = guards[1]
+        g.recover(liveness_blameset_for(g, (4, 5), 1), 1000)
+        assert g.session.skew == 0
+        return g
+
+    @staticmethod
+    def relay(proposer, text, chain, branch=None):
+        """A relay of `text` proposed by `proposer`, signed by `chain`."""
+        proposal = RecoverProposal(proposer, text, branch, recover_tag(proposer, text, branch))
+        tags = tuple(relay_tag(g, proposer, proposal) for g in chain)
+        return AgreementRelay(proposer, proposal, tuple(chain), tags)
+
+    @staticmethod
+    def forwarded(actions):
+        return [a.payload.chain for a in actions if isinstance(a, Broadcast)]
+
+    @staticmethod
+    def stored(g, proposer):
+        return [p.blameset_text for p in g.session.accepted.get(proposer, {}).values()]
+
+    def test_a_value_is_forwarded_once_per_proposer(self):
+        g = self.started()
+        first = self.relay(0, "value", (0,))
+        assert self.forwarded(g.on_recover_msg(first, 1000 + DELTA)) == [(0, 1)]
+        # the same value again, alone or under a longer chain
+        assert g.on_recover_msg(first, 1000 + DELTA) == []
+        assert g.on_recover_msg(self.relay(0, "value", (0, 2)), 1000 + 2 * DELTA) == []
+        assert self.stored(g, 0) == ["value"]
+        # another proposer's relay of the same value is forwarded in its own right
+        assert self.forwarded(g.on_recover_msg(self.relay(3, "value", (3,)), 1000 + DELTA)) == [(3, 1)]
+
+    def test_a_third_value_from_one_proposer_is_neither_stored_nor_forwarded(self):
+        g = self.started()
+        for text in ("one", "two"):
+            assert self.forwarded(g.on_recover_msg(self.relay(0, text, (0,)), 1000 + DELTA)) == [(0, 1)]
+        assert g.on_recover_msg(self.relay(0, "three", (0,)), 1000 + DELTA) == []
+        assert self.stored(g, 0) == ["one", "two"]
+
+    def test_a_chain_of_t_g_plus_1_signers_is_stored_not_forwarded(self):
+        g = self.started()
+        chain = (0, 2, 3)
+        assert len(chain) == g.t_g + 1
+        assert g.on_recover_msg(self.relay(0, "value", chain), 1000 + 3 * DELTA) == []
+        assert self.stored(g, 0) == ["value"]
+
+    def test_a_relay_later_than_its_chain_allows_is_ignored(self):
+        g = self.started()
+        # a chain of k signers is taken up to t0 + k * delta
+        assert g.on_recover_msg(self.relay(0, "value", (0,)), 1000 + DELTA + 1) == []
+        assert self.stored(g, 0) == []
+        late = self.relay(0, "value", (0, 2))
+        assert self.forwarded(g.on_recover_msg(late, 1000 + 2 * DELTA)) == [(0, 2, 1)]
+        assert self.stored(g, 0) == ["value"]
+        # a safety session allows one delta more
+        g, *_ = build_conflict_guard()
+        t0 = g.session.t0
+        assert g.session.skew == DELTA
+        assert g.on_recover_msg(self.relay(1, "value", (1,)), t0 + 2 * DELTA + 1) == []
+        assert self.forwarded(g.on_recover_msg(self.relay(1, "value", (1,)), t0 + 2 * DELTA)) == [(1, 0)]
+
+    def test_a_liveness_proposal_carries_no_branch(self):
+        committee, guards = self.make_guards()
+        g = guards[0]
+        text = liveness_blameset_for(g, (4, 5), 1).to_text()
+        assert g.valid_recovery_proposal(self.relay(1, text, ()).proposal) is not None
+        branch = g.dag.first_block_by(0, 1).ref
+        assert g.valid_recovery_proposal(self.relay(1, text, (), branch).proposal) is None
+
+    def test_a_safety_branch_must_name_the_certified_side(self):
+        # four voters back B-prime, one short of 4f+1
+        g, committee, block_b, block_p, votes_b, votes_p = build_conflict_guard(range(1, 5))
+        for x, y in ((block_b, block_p), (block_p, block_b)):
+            votes_x, votes_y = (votes_b, votes_p) if x is block_b else (votes_p, votes_b)
+            pairs = {a: (votes_x[a], votes_y[a]) for a in (1, 2, 3, 4)}
+            bs = BlameSet(SAFETY, frozenset(pairs), SafetyProof(LeaderSlot(2, 0), x, y, pairs))
+            assert is_valid_blameset(bs, committee, GUARDS)
+            text = bs.to_text()
+
+            def verdict(branch):
+                return g.valid_recovery_proposal(self.relay(1, text, (), branch).proposal)
+
+            assert verdict(block_b.ref).to_text() == text
+            assert verdict(block_p.ref) is None  # the uncertified side
+            assert verdict(None) is None and verdict(votes_b[0].ref) is None  # neither side
 
     def test_recovery_input_is_write_once(self):
         committee, guards = self.make_guards()
