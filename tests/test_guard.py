@@ -1140,9 +1140,12 @@ class TestRecoverySession:
         return g
 
     @staticmethod
-    def relay(proposer, text, chain, branch=None):
+    def proposal(proposer, text, branch=None):
+        return RecoverProposal(proposer, text, branch, recover_tag(proposer, text, branch))
+
+    def relay(self, proposer, text, chain):
         """A relay of `text` proposed by `proposer`, signed by `chain`."""
-        proposal = RecoverProposal(proposer, text, branch, recover_tag(proposer, text, branch))
+        proposal = self.proposal(proposer, text)
         tags = tuple(relay_tag(g, proposer, proposal) for g in chain)
         return AgreementRelay(proposer, proposal, tuple(chain), tags)
 
@@ -1198,9 +1201,9 @@ class TestRecoverySession:
         committee, guards = self.make_guards()
         g = guards[0]
         text = liveness_blameset_for(g, (4, 5), 1).to_text()
-        assert g.valid_recovery_proposal(self.relay(1, text, ()).proposal) is not None
+        assert g.valid_recovery_proposal(self.proposal(1, text)) is not None
         branch = g.dag.first_block_by(0, 1).ref
-        assert g.valid_recovery_proposal(self.relay(1, text, (), branch).proposal) is None
+        assert g.valid_recovery_proposal(self.proposal(1, text, branch)) is None
 
     def test_a_safety_branch_must_name_the_certified_side(self):
         # four voters back B-prime, one short of 4f+1
@@ -1213,7 +1216,7 @@ class TestRecoverySession:
             text = bs.to_text()
 
             def verdict(branch):
-                return g.valid_recovery_proposal(self.relay(1, text, (), branch).proposal)
+                return g.valid_recovery_proposal(self.proposal(1, text, branch))
 
             assert verdict(block_b.ref).to_text() == text
             assert verdict(block_p.ref) is None  # the uncertified side
