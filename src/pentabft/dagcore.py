@@ -472,7 +472,11 @@ class Dag:
     already present, which keeps the causal-completeness invariant by
     induction. The presence test is one call of the block's `parent_lookup`
     on the digest index; only a block that fails it pays for the list of
-    missing refs. Blocks are assumed validated by the caller.
+    missing refs. A block whose parent digests equal those of the last block
+    that passed skips the call: nothing but `prune` removes a stored block,
+    and `prune` forgets that tuple. On the synchronous fast path every block
+    of a round cites the same parents, so a replica tests each round's
+    parent set once. Blocks are assumed validated by the caller.
 
     The floor is the lowest round held: `prune` drops every round below it.
     A block below the floor is refused, and a block at the floor is stored
@@ -501,6 +505,9 @@ class Dag:
         self.floor = 0
         # author -> highest round of a block stored by it, pruned or not
         self.highest: dict[ValidatorId, int] = {}
+        # parent digests of the last block whose parent lookup passed; they
+        # stay stored until the next prune, which resets this
+        self._present_parents: tuple[bytes, ...] = ()
         self._memo = committee.memo
         self._memo.floor_moved(None, 0)
         for g in genesis_blocks(committee):
@@ -541,7 +548,7 @@ class Dag:
             assert block.distinct_parents >= self._strong_quorum, (
                 "block below the parent-quorum floor"
             )
-        if block.round > self.floor:
+        if block.round > self.floor and block.parent_digests != self._present_parents:
             try:
                 block.parent_lookup(by_digest)
             except KeyError:
@@ -549,6 +556,7 @@ class Dag:
                 # keeps this path as fast as before the one-call test
                 missing = tuple([p for p in block.parents if p.digest not in by_digest])
                 return InsertOutcome(InsertStatus.MISSING_ANCESTORS, missing)
+            self._present_parents = block.parent_digests
         self._store(block)
         return INSERTED
 
@@ -585,6 +593,7 @@ class Dag:
                 for block in versions:
                     by_digest.pop(block.digest, None)
             self.quorum_stamps.pop(r, None)
+        self._present_parents = ()
         self.floor = below
         self._memo.floor_moved(before, below)
 

@@ -181,6 +181,8 @@ class BlameSet:
                     decode_block(bytes.fromhex(kv["x"])),
                     decode_block(bytes.fromhex(kv["y"])),
                 )
+        if block_a is None:
+            raise ValueError("a safety blameset needs a conflict line")
         return BlameSet(SAFETY, members, SafetyProof(slot, block_a, block_b, pairs))
 
 

@@ -110,6 +110,8 @@ class ScenarioConfig:
                     f"beyond_f: excluding {len(faulty)} corrupt validators leaves "
                     f"{self.n - len(faulty)}, fewer than leaders_per_round={self.leaders_per_round}"
                 )
+            if not self.guards:
+                raise ConfigError("beyond_f needs guards: only guards recover from more than f faults")
 
     def _check_strategies(self) -> None:
         """One fault strategy per validator, crash rounds from 1, and

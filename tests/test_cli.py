@@ -95,11 +95,14 @@ class TestRunCommand:
              "beyond_f: 5 corrupt validators of 6 reach 3n/5"),
             ("crash=4@3;5@3\nbeyond_f=1\nguards=5\nleaders_per_round=6",
              "beyond_f: excluding 2 corrupt validators leaves 4, fewer than leaders_per_round=6"),
+            # only guards recover, so the run would fail its recovery check
+            ("crash=4@3;5@3\nbeyond_f=1",
+             "beyond_f needs guards: only guards recover from more than f faults"),
         ],
         ids=[
             "unknown-key", "crash-without-round", "cap-below-base", "zero-base",
             "zero-delta", "negative-gst", "negative-f", "corrupt-three-fifths",
-            "too-few-left-to-lead",
+            "too-few-left-to-lead", "beyond-f-without-guards",
         ],
     )
     def test_malformed_config_file_exit_code(self, tmp_path, capsys, line, message):

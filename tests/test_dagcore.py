@@ -287,6 +287,61 @@ class TestParentPresence:
     def test_a_genesis_block_has_no_lookup(self, committee):
         assert {g.parent_lookup for g in genesis_blocks(committee)} == {None}
 
+    @staticmethod
+    def spy_on_lookup(block):
+        """Count calls of `block.parent_lookup`, which still does its job."""
+        calls = []
+        lookup = block.parent_lookup
+
+        def spy(mapping):
+            calls.append(block.ref)
+            return lookup(mapping)
+
+        object.__setattr__(block, "parent_lookup", spy)
+        return calls
+
+    def test_a_parent_set_that_just_passed_is_not_looked_up_again(self, committee):
+        """Each block builds its own parent-digest tuple, so the memo must
+        compare by value: a sibling citing the same parents skips the lookup,
+        and a block citing other parents does not."""
+        dag, refs = self.dag_holding_round_one_but(committee, set())
+        first = make_block(0, 2, refs)
+        assert dag.insert(first).status is InsertStatus.INSERTED
+        sibling = make_block(1, 2, refs)
+        assert sibling.parent_digests == first.parent_digests
+        assert sibling.parent_digests is not first.parent_digests
+        calls = self.spy_on_lookup(sibling)
+        assert dag.insert(sibling).status is InsertStatus.INSERTED
+        assert calls == []
+        other = make_block(2, 2, refs[:5])
+        calls = self.spy_on_lookup(other)
+        assert dag.insert(other).status is InsertStatus.INSERTED
+        assert calls == [other.ref]
+
+    def test_one_unstored_fork_among_the_passed_parents_is_missing(self, committee):
+        """A parent set of the same length that differs from the memo in one
+        digest, an unstored fork version, is looked up and reported."""
+        dag, refs = self.dag_holding_round_one_but(committee, set())
+        assert dag.insert(make_block(0, 2, refs)).status is InsertStatus.INSERTED
+        fork = make_block(3, 1, [g.ref for g in genesis_blocks(committee)], (b"fork",))
+        forked_refs = refs[:3] + [fork.ref] + refs[4:]
+        outcome = dag.insert(make_block(1, 2, forked_refs))
+        assert outcome.status is InsertStatus.MISSING_ANCESTORS
+        assert outcome.missing == (fork.ref,)
+
+    def test_a_prune_forgets_the_parent_set_that_passed(self, committee):
+        """A block may cite a parent two rounds down (the DAG does not check
+        parent rounds). Once a prune drops that parent, a block citing the
+        same parents must report it missing."""
+        dag, round1 = self.dag_holding_round_one_but(committee, set())
+        round2 = full_round(dag, committee, 2)
+        parents = [b.ref for b in round2[:5]] + [round1[5]]
+        assert dag.insert(make_block(0, 3, parents)).status is InsertStatus.INSERTED
+        dag.prune(2)
+        outcome = dag.insert(make_block(1, 3, parents))
+        assert outcome.status is InsertStatus.MISSING_ANCESTORS
+        assert outcome.missing == (round1[5],)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
     def test_insert_agrees_with_the_oracle(self, data):

@@ -670,6 +670,16 @@ class TestHostileGuardInput:
         assert guard_intake(g, relay) == []
         assert g.session is None
 
+    def test_safety_blameset_without_a_conflict_line(self):
+        text = "blameset kind=safety members=0,1\n"
+        with pytest.raises(ValueError):
+            BlameSet.from_text(text)
+        g = make_guard()
+        proposal = RecoverProposal(1, text, None, recover_tag(1, text, None))
+        relay = AgreementRelay(1, proposal, (1,), (relay_tag(1, 1, proposal),))
+        assert guard_intake(g, relay) == []
+        assert g.session is None and g.recovery_input is None
+
 
 class TestIntakeDispatch:
     """`Replica.deliver` hands each kind to its handler and drops a kind the
@@ -874,7 +884,8 @@ def hostile_message(draw, refs):
     return signed(msg) if draw(st.booleans()) else msg
 
 
-_REFS = [b.ref for b in build_conflict_guard()[2:4]]  # block_b and block_p
+_, _, _B, _P, _VOTES_B, _VOTES_P = build_conflict_guard()
+_REFS = [_B.ref, _P.ref]
 
 
 def well_formed(claim, ranks):
@@ -890,6 +901,41 @@ def well_formed(claim, ranks):
     ) is bytes
 
 
+# encodings of the conflict's blocks and votes, then hex that does not decode
+_HEX = [b.encode().hex() for b in (_B, _P, *_VOTES_B.values(), *_VOTES_P.values())] + [
+    "zz", "abc", "", _B.encode()[:40].hex(),
+]
+
+
+@st.composite
+def pieced_blameset_text(draw):
+    """A blameset text built from pieces. A safety text has no, one or two
+    conflict lines and some pair lines; a liveness text has at most two
+    attestations, too few to blame anyone, and perhaps a stray conflict line.
+    Members may lie outside the committee; hex fields hold encoded blocks or
+    bad hex."""
+    hexes = st.sampled_from(_HEX)
+    members = draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))
+    members = ",".join(map(str, members + draw(st.lists(st.sampled_from([-1, 6, 9]), max_size=1))))
+    liveness = draw(st.booleans())
+    conflict = st.builds(
+        "conflict slot={} a={} b={}".format,
+        st.sampled_from(["2/0", "-"]), hexes, hexes | st.just("-"),
+    )
+    pair = st.builds("pair member={} x={} y={}".format, st.integers(-1, 6), hexes, hexes)
+    attestation = st.builds(
+        lambda m, gid, r: f"attest member={m} guard={gid} round={r} tag={lblame_tag(gid, m, r)}",
+        st.integers(0, 6), st.integers(0, GUARDS - 1), st.integers(0, 3),
+    )
+    if liveness:
+        header = f"blameset kind=liveness members={members} round={draw(st.integers(0, 3))}"
+        body = draw(st.lists(attestation, max_size=2)) + draw(st.lists(conflict, max_size=1))
+    else:
+        header = f"blameset kind=safety members={members}"
+        body = draw(st.lists(conflict, max_size=2)) + draw(st.lists(pair, max_size=4))
+    return "\n".join([header] + draw(st.permutations(body))) + "\n"
+
+
 class TestGuardIntakeProperty:
     @given(msgs=st.lists(hostile_message(_REFS), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -900,6 +946,23 @@ class TestGuardIntakeProperty:
         for slot, claims in g.remote_claims.items():
             for claim in claims.values():
                 assert claim.slot == slot and well_formed(claim, g.leaders_per_round)
+
+    @given(
+        text=pieced_blameset_text(),
+        proposer=st.integers(0, GUARDS - 1),
+        branch=st.none() | st.sampled_from(_REFS),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_pieced_blamesets_never_raise_nor_start_recovery(self, text, proposer, branch):
+        """Validly tagged and signed relays whose blameset cannot verify: a
+        fresh guard stores no block to certify a safety branch, and no member
+        has a majority of attestations."""
+        g = make_guard()
+        proposal = RecoverProposal(proposer, text, branch, recover_tag(proposer, text, branch))
+        tags = (relay_tag(proposer, proposer, proposal),)
+        relay = AgreementRelay(proposer, proposal, (proposer,), tags)
+        assert guard_intake(g, relay) == []
+        assert g.session is None and g.recovery_input is None
 
 
 def validator_after_a_run():

@@ -439,7 +439,7 @@ class TestFaultBudget:
         cfg = ScenarioConfig("budget", crash=((4, 5), (5, 5)))
         with pytest.raises(BudgetExceeded):
             cfg.validate()
-        ScenarioConfig("budget", crash=((4, 5), (5, 5)), beyond_f=True).validate()
+        ScenarioConfig("budget", crash=((4, 5), (5, 5)), beyond_f=True, guards=5).validate()
 
     def test_unknown_ids_rejected(self):
         cfg = ScenarioConfig("budget", crash=((9, 5),), beyond_f=True)

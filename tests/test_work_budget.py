@@ -1,8 +1,9 @@
-"""Work budgets: the Python-function calls each benchmark workload makes.
+"""Work budgets: the Python-function calls each benchmark workload makes,
+and the parent-presence lookups, C-level work that no call count sees.
 
 Each workload of `perfbench/workloads.py` runs at seed 1, at its benchmark
-size, in a fresh process under cProfile with the string-hash seed pinned.
-Calls are counted from `Profile.getstats()`, one entry per code object;
+size, in a fresh process with the string-hash seed pinned. Calls are
+counted under cProfile from `Profile.getstats()`, one entry per code object;
 `pstats` keys every dataclass-generated `__init__` alike and keeps one of
 them, so its totals fall short. A count may not rise above its ceiling. A
 change that lowers a count lowers its ceiling with it, so the gate only
@@ -46,10 +47,49 @@ print(json.dumps(sum(e.callcount for e in profile.getstats() if not isinstance(e
 """
 
 
-def python_calls(workload: str) -> int:
+# `Block.parent_lookup` calls, each one C-level presence test of a parent
+# set. The count follows from the protocol alone, so it holds on any
+# interpreter release. On `sync-f6` every block of a round cites the same
+# parents, so each of the 31 replicas tests one parent set per round.
+LOOKUP_CEILINGS = {"sync-f6": 1_550}
+
+LOOKUPS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+workloads.import_pentabft()
+from pentabft.dagcore import Dag
+from pentabft.runner import Runner
+lookups = 0
+insert = Dag.insert
+
+def counting_insert(dag, block):
+    lookup = block.parent_lookup
+    if lookup is None:
+        return insert(dag, block)
+
+    def spy(mapping):
+        global lookups
+        lookups += 1
+        return lookup(mapping)
+
+    object.__setattr__(block, "parent_lookup", spy)
+    try:
+        return insert(dag, block)
+    finally:
+        object.__setattr__(block, "parent_lookup", lookup)
+
+Dag.insert = counting_insert
+Runner(workloads.config(sys.argv[2]), 1).run()
+print(json.dumps(lookups))
+"""
+
+
+def count(script: str, workload: str) -> int:
+    """What `script` prints last, run on `workload` in a fresh process."""
     env = {**os.environ, "PYTHONHASHSEED": "0"}
     out = subprocess.run(
-        [sys.executable, "-c", COUNT, str(ROOT / "perfbench"), workload],
+        [sys.executable, "-c", script, str(ROOT / "perfbench"), workload],
         cwd=ROOT, env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -62,5 +102,11 @@ def python_calls(workload: str) -> int:
 )
 @pytest.mark.parametrize("workload", sorted(CEILINGS))
 def test_python_calls_stay_under_the_ceiling(workload):
-    calls = python_calls(workload)
+    calls = count(COUNT, workload)
     assert calls <= CEILINGS[workload], (workload, calls)
+
+
+@pytest.mark.parametrize("workload", sorted(LOOKUP_CEILINGS))
+def test_presence_lookups_stay_under_the_ceiling(workload):
+    lookups = count(LOOKUPS, workload)
+    assert lookups <= LOOKUP_CEILINGS[workload], (workload, lookups)
