@@ -133,8 +133,8 @@ class CommitteeMemo:
         # leaves out the tag, so a verdict holds only for the tag it was
         # reached with
         self.valid: dict[int, dict[bytes, str]] = {}
-        # voted round -> (support digest, author) -> digest
-        self.votes: dict[int, dict[tuple, Optional[bytes]]] = {}
+        # voted round -> author -> support digest -> digest
+        self.votes: dict[int, dict[ValidatorId, dict[bytes, Optional[bytes]]]] = {}
         # slot round -> (rank, committed digest or None for a skip) -> the
         # committee's one SlotDecision object for that verdict
         self.verdicts: dict[int, dict[tuple, object]] = {}
@@ -667,14 +667,16 @@ class Dag:
         if support.round == r + 1:
             hit = support.parent_by_author.get(author)
             return hit.digest if hit is not None else None
-        votes = self._memo.votes.get(r)
+        by_author = self._memo.votes.get(r)
+        if by_author is None:
+            by_author = self._memo.votes[r] = {}
+        votes = by_author.get(author)
         if votes is None:
-            votes = self._memo.votes[r] = {}
-        key = (support.digest, author)
-        cached = votes.get(key, False)
+            votes = by_author[author] = {}
+        cached = votes.get(support.digest, False)
         if cached is not False:
             return cached
-        found = votes[key] = self._voted_block_uncached(support, author, r)
+        found = votes[support.digest] = self._voted_block_uncached(support, author, r)
         return found
 
     def round_votes(self, voter_round: int, author: ValidatorId, r: int) -> list[Optional[bytes]]:
@@ -693,10 +695,10 @@ class Dag:
                 None if (p := b.parent_by_author.get(author)) is None else p.digest
                 for b in voters
             ]
-        memo = self._memo.votes.get(r, _EMPTY)
+        memo = self._memo.votes.get(r, _EMPTY).get(author, _EMPTY)
         votes = []
         for b in voters:
-            vote = memo.get((b.digest, author), False)
+            vote = memo.get(b.digest, False)
             votes.append(self.voted_block(b, author, r) if vote is False else vote)
         return votes
 

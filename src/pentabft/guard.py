@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .committer import PRUNE_DEPTH, LeaderSlot, SlotDecision, Verdict, leaders_of_round
@@ -127,13 +128,13 @@ class BlameSet:
     proof: object  # LivenessProof | SafetyProof
 
     def to_text(self) -> str:
-        members = ",".join(str(m) for m in sorted(self.members))
+        members = ",".join(map(str, sorted(self.members)))
         lines = [f"blameset kind={self.kind} members={members}"]
         if self.kind == LIVENESS:
             proof: LivenessProof = self.proof
             lines[0] += f" round={proof.round}"
             for m in sorted(proof.attestations):
-                for att in sorted(proof.attestations[m], key=lambda a: a.guard):
+                for att in sorted(proof.attestations[m], key=attrgetter("guard")):
                     lines.append(
                         f"attest member={m} guard={att.guard} round={att.round} tag={att.tag}"
                     )
@@ -151,9 +152,13 @@ class BlameSet:
 
     @staticmethod
     def from_text(text: str) -> "BlameSet":
+        """The blameset whose `to_text()` is `text`; ValueError for any other
+        text, so what a guard verifies is exactly what the proposer signed."""
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         header = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
         kind = header["kind"]
+        if kind not in (LIVENESS, SAFETY):
+            raise ValueError(f"unknown blameset kind {kind!r}")
         members = frozenset(int(m) for m in header["members"].split(",") if m != "")
         if kind == LIVENESS:
             atts: dict[ValidatorId, list[LBlameMsg]] = {}
@@ -162,28 +167,32 @@ class BlameSet:
                 msg = LBlameMsg(int(kv["guard"]), int(kv["member"]), int(kv["round"]), kv["tag"])
                 atts.setdefault(msg.accused, []).append(msg)
             proof = LivenessProof(int(header["round"]), {m: tuple(v) for m, v in atts.items()})
-            return BlameSet(LIVENESS, members, proof)
-        slot = None
-        block_a = None
-        block_b = None
-        pairs: dict[ValidatorId, tuple[Block, Block]] = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            kv = dict(p.split("=", 1) for p in parts[1:])
-            if parts[0] == "conflict":
-                if kv["slot"] != "-":
-                    r, k = kv["slot"].split("/")
-                    slot = LeaderSlot(int(r), int(k))
-                block_a = decode_block(bytes.fromhex(kv["a"]))
-                block_b = decode_block(bytes.fromhex(kv["b"])) if kv["b"] != "-" else None
-            else:
-                pairs[int(kv["member"])] = (
-                    decode_block(bytes.fromhex(kv["x"])),
-                    decode_block(bytes.fromhex(kv["y"])),
-                )
-        if block_a is None:
-            raise ValueError("a safety blameset needs a conflict line")
-        return BlameSet(SAFETY, members, SafetyProof(slot, block_a, block_b, pairs))
+        else:
+            slot = None
+            block_a = None
+            block_b = None
+            pairs: dict[ValidatorId, tuple[Block, Block]] = {}
+            for ln in lines[1:]:
+                parts = ln.split()
+                kv = dict(p.split("=", 1) for p in parts[1:])
+                if parts[0] == "conflict":
+                    if kv["slot"] != "-":
+                        r, k = kv["slot"].split("/")
+                        slot = LeaderSlot(int(r), int(k))
+                    block_a = decode_block(bytes.fromhex(kv["a"]))
+                    block_b = decode_block(bytes.fromhex(kv["b"])) if kv["b"] != "-" else None
+                else:
+                    pairs[int(kv["member"])] = (
+                        decode_block(bytes.fromhex(kv["x"])),
+                        decode_block(bytes.fromhex(kv["y"])),
+                    )
+            if block_a is None:
+                raise ValueError("a safety blameset needs a conflict line")
+            proof = SafetyProof(slot, block_a, block_b, pairs)
+        bs = BlameSet(kind, members, proof)
+        if bs.to_text() != text:
+            raise ValueError("blameset text is not in canonical form")
+        return bs
 
 
 def _votes_for(block: Block, leader: Block) -> bool:

@@ -47,13 +47,15 @@ class Metrics:
 
     @staticmethod
     def from_text(text: str) -> "Metrics":
-        """Parse `to_text`'s lines; a missing key keeps its field's default
-        and an unknown key is ignored."""
+        """Parse `to_text`'s lines; every key it writes must be present, and
+        an unknown key is ignored."""
         kv = dict(line.partition("=")[::2] for line in text.strip().splitlines())
+        missing = [key for key, _, _ in _FORMAT if key not in kv]
+        if missing:
+            raise ValueError(f"missing keys {', '.join(missing)}")
         m = Metrics()
         for key, attr, (_, parse) in _FORMAT:
-            if key in kv:
-                setattr(m, attr, parse(kv[key]))
+            setattr(m, attr, parse(kv[key]))
         return m
 
     def add_guard_outcome(

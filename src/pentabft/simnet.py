@@ -1,12 +1,13 @@
 """Deterministic discrete-event simulator.
 
 A calendar queue drives the run (R. Brown, "Calendar queues", CACM 31(10),
-1988): a heap of the distinct pending times plus one FIFO queue of events per
-time. Every event takes the next sequence number, so appending in push order
-keeps each queue in sequence order, and events pop in (virtual time, sequence
-number) order: identical (scenario, seed) inputs replay byte-identically. A
-broadcast costs one append per recipient, not one heap push, and `send`
-appends to the queue itself. Virtual time is integer microseconds. Message
+1988): a heap of the distinct pending times plus one plain list of events per
+time, which `run` iterates in place. Every event takes the next sequence
+number, so appending in push order keeps each list in sequence order, and
+events run in (virtual time, sequence number) order: identical (scenario,
+seed) inputs replay byte-identically. An event pushed for the running instant
+joins it, since list iteration sees appends. A broadcast costs one append per
+recipient, not one heap push, and `send` appends to the list itself. Virtual time is integer microseconds. Message
 delays come from one of three network models; timers fire exactly. A model
 fixes its delay ranges at construction, refusing an empty one, and draws
 from a range by the loop CPython's `randint` runs: `getrandbits(k)` for the
@@ -17,10 +18,12 @@ Deliveries at one instant are ingested per event and each touched node is
 then flushed once, in node-id order (decisions, round advancement, outbound
 actions), which is behaviorally identical because nothing sent at time t can
 arrive at time t. An instant that touched one node flushes it without
-collecting or sorting the touched set.
+collecting or sorting the touched set, and one that touched two orders them
+with one comparison.
 
-The event log is text, each line written once as its event happens; one
-payload description serves back-to-back copies of a message object, as a
+The event log is text, each line written once as its event happens from parts
+made once: the time prefix once per instant, and the sender and payload
+description once per run of one message object from one sender, as a
 broadcast's copies pop under the synchronous model. Lines collect in a tail
 that is joined into one newline-separated block at the end of an instant
 once it holds EVENT_BLOCK_LINES lines, and when `run` returns, so the log
@@ -29,16 +32,16 @@ is held as a few large strings, not one string per line. The host's
 
 An epoch ends here too: `start_epoch` swaps in a new node set and drops the
 old set's undelivered messages and armed timers, so nothing from a retired
-epoch reaches its successor; a restart that fires mid-instant also drops the
-rest of that instant's deliveries and timers.
+epoch reaches its successor. A restart that fires mid-instant, from a
+scheduled call, keeps the instant's entries up to that call, which `run` has
+consumed, and drops the rest of that instant's deliveries and timers.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 from .messages import (
@@ -237,12 +240,13 @@ class Simulator:
         # (send, frm, to, recv) per delivery later than the network model's
         # bound; checked with event recording
         self.late_deliveries: list[tuple[int, NodeId, NodeId, int]] = []
-        # calendar queue: heap of distinct pending times, and per time a FIFO
-        # of (seq, kind, node, a, b) entries; a DELIVER carries (sender,
-        # message), a TIMER (timer id, None), a CALL ("", function)
+        # calendar queue: heap of distinct pending times, and per time a list
+        # of (seq, kind, node, a, b) entries in seq order; a DELIVER carries
+        # (sender, message), a TIMER (timer id, None), a CALL ("", function)
         self._times: list[int] = []
-        self._queues: dict[int, deque] = {}
+        self._queues: dict[int, list] = {}
         self._seq = 0
+        self._call_seq: Optional[int] = None  # seq of the CALL run() is running
         self.nodes: dict[NodeId, Node] = {}
         # (node, timer id) -> seq of its one live arm; a key leaves when its
         # timer fires, and an entry whose seq is not here was re-armed since
@@ -255,12 +259,16 @@ class Simulator:
         armed timers (scheduled calls stay), then flush each new node once."""
         self.nodes = {node.node_id: node for node in nodes}
         self._timer_seq.clear()
-        # in place: run() may be consuming one of these queues right now, and
-        # an emptied queue stays until run() reaches its time and skips it
-        for queue in self._queues.values():
-            calls = [entry for entry in queue if entry[1] == CALL]
-            queue.clear()
-            queue.extend(calls)
+        # in place: run() may be iterating the running instant's list, whose
+        # entries up to the running call are consumed and stay as they are
+        # (seqs start at 1); an instant left with nothing leaves the heap
+        queues, consumed = self._queues, self._call_seq or 0
+        for time, queue in list(queues.items()):
+            queue[:] = [e for e in queue if e[1] == CALL or (e[0] <= consumed and time == self.now)]
+            if not queue:
+                del queues[time]
+        self._times[:] = [time for time in self._times if time in queues]
+        heapify(self._times)
         for node_id in sorted(self.nodes):
             self.apply_actions(node_id, self.nodes[node_id].flush(now), now)
 
@@ -270,7 +278,7 @@ class Simulator:
         self._seq += 1
         queue = self._queues.get(time)
         if queue is None:
-            queue = self._queues[time] = deque()
+            queue = self._queues[time] = []
             heappush(self._times, time)
         queue.append((self._seq, kind, node, a, b))
 
@@ -287,7 +295,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         queue = self._queues.get(at)
         if queue is None:
-            queue = self._queues[at] = deque()
+            queue = self._queues[at] = []
             heappush(self._times, at)
         queue.append((seq, DELIVER, to, frm, payload))
         self.delivery_count += 1
@@ -358,33 +366,33 @@ class Simulator:
         lines = self.event_tail
         record = self.record_events
         apply_actions = self.apply_actions
-        described, description = None, describe_payload(None)
+        described, sender = object(), None
         while times and times[0] <= self.horizon:
             time = heappop(times)
-            queue = queues[time]
-            if not queue:  # emptied by start_epoch
-                del queues[time]
-                continue
             self.now = time
+            if record:
+                prefix = f"{time}\t"
             # ingest every event at this instant, then flush the nodes it
             # touched once each; an event pushed for this instant meanwhile
-            # joins the queue. Most instants touch one node: it is `first`,
-            # and a set collects the nodes only once a second one is touched
-            first = touched = None
-            popleft = queue.popleft
-            while queue:
-                seq, kind, node_id, a, b = popleft()
+            # joins the list, which the loop sees. Most instants touch one
+            # node, `first`; a second one is `second`, and a set collects
+            # the nodes only once a third one is touched
+            first = second = touched = None
+            for seq, kind, node_id, a, b in queues[time]:
                 if kind == CALL:
+                    self._call_seq = seq
                     b(time)
+                    self._call_seq = None
                     continue
                 node = self.nodes.get(node_id)
                 if node is None:
                     continue
                 if kind == DELIVER:
                     if record:
-                        if b is not described:
-                            described, description = b, describe_payload(b)
-                        lines.append(f"{time}\t{seq}\tdeliver\t{node_id}\t{a} {description}")
+                        if b is not described or a != sender:
+                            described, sender = b, a
+                            suffix = f"\t{a} {describe_payload(b)}"
+                        lines.append(f"{prefix}{seq}\tdeliver\t{node_id}{suffix}")
                     actions = node.deliver(b, a, time)
                 else:
                     key = (node_id, a)
@@ -392,20 +400,24 @@ class Simulator:
                         continue  # superseded by a re-arm
                     del timer_seq[key]
                     if record:
-                        lines.append(f"{time}\t{seq}\ttimer\t{node_id}\t{a}")
+                        lines.append(f"{prefix}{seq}\ttimer\t{node_id}\t{a}")
                     actions = node.on_timer(a, time)
                 if actions:
                     apply_actions(node_id, actions, time)
                 if node_id != first:
                     if first is None:
                         first = node_id
-                    elif touched is None:
-                        touched = {first, node_id}
-                    else:
+                    elif touched is not None:
                         touched.add(node_id)
+                    elif second is None:
+                        second = node_id
+                    elif node_id != second:
+                        touched = {first, second, node_id}
             del queues[time]
             if touched is not None:
                 flushed = sorted(touched)
+            elif second is not None:
+                flushed = (first, second) if first < second else (second, first)
             elif first is not None:
                 flushed = (first,)
             else:

@@ -171,6 +171,18 @@ class TestPlotData:
     def test_missing_file_errors(self, capsys):
         assert cli.main(["plot-data", "does-not-exist.metrics"]) == 2
 
+    def test_file_with_no_known_key_errors(self, tmp_path, capsys):
+        path = tmp_path / "garbage.metrics"
+        path.write_text("garbage\n")
+        assert cli.main(["plot-data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing keys scenario, seed," in err
+
+    def test_metrics_text_missing_one_key_errors(self):
+        text = Metrics(scenario="s").to_text().replace("recovery_vtime=-1\n", "")
+        with pytest.raises(ValueError, match="missing keys recovery_vtime$"):
+            Metrics.from_text(text)
+
     def test_metrics_text_with_a_dropped_key_still_parses(self):
         m = Metrics(scenario="s", seed=2, mode="sync", slots_direct_committed=3, slots_skipped=1)
         text = m.to_text()

@@ -435,7 +435,7 @@ class TestCommitteeMemo:
         support = full_round(holder, committee, 3)[0]
         voted = holder.voted_block(support, 1, 1)
         assert voted is not None
-        assert committee.memo.votes[1][(support.digest, 1)] == voted
+        assert committee.memo.votes[1][1][support.digest] == voted
         assert sibling.insert(support).status is InsertStatus.INSERTED
         assert sibling.voted_block(support, 1, 1) == voted
         assert Committee.of_size(6).memo is not committee.memo
@@ -503,12 +503,11 @@ class TestPrune:
         memo = committee.memo
         support = holder.first_block_by(0, 3)
         voted = holder.voted_block(support, 1, 1)
-        key = (support.digest, 1)
-        assert memo.votes[1][key] == voted
+        assert memo.votes[1][1][support.digest] == voted
         round1 = {holder.first_block_by(a, 1).digest for a in range(6)}
         assert round1 <= memo.valid[1].keys()
         holder.prune(3)
-        assert memo.floor == 0 and key in memo.votes[1]  # the sibling still reads round 1
+        assert memo.floor == 0 and support.digest in memo.votes[1][1]  # the sibling still reads round 1
         sibling.prune(2)
         assert memo.floor == 2 and 1 not in memo.votes
         assert 0 not in memo.valid and 1 not in memo.valid
@@ -526,7 +525,7 @@ class TestPrune:
         # a sibling's own reads reach no lower, but a direct caller may ask
         support = sibling.first_block_by(0, 3)
         voted = sibling.voted_block(support, 1, 1)
-        assert memo.votes[1][(support.digest, 1)] == voted
+        assert memo.votes[1][1][support.digest] == voted
         holder.prune(3)
         assert memo.floor == 2 and 1 in memo.votes  # the lowest floor did not rise
         sibling.prune(3)

@@ -680,6 +680,29 @@ class TestHostileGuardInput:
         assert guard_intake(g, relay) == []
         assert g.session is None and g.recovery_input is None
 
+    def test_blameset_of_an_unknown_kind_is_refused(self):
+        block = _B.encode().hex()
+        text = f"blameset kind=foo members=0,1\nconflict slot=- a={block} b=-\n"
+        with pytest.raises(ValueError, match="unknown blameset kind 'foo'"):
+            BlameSet.from_text(text)
+        g = make_guard()
+        proposal = RecoverProposal(1, text, None, recover_tag(1, text, None))
+        relay = AgreementRelay(1, proposal, (1,), (relay_tag(1, 1, proposal),))
+        assert guard_intake(g, relay) == []
+        assert g.session is None and g.recovery_input is None
+
+    def test_blameset_text_not_in_canonical_form_is_refused(self):
+        canonical = "blameset kind=liveness members=4,5 round=1\n"
+        assert BlameSet.from_text(canonical).to_text() == canonical
+        for text in (
+            "blameset kind=liveness members=5,4 round=1\n",
+            "blameset kind=liveness members=4,5 round=1",
+            "blameset  kind=liveness members=4,5 round=1\n",
+            "blameset kind=liveness members=4,5 round=1\n\n",
+        ):
+            with pytest.raises(ValueError, match="canonical"):
+                BlameSet.from_text(text)
+
 
 class TestIntakeDispatch:
     """`Replica.deliver` hands each kind to its handler and drops a kind the
@@ -909,15 +932,16 @@ _HEX = [b.encode().hex() for b in (_B, _P, *_VOTES_B.values(), *_VOTES_P.values(
 
 @st.composite
 def pieced_blameset_text(draw):
-    """A blameset text built from pieces. A safety text has no, one or two
-    conflict lines and some pair lines; a liveness text has at most two
-    attestations, too few to blame anyone, and perhaps a stray conflict line.
+    """A blameset text built from pieces. A safety text, or one of an
+    unknown kind, has no, one or two conflict lines and some pair lines; a
+    liveness text has at most two attestations, too few to blame anyone, and
+    perhaps a stray conflict line.
     Members may lie outside the committee; hex fields hold encoded blocks or
     bad hex."""
     hexes = st.sampled_from(_HEX)
     members = draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))
     members = ",".join(map(str, members + draw(st.lists(st.sampled_from([-1, 6, 9]), max_size=1))))
-    liveness = draw(st.booleans())
+    kind = draw(st.sampled_from(["liveness", "safety", "foo", "Safety"]))
     conflict = st.builds(
         "conflict slot={} a={} b={}".format,
         st.sampled_from(["2/0", "-"]), hexes, hexes | st.just("-"),
@@ -927,11 +951,11 @@ def pieced_blameset_text(draw):
         lambda m, gid, r: f"attest member={m} guard={gid} round={r} tag={lblame_tag(gid, m, r)}",
         st.integers(0, 6), st.integers(0, GUARDS - 1), st.integers(0, 3),
     )
-    if liveness:
+    if kind == "liveness":
         header = f"blameset kind=liveness members={members} round={draw(st.integers(0, 3))}"
         body = draw(st.lists(attestation, max_size=2)) + draw(st.lists(conflict, max_size=1))
     else:
-        header = f"blameset kind=safety members={members}"
+        header = f"blameset kind={kind} members={members}"
         body = draw(st.lists(conflict, max_size=2)) + draw(st.lists(pair, max_size=4))
     return "\n".join([header] + draw(st.permutations(body))) + "\n"
 

@@ -26,7 +26,7 @@ from pentabft.dagcore import (
 from pentabft.faults import CrashValidator, SilentGuard
 from pentabft.guard import Guard
 from pentabft.messages import BlockMsg, Broadcast, Send, SyncResponse
-from pentabft.metrics import from_record
+from pentabft.metrics import Metrics, from_record
 from pentabft.runner import (
     GuardAdapter,
     Runner,
@@ -224,9 +224,14 @@ class TestCommitteeMemo:
 
 class TestBoundedState:
     @staticmethod
-    def entries(table):
-        """The entries of a round-keyed memo table, over all its rounds."""
-        return sum(map(len, table.values()))
+    def entries(table, depth=1):
+        """The entries of a round-keyed memo table, over all its rounds,
+        counted `depth` levels below the round: the vote table nests author
+        -> support digest, so its entries lie two levels down."""
+        rows = table.values()
+        for _ in range(depth - 1):
+            rows = [inner for row in rows for inner in row.values()]
+        return sum(map(len, rows))
 
     def test_replica_state_is_the_same_at_n_and_2n_rounds(self):
         """Each replica holds the rounds from its floor up, and the memos
@@ -240,7 +245,9 @@ class TestBoundedState:
             sizes[rounds] = (
                 [len(node.dag) for node in nodes],
                 [len(node.pending) for node in nodes],
-                *map(self.entries, (memo.votes, memo.valid, memo.verdicts)),
+                self.entries(memo.votes, depth=2),
+                self.entries(memo.valid),
+                self.entries(memo.verdicts),
             )
         assert sizes[30] == sizes[60]
 
@@ -739,6 +746,7 @@ class TestGoldenRecords:
         load_bytes = cfg.tx_per_block * cfg.tx_size
         metrics_text = from_record(record, cfg.protocol_mode, load_bytes).to_text()
         assert digest([metrics_text]) == METRICS_DIGESTS[name][seed - 1]
+        assert Metrics.from_text(metrics_text).to_text() == metrics_text
 
     def test_records_do_not_depend_on_the_string_hash_seed(self):
         """A set or dict of strings iterated into a record would order it by

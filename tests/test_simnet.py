@@ -379,6 +379,21 @@ class TestCalendarQueue:
         sim.run()
         assert order == [("n0", 1000), ("n2", 1000)]
 
+    @pytest.mark.parametrize("recipients", [
+        ("n0", "n2"), ("n2", "n1", "n0"), ("n1", "n2", "n1", "n0", "n2"),
+    ])
+    def test_each_touched_node_flushes_once_in_node_order(self, recipients):
+        """Two nodes are ordered by one comparison, three or more by a set;
+        the test above delivers to the higher of two ids first."""
+        sim, nodes = make_sim()
+        order = []
+        for node in nodes:
+            node.flush = lambda now, node=node: order.append(node.node_id) or []
+        for to in recipients:
+            sim.send("n1", to, "m", 0)
+        sim.run()
+        assert order == sorted(set(recipients))
+
     def test_a_single_event_instant_flushes_its_node_once(self):
         sim, nodes = make_sim()
         sim.send("n0", "n1", "only", 0)
@@ -418,6 +433,38 @@ class TestCalendarQueue:
         assert all(n.log == [] for n in new)
         assert [line.split("\t")[4] for line in event_lines(sim)] == ["n0 str"]
         assert sim.now == 3000
+
+    def test_restart_mid_instant_runs_each_call_of_the_instant_once(self):
+        """The running instant keeps the entries up to the restart, which
+        are consumed, so the calls on either side of it run once each."""
+        sim, old = make_sim()
+        calls = []
+
+        def restart(now):
+            calls.append("restart")
+            sim.start_epoch(new, now)
+
+        new = [Recorder(f"n{i}") for i in range(3)]
+        sim.send("n0", "n1", "before", 0)
+        sim.schedule_call(1000, lambda now: calls.append("ahead"))
+        sim.set_timer("n2", "t", 1000, 0)
+        sim.schedule_call(1000, restart)
+        sim.send("n0", "n2", "after", 0)
+        sim.schedule_call(1000, lambda now: calls.append("behind"))
+        sim.send("n0", "n1", "after", 0)
+        sim.run()
+        assert calls == ["ahead", "restart", "behind"]
+        assert old[1].log == [("deliver", 1000, "n0", "before")]
+        assert old[2].log == [("timer", 1000, "t")]
+        assert all(n.log == [] for n in new)
+
+    def test_an_instant_the_restart_emptied_is_not_reached(self):
+        sim, _ = make_sim()
+        sim.set_timer("n1", "t", 5000, 0)
+        sim.send("n0", "n1", "stale", 4000)
+        sim.schedule_call(1000, lambda now: sim.start_epoch([Recorder("n0")], now))
+        sim.run()
+        assert sim.now == 1000 and sim._queues == {} and sim._times == []
 
     def test_run_stops_at_the_horizon_and_keeps_later_events(self):
         sim, nodes = make_sim(horizon=1500)
