@@ -7,12 +7,13 @@ number, so appending in push order keeps each list in sequence order, and
 events run in (virtual time, sequence number) order: identical (scenario,
 seed) inputs replay byte-identically. An event pushed for the running instant
 joins it, since list iteration sees appends. A broadcast costs one append per
-recipient, not one heap push, and `send` appends to the list itself. Virtual time is integer microseconds. Message
-delays come from one of three network models; timers fire exactly. A model
-fixes its delay ranges at construction, refusing an empty one, and draws
-from a range by the loop CPython's `randint` runs: `getrandbits(k)` for the
-width's bit length k until the value is below the width. So the stream is
-`randint`'s, but no longer depends on how `randint` maps bits.
+recipient, not one heap push, and `send` appends to the list itself. Virtual
+time is integer microseconds. Message delays come from one of three network
+models; timers fire exactly. A model fixes its delay ranges at construction,
+refusing an empty one, and draws from a range by the loop CPython's `randint`
+runs: `getrandbits(k)` for the width's bit length k until the value is below
+the width. So the stream is `randint`'s, but no longer depends on how
+`randint` maps bits.
 
 Deliveries at one instant are ingested per event and each touched node is
 then flushed once, in node-id order (decisions, round advancement, outbound
@@ -246,7 +247,7 @@ class Simulator:
         self._times: list[int] = []
         self._queues: dict[int, list] = {}
         self._seq = 0
-        self._call_seq: Optional[int] = None  # seq of the CALL run() is running
+        self._call_seq = 0  # seq of the CALL run() is running; 0 outside one
         self.nodes: dict[NodeId, Node] = {}
         # (node, timer id) -> seq of its one live arm; a key leaves when its
         # timer fires, and an entry whose seq is not here was re-armed since
@@ -262,7 +263,7 @@ class Simulator:
         # in place: run() may be iterating the running instant's list, whose
         # entries up to the running call are consumed and stay as they are
         # (seqs start at 1); an instant left with nothing leaves the heap
-        queues, consumed = self._queues, self._call_seq or 0
+        queues, consumed = self._queues, self._call_seq
         for time, queue in list(queues.items()):
             queue[:] = [e for e in queue if e[1] == CALL or (e[0] <= consumed and time == self.now)]
             if not queue:
@@ -382,7 +383,7 @@ class Simulator:
                 if kind == CALL:
                     self._call_seq = seq
                     b(time)
-                    self._call_seq = None
+                    self._call_seq = 0
                     continue
                 node = self.nodes.get(node_id)
                 if node is None:
